@@ -122,17 +122,25 @@ class EmbeddingTable:
     def load(cls, path) -> "EmbeddingTable":
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
-            if len(header) != 2:
-                raise ValidationError(f"{path}: bad embedding header")
-            count, dim = int(header[0]), int(header[1])
+            try:
+                count, dim = (int(x) for x in header)
+            except ValueError as exc:
+                raise ValidationError(
+                    f"{path}:1: bad embedding header {header!r}") from exc
             tokens, rows = [], []
-            for line in fh:
+            for line_no, line in enumerate(fh, start=2):
                 parts = line.rstrip("\n").split(" ")
                 if len(parts) != dim + 1:
                     raise ValidationError(
-                        f"{path}: expected {dim} components for {parts[0]!r}")
+                        f"{path}:{line_no}: expected {dim} components "
+                        f"for {parts[0]!r}")
+                try:
+                    rows.append([float(x) for x in parts[1:]])
+                except ValueError as exc:
+                    raise ValidationError(
+                        f"{path}:{line_no}: bad component for "
+                        f"{parts[0]!r}") from exc
                 tokens.append(parts[0])
-                rows.append([float(x) for x in parts[1:]])
         if len(tokens) != count:
             raise ValidationError(f"{path}: header says {count} tokens, "
                                   f"found {len(tokens)}")

@@ -58,6 +58,7 @@ class Graph:
     indices: np.ndarray
     _index: dict[str, int] = field(init=False, repr=False)
     _arc_sources: np.ndarray | None = field(default=None, init=False, repr=False)
+    _adjacency: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self._index = {name: i for i, name in enumerate(self.names)}
@@ -113,6 +114,24 @@ class Graph:
             src.setflags(write=False)
             self._arc_sources = src
         return self._arc_sources
+
+    @property
+    def adjacency(self):
+        """The 0/1 adjacency matrix as a ``scipy.sparse.csr_array``.
+
+        Built on first use over this graph's CSR arrays and cached.  scipy
+        is imported here, not at module level, so that runs which never
+        propagate do not pay for loading it.  Threads that ask for it at
+        the same time may each build it; the operators are equal, and the
+        one kept last serves every later call.
+        """
+        if self._adjacency is None:
+            from scipy.sparse import csr_array
+            n = self.node_count
+            self._adjacency = csr_array(
+                (np.ones(len(self.indices)), self.indices, self.indptr),
+                shape=(n, n))
+        return self._adjacency
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted neighbor indices of ``v`` (an O(1) CSR slice)."""

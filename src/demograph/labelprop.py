@@ -174,20 +174,17 @@ def _neighbor_means(g: Graph, values: np.ndarray, active: np.ndarray):
     """Mean of active neighbors' values per node.
 
     Returns ``(means, has_active_neighbor)``; rows without an active
-    neighbor are zero.  Accumulation order is fixed by the CSR layout, so
-    the result is bit-identical across runs.
+    neighbor are zero.  Both engines keep the rows of inactive nodes at
+    exactly 0.0, so multiplying by the full adjacency matrix adds only
+    +0.0 for inactive neighbors, and the sums equal those over active
+    neighbors alone.  Each row is summed in CSR order, so the result is
+    bit-identical across runs.
     """
-    n = g.node_count
-    nbr = g.indices
-    live = active[nbr]
-    src_live = g.arc_sources[live]
-    counts = np.bincount(src_live, minlength=n).astype(np.float64)
+    counts = g.adjacency @ active.astype(np.float64)
     has = counts > 0
-    live_vals = values[nbr[live]]
     means = np.zeros_like(values)
-    for c in range(values.shape[1]):
-        sums = np.bincount(src_live, weights=live_vals[:, c], minlength=n)
-        np.divide(sums, counts, out=means[:, c], where=has)
+    np.divide(g.adjacency @ values, counts[:, None], out=means,
+              where=has[:, None])
     return means, has
 
 
@@ -216,7 +213,8 @@ def _run_blended(g: Graph, seeds: LabelState, weights: list[float],
     """
     values = np.where(seeds.is_active[:, None], seeds.values, 0.0)
     active = seeds.is_active.copy()
-    movable = ~seeds.is_seed
+    is_seed = seeds.is_seed.copy()
+    movable = ~is_seed
     for k, w in enumerate(weights, start=1):
         means, has = _neighbor_means(g, values, active)
         blend = movable & active & has
@@ -231,9 +229,10 @@ def _run_blended(g: Graph, seeds: LabelState, weights: list[float],
         values = new_values
         active = active | has
         if on_superstep is not None:
-            on_superstep(k, LabelState(values.copy(), seeds.is_seed.copy(),
-                                       active.copy()))
-    return LabelState(values, seeds.is_seed.copy(), active)
+            # values and active are new arrays every superstep and are never
+            # written again, so the hook may keep them without a copy.
+            on_superstep(k, LabelState(values, is_seed, active))
+    return LabelState(values, is_seed, active)
 
 
 def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,

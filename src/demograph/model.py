@@ -450,15 +450,13 @@ def auc_rank(scores, labels) -> float:
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC is undefined when only one class is present")
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores))
     sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j < len(scores) and sorted_scores[j] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j]] = (i + 1 + j) / 2.0
-        i = j
+    # Tie group g spans sorted positions [starts[g], ends[g]); each member
+    # gets the mean of the 1-based ranks starts[g]+1 .. ends[g].
+    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
+    ends = np.r_[starts[1:], len(scores)]
+    ranks = np.empty(len(scores))
+    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
     pos_rank_sum = ranks[labels].sum()
     return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

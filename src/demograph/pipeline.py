@@ -300,16 +300,25 @@ def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int
             if name in labels:
                 continue
             try:
-                value = int(float(raw))
+                number = float(raw)
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}:{line_no}: bad label {raw!r}") from exc
+            # False for nan and inf as well as for fractions such as 0.7.
+            if not number.is_integer():
+                raise ValidationError(
+                    f"{path}:{line_no}: label must be an integer, got {raw!r}")
+            value = int(number)
             if task == "gender":
                 if value not in (0, 1):
                     raise ValidationError(
                         f"{path}:{line_no}: gender label must be 0 or 1")
             else:
-                value = age_bucket(value) if ages else value
+                if ages:
+                    try:
+                        value = age_bucket(value)
+                    except ValidationError as exc:
+                        raise ValidationError(f"{path}:{line_no}: {exc}") from exc
                 if not 0 <= value < 7:
                     raise ValidationError(
                         f"{path}:{line_no}: age bucket must lie in [0, 7)")

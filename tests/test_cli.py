@@ -3,8 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import demograph
 
 from demograph.cli import main
 from demograph.labelprop import read_node_vectors
@@ -120,6 +126,26 @@ class TestFeatureCommands:
         fm = FeatureMatrix.from_csv(out)
         assert fm.columns[:3] == ["lp_0", "lp_1", "lp_2"]
 
+    @pytest.mark.parametrize("raw", ["0.7", "inf"])
+    def test_eval_malformed_label_exits_1(self, dataset, tmp_path, capsys,
+                                          raw):
+        preds = tmp_path / "preds.tsv"
+        preds.write_text("a\t0.9\nb\t0.2\n")
+        labels = tmp_path / "labels.tsv"
+        labels.write_text(f"a\t1\nb\t{raw}\n")
+        assert run(["eval", "--predictions", str(preds),
+                    "--labels", str(labels)]) == 1
+        assert "labels.tsv:2:" in capsys.readouterr().err
+
+    def test_coldstart_malformed_embedding_exits_1(self, dataset, tmp_path,
+                                                   capsys):
+        emb = tmp_path / "emb.txt"
+        emb.write_text("1 2\nn0 0.5 half\n")
+        assert run(["coldstart", "--graph", str(dataset / "edges.tsv"),
+                    "--embeddings", str(emb),
+                    "--out", str(tmp_path / "filled.txt")]) == 1
+        assert "emb.txt:2:" in capsys.readouterr().err
+
     def test_sentences_embed_coldstart_chain(self, dataset, tmp_path):
         corpus = tmp_path / "corpus.txt"
         emb = tmp_path / "emb.txt"
@@ -200,6 +226,36 @@ class TestPipelineCommand:
         assert run(["pipeline", "--config", str(cfg),
                     "--set", "regimes=cumf"]) == 0
         assert len(out.read_text().splitlines()) == 1
+
+    def test_emb_only_run_does_not_load_scipy(self, dataset, tmp_path):
+        # scipy.sparse serves only the propagation engine; a run that never
+        # propagates must not pay its import time and memory.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"edges={dataset / 'edges.tsv'}\n"
+            f"labels={dataset / 'truth.tsv'}\n"
+            "regimes=emb\nemb_dim=4\nemb_epochs=1\nemb_min_count=1\n"
+            "model=lr\nepochs=2\nroot_seed=5\n"
+            f"out={tmp_path / 'metrics.jsonl'}\n")
+        script = (
+            "import contextlib, io, sys\n"
+            "import demograph.cli as cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    assert cli.main(['pipeline', '--config', {str(cfg)!r}]) == 0\n"
+            "print('scipy.sparse' in sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['propagate',\n"
+            f"        '--graph', {str(dataset / 'edges.tsv')!r},\n"
+            f"        '--seeds', {str(dataset / 'seeds.tsv')!r},\n"
+            f"        '--out', {str(tmp_path / 'preds.tsv')!r}]) == 0\n"
+            "print('scipy.sparse' in sys.modules)\n")
+        src = str(Path(demograph.__file__).resolve().parents[1])
+        done = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, timeout=300,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 0, done.stderr
+        # Loaded only once a propagation has run.
+        assert done.stdout.split() == ["False", "True"]
 
     def test_missing_config_inputs_exit_1(self, tmp_path):
         cfg = tmp_path / "run.cfg"

@@ -235,3 +235,22 @@ class TestTableIO:
         path.write_text("nonsense\n")
         with pytest.raises(ValidationError):
             EmbeddingTable.load(path)
+
+    @pytest.mark.parametrize("header", ["2 x", "two 3", "2.5 3", ""])
+    def test_non_numeric_header_names_path_and_line(self, tmp_path, header):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{header}\na 1 2 3\nb 4 5 6\n")
+        with pytest.raises(ValidationError, match=r"emb\.txt:1: "):
+            EmbeddingTable.load(path)
+
+    def test_non_numeric_component_names_path_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 3\na 1 2 3\nb 4 five 6\n")
+        with pytest.raises(ValidationError, match=r"emb\.txt:3: .*'b'"):
+            EmbeddingTable.load(path)
+
+    def test_wrong_width_names_path_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 3\na 1 2 3\nb 4 5\n")
+        with pytest.raises(ValidationError, match=r"emb\.txt:3: "):
+            EmbeddingTable.load(path)

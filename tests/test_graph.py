@@ -183,6 +183,18 @@ class TestInvariants:
         with pytest.raises(ValueError):
             g.indices[0] = 5
 
+    def test_adjacency_operator_is_cached_csr(self, rng):
+        g, adj = random_graph(rng, 30, 0.1)
+        a = g.adjacency
+        assert g.adjacency is a
+        assert a.shape == (30, 30)
+        assert np.array_equal(a.indptr, g.indptr)
+        assert np.array_equal(a.indices, g.indices)
+        dense = np.zeros((30, 30))
+        for u, nbrs in enumerate(adj):
+            dense[u, sorted(nbrs)] = 1.0
+        assert np.array_equal(a.toarray(), dense)
+
 
 class TestDirectedEdges:
     def test_out_and_in_neighbors(self, tmp_path):

@@ -7,8 +7,8 @@ import pytest
 
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph
-from demograph.labelprop import (LabelState, PropagationConfig, age_bucket,
-                                 propagate, propagate_beta, propagate_gamma,
+from demograph.labelprop import (LabelState, PropagationConfig,
+                                 _neighbor_means, age_bucket, propagate, propagate_beta, propagate_gamma,
                                  propagate_multiclass, propagate_trace,
                                  read_seed_labels, read_node_vectors,
                                  write_label_state)
@@ -317,6 +317,50 @@ class TestInvariants:
                     iterations=k))
                 assert np.array_equal(snap.values, solo.values)
                 assert np.array_equal(snap.is_active, solo.is_active)
+
+
+class TestNeighborMeans:
+    """The adjacency-matrix product against the masked per-channel formula
+    it replaced, bit for bit."""
+
+    @staticmethod
+    def masked_bincount_means(g, values, active):
+        n = g.node_count
+        live = active[g.indices]
+        src_live = g.arc_sources[live]
+        counts = np.bincount(src_live, minlength=n).astype(np.float64)
+        has = counts > 0
+        live_vals = values[g.indices[live]]
+        means = np.zeros_like(values)
+        for c in range(values.shape[1]):
+            sums = np.bincount(src_live, weights=live_vals[:, c], minlength=n)
+            np.divide(sums, counts, out=means[:, c], where=has)
+        return means, has
+
+    @pytest.mark.parametrize("channels", [1, 2, 7])
+    @pytest.mark.parametrize("mask", ["random", "none", "all"])
+    def test_matches_masked_bincount(self, rng, channels, mask):
+        for trial in range(3):
+            # Nodes 150..159 take part in no edge.
+            core, _ = random_graph(rng, 150, 0.08)
+            pairs = [(u, int(v)) for u in range(150) for v in core.neighbors(u)
+                     if v > u]
+            g = Graph.build([f"n{i}" for i in range(160)], pairs)
+            assert (g.degrees[150:] == 0).all()
+            active = {"random": rng.random(160) < 0.4,
+                      "none": np.zeros(160, dtype=bool),
+                      "all": np.ones(160, dtype=bool)}[mask]
+            # Spread magnitudes so that summation order shows in the bits.
+            raw = rng.random((160, channels)) * 10.0 ** rng.integers(
+                -6, 7, size=(160, channels))
+            # Both engines keep the rows of inactive nodes at exactly 0.0.
+            values = np.where(active[:, None], raw, 0.0)
+            means, has = _neighbor_means(g, values, active)
+            ref_means, ref_has = self.masked_bincount_means(g, values, active)
+            assert np.array_equal(has, ref_has)
+            assert np.array_equal(means, ref_means)
+            if mask == "none":
+                assert not has.any() and not means.any()
 
 
 class TestLabelIO:

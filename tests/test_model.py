@@ -275,6 +275,26 @@ class TestMetrics:
                 labels[0] = 1 - labels[0]
             assert auc_rank(scores, labels) == brute_force_auc(scores, labels)
 
+    def test_tie_heavy_scores_equal_brute_force(self, rng):
+        for _ in range(2):
+            n = int(rng.integers(1900, 2100))
+            levels = rng.random(int(rng.integers(2, 6)))
+            scores = rng.choice(levels, size=n)
+            labels = rng.integers(0, 2, size=n)
+            assert auc_rank(scores, labels) == brute_force_auc(scores, labels)
+
+    def test_distinct_scores_equal_brute_force(self, rng):
+        scores = rng.permutation(2000) / 7.0
+        labels = rng.integers(0, 2, size=2000)
+        assert len(set(scores)) == 2000
+        assert auc_rank(scores, labels) == brute_force_auc(scores, labels)
+
+    def test_single_tie_group_equals_brute_force(self, rng):
+        scores = np.full(500, 0.3)
+        labels = rng.integers(0, 2, size=500)
+        assert auc_rank(scores, labels) == brute_force_auc(scores, labels)
+        assert auc_rank(scores, labels) == 0.5
+
     def test_cross_entropy_clamped(self):
         metrics = evaluate(np.array([[1.0, 0.0]]), np.array([1]))
         assert math.isfinite(metrics["cross_entropy"])

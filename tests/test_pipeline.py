@@ -59,6 +59,28 @@ class TestReadLabels:
         with pytest.raises(ValidationError):
             read_labels(p)
 
+    def test_integral_floats_accepted(self, tmp_path):
+        p = tmp_path / "labels.tsv"
+        p.write_text("a\t1.0\nb\t0.0\n")
+        assert read_labels(p) == {"a": 1, "b": 0}
+        p.write_text("a\t30.0\n")
+        assert read_labels(p, task="age", ages=True) == {"a": 2}
+
+    @pytest.mark.parametrize("raw", ["0.7", "1.5", "inf", "-inf", "nan",
+                                     "1e400", "x"])
+    @pytest.mark.parametrize("task", ["gender", "age"])
+    def test_malformed_value_names_path_and_line(self, tmp_path, raw, task):
+        p = tmp_path / "labels.tsv"
+        p.write_text(f"a\t1\n# comment\nb\t{raw}\n")
+        with pytest.raises(ValidationError, match=rf"labels\.tsv:3: "):
+            read_labels(p, task=task)
+
+    def test_negative_age_names_path_and_line(self, tmp_path):
+        p = tmp_path / "labels.tsv"
+        p.write_text("a\t30\nb\t-4\n")
+        with pytest.raises(ValidationError, match=r"labels\.tsv:2: .*-4"):
+            read_labels(p, task="age", ages=True)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "labels.tsv"
         p.write_text("# nothing\n")
