@@ -21,9 +21,9 @@ from .labelprop import (PropagationConfig, propagate,
                         read_node_vectors, read_seed_labels, write_label_state)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, evaluate,
                     join_features, predict, split)
-from .pipeline import (ExperimentGrid, PipelineConfig, derive_seed,
-                       format_metrics_table, format_pivot, read_labels,
-                       run_pipeline, run_sensitivity, write_sensitivity_csv)
+from .pipeline import (ExperimentGrid, PipelineConfig, format_metrics_table,
+                       format_pivot, int_list, read_labels, run_pipeline,
+                       run_sensitivity, train_model, write_sensitivity_csv)
 
 
 class _UsageError(ConfigError):
@@ -49,9 +49,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command",
                                 parser_class=_Parser)
 
-    p = sub.add_parser("ingest",
-                       help="load, filter, and canonicalize an edge list")
-    _add_version(p)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
+        _add_version(p)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("ingest", _cmd_ingest,
+                "load, filter, and canonicalize an edge list")
     p.add_argument("--edges", required=True)
     p.add_argument("--min-degree", type=int, default=0,
                    help="drop nodes following fewer than this many others")
@@ -59,11 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require the file to already list both directions")
     p.add_argument("--out-edges")
     p.add_argument("--out-nodes")
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("propagate",
-                       help="run label propagation and write node scores")
-    _add_version(p)
+    p = command("propagate", _cmd_propagate,
+                "run label propagation and write node scores")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--seeds", required=True)
     p.add_argument("--strategy", choices=("alpha", "beta", "gamma"),
@@ -78,11 +81,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-degree", type=int, default=0)
     p.add_argument("--emit-inactive", action="store_true")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_propagate)
 
-    p = sub.add_parser("lp-features",
-                       help="ensemble propagation features over seed partitions")
-    _add_version(p)
+    p = command("lp-features", _cmd_lp_features,
+                "ensemble propagation features over seed partitions")
     p.add_argument("--graph", required=True)
     p.add_argument("--seeds", required=True)
     p.add_argument("--splits", type=int, default=3)
@@ -95,21 +96,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-presence", action="store_true",
                    help="omit the presence indicator columns")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_lp_features)
 
-    p = sub.add_parser("sentences",
-                       help="emit one neighbor sentence per node")
-    _add_version(p)
+    p = command("sentences", _cmd_sentences,
+                "emit one neighbor sentence per node")
     p.add_argument("--edges", required=True)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--bidirectional", action="store_true",
                    help="include followers as well as followed nodes")
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sentences)
 
-    p = sub.add_parser("embed",
-                       help="train word2vec vectors on a sentence corpus")
-    _add_version(p)
+    p = command("embed", _cmd_embed,
+                "train word2vec vectors on a sentence corpus")
     p.add_argument("--corpus", required=True)
     p.add_argument("--mode", choices=("skipgram", "cbow"), default="skipgram")
     p.add_argument("--dim", type=int, default=50)
@@ -121,20 +118,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsample", type=float, default=0.0)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_embed)
 
-    p = sub.add_parser("coldstart",
-                       help="fill missing embeddings by neighbor averaging")
-    _add_version(p)
+    p = command("coldstart", _cmd_coldstart,
+                "fill missing embeddings by neighbor averaging")
     p.add_argument("--graph", required=True)
     p.add_argument("--embeddings", required=True)
     p.add_argument("--min-degree", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_coldstart)
 
-    p = sub.add_parser("synth",
-                       help="generate a planted-partition dataset")
-    _add_version(p)
+    p = command("synth", _cmd_synth, "generate a planted-partition dataset")
     p.add_argument("--classes", type=int, choices=(2, 7), default=2)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
@@ -144,18 +136,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-antihomophily", action="store_true")
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--out-dir", required=True)
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("train",
-                       help="train a classifier on joined feature blocks")
-    _add_version(p)
+    p = command("train", _cmd_train,
+                "train a classifier on joined feature blocks")
     p.add_argument("--features", required=True,
                    help="comma-separated feature CSV paths")
     p.add_argument("--labels", required=True)
     p.add_argument("--task", choices=("gender", "age"), default="gender")
     p.add_argument("--ages", action="store_true")
     p.add_argument("--model", choices=("lr", "mlp"), default="lr")
-    p.add_argument("--hidden", default="256,256,256")
+    p.add_argument("--hidden", type=int_list, default="256,256,256")
     p.add_argument("--epochs", type=int, default=4)
     p.add_argument("--minibatch", type=int, default=3000)
     p.add_argument("--rate", type=float, default=0.1)
@@ -167,30 +157,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions-out",
                    help="write test-side predictions as <name>\\t<p0,..>")
     p.add_argument("--metrics-out")
-    p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval",
-                       help="score predictions against truth labels")
-    _add_version(p)
+    p = command("eval", _cmd_eval, "score predictions against truth labels")
     p.add_argument("--predictions", required=True,
                    help="<name>\\t<v0[,v1..]> rows, e.g. propagate output")
     p.add_argument("--labels", required=True)
     p.add_argument("--task", choices=("gender", "age"), default="gender")
     p.add_argument("--ages", action="store_true")
     p.add_argument("--metrics-out")
-    p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("pipeline",
-                       help="run ingest -> features -> train -> eval per regime")
-    _add_version(p)
+    p = command("pipeline", _cmd_pipeline,
+                "run ingest -> features -> train -> eval per regime")
     p.add_argument("--config", required=True)
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a config key")
-    p.set_defaults(func=_cmd_pipeline)
 
-    p = sub.add_parser("sensitivity",
-                       help="propagation quality over a strategy/param/K grid")
-    _add_version(p)
+    p = command("sensitivity", _cmd_sensitivity,
+                "propagation quality over a strategy/param/K grid")
     p.add_argument("--edges", required=True)
     p.add_argument("--truth", required=True, help="full labels for evaluation")
     p.add_argument("--seeds", help="fixed revealed labels")
@@ -207,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-degree", type=int, default=0)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_sensitivity)
     return parser
 
 
@@ -317,22 +299,8 @@ def _cmd_train(args):
     hyper = TrainHyper(rate=args.rate, epochs=args.epochs,
                        minibatch=args.minibatch, l2=args.l2,
                        rng_seed=args.rng_seed)
-    if args.balance:
-        from .model import balance_classes
-        keep = balance_classes(y_train, np.random.default_rng(
-            derive_seed(args.rng_seed, "balance")))
-        x_train, y_train = x_train[keep], y_train[keep]
-    if args.model == "mlp":
-        from .model import train_mlp
-        hidden = [int(h) for h in args.hidden.split(",") if h]
-        params = train_mlp(x_train, y_train, hidden, n_classes=n_classes,
-                           hyper=hyper)
-    elif n_classes == 2:
-        from .model import train_logistic
-        params = train_logistic(x_train, y_train, hyper)
-    else:
-        from .model import train_softmax
-        params = train_softmax(x_train, y_train, n_classes, hyper)
+    params = train_model(x_train, y_train, n_classes, args.model, args.hidden,
+                         hyper, args.balance)
     probs = predict(params, x_test)
     metrics = evaluate(probs, y_test)
     if args.predictions_out:

@@ -14,7 +14,7 @@ class ConfigError(ValidationError):
 
 
 class EdgeListParseError(ValidationError):
-    """A line of an edge-list file could not be parsed."""
+    """A line of a tab-separated input file could not be parsed."""
 
     def __init__(self, path, line_no: int, message: str):
         super().__init__(f"{path}:{line_no}: {message}")

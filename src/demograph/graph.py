@@ -15,7 +15,7 @@ directed view that the undirected ``Graph`` deliberately discards.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -32,15 +32,19 @@ __all__ = [
 
 
 def _csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray):
-    """Deduplicate directed arcs and pack them into CSR arrays."""
+    """Deduplicate directed arcs by sorting their keys (faster than the hash
+    path ``np.unique`` takes in numpy 2.x) and pack them into CSR arrays."""
     if len(src) == 0:
         return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    keys = np.unique(src.astype(np.int64) * np.int64(n) + dst.astype(np.int64))
-    src_u = keys // n
-    dst_u = keys % n
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src_u, minlength=n), out=indptr[1:])
-    return indptr, dst_u
+    keys = src * np.int64(n)
+    keys += dst
+    keys.sort()
+    fresh = np.ones(len(keys), dtype=bool)
+    fresh[1:] = keys[1:] != keys[:-1]
+    keys = keys[fresh]
+    # Row v holds the keys in [v*n, (v+1)*n).
+    indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+    return indptr, keys % n
 
 
 @dataclass
@@ -68,16 +72,17 @@ class Graph:
         self.indices.setflags(write=False)
 
     @classmethod
-    def build(cls, names: Sequence[str], pairs: Iterable[tuple[int, int]],
+    def build(cls, names: Sequence[str],
+              pairs: Sequence[tuple[int, int]] | np.ndarray,
               mirror: bool = True) -> "Graph":
-        """Build a graph from index pairs.
+        """Build a graph from index pairs (a sequence or an ``(m, 2)`` array).
 
         Self-loops and duplicates are dropped.  With ``mirror`` the reverse
         of every pair is added; otherwise the pair set must already be
         symmetric and a ``ValidationError`` is raised if it is not.
         """
         n = len(names)
-        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
         if arr.size and (arr.min() < 0 or arr.max() >= n):
             raise ValidationError("edge endpoint out of range")
         arr = arr[arr[:, 0] != arr[:, 1]]
@@ -86,9 +91,9 @@ class Graph:
         indptr, indices = _csr_from_arcs(n, arr[:, 0], arr[:, 1])
         g = cls(list(names), indptr, indices)
         if not mirror:
-            fwd = g.indptr, g.indices
             rev_ptr, rev_idx = _csr_from_arcs(n, arr[:, 1], arr[:, 0])
-            if not (np.array_equal(fwd[0], rev_ptr) and np.array_equal(fwd[1], rev_idx)):
+            if not (np.array_equal(indptr, rev_ptr)
+                    and np.array_equal(indices, rev_idx)):
                 raise ValidationError(
                     "edge list is not symmetric; load with symmetrize=True")
         return g
@@ -185,33 +190,52 @@ class DirectedEdges:
         return self._index[name]
 
 
-def _parse_edge_lines(path) -> list[tuple[str, str]]:
-    pairs: list[tuple[str, str]] = []
+def _read_rows(path, width: int, sep: str | None = None):
+    """Yield ``(line_no, tokens)`` for every line of a tab file (edges,
+    seeds, labels, node vectors) that is not blank or a ``#`` comment.
+
+    Tokens are split on ``sep`` (any whitespace by default); a line with
+    other than ``width`` tokens raises ``EdgeListParseError`` (``path:line``).
+    """
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
                 continue
-            tokens = stripped.split()
-            if len(tokens) != 2:
+            tokens = stripped.split(sep)
+            if len(tokens) != width:
                 raise EdgeListParseError(
-                    path, line_no, f"expected 2 tokens, got {len(tokens)}")
-            pairs.append((tokens[0], tokens[1]))
-    if not pairs:
-        raise EmptyGraphError(f"no edges found in {path}")
-    return pairs
+                    path, line_no, f"expected {width} tokens, got {len(tokens)}")
+            yield line_no, tokens
 
 
-def _intern(pairs: Iterable[tuple[str, str]]):
-    """Assign dense indices in order of first appearance (source first)."""
-    names: list[str] = []
+def _read_arcs(path) -> tuple[list[str], np.ndarray]:
+    """Parse an edge-list file into names and an int64 ``(m, 2)`` arc array.
+
+    Names are numbered in order of first appearance, source first.
+    """
     index: dict[str, int] = {}
-    for u, v in pairs:
-        for token in (u, v):
-            if token not in index:
-                index[token] = len(names)
-                names.append(token)
-    return names, index
+    ids = np.fromiter((index.setdefault(token, len(index))
+                       for _, pair in _read_rows(path, 2) for token in pair),
+                      dtype=np.int64)
+    if not index:
+        raise EmptyGraphError(f"no edges found in {path}")
+    return list(index), ids.reshape(-1, 2)
+
+
+def _filter_min_degree(names: list[str], arcs: np.ndarray, min_degree: int):
+    """Keep the arcs between nodes with at least ``min_degree`` distinct
+    non-self follow targets; the kept nodes are numbered again in order of
+    first appearance."""
+    loop = arcs[:, 0] == arcs[:, 1]
+    out_ptr, _ = _csr_from_arcs(len(names), arcs[~loop, 0], arcs[~loop, 1])
+    kept = np.diff(out_ptr) >= min_degree
+    arcs = arcs[kept[arcs[:, 0]] & kept[arcs[:, 1]]]
+    nodes, first, inverse = np.unique(arcs, return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)  # the kept nodes by first appearance
+    renumbered = np.argsort(order)[inverse].reshape(-1, 2)
+    return [names[i] for i in nodes[order]], renumbered
 
 
 def load_edge_list(path, min_degree: int = 0, symmetrize: bool = True) -> Graph:
@@ -229,31 +253,21 @@ def load_edge_list(path, min_degree: int = 0, symmetrize: bool = True) -> Graph:
     """
     if min_degree < 0:
         raise ValidationError(f"min_degree must be >= 0, got {min_degree}")
-    pairs = _parse_edge_lines(path)
+    names, arcs = _read_arcs(path)
     if min_degree > 0:
-        follows: dict[str, set[str]] = {}
-        for u, v in pairs:
-            if u != v:
-                follows.setdefault(u, set()).add(v)
-        kept = {name for name, targets in follows.items() if len(targets) >= min_degree}
-        pairs = [(u, v) for u, v in pairs if u in kept and v in kept]
-        if not pairs:
+        names, arcs = _filter_min_degree(names, arcs, min_degree)
+        if not len(arcs):
             raise EmptyGraphError(
                 f"min_degree={min_degree} filter removed every edge of {path}")
-    names, index = _intern(pairs)
-    return Graph.build(names, [(index[u], index[v]) for u, v in pairs],
-                       mirror=symmetrize)
+    return Graph.build(names, arcs, mirror=symmetrize)
 
 
 def load_directed_edges(path) -> DirectedEdges:
     """Load the raw directed follow relation from an edge-list file."""
-    pairs = _parse_edge_lines(path)
-    names, index = _intern(pairs)
-    n = len(names)
-    arr = np.asarray([(index[u], index[v]) for u, v in pairs], dtype=np.int64)
-    arr = arr[arr[:, 0] != arr[:, 1]]
-    out_ptr, out_idx = _csr_from_arcs(n, arr[:, 0], arr[:, 1])
-    in_ptr, in_idx = _csr_from_arcs(n, arr[:, 1], arr[:, 0])
+    names, arcs = _read_arcs(path)
+    arcs = arcs[arcs[:, 0] != arcs[:, 1]]
+    out_ptr, out_idx = _csr_from_arcs(len(names), arcs[:, 0], arcs[:, 1])
+    in_ptr, in_idx = _csr_from_arcs(len(names), arcs[:, 1], arcs[:, 0])
     return DirectedEdges(names, out_ptr, out_idx, in_ptr, in_idx)
 
 

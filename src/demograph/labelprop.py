@@ -25,14 +25,13 @@ Three blending strategies are supported:
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
-from .graph import Graph
+from .errors import ConfigError, EdgeListParseError, ValidationError
+from .graph import Graph, _read_rows
 
 __all__ = [
     "AGE_BUCKET_UPPER_BOUNDS",
@@ -40,6 +39,7 @@ __all__ = [
     "NUM_AGE_BUCKETS",
     "PropagationConfig",
     "age_bucket",
+    "class_label",
     "propagate",
     "propagate_beta",
     "propagate_gamma",
@@ -65,6 +65,25 @@ def age_bucket(age: int) -> int:
         if age <= upper:
             return bucket
     return NUM_AGE_BUCKETS - 1
+
+
+def class_label(raw: str, num_classes: int, ages: bool = False) -> int:
+    """Parse an integral class label such as ``3`` or ``3.0``.
+
+    With ``ages`` the number is a raw age in years and maps to its bucket.
+    A value that is not a number raises ``ValueError``; a non-integral one
+    (``0.7``, ``inf``, ``nan``), a negative age or a class outside
+    ``[0, num_classes)`` raises ``ValidationError``.
+    """
+    number = float(raw)
+    # False for nan and inf as well as for fractions such as 0.7.
+    if not number.is_integer():
+        raise ValidationError(f"label must be an integer, got {raw!r}")
+    value = age_bucket(int(number)) if ages else int(number)
+    if not 0 <= value < num_classes:
+        raise ValidationError(
+            f"class index {value} out of range [0, {num_classes})")
+    return value
 
 
 @dataclass
@@ -388,57 +407,39 @@ def read_seed_labels(path, g: Graph, num_classes: int = 1,
     """Read ``<name><TAB><value-or-class>`` seed lines into a LabelState.
 
     Binary mode (``num_classes=1``) accepts reals in [0, 1]; class mode
-    accepts bucket indices, or raw ages when ``ages`` is set.  Names
+    accepts integral bucket indices, or raw ages when ``ages`` is set.
+    Bad values and duplicate seeds raise errors naming ``path:line``; names
     missing from the graph are skipped (their count is logged).
     """
-    indices: list[int] = []
-    scalar_values: list[float] = []
-    classes: list[int] = []
+    seeds: dict[int, float | int] = {}
     skipped = 0
-    seen: set[int] = set()
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 2:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected 2 tokens, got {len(tokens)}")
-            name, raw = tokens
-            if name not in g:
-                skipped += 1
-                continue
-            v = g.index_of(name)
-            if v in seen:
-                raise ValidationError(f"{path}:{line_no}: duplicate seed {name!r}")
-            seen.add(v)
-            indices.append(v)
-            if num_classes == 1:
-                try:
-                    value = float(raw)
-                except ValueError as exc:
-                    raise ValidationError(
-                        f"{path}:{line_no}: bad label value {raw!r}") from exc
-                if not 0.0 <= value <= 1.0 or math.isnan(value):
-                    raise ValidationError(
-                        f"{path}:{line_no}: binary label must lie in [0, 1]")
-                scalar_values.append(value)
+    for line_no, (name, raw) in _read_rows(path, 2):
+        try:
+            if num_classes > 1:
+                value = class_label(raw, num_classes, ages)
             else:
-                try:
-                    number = int(raw)
-                except ValueError as exc:
+                value = float(raw)
+                if not 0.0 <= value <= 1.0:  # False for nan too
                     raise ValidationError(
-                        f"{path}:{line_no}: bad class value {raw!r}") from exc
-                classes.append(age_bucket(number) if ages else number)
+                        f"binary label must lie in [0, 1], got {raw!r}")
+        except (ValueError, ValidationError) as exc:
+            raise EdgeListParseError(path, line_no, str(exc)) from None
+        if name not in g:
+            skipped += 1
+            continue
+        v = g.index_of(name)
+        if v in seeds:
+            raise EdgeListParseError(path, line_no, f"duplicate seed {name!r}")
+        seeds[v] = value
     if skipped:
         logger.info("skipped %d seed labels for nodes missing from the graph",
                     skipped)
-    if not indices:
+    if not seeds:
         raise ConfigError(f"{path}: no usable seed labels")
+    indices, values = list(seeds), list(seeds.values())
     if num_classes == 1:
-        return LabelState.from_seed_values(g.node_count, indices, scalar_values)
-    return LabelState.from_seed_classes(g.node_count, indices, classes,
+        return LabelState.from_seed_values(g.node_count, indices, values)
+    return LabelState.from_seed_classes(g.node_count, indices, values,
                                         num_classes=num_classes)
 
 
@@ -463,18 +464,9 @@ def write_label_state(path, g: Graph, state: LabelState,
 def read_node_vectors(path) -> dict[str, np.ndarray]:
     """Read the ``write_label_state`` format back as name -> vector."""
     out: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split("\t")
-            if len(tokens) != 2:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected 2 tab-separated fields")
-            try:
-                out[tokens[0]] = np.array([float(x) for x in tokens[1].split(",")])
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}:{line_no}: bad vector {tokens[1]!r}") from exc
+    for line_no, (name, raw) in _read_rows(path, 2, sep="\t"):
+        try:
+            out[name] = np.array([float(x) for x in raw.split(",")])
+        except ValueError:
+            raise EdgeListParseError(path, line_no, f"bad vector {raw!r}") from None
     return out

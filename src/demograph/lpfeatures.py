@@ -119,23 +119,25 @@ def lp_features(g: Graph, labels: LabelState, plan: PartitionPlan,
     if set(plan.assignment) != set(int(v) for v in seed_idx):
         raise ValidationError("partition plan must cover exactly the seed set")
     n, n_classes = g.node_count, labels.num_classes
-    runs: list[LabelState] = []
-    for i in range(plan.n_partitions):
-        part = plan.members(i)
-        sub = LabelState.from_seed_values(n, part, labels.values[part],
-                                          num_classes=n_classes)
-        runs.append(propagate(g, sub, cfg))
+    parts = [plan.members(i) for i in range(plan.n_partitions)]
+    runs = [propagate(g, LabelState.from_seed_values(
+                n, part, labels.values[part], num_classes=n_classes), cfg)
+            for part in parts]
     raw = np.stack([r.values for r in runs], axis=1)        # (n, N, C)
-    present = np.stack([r.is_active for r in runs], axis=1)  # (n, N)
-    values = raw.copy()
-    for u, i in plan.assignment.items():
-        others = [j for j in range(plan.n_partitions) if j != i and present[u, j]]
-        if others:
-            values[u, i] = raw[u, others].mean(axis=0)
-            present[u, i] = True
-        else:
-            values[u, i] = 0.0
-            present[u, i] = False
+    reached = np.stack([r.is_active for r in runs], axis=1)  # (n, N)
+    masked = np.where(reached[:, :, None], raw, 0.0)
+    values, present = raw.copy(), reached.copy()
+    for i, part in enumerate(parts):
+        # Leave-out mean: the other runs' rows added in run order (+0.0
+        # where a run missed the node) over the count of runs that hit it.
+        others = [j for j in range(plan.n_partitions) if j != i]
+        total = masked[part, others[0]]
+        for j in others[1:]:
+            total += masked[part, j]
+        count = reached[part][:, others].sum(axis=1)[:, None]
+        values[part, i] = np.divide(total, count, where=count > 0,
+                                    out=np.zeros_like(total))
+        present[part, i] = count[:, 0] > 0
     if not present.any(axis=1).all():
         logger.info("%d nodes were reached by no run and are fully masked",
                     int((~present.any(axis=1)).sum()))

@@ -16,9 +16,10 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, lpfeatures
-from .errors import ConfigError, ValidationError
-from .graph import Graph, load_directed_edges, load_edge_list
-from .labelprop import LabelState, PropagationConfig, propagate_trace
+from .errors import ConfigError, EdgeListParseError, ValidationError
+from .graph import Graph, _read_rows, load_directed_edges, load_edge_list
+from .labelprop import (NUM_AGE_BUCKETS, LabelState, PropagationConfig,
+                        class_label, propagate_trace)
 from .model import (FeatureMatrix, ModelParams, SplitSpec, TrainHyper,
                     auc_rank, balance_classes, evaluate, fnv1a64,
                     join_features, predict, split, train_logistic, train_mlp,
@@ -33,6 +34,7 @@ __all__ = [
     "read_labels",
     "run_pipeline",
     "run_sensitivity",
+    "train_model",
     "write_sensitivity_csv",
 ]
 
@@ -211,6 +213,22 @@ _CONFIG_DEFAULTS = {
     "emb_rate": "0.025", "emb_bidirectional": "0",
 }
 
+
+def int_list(text: str) -> list[int]:
+    """Parse comma-separated integers such as layer widths ``"64,64"``."""
+    return [int(h) for h in text.split(",") if h]
+
+
+# How ``PipelineConfig.value`` converts each numeric key.  A key whose
+# default is empty is optional, and its empty value reads as None.
+_CONFIG_TYPES = {
+    "hidden": int_list, "epochs": int, "minibatch": int, "rate": float,
+    "l2": float, "train_frac": float, "root_seed": int, "min_degree": int,
+    "lp_splits": int, "lp_alpha": float, "lp_iters": int, "emb_dim": int,
+    "emb_window": int, "emb_epochs": int, "emb_negatives": int,
+    "emb_min_count": int, "emb_rate": float,
+}
+
 _KNOWN_BLOCKS = ("cumf", "lp", "emb")
 
 
@@ -254,6 +272,17 @@ class PipelineConfig:
     def __getitem__(self, key: str) -> str:
         return self.settings[key]
 
+    def value(self, key: str):
+        """The setting of a numeric key, converted by ``_CONFIG_TYPES``;
+        a malformed value raises ``ConfigError`` naming the key."""
+        raw = self.settings[key]
+        if raw == "" and _CONFIG_DEFAULTS[key] == "":
+            return None
+        try:
+            return _CONFIG_TYPES[key](raw)
+        except ValueError:
+            raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
+
     def flag(self, key: str) -> bool:
         return self.settings[key] in ("1", "true", "yes", "on")
 
@@ -271,6 +300,8 @@ class PipelineConfig:
         return blocks
 
     def check_inputs(self) -> None:
+        for key in _CONFIG_TYPES:
+            self.value(key)
         required = {"edges": self["edges"], "labels": self["labels"]}
         if any("cumf" in self.regime_blocks(r) for r in self.regimes()):
             required["cumf"] = self["cumf"]
@@ -284,45 +315,16 @@ class PipelineConfig:
 
 
 def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int]:
-    """Read ``<name><TAB><label>`` truth files as name -> class index."""
-    from .labelprop import age_bucket
+    """Read ``<name><TAB><label>`` truth files as name -> class index.
+    Every line is checked; of two lines for one name the first wins."""
+    n_classes = 2 if task == "gender" else NUM_AGE_BUCKETS
     labels: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            tokens = stripped.split()
-            if len(tokens) != 2:
-                raise ValidationError(
-                    f"{path}:{line_no}: expected 2 tokens, got {len(tokens)}")
-            name, raw = tokens
-            if name in labels:
-                continue
-            try:
-                number = float(raw)
-            except ValueError as exc:
-                raise ValidationError(
-                    f"{path}:{line_no}: bad label {raw!r}") from exc
-            # False for nan and inf as well as for fractions such as 0.7.
-            if not number.is_integer():
-                raise ValidationError(
-                    f"{path}:{line_no}: label must be an integer, got {raw!r}")
-            value = int(number)
-            if task == "gender":
-                if value not in (0, 1):
-                    raise ValidationError(
-                        f"{path}:{line_no}: gender label must be 0 or 1")
-            else:
-                if ages:
-                    try:
-                        value = age_bucket(value)
-                    except ValidationError as exc:
-                        raise ValidationError(f"{path}:{line_no}: {exc}") from exc
-                if not 0 <= value < 7:
-                    raise ValidationError(
-                        f"{path}:{line_no}: age bucket must lie in [0, 7)")
-            labels[name] = value
+    for line_no, (name, raw) in _read_rows(path, 2):
+        try:
+            value = class_label(raw, n_classes, ages and task != "gender")
+        except (ValueError, ValidationError) as exc:
+            raise EdgeListParseError(path, line_no, str(exc)) from None
+        labels.setdefault(name, value)
     if not labels:
         raise ConfigError(f"{path}: no labels found")
     return labels
@@ -331,7 +333,6 @@ def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int
 def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
               train_names: list[str], n_classes: int,
               root: int) -> FeatureMatrix:
-    from .labelprop import LabelState
     train_in_graph = [n for n in train_names if n in g]
     if not train_in_graph:
         raise ConfigError("no training labels fall inside the graph")
@@ -343,10 +344,10 @@ def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
         seeds = LabelState.from_seed_classes(
             g.node_count, idx, [labels[n] for n in train_in_graph],
             num_classes=n_classes)
-    plan = lpfeatures.make_partitions(idx, int(cfg["lp_splits"]),
+    plan = lpfeatures.make_partitions(idx, cfg.value("lp_splits"),
                                       derive_seed(root, "lp-partitions"))
-    prop_cfg = PropagationConfig(alpha=float(cfg["lp_alpha"]),
-                                 iterations=int(cfg["lp_iters"]))
+    prop_cfg = PropagationConfig(alpha=cfg.value("lp_alpha"),
+                                 iterations=cfg.value("lp_iters"))
     block = lpfeatures.lp_features(g, seeds, plan, prop_cfg)
     values = np.hstack([block.imputed(), block.present.astype(np.float64)])
     columns = block.column_names() + block.presence_names()
@@ -358,11 +359,11 @@ def _emb_block(cfg: PipelineConfig, g: Graph, edges_path,
     directed = load_directed_edges(edges_path)
     sentences = embed.build_sentences(directed, derive_seed(root, "sentences"),
                                       bidirectional=cfg.flag("emb_bidirectional"))
-    window = int(cfg["emb_window"]) if cfg["emb_window"] else None
     train_cfg = embed.TrainConfig(
-        mode=cfg["emb_mode"], dim=int(cfg["emb_dim"]), window=window,
-        negatives=int(cfg["emb_negatives"]), rate=float(cfg["emb_rate"]),
-        epochs=int(cfg["emb_epochs"]), min_count=int(cfg["emb_min_count"]),
+        mode=cfg["emb_mode"], dim=cfg.value("emb_dim"),
+        window=cfg.value("emb_window"), negatives=cfg.value("emb_negatives"),
+        rate=cfg.value("emb_rate"), epochs=cfg.value("emb_epochs"),
+        min_count=cfg.value("emb_min_count"),
         rng_seed=derive_seed(root, "embed"))
     table = embed.train_embeddings(sentences, train_cfg)
     table = embed.fill_missing_embeddings(g, table)
@@ -372,20 +373,24 @@ def _emb_block(cfg: PipelineConfig, g: Graph, edges_path,
     return FeatureMatrix(nodes, columns, rows)
 
 
-def _train_model(cfg: PipelineConfig, x: np.ndarray, y: np.ndarray,
-                 n_classes: int, seed: int) -> ModelParams:
-    hyper = TrainHyper(rate=float(cfg["rate"]), epochs=int(cfg["epochs"]),
-                       minibatch=int(cfg["minibatch"]), l2=float(cfg["l2"]),
-                       rng_seed=seed)
-    if cfg.flag("balance"):
+def train_model(x: np.ndarray, y: np.ndarray, n_classes: int, model: str,
+                hidden: list[int], hyper: TrainHyper,
+                balance: bool = False) -> ModelParams:
+    """Train one classifier on rows ``x`` with class labels ``y``.
+
+    ``model`` is ``"lr"`` (logistic regression for two classes, softmax
+    otherwise) or ``"mlp"`` with ``hidden`` layer widths.  With
+    ``balance`` the rows are first class-balanced by an RNG seeded from
+    ``derive_seed(hyper.rng_seed, "balance")``.
+    """
+    if balance:
         keep = balance_classes(y, np.random.default_rng(
-            derive_seed(seed, "balance")))
+            derive_seed(hyper.rng_seed, "balance")))
         x, y = x[keep], y[keep]
-    if cfg["model"] == "mlp":
-        hidden = [int(h) for h in cfg["hidden"].split(",") if h]
+    if model == "mlp":
         return train_mlp(x, y, hidden, n_classes=n_classes, hyper=hyper)
-    if cfg["model"] != "lr":
-        raise ConfigError(f"unknown model {cfg['model']!r}")
+    if model != "lr":
+        raise ConfigError(f"unknown model {model!r}")
     if n_classes == 2:
         return train_logistic(x, y, hyper)
     return train_softmax(x, y, n_classes, hyper)
@@ -399,17 +404,15 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
     byte-identical reports.
     """
     cfg.check_inputs()
-    root = int(cfg["root_seed"])
+    root = cfg.value("root_seed")
     task = cfg["task"]
     if task not in ("gender", "age"):
         raise ConfigError(f"unknown task {task!r}")
     n_classes = 2 if task == "gender" else 7
-    g = load_edge_list(cfg["edges"], min_degree=int(cfg["min_degree"]))
+    g = load_edge_list(cfg["edges"], min_degree=cfg.value("min_degree"))
     labels = read_labels(cfg["labels"], task, cfg.flag("ages"))
 
-    spec = SplitSpec(mode=cfg["split"],
-                     train_fraction=(float(cfg["train_frac"])
-                                     if cfg["train_frac"] else None),
+    spec = SplitSpec(mode=cfg["split"], train_fraction=cfg.value("train_frac"),
                      rng_seed=derive_seed(root, "split"))
     train_names, test_names = split(list(labels), spec)
 
@@ -435,8 +438,11 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
         y_train = np.array([labels[n] for n in train_rows])
         x_test = features.rows_for(test_rows)
         y_test = np.array([labels[n] for n in test_rows])
-        params = _train_model(cfg, x_train, y_train, n_classes,
-                              derive_seed(root, f"train:{regime}"))
+        hyper = TrainHyper(rate=cfg.value("rate"), epochs=cfg.value("epochs"),
+                           minibatch=cfg.value("minibatch"), l2=cfg.value("l2"),
+                           rng_seed=derive_seed(root, f"train:{regime}"))
+        params = train_model(x_train, y_train, n_classes, cfg["model"],
+                             cfg.value("hidden"), hyper, cfg.flag("balance"))
         metrics = evaluate(predict(params, x_test), y_test)
         records.append({"regime": regime, "n_train": len(train_rows),
                         "n_test": len(test_rows), **metrics})

@@ -2,7 +2,8 @@
 
 Everything here is deliberately written with plain python loops over dense
 structures so it shares no code path with the package: dict-of-set graphs,
-per-node propagation, pairwise AUC, and central finite differences.
+per-node propagation, pairwise AUC, central finite differences, and a
+line-by-line edge-list loader.
 """
 
 from __future__ import annotations
@@ -148,3 +149,68 @@ def bfs_distances(adj: list[set[int]], sources: set[int]) -> list[int]:
                     nxt.append(u)
         frontier = nxt
     return dist
+
+
+def _edge_pairs(lines: list[str]) -> list[tuple[str, str]]:
+    pairs = []
+    for line in lines:
+        stripped = line.strip()
+        if stripped and not stripped.startswith("#"):
+            u, v = stripped.split()
+            pairs.append((u, v))
+    return pairs
+
+
+def _intern_pairs(pairs: list[tuple[str, str]]):
+    names: list[str] = []
+    index: dict[str, int] = {}
+    for u, v in pairs:
+        for name in (u, v):
+            if name not in index:
+                index[name] = len(names)
+                names.append(name)
+    return names, [(index[u], index[v]) for u, v in pairs]
+
+
+def reference_edge_list(lines: list[str], min_degree: int = 0):
+    """Reference of ``load_edge_list``: ``(names, sorted neighbor lists)``,
+    or ``None`` when no edge line survives.
+
+    Names are interned in order of first appearance, source first; the
+    activity filter counts each source's distinct non-self targets in a
+    dict of sets; the graph is the set of undirected non-self pairs.
+    """
+    pairs = _edge_pairs(lines)
+    if min_degree > 0:
+        follows: dict[str, set[str]] = {}
+        for u, v in pairs:
+            if u != v:
+                follows.setdefault(u, set()).add(v)
+        kept = {u for u, targets in follows.items() if len(targets) >= min_degree}
+        pairs = [(u, v) for u, v in pairs if u in kept and v in kept]
+    if not pairs:
+        return None
+    names, arcs = _intern_pairs(pairs)
+    edges = {frozenset(arc) for arc in arcs if arc[0] != arc[1]}
+    adj: list[set[int]] = [set() for _ in names]
+    for edge in edges:
+        u, v = tuple(edge)
+        adj[u].add(v)
+        adj[v].add(u)
+    return names, [sorted(nbrs) for nbrs in adj]
+
+
+def reference_directed_edges(lines: list[str]):
+    """Reference of ``load_directed_edges``: ``(names, sorted out-neighbor
+    lists, sorted in-neighbor lists)``, or ``None`` without edge lines."""
+    pairs = _edge_pairs(lines)
+    if not pairs:
+        return None
+    names, arcs = _intern_pairs(pairs)
+    out: list[set[int]] = [set() for _ in names]
+    into: list[set[int]] = [set() for _ in names]
+    for u, v in arcs:
+        if u != v:
+            out[u].add(v)
+            into[v].add(u)
+    return names, [sorted(s) for s in out], [sorted(s) for s in into]

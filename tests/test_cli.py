@@ -8,13 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import demograph
 
 from demograph.cli import main
 from demograph.labelprop import read_node_vectors
-from demograph.model import FeatureMatrix
+from demograph.model import (FeatureMatrix, SplitSpec, TrainHyper,
+                             balance_classes, predict, split)
+from demograph.pipeline import derive_seed, read_labels, train_model
 
 SUBCOMMANDS = ["ingest", "propagate", "lp-features", "sentences", "embed",
                "coldstart", "synth", "train", "eval", "pipeline",
@@ -102,6 +105,17 @@ class TestPropagateAndEval:
         assert run(["propagate", "--graph", str(dataset / "edges.tsv"),
                     "--seeds", str(dataset / "seeds.tsv"),
                     "--iters", "0", "--out", str(tmp_path / "x.tsv")]) == 1
+
+    @pytest.mark.parametrize("raw,message", [("-4", "-4"), ("70.5", "integer")])
+    def test_bad_age_seed_exits_1(self, dataset, tmp_path, capsys, raw,
+                                  message):
+        seeds = tmp_path / "seeds.tsv"
+        seeds.write_text(f"n0\t30\nn1\t{raw}\n")
+        assert run(["propagate", "--graph", str(dataset / "edges.tsv"),
+                    "--seeds", str(seeds), "--classes", "7", "--ages",
+                    "--out", str(tmp_path / "x.tsv")]) == 1
+        err = capsys.readouterr().err
+        assert "seeds.tsv:2:" in err and message in err
 
     def test_emit_inactive_sentinel(self, tmp_path):
         edges = tmp_path / "e.tsv"
@@ -199,6 +213,39 @@ class TestTrain:
                     "--labels", str(dataset / "truth.tsv"),
                     "--epochs", "20", "--minibatch", "64"]) == 0
 
+    def test_balance_matches_train_model(self, dataset, tmp_path):
+        preds = tmp_path / "preds.tsv"
+        assert run(["train", "--features", str(dataset / "cumf.csv"),
+                    "--labels", str(dataset / "truth.tsv"),
+                    "--model", "mlp", "--hidden", "6", "--epochs", "5",
+                    "--minibatch", "32", "--rate", "0.2", "--balance",
+                    "--train-frac", "0.6", "--rng-seed", "9",
+                    "--predictions-out", str(preds)]) == 0
+        # The same rows, trained directly.
+        features = FeatureMatrix.from_csv(dataset / "cumf.csv")
+        labels = read_labels(dataset / "truth.tsv")
+        train, test = split([n for n in labels if n in features],
+                            SplitSpec(train_fraction=0.6, rng_seed=9))
+        y_train = np.array([labels[n] for n in train])
+        # Balancing drops rows here, so the flag is really exercised.
+        keep = balance_classes(y_train, np.random.default_rng(
+            derive_seed(9, "balance")))
+        assert len(keep) < len(train)
+        hyper = TrainHyper(rate=0.2, epochs=5, minibatch=32, rng_seed=9)
+        params = train_model(features.rows_for(train), y_train, 2, "mlp", [6],
+                             hyper, balance=True)
+        probs = predict(params, features.rows_for(test))
+        expected = "".join(
+            name + "\t" + ",".join(f"{x:.17g}" for x in row) + "\n"
+            for name, row in zip(test, probs))
+        assert preds.read_text() == expected
+
+    def test_malformed_hidden_exits_1(self, dataset, capsys):
+        assert run(["train", "--features", str(dataset / "cumf.csv"),
+                    "--labels", str(dataset / "truth.tsv"),
+                    "--model", "mlp", "--hidden", "8,x"]) == 1
+        assert "--hidden" in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_2(self, dataset):
         assert run(["train", "--features", str(dataset / "cumf.csv"),
@@ -256,6 +303,20 @@ class TestPipelineCommand:
         assert done.returncode == 0, done.stderr
         # Loaded only once a propagation has run.
         assert done.stdout.split() == ["False", "True"]
+
+    @pytest.mark.parametrize("override", ["epochs=abc", "hidden=8,x",
+                                          "lp_alpha=x"])
+    def test_malformed_value_exits_1(self, dataset, tmp_path, capsys,
+                                     override):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"edges={dataset / 'edges.tsv'}\n"
+            f"labels={dataset / 'truth.tsv'}\n"
+            f"cumf={dataset / 'cumf.csv'}\n"
+            "regimes=cumf+lp\nmodel=mlp\n")
+        assert run(["pipeline", "--config", str(cfg), "--set", override]) == 1
+        key = override.split("=")[0]
+        assert f"config key {key!r}" in capsys.readouterr().err
 
     def test_missing_config_inputs_exit_1(self, tmp_path):
         cfg = tmp_path / "run.cfg"

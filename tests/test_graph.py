@@ -13,11 +13,34 @@ from demograph.graph import (Graph, load_directed_edges, load_edge_list,
                              write_edge_list, write_node_map)
 
 from conftest import random_graph
+from oracles import reference_directed_edges, reference_edge_list
 
 
 def write_edges(path, lines):
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
+
+
+def csr_of(neighbor_lists):
+    """CSR arrays of per-node sorted neighbor lists."""
+    indptr = np.zeros(len(neighbor_lists) + 1, dtype=np.int64)
+    np.cumsum([len(nbrs) for nbrs in neighbor_lists], out=indptr[1:])
+    indices = np.array([v for nbrs in neighbor_lists for v in nbrs],
+                       dtype=np.int64)
+    return indptr, indices
+
+
+# Random edge files: sources from a small pool (so duplicates and
+# self-loops are common), targets also from names that never follow
+# anyone, and about one comment or blank line per three edge lines.
+_SOURCES = [f"u{i}" for i in range(8)]
+_edge_line = st.tuples(st.sampled_from(_SOURCES),
+                       st.sampled_from(_SOURCES + ["t0", "t1", "t2"])
+                       ).map(lambda pair: f"{pair[0]}\t{pair[1]}")
+_edge_file = st.lists(
+    st.one_of(_edge_line, _edge_line, _edge_line,
+              st.sampled_from(["# comment", "", "   ", "#u0\tu1"])),
+    max_size=40)
 
 
 class TestLoadEdgeList:
@@ -105,6 +128,61 @@ class TestLoadEdgeList:
         p = write_edges(tmp_path / "e.tsv", ["A\tB", "A\tC"])
         g = load_edge_list(p)
         assert "C" in g and g.degree(g.index_of("C")) == 1
+
+
+class TestLoaderAgainstReference:
+    """The array loader against the line-by-line reference in oracles.py."""
+
+    def check(self, path, lines, min_degree, symmetrize=True):
+        expected = reference_edge_list(lines, min_degree)
+        if expected is None:
+            with pytest.raises(EmptyGraphError):
+                load_edge_list(path, min_degree=min_degree,
+                               symmetrize=symmetrize)
+            return
+        g = load_edge_list(path, min_degree=min_degree, symmetrize=symmetrize)
+        names, neighbors = expected
+        indptr, indices = csr_of(neighbors)
+        assert g.names == names
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+
+    @given(_edge_file, st.sampled_from([0, 1, 2, 3]))
+    @settings(max_examples=150, deadline=None)
+    def test_load_edge_list(self, tmp_path_factory, lines, min_degree):
+        path = write_edges(tmp_path_factory.mktemp("e") / "e.tsv", lines)
+        self.check(path, lines, min_degree)
+
+    @given(_edge_file, st.sampled_from([0, 1, 2, 3]))
+    @settings(max_examples=100, deadline=None)
+    def test_strict_mode_on_symmetric_input(self, tmp_path_factory, lines,
+                                            min_degree):
+        both = []
+        for line in lines:
+            both.append(line)
+            tokens = line.split()
+            if len(tokens) == 2 and not line.startswith("#"):
+                both.append(f"{tokens[1]}\t{tokens[0]}")
+        path = write_edges(tmp_path_factory.mktemp("e") / "e.tsv", both)
+        self.check(path, both, min_degree, symmetrize=False)
+
+    @given(_edge_file)
+    @settings(max_examples=100, deadline=None)
+    def test_load_directed_edges(self, tmp_path_factory, lines):
+        path = write_edges(tmp_path_factory.mktemp("e") / "e.tsv", lines)
+        expected = reference_directed_edges(lines)
+        if expected is None:
+            with pytest.raises(EmptyGraphError):
+                load_directed_edges(path)
+            return
+        d = load_directed_edges(path)
+        names, out, into = expected
+        assert d.names == names
+        for (indptr, indices), ref in (((d.out_indptr, d.out_indices), out),
+                                       ((d.in_indptr, d.in_indices), into)):
+            ref_ptr, ref_idx = csr_of(ref)
+            assert np.array_equal(indptr, ref_ptr)
+            assert np.array_equal(indices, ref_idx)
 
 
 class TestNeighbors:

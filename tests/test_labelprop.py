@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from demograph.errors import ConfigError, ValidationError
+from demograph.errors import ConfigError, EdgeListParseError, ValidationError
 from demograph.graph import Graph
 from demograph.labelprop import (LabelState, PropagationConfig,
-                                 _neighbor_means, age_bucket, propagate, propagate_beta, propagate_gamma,
+                                 _neighbor_means, age_bucket, class_label,
+                                 propagate, propagate_beta, propagate_gamma,
                                  propagate_multiclass, propagate_trace,
                                  read_seed_labels, read_node_vectors,
                                  write_label_state)
@@ -40,6 +41,27 @@ class TestAgeBucket:
     def test_negative_age_rejected(self):
         with pytest.raises(ValidationError):
             age_bucket(-1)
+
+
+class TestClassLabel:
+    @pytest.mark.parametrize("raw,ages,expected", [
+        ("3", False, 3), ("3.0", False, 3), ("0", False, 0),
+        ("30", True, 2), ("30.0", True, 2), ("65", True, 6)])
+    def test_integral_values(self, raw, ages, expected):
+        assert class_label(raw, 7, ages) == expected
+
+    @pytest.mark.parametrize("raw", ["0.7", "inf", "nan", "1e400", "7", "-1"])
+    def test_rejected(self, raw):
+        with pytest.raises(ValidationError):
+            class_label(raw, 7)
+
+    def test_not_a_number(self):
+        with pytest.raises(ValueError):
+            class_label("x", 7)
+
+    def test_negative_age_rejected(self):
+        with pytest.raises(ValidationError, match="-4"):
+            class_label("-4", 7, ages=True)
 
 
 class TestPropagateExamples:
@@ -387,6 +409,49 @@ class TestLabelIO:
         seed_file.write_text("a\t9\n")
         with pytest.raises(ValidationError):
             read_seed_labels(seed_file, g, num_classes=7)
+
+    @pytest.mark.parametrize("text,ages,line,message", [
+        ("a\t30\nb\t-4\n", True, 2, "-4"),
+        ("a\t3\nb\t9\n", False, 2, r"range \[0, 7\)"),
+        ("a\t3\nb\t2.5\n", False, 2, "integer"),
+        ("a\t3\nb\tx\n", False, 2, "'x'"),
+        # Off-graph names are skipped, but their values are still checked.
+        ("missing\t-4\na\t3\n", True, 1, "-4"),
+        ("a\t3\n# c\na\t4\n", False, 3, "duplicate seed 'a'"),
+    ])
+    def test_class_seed_errors_name_path_and_line(self, tmp_path, text, ages,
+                                                  line, message):
+        g = path_graph(["a", "b"])
+        seed_file = tmp_path / "seeds.tsv"
+        seed_file.write_text(text)
+        with pytest.raises(EdgeListParseError,
+                           match=rf"seeds\.tsv:{line}: .*{message}"):
+            read_seed_labels(seed_file, g, num_classes=7, ages=ages)
+
+    def test_class_seeds_accept_integral_floats(self, tmp_path):
+        g = path_graph(["a", "b"])
+        seed_file = tmp_path / "seeds.tsv"
+        seed_file.write_text("a\t3.0\nb\t2\n")
+        state = read_seed_labels(seed_file, g, num_classes=7)
+        assert state.values[0, 3] == 1.0 and state.values[1, 2] == 1.0
+        seed_file.write_text("a\t30.0\n")
+        state = read_seed_labels(seed_file, g, num_classes=7, ages=True)
+        assert state.values[0, 2] == 1.0
+
+    @pytest.mark.parametrize("raw", ["1.5", "-0.1", "nan", "x"])
+    def test_binary_seed_errors_name_path_and_line(self, tmp_path, raw):
+        g = path_graph(["a", "b"])
+        seed_file = tmp_path / "seeds.tsv"
+        seed_file.write_text(f"a\t1\nb\t{raw}\n")
+        with pytest.raises(EdgeListParseError, match=r"seeds\.tsv:2: "):
+            read_seed_labels(seed_file, g)
+
+    @pytest.mark.parametrize("text", ["a\t0.5,x\n", "a\t0.5\tb\n", "a\n"])
+    def test_node_vector_errors_name_path_and_line(self, tmp_path, text):
+        path = tmp_path / "vec.tsv"
+        path.write_text("# header\n" + text)
+        with pytest.raises(EdgeListParseError, match=r"vec\.tsv:2: "):
+            read_node_vectors(path)
 
     def test_out_of_range_binary_value(self, tmp_path):
         g = path_graph(["a", "b"])

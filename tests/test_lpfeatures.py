@@ -188,6 +188,53 @@ class TestLPFeatures:
                 assert np.allclose(got, np.mean(others, axis=0), atol=1e-15)
 
 
+class TestLeaveOutAgainstLoop:
+    """The per-partition masked mean against the per-node loop it replaced."""
+
+    @staticmethod
+    def loop_reference(runs, plan):
+        raw = np.stack([r.values for r in runs], axis=1)
+        present = np.stack([r.is_active for r in runs], axis=1)
+        values = raw.copy()
+        for u, i in plan.assignment.items():
+            others = [j for j in range(plan.n_partitions)
+                      if j != i and present[u, j]]
+            if others:
+                values[u, i] = raw[u, others].mean(axis=0)
+                present[u, i] = True
+            else:
+                values[u, i] = 0.0
+                present[u, i] = False
+        return values.reshape(len(raw), -1), present
+
+    @pytest.mark.parametrize("n_classes", [1, 7])
+    @pytest.mark.parametrize("n_partitions", [2, 3, 4])
+    def test_bit_identical(self, n_classes, n_partitions):
+        rng = np.random.default_rng(100 * n_classes + n_partitions)
+        # A sparse random graph plus isolated nodes: some labeled nodes are
+        # reached by no run but their own, others by only some runs.
+        g0, _ = random_graph(rng, 70, 0.03)
+        pairs = [(u, int(v)) for u in range(70) for v in g0.neighbors(u) if v > u]
+        g = Graph.build([f"n{i}" for i in range(76)], pairs)
+        idx = np.concatenate([rng.choice(70, size=24, replace=False),
+                              np.arange(70, 76)])
+        if n_classes == 1:
+            labels = LabelState.from_seed_values(76, idx, rng.random(len(idx)))
+        else:
+            labels = LabelState.from_seed_classes(
+                76, idx, rng.integers(0, 7, size=len(idx)))
+        plan = make_partitions(idx, n_partitions, rng_seed=n_partitions)
+        cfg = PropagationConfig(alpha=0.3, iterations=2)
+        block = lp_features(g, labels, plan, cfg)
+        runs = TestLPFeatures().run_reference(g, labels, plan, cfg)
+        values, present = self.loop_reference(runs, plan)
+        assert np.array_equal(block.values, values)
+        assert np.array_equal(block.present, present)
+        # Both branches of the rule are exercised.
+        own = np.array([present[u, i] for u, i in plan.assignment.items()])
+        assert own.any() and not own.all()
+
+
 class TestCSV:
     def test_header_and_round_trip(self, tmp_path, rng):
         g, _ = random_graph(rng, 12, 0.3)

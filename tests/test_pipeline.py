@@ -81,6 +81,13 @@ class TestReadLabels:
         with pytest.raises(ValidationError, match=r"labels\.tsv:2: .*-4"):
             read_labels(p, task="age", ages=True)
 
+    @pytest.mark.parametrize("raw", ["inf", "foo", "0.5", "2"])
+    def test_duplicate_line_is_checked_before_keep_first(self, tmp_path, raw):
+        p = tmp_path / "labels.tsv"
+        p.write_text(f"a\t1\nb\t0\na\t{raw}\n")
+        with pytest.raises(ValidationError, match=r"labels\.tsv:3: "):
+            read_labels(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "labels.tsv"
         p.write_text("# nothing\n")
@@ -223,6 +230,29 @@ class TestPipelineConfig:
                                             regimes="cumf")
         with pytest.raises(ConfigError):
             cfg2.check_inputs()
+
+    @pytest.mark.parametrize("key,raw,expected", [
+        ("epochs", "7", 7), ("lp_alpha", "0.25", 0.25),
+        ("hidden", "64,32", [64, 32]), ("train_frac", "", None),
+        ("train_frac", "0.5", 0.5), ("emb_window", "", None)])
+    def test_value_conversion(self, key, raw, expected):
+        assert PipelineConfig.from_settings(**{key: raw}).value(key) == expected
+
+    @pytest.mark.parametrize("key,raw", [
+        ("epochs", "abc"), ("hidden", "8,x"), ("lp_alpha", "x"),
+        ("rate", ""), ("min_degree", "1.5"), ("emb_window", "five")])
+    def test_malformed_value_names_key(self, tmp_path, key, raw):
+        edges = tmp_path / "e.tsv"
+        edges.write_text("a\tb\n")
+        labels = tmp_path / "l.tsv"
+        labels.write_text("a\t1\n")
+        cfg = PipelineConfig.from_settings(edges=str(edges), labels=str(labels),
+                                           regimes="lp", **{key: raw})
+        with pytest.raises(ConfigError, match=repr(key)):
+            cfg.value(key)
+        # Checked with the inputs, before any stage runs.
+        with pytest.raises(ConfigError, match=repr(key)):
+            cfg.check_inputs()
 
     def test_unknown_regime_block(self):
         cfg = PipelineConfig.from_settings(regimes="cumf+magic")
