@@ -21,9 +21,10 @@ from .labelprop import (PropagationConfig, propagate,
                         read_node_vectors, read_seed_labels, write_label_state)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, evaluate,
                     join_features, predict, split)
-from .pipeline import (ExperimentGrid, PipelineConfig, format_metrics_table,
-                       format_pivot, int_list, read_labels, run_pipeline,
-                       run_sensitivity, train_model, write_sensitivity_csv)
+from .pipeline import (ExperimentGrid, PipelineConfig, float_list,
+                       format_metrics_table, format_pivot, int_list,
+                       read_labels, run_pipeline, run_sensitivity,
+                       train_model, write_sensitivity_csv)
 
 
 class _UsageError(ConfigError):
@@ -180,10 +181,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reveal", type=float,
                    help="sample this seed fraction per repetition instead")
     p.add_argument("--strategies", default="alpha")
-    p.add_argument("--alphas", default="0.2,0.5,0.8")
-    p.add_argument("--betas", default="0.8")
-    p.add_argument("--gammas", default="0.9")
-    p.add_argument("--ks", default="1,2,3,4,5,6,7,8,9,10")
+    p.add_argument("--alphas", type=float_list, default="0.2,0.5,0.8")
+    p.add_argument("--betas", type=float_list, default="0.8")
+    p.add_argument("--gammas", type=float_list, default="0.9")
+    p.add_argument("--ks", type=int_list, default="1,2,3,4,5,6,7,8,9,10")
     p.add_argument("--reps", type=int, default=1)
     p.add_argument("--workers", type=int, default=1,
                    help="run grid cells in this many threads")
@@ -369,10 +370,7 @@ def _cmd_sensitivity(args):
         seeds = read_seed_labels(args.seeds, g, num_classes=1)
     grid = ExperimentGrid(
         strategies=[s for s in args.strategies.split(",") if s],
-        alphas=[float(x) for x in args.alphas.split(",") if x],
-        betas=[float(x) for x in args.betas.split(",") if x],
-        gammas=[float(x) for x in args.gammas.split(",") if x],
-        ks=[int(x) for x in args.ks.split(",") if x],
+        alphas=args.alphas, betas=args.betas, gammas=args.gammas, ks=args.ks,
         repetitions=args.reps, rng_seed=args.rng_seed)
     rows = run_sensitivity(g, truth, grid, seeds=seeds, reveal=args.reveal,
                            workers=args.workers)

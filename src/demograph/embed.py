@@ -27,7 +27,6 @@ __all__ = [
     "EmbeddingTable",
     "TrainConfig",
     "build_sentences",
-    "coldstart_embedding",
     "fill_missing_embeddings",
     "log_sigmoid",
     "pair_gradients",
@@ -186,13 +185,10 @@ def read_corpus(path) -> list[list[str]]:
 
 
 def sigmoid(x):
+    """Logistic function; ``exp`` only sees ``-|x|``, so it never overflows."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def log_sigmoid(x):
@@ -220,7 +216,7 @@ def pair_gradients(center: np.ndarray, outputs: np.ndarray,
     scores = outputs @ center
     coef = labels - sigmoid(scores)
     grad_center = outputs.T @ coef
-    grad_outputs = np.outer(coef, center)
+    grad_outputs = coef[:, None] * center
     return grad_center, grad_outputs
 
 
@@ -254,25 +250,39 @@ class _Vocabulary:
         return encoded
 
 
-def _count_pairs(encoded: list[np.ndarray], window: int) -> int:
-    total = 0
-    for s in encoded:
-        length = len(s)
-        for i in range(length):
-            total += min(i, window) + min(length - 1 - i, window)
-        # CBOW consumes one (context block, center) pair per position, but
-        # the same count keeps the decay schedule comparable across modes.
-    return total
+def _examples(s: np.ndarray, offsets: np.ndarray, cbow: bool):
+    """The training examples of one sentence in loop order (center
+    position, then context position), as (flat input ids, inputs per
+    example, target ids).
+
+    A skip-gram example is one (center, context token) pair; a CBOW example
+    is one position, with its context block as inputs and its token as the
+    target.  Every position has context, since sentences hold >= 2 tokens.
+    """
+    positions = np.arange(len(s))
+    context = positions[:, None] + offsets
+    inside = (context >= 0) & (context < len(s))
+    if cbow:
+        return s[context[inside]], inside.sum(axis=1), s
+    centers = np.broadcast_to(positions[:, None], context.shape)[inside]
+    return s[centers], np.ones(len(centers), dtype=np.int64), s[context[inside]]
 
 
 def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingTable:
     """Train input-side vectors with stochastic gradient ascent.
 
+    Both modes run the same update: the hidden vector is the mean of the
+    example's input rows (the center alone for skip-gram), and its gradient
+    is shared out evenly among them.  The learning rate decays with the
+    number of (center, context) pairs seen, counting one per skip-gram
+    example and one per context token of a CBOW example.
+
     RNG consumption order (relevant for reproducing a run by hand): the
     input matrix is initialized with one uniform draw, then subsampling
-    draws if enabled, then ``cfg.negatives`` draws per training pair.
-    Negative samples that hit the positive target are skipped, not
-    redrawn.
+    draws if enabled, then ``cfg.negatives`` draws per training example,
+    taken for one sentence at a time in one call (the same stream as one
+    call per example).  Negative samples that hit the positive target are
+    skipped, not redrawn.
     """
     cfg.validate()
     if not sentences:
@@ -287,65 +297,49 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
     if cfg.subsample > 0:
         encoded = _subsample(encoded, vocab, cfg.subsample, rng)
     window = cfg.effective_window
-    total_pairs = max(1, cfg.epochs * _count_pairs(encoded, window))
+    # A sentence of length L has 2 * sum_i min(i, window) pairs, which is
+    # near * (near + 1) + 2 * (L - 1 - near) * window, near = min(L - 1, window).
+    lengths = np.array([len(s) for s in encoded], dtype=np.int64)
+    near = np.minimum(lengths - 1, window)
+    per_epoch = int((near * (near + 1) + 2 * (lengths - 1 - near) * window).sum())
+    total_pairs = max(1, cfg.epochs * per_epoch)
+    offsets = np.r_[-window:0, 1:window + 1]
     floor = cfg.rate * 1e-4
     seen = 0
     for _epoch in range(cfg.epochs):
         for s in encoded:
-            length = len(s)
-            for i in range(length):
-                lo, hi = max(0, i - window), min(length, i + window + 1)
-                if cfg.mode == "skipgram":
-                    center = s[i]
-                    for j in range(lo, hi):
-                        if j == i:
-                            continue
-                        lr = max(floor, cfg.rate * (1.0 - seen / total_pairs))
-                        seen += 1
-                        _update_pair(w_in, w_out, int(center), [int(s[j])],
-                                     vocab, cfg.negatives, lr, rng)
-                else:
-                    context = [int(s[j]) for j in range(lo, hi) if j != i]
-                    if not context:
-                        continue
-                    lr = max(floor, cfg.rate * (1.0 - seen / total_pairs))
-                    seen += len(context)
-                    _update_cbow(w_in, w_out, context, int(s[i]), vocab,
-                                 cfg.negatives, lr, rng)
+            inputs, counts, targets = _examples(s, offsets, cfg.mode == "cbow")
+            in_ends = np.cumsum(counts)
+            in_starts = in_ends - counts
+            rates = np.maximum(
+                floor, cfg.rate * (1.0 - (seen + in_starts) / total_pairs))
+            seen += int(in_ends[-1])
+            # Output rows per example: the target, then the negatives that
+            # miss it; labels mark each example's first row.
+            negatives = vocab.sample_negatives(len(targets) * cfg.negatives, rng)
+            outputs = np.column_stack([targets, negatives.reshape(len(targets), -1)])
+            used = outputs != targets[:, None]
+            used[:, 0] = True
+            out_counts = used.sum(axis=1)
+            out_ends = np.cumsum(out_counts)
+            out_starts = out_ends - out_counts
+            outputs = outputs[used]
+            labels = np.zeros(len(outputs))
+            labels[out_starts] = 1.0
+            for lr, i0, i1, o0, o1 in zip(
+                    rates.tolist(), in_starts.tolist(), in_ends.tolist(),
+                    out_starts.tolist(), out_ends.tolist()):
+                ids = inputs[i0:i1]
+                count = i1 - i0
+                out = outputs[o0:o1]
+                h = w_in[ids].sum(axis=0) / count
+                grad_h, grad_out = pair_gradients(h, w_out[out], labels[o0:o1])
+                # np.add.at handles repeated ids correctly.
+                np.add.at(w_out, out, lr * grad_out)
+                np.add.at(w_in, ids, lr * grad_h / count)
     logger.info("trained %d vectors (dim %d) over %d pairs",
                 size, cfg.dim, seen)
     return EmbeddingTable(list(vocab.tokens), w_in)
-
-
-def _update_pair(w_in, w_out, center: int, targets: list[int],
-                 vocab: _Vocabulary, negatives: int, lr: float,
-                 rng: np.random.Generator) -> None:
-    positive = targets[0]
-    negs = [int(x) for x in vocab.sample_negatives(negatives, rng)
-            if int(x) != positive]
-    ids = np.array([positive] + negs, dtype=np.int64)
-    labels = np.zeros(len(ids))
-    labels[0] = 1.0
-    grad_center, grad_out = pair_gradients(w_in[center], w_out[ids], labels)
-    # np.add.at handles repeated negative ids correctly.
-    np.add.at(w_out, ids, lr * grad_out)
-    w_in[center] += lr * grad_center
-
-
-def _update_cbow(w_in, w_out, context: list[int], center: int,
-                 vocab: _Vocabulary, negatives: int, lr: float,
-                 rng: np.random.Generator) -> None:
-    ctx = np.asarray(context, dtype=np.int64)
-    h = w_in[ctx].mean(axis=0)
-    negs = [int(x) for x in vocab.sample_negatives(negatives, rng)
-            if int(x) != center]
-    ids = np.array([center] + negs, dtype=np.int64)
-    labels = np.zeros(len(ids))
-    labels[0] = 1.0
-    grad_h, grad_out = pair_gradients(h, w_out[ids], labels)
-    np.add.at(w_out, ids, lr * grad_out)
-    share = lr * grad_h / len(ctx)
-    np.add.at(w_in, ctx, np.broadcast_to(share, (len(ctx), len(share))))
 
 
 def _subsample(encoded: list[np.ndarray], vocab: _Vocabulary,
@@ -362,34 +356,22 @@ def _subsample(encoded: list[np.ndarray], vocab: _Vocabulary,
     return out
 
 
-def coldstart_embedding(g: Graph, table: EmbeddingTable,
-                        v: int) -> np.ndarray | None:
-    """Vector for an unembedded node: mean of its embedded neighbors.
-
-    One round only; returns None when no neighbor has a vector.
-    """
-    if g.names[v] in table:
-        raise ValidationError(f"node {g.names[v]!r} already has an embedding")
-    found = [table.get(g.names[u]) for u in g.neighbors(v)]
-    found = [vec for vec in found if vec is not None]
-    if not found:
-        return None
-    return np.mean(found, axis=0)
-
-
 def fill_missing_embeddings(g: Graph, table: EmbeddingTable) -> EmbeddingTable:
     """Extend the table with neighbor-average vectors for missing nodes.
 
-    Every fill reads the original table, so the result does not depend on
-    the order nodes are visited and never chains through other fills.
+    A node without a vector gets the mean of its embedded neighbors' vectors
+    (summed in neighbor order), or stays out when it has none.  Every fill
+    reads the original table, so the result does not depend on the order
+    nodes are visited and never chains through other fills.  The sums start
+    from +0.0, so a mean that would be exactly -0.0 comes out +0.0.
     """
-    tokens = list(table.tokens)
-    rows = [table.vectors]
-    for v in range(g.node_count):
-        if g.names[v] in table:
-            continue
-        vec = coldstart_embedding(g, table, v)
-        if vec is not None:
-            tokens.append(g.names[v])
-            rows.append(vec[None, :])
-    return EmbeddingTable(tokens, np.concatenate(rows, axis=0))
+    row = np.array([table._index.get(name, -1) for name in g.names],
+                   dtype=np.int64)
+    src, dst = g.arc_sources, g.indices
+    wanted = (row[src] < 0) & (row[dst] >= 0)
+    filled, slot, counts = np.unique(src[wanted], return_inverse=True,
+                                     return_counts=True)
+    sums = np.zeros((len(filled), table.dim))
+    np.add.at(sums, slot, table.vectors[row[dst[wanted]]])
+    return EmbeddingTable(table.tokens + [g.names[v] for v in filled],
+                          np.concatenate([table.vectors, sums / counts[:, None]]))

@@ -183,9 +183,6 @@ class DirectedEdges:
     def in_neighbors(self, v: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
 
-    def out_degree(self, v: int) -> int:
-        return int(self.out_indptr[v + 1] - self.out_indptr[v])
-
     def index_of(self, name: str) -> int:
         return self._index[name]
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .embed import sigmoid
 from .errors import ConfigError, DivergenceError, ValidationError
 
 __all__ = [
@@ -258,15 +259,6 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    e = np.exp(z[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def _forward(params: ModelParams, x: np.ndarray):
     """Returns (per-layer activations, output probabilities)."""
     acts = [x]
@@ -275,7 +267,7 @@ def _forward(params: ModelParams, x: np.ndarray):
         a = np.maximum(0.0, a @ w + b)
         acts.append(a)
     z = a @ params.weights[-1] + params.biases[-1]
-    probs = _sigmoid(z) if params.output == "sigmoid" else _softmax(z)
+    probs = sigmoid(z) if params.output == "sigmoid" else _softmax(z)
     return acts, probs
 
 
@@ -287,6 +279,20 @@ def _target_matrix(params: ModelParams, y: np.ndarray) -> np.ndarray:
     return onehot
 
 
+def _loss(params: ModelParams, probs: np.ndarray, y: np.ndarray,
+          l2: float) -> float:
+    """Mean cross-entropy of the output ``probs`` plus L2 on weights."""
+    clamped = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    if params.output == "sigmoid":
+        target = _target_matrix(params, y)
+        ce = -np.mean(target * np.log(clamped)
+                      + (1.0 - target) * np.log(1.0 - clamped))
+    else:
+        ce = -np.mean(np.log(clamped[np.arange(len(y)), y]))
+    return float(ce + 0.5 * l2 * sum(float((w * w).sum())
+                                     for w in params.weights))
+
+
 def loss_and_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray,
                        l2: float = 0.0):
     """Mean cross-entropy (plus L2 on weights) and its exact gradients.
@@ -296,17 +302,8 @@ def loss_and_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray,
     layers.  Gradients are returned as (weight grads, bias grads) lists.
     """
     acts, probs = _forward(params, x)
-    target = _target_matrix(params, y)
-    n = len(x)
-    clamped = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    if params.output == "sigmoid":
-        ce = -np.mean(target * np.log(clamped)
-                      + (1.0 - target) * np.log(1.0 - clamped))
-    else:
-        ce = -np.mean(np.log(clamped[np.arange(n), y]))
-    loss = ce + 0.5 * l2 * sum(float((w * w).sum()) for w in params.weights)
-
-    delta = (probs - target) / n
+    loss = _loss(params, probs, y, l2)
+    delta = (probs - _target_matrix(params, y)) / len(x)
     grads_w, grads_b = [], []
     for layer in range(len(params.weights) - 1, -1, -1):
         grads_w.append(acts[layer].T @ delta + l2 * params.weights[layer])
@@ -316,12 +313,6 @@ def loss_and_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray,
     grads_w.reverse()
     grads_b.reverse()
     return loss, grads_w, grads_b
-
-
-def _dataset_loss(params: ModelParams, x: np.ndarray, y: np.ndarray,
-                  l2: float) -> float:
-    loss, _, _ = loss_and_gradients(params, x, y, l2)
-    return float(loss)
 
 
 def _sgd(params: ModelParams, x: np.ndarray, y: np.ndarray,
@@ -337,7 +328,7 @@ def _sgd(params: ModelParams, x: np.ndarray, y: np.ndarray,
                                     grads_w, grads_b):
                 w -= hyper.rate * gw
                 b -= hyper.rate * gb
-        epoch_loss = _dataset_loss(params, x, y, hyper.l2)
+        epoch_loss = _loss(params, _forward(params, x)[1], y, hyper.l2)
         if not np.isfinite(epoch_loss):
             raise DivergenceError(epoch, epoch_loss)
         params.loss_history.append(epoch_loss)
@@ -374,29 +365,29 @@ def balance_classes(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     return np.sort(np.concatenate(picked))
 
 
-def train_logistic(features, labels, hyper: TrainHyper | None = None) -> ModelParams:
-    """Binary logistic regression by minibatch SGD on cross-entropy."""
-    hyper = hyper or TrainHyper()
-    hyper.validate()
-    x = _as_array(features)
-    y = np.asarray(labels, dtype=np.int64)
-    _check_training_inputs(x, y, 2)
-    rng = np.random.default_rng(hyper.rng_seed)
-    params = _init_params([x.shape[1], 1], "sigmoid", rng)
-    return _sgd(params, x, y, hyper, rng)
-
-
-def train_softmax(features, labels, n_classes: int,
-                  hyper: TrainHyper | None = None) -> ModelParams:
-    """Multiclass generalization of the logistic baseline."""
+def _train(features, labels, hidden: list[int], n_classes: int, output: str,
+           hyper: TrainHyper | None) -> ModelParams:
+    """The one trainer body: checks, init, then minibatch SGD."""
     hyper = hyper or TrainHyper()
     hyper.validate()
     x = _as_array(features)
     y = np.asarray(labels, dtype=np.int64)
     _check_training_inputs(x, y, n_classes)
     rng = np.random.default_rng(hyper.rng_seed)
-    params = _init_params([x.shape[1], n_classes], "softmax", rng)
+    out_units = 1 if output == "sigmoid" else n_classes
+    params = _init_params([x.shape[1], *hidden, out_units], output, rng)
     return _sgd(params, x, y, hyper, rng)
+
+
+def train_logistic(features, labels, hyper: TrainHyper | None = None) -> ModelParams:
+    """Binary logistic regression by minibatch SGD on cross-entropy."""
+    return _train(features, labels, [], 2, "sigmoid", hyper)
+
+
+def train_softmax(features, labels, n_classes: int,
+                  hyper: TrainHyper | None = None) -> ModelParams:
+    """Multiclass generalization of the logistic baseline."""
+    return _train(features, labels, [], n_classes, "softmax", hyper)
 
 
 def train_mlp(features, labels, hidden: list[int], n_classes: int = 2,
@@ -406,17 +397,9 @@ def train_mlp(features, labels, hidden: list[int], n_classes: int = 2,
     Default architecture is three hidden layers of 256 units; pass
     ``hidden`` explicitly for anything else.
     """
-    hyper = hyper or TrainHyper()
-    hyper.validate()
     if not hidden or any(h < 1 for h in hidden):
         raise ConfigError(f"bad hidden layer sizes {hidden!r}")
-    x = _as_array(features)
-    y = np.asarray(labels, dtype=np.int64)
-    _check_training_inputs(x, y, n_classes)
-    rng = np.random.default_rng(hyper.rng_seed)
-    params = _init_params([x.shape[1]] + list(hidden) + [n_classes],
-                          "softmax", rng)
-    return _sgd(params, x, y, hyper, rng)
+    return _train(features, labels, hidden, n_classes, "softmax", hyper)
 
 
 def predict(params: ModelParams, features) -> np.ndarray:

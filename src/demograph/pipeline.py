@@ -219,6 +219,11 @@ def int_list(text: str) -> list[int]:
     return [int(h) for h in text.split(",") if h]
 
 
+def float_list(text: str) -> list[float]:
+    """Parse comma-separated numbers such as grid values ``"0.2,0.5"``."""
+    return [float(x) for x in text.split(",") if x]
+
+
 # How ``PipelineConfig.value`` converts each numeric key.  A key whose
 # default is empty is optional, and its empty value reads as None.
 _CONFIG_TYPES = {
@@ -300,10 +305,20 @@ class PipelineConfig:
         return blocks
 
     def check_inputs(self) -> None:
+        """Check every setting a run uses and its input files, so that a
+        bad config fails before any stage runs."""
         for key in _CONFIG_TYPES:
             self.value(key)
+        for key, known in (("task", ("gender", "age")), ("model", ("lr", "mlp"))):
+            if self[key] not in known:
+                raise ConfigError(f"unknown {key} {self[key]!r}")
+        root = self.value("root_seed")
+        _split_spec(self, root).validate()
+        needed = {b for r in self.regimes() for b in self.regime_blocks(r)}
+        if "emb" in needed:
+            _embed_config(self, root).validate()
         required = {"edges": self["edges"], "labels": self["labels"]}
-        if any("cumf" in self.regime_blocks(r) for r in self.regimes()):
+        if "cumf" in needed:
             required["cumf"] = self["cumf"]
         missing = [key for key, value in required.items() if not value]
         if missing:
@@ -312,6 +327,20 @@ class PipelineConfig:
                   if value and not Path(value).exists()]
         if absent:
             raise ConfigError(f"input files do not exist: {absent}")
+
+
+def _split_spec(cfg: PipelineConfig, root: int) -> SplitSpec:
+    return SplitSpec(mode=cfg["split"], train_fraction=cfg.value("train_frac"),
+                     rng_seed=derive_seed(root, "split"))
+
+
+def _embed_config(cfg: PipelineConfig, root: int) -> embed.TrainConfig:
+    return embed.TrainConfig(
+        mode=cfg["emb_mode"], dim=cfg.value("emb_dim"),
+        window=cfg.value("emb_window"), negatives=cfg.value("emb_negatives"),
+        rate=cfg.value("emb_rate"), epochs=cfg.value("emb_epochs"),
+        min_count=cfg.value("emb_min_count"),
+        rng_seed=derive_seed(root, "embed"))
 
 
 def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int]:
@@ -359,13 +388,7 @@ def _emb_block(cfg: PipelineConfig, g: Graph, edges_path,
     directed = load_directed_edges(edges_path)
     sentences = embed.build_sentences(directed, derive_seed(root, "sentences"),
                                       bidirectional=cfg.flag("emb_bidirectional"))
-    train_cfg = embed.TrainConfig(
-        mode=cfg["emb_mode"], dim=cfg.value("emb_dim"),
-        window=cfg.value("emb_window"), negatives=cfg.value("emb_negatives"),
-        rate=cfg.value("emb_rate"), epochs=cfg.value("emb_epochs"),
-        min_count=cfg.value("emb_min_count"),
-        rng_seed=derive_seed(root, "embed"))
-    table = embed.train_embeddings(sentences, train_cfg)
+    table = embed.train_embeddings(sentences, _embed_config(cfg, root))
     table = embed.fill_missing_embeddings(g, table)
     nodes = [t for t in table.tokens if t in g]
     rows = np.stack([table.get(t) for t in nodes]) if nodes else np.zeros((0, table.dim))
@@ -406,15 +429,11 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
     cfg.check_inputs()
     root = cfg.value("root_seed")
     task = cfg["task"]
-    if task not in ("gender", "age"):
-        raise ConfigError(f"unknown task {task!r}")
     n_classes = 2 if task == "gender" else 7
     g = load_edge_list(cfg["edges"], min_degree=cfg.value("min_degree"))
     labels = read_labels(cfg["labels"], task, cfg.flag("ages"))
 
-    spec = SplitSpec(mode=cfg["split"], train_fraction=cfg.value("train_frac"),
-                     rng_seed=derive_seed(root, "split"))
-    train_names, test_names = split(list(labels), spec)
+    train_names, test_names = split(list(labels), _split_spec(cfg, root))
 
     needed = {b for r in cfg.regimes() for b in cfg.regime_blocks(r)}
     blocks: dict[str, FeatureMatrix] = {}

@@ -2,11 +2,13 @@
 
 Everything here is deliberately written with plain python loops over dense
 structures so it shares no code path with the package: dict-of-set graphs,
-per-node propagation, pairwise AUC, central finite differences, and a
-line-by-line edge-list loader.
+per-node propagation, pairwise AUC, central finite differences, a
+line-by-line edge-list loader, and a per-pair word2vec trainer.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 
@@ -214,3 +216,88 @@ def reference_directed_edges(lines: list[str]):
             out[u].add(v)
             into[v].add(u)
     return names, [sorted(s) for s in out], [sorted(s) for s in into]
+
+
+def two_branch_sigmoid(x) -> np.ndarray:
+    """Logistic function evaluated separately on each sign of ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
+                       window: int, negatives: int, rate: float, epochs: int,
+                       min_count: int, subsample: float, rng_seed: int):
+    """Per-pair SGNS trainer: one update per skip-gram pair or CBOW
+    position, ``negatives`` draws each, in the package's RNG order.
+
+    Returns (tokens, input vectors, pairs seen).
+    """
+    counts = Counter(t for s in sentences for t in s)
+    kept = sorted(((t, c) for t, c in counts.items() if c >= min_count),
+                  key=lambda item: (-item[1], item[0]))
+    tokens = [t for t, _ in kept]
+    freq = np.array([c for _, c in kept], dtype=np.float64)
+    index = {t: i for i, t in enumerate(tokens)}
+    noise = freq ** 0.75
+    noise_cdf = np.cumsum(noise / noise.sum())
+
+    rng = np.random.default_rng(rng_seed)
+    w_in = (rng.random((len(tokens), dim)) - 0.5) / dim
+    w_out = np.zeros((len(tokens), dim))
+    encoded = []
+    for s in sentences:
+        ids = [index[t] for t in s if t in index]
+        if len(ids) >= 2:
+            encoded.append(np.asarray(ids, dtype=np.int64))
+    if subsample > 0:
+        share = freq / freq.sum()
+        keep = np.minimum(1.0, np.sqrt(subsample / share) + subsample / share)
+        trimmed = [s[rng.random(len(s)) < keep[s]] for s in encoded]
+        encoded = [s for s in trimmed if len(s) >= 2]
+
+    def step(h: np.ndarray, target: int, lr: float) -> np.ndarray:
+        """Draws the negatives, updates their output rows and the target's,
+        and returns the scaled ascent step for ``h``."""
+        draws = np.searchsorted(noise_cdf, rng.random(negatives), side="right")
+        negs = [int(x) for x in np.minimum(draws, len(tokens) - 1)
+                if int(x) != target]
+        ids = np.array([target] + negs, dtype=np.int64)
+        labels = np.zeros(len(ids))
+        labels[0] = 1.0
+        outputs = w_out[ids]
+        coef = labels - two_branch_sigmoid(outputs @ h)
+        np.add.at(w_out, ids, lr * np.outer(coef, h))
+        return lr * (outputs.T @ coef)
+
+    total = 0
+    for s in encoded:
+        for i in range(len(s)):
+            total += min(i, window) + min(len(s) - 1 - i, window)
+    total_pairs = max(1, epochs * total)
+    floor = rate * 1e-4
+    seen = 0
+    for _epoch in range(epochs):
+        for s in encoded:
+            for i in range(len(s)):
+                lo, hi = max(0, i - window), min(len(s), i + window + 1)
+                context = [int(s[j]) for j in range(lo, hi) if j != i]
+                if not context:
+                    continue
+                if mode == "skipgram":
+                    center = int(s[i])
+                    for target in context:
+                        lr = max(floor, rate * (1.0 - seen / total_pairs))
+                        seen += 1
+                        w_in[center] += step(w_in[center], target, lr)
+                else:
+                    lr = max(floor, rate * (1.0 - seen / total_pairs))
+                    seen += len(context)
+                    ctx = np.asarray(context, dtype=np.int64)
+                    share = step(w_in[ctx].mean(axis=0), int(s[i]), lr) / len(ctx)
+                    np.add.at(w_in, ctx, np.broadcast_to(share, (len(ctx), dim)))
+    return tokens, w_in, seen

@@ -348,6 +348,19 @@ class TestSensitivityCommand:
                     "--seeds", str(empty), "--out", str(out)]) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--ks", "1,x"), ("--alphas", "0.2,y"), ("--betas", "0.8,z"),
+        ("--gammas", "nine")])
+    def test_malformed_grid_list_exits_1(self, dataset, tmp_path, capsys,
+                                         flag, value):
+        out = tmp_path / "sens.csv"
+        assert run(["sensitivity", "--edges", str(dataset / "edges.tsv"),
+                    "--truth", str(dataset / "truth.tsv"),
+                    "--seeds", str(dataset / "seeds.tsv"),
+                    flag, value, "--out", str(out)]) == 1
+        assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_reveal_mode(self, dataset, tmp_path):
         out = tmp_path / "sens.csv"
         assert run(["sensitivity", "--edges", str(dataset / "edges.tsv"),

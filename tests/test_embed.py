@@ -2,19 +2,22 @@
 
 from __future__ import annotations
 
+import itertools
+import logging
 import math
 
 import numpy as np
 import pytest
 
 from demograph.embed import (EmbeddingTable, TrainConfig, build_sentences,
-                             coldstart_embedding, fill_missing_embeddings,
-                             pair_gradients, pair_objective, read_corpus,
+                             fill_missing_embeddings, pair_gradients,
+                             pair_objective, read_corpus, sigmoid,
                              train_embeddings, write_corpus)
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph, load_directed_edges
 
-from oracles import central_difference, relative_error
+from oracles import (central_difference, reference_word2vec, relative_error,
+                     two_branch_sigmoid)
 
 
 def directed(tmp_path, lines):
@@ -72,8 +75,8 @@ class TestSentences:
             lines = ["u0\tu1"]
         d = directed(tmp_path, lines)
         sentences = build_sentences(d, rng_seed=1)
-        expected = sum(d.out_degree(v) + 1 for v in range(d.node_count)
-                       if d.out_degree(v) >= 1)
+        out_degree = np.diff(d.out_indptr)
+        expected = int((out_degree[out_degree >= 1] + 1).sum())
         assert sum(len(s) for s in sentences) == expected
 
     def test_bidirectional_includes_followers(self, tmp_path):
@@ -165,6 +168,51 @@ class TestGradients:
         assert np.array_equal(a.vectors, b.vectors)
 
 
+class TestAgainstReference:
+    @staticmethod
+    def corpus(seed):
+        """Short sentences over a small vocabulary: many are shorter than
+        the window, and many repeat a token (duplicate CBOW inputs)."""
+        rng = np.random.default_rng(seed)
+        vocab = int(rng.integers(3, 15))
+        return [[f"t{int(t)}" for t in rng.integers(0, vocab, rng.integers(1, 10))]
+                for _ in range(int(rng.integers(1, 12)))]
+
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    def test_matches_per_pair_trainer_bit_for_bit(self, mode, caplog):
+        caplog.set_level(logging.INFO, logger="demograph.embed")
+        checked = 0
+        for seed, window, subsample, negatives, min_count in itertools.product(
+                range(5), (None, 1, 3), (0.0, 0.05), (1, 5), (1, 2)):
+            sentences = self.corpus(seed)
+            cfg = TrainConfig(mode=mode, dim=5, window=window,
+                              negatives=negatives, epochs=2,
+                              min_count=min_count, subsample=subsample,
+                              rng_seed=seed)
+            caplog.clear()
+            try:
+                table = train_embeddings(sentences, cfg)
+            except ValidationError:  # no token reaches min_count
+                continue
+            tokens, vectors, seen = reference_word2vec(
+                sentences, mode, cfg.dim, cfg.effective_window, negatives,
+                cfg.rate, cfg.epochs, min_count, subsample, seed)
+            assert table.tokens == tokens
+            assert np.array_equal(table.vectors, vectors)
+            assert caplog.records[-1].args[-1] == seen
+            checked += 1
+        assert checked >= 100
+
+
+def test_sigmoid_matches_two_branch_formula(rng):
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 1e308, -1e308, 709.8, -709.8, 745.2,
+         -745.2, 5e-324, -5e-324, 36.8, -36.8],
+        rng.normal(scale=40.0, size=5000), rng.normal(size=5000)])
+    assert np.array_equal(sigmoid(x), two_branch_sigmoid(x))
+    assert np.isnan(sigmoid(np.nan))
+
+
 class TestSeparation:
     @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
     def test_two_cliques_separate(self, rng, mode):
@@ -180,6 +228,21 @@ class TestSeparation:
         assert np.mean(intra) > np.mean(inter)
 
 
+def coldstart_reference(g: Graph, table: EmbeddingTable) -> EmbeddingTable:
+    """Per-node fill: each unembedded node gets the mean of its embedded
+    neighbors' vectors, in neighbor order, or none when it has none."""
+    tokens, rows = list(table.tokens), [table.vectors]
+    for v in range(g.node_count):
+        if g.names[v] in table:
+            continue
+        found = [table.get(g.names[u]) for u in g.neighbors(v)]
+        found = [vec for vec in found if vec is not None]
+        if found:
+            tokens.append(g.names[v])
+            rows.append(np.mean(found, axis=0)[None, :])
+    return EmbeddingTable(tokens, np.concatenate(rows, axis=0))
+
+
 class TestColdStart:
     def make_graph(self):
         return Graph.build(["a", "b", "c", "d"],
@@ -188,25 +251,34 @@ class TestColdStart:
     def test_single_neighbor_copies_vector(self):
         g = self.make_graph()
         table = EmbeddingTable(["a"], np.array([[1.0, 2.0]]))
-        vec = coldstart_embedding(g, table, 1)
-        assert np.array_equal(vec, [1.0, 2.0])
+        filled = fill_missing_embeddings(g, table)
+        assert np.array_equal(filled.get("b"), [1.0, 2.0])
 
     def test_mean_of_two_neighbors(self):
         g = self.make_graph()
         table = EmbeddingTable(["a", "c"], np.array([[2.0, 0.0], [0.0, 4.0]]))
-        vec = coldstart_embedding(g, table, 1)
-        assert np.array_equal(vec, [1.0, 2.0])
+        filled = fill_missing_embeddings(g, table)
+        assert np.array_equal(filled.get("b"), [1.0, 2.0])
 
     def test_absent_when_no_embedded_neighbor(self):
         g = self.make_graph()
         table = EmbeddingTable(["a"], np.array([[1.0, 2.0]]))
-        assert coldstart_embedding(g, table, 3) is None
+        assert "d" not in fill_missing_embeddings(g, table)
 
-    def test_already_embedded_rejected(self):
-        g = self.make_graph()
-        table = EmbeddingTable(["a"], np.array([[1.0, 2.0]]))
-        with pytest.raises(ValidationError):
-            coldstart_embedding(g, table, 0)
+    @pytest.mark.parametrize("coverage", [0.0, 0.3, 0.8, 1.0])
+    def test_matches_per_node_reference(self, rng, coverage):
+        n = 60
+        pairs = rng.integers(0, n, size=(150, 2))
+        g = Graph.build([f"v{i}" for i in range(n)], pairs)
+        embedded = [name for name in g.names if rng.random() < coverage]
+        # Off-graph tokens stay in the table and feed no fill.
+        tokens = embedded + ["off0", "off1"]
+        table = EmbeddingTable(tokens, rng.normal(size=(len(tokens), 4)))
+        filled = fill_missing_embeddings(g, table)
+        expected = coldstart_reference(g, table)
+        assert filled.tokens == expected.tokens
+        # np.array_equal: a mean of exactly -0.0 comes out +0.0 here.
+        assert np.array_equal(filled.vectors, expected.vectors)
 
     def test_fill_is_single_round(self):
         # a - b - c - d with only a embedded: b gets filled, c and d do

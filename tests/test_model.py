@@ -213,6 +213,23 @@ class TestSoftmaxAndMLP:
                                             minibatch=8, rng_seed=2))
         assert params.loss_history[-1] < params.loss_history[0]
 
+    @pytest.mark.parametrize("trainer", [
+        lambda x, y, h: train_logistic(x, y % 2, h),
+        lambda x, y, h: train_softmax(x, y, 3, h),
+        lambda x, y, h: train_mlp(x, y, [5, 4], 3, h)])
+    def test_epoch_loss_is_full_data_loss(self, rng, trainer):
+        # The logged loss comes from a forward pass only; it must equal the
+        # loss of the full backward-capable computation exactly.
+        x = rng.normal(size=(50, 3))
+        y = np.arange(50) % 3
+        hyper = TrainHyper(rate=0.2, epochs=3, minibatch=7, l2=0.01,
+                           rng_seed=4)
+        params = trainer(x, y, hyper)
+        labels = y % 2 if params.output == "sigmoid" else y
+        assert len(params.loss_history) == 3
+        assert params.loss_history[-1] == loss_and_gradients(
+            params, x, labels, hyper.l2)[0]
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch(self, rng):
         x = rng.normal(size=(20, 2)) * 1e6

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from demograph import pipeline as pipeline_module
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import load_edge_list
 from demograph.labelprop import LabelState, PropagationConfig, propagate
@@ -253,6 +254,27 @@ class TestPipelineConfig:
         # Checked with the inputs, before any stage runs.
         with pytest.raises(ConfigError, match=repr(key)):
             cfg.check_inputs()
+
+    @pytest.mark.parametrize("key,raw,message", [
+        ("model", "foo", "unknown model 'foo'"),
+        ("split", "foo", "unknown split mode 'foo'"),
+        ("emb_mode", "foo", "unknown embedding mode 'foo'"),
+        ("task", "foo", "unknown task 'foo'"),
+        ("train_frac", "1.5", "train fraction")])
+    def test_bad_setting_fails_before_ingest(self, tmp_path, monkeypatch,
+                                             key, raw, message):
+        edges = tmp_path / "e.tsv"
+        edges.write_text("a\tb\n")
+        labels = tmp_path / "l.tsv"
+        labels.write_text("a\t1\n")
+        loads = []
+        monkeypatch.setattr(pipeline_module, "load_edge_list",
+                            lambda *a, **k: loads.append(a))
+        cfg = PipelineConfig.from_settings(edges=str(edges), labels=str(labels),
+                                           regimes="emb", **{key: raw})
+        with pytest.raises(ConfigError, match=message):
+            run_pipeline(cfg)
+        assert loads == []
 
     def test_unknown_regime_block(self):
         cfg = PipelineConfig.from_settings(regimes="cumf+magic")
