@@ -230,8 +230,7 @@ def _cmd_lp_features(args):
                                       args.splits, args.rng_seed)
     cfg = PropagationConfig(alpha=args.alpha, iterations=args.iters)
     block = lpfeatures.lp_features(g, seeds, plan, cfg)
-    lpfeatures.write_lp_csv(block, g, args.out,
-                            include_presence=not args.no_presence)
+    block.table(g.names, presence=not args.no_presence).to_csv(args.out)
     print(f"wrote {block.node_count} rows x {args.splits} runs to {args.out}")
 
 

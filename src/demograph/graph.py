@@ -144,16 +144,8 @@ class Graph:
             raise IndexError(f"node index {v} out of range [0, {self.node_count})")
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def degree(self, v: int) -> int:
-        if not 0 <= v < self.node_count:
-            raise IndexError(f"node index {v} out of range [0, {self.node_count})")
-        return int(self.indptr[v + 1] - self.indptr[v])
-
     def index_of(self, name: str) -> int:
         return self._index[name]
-
-    def name_of(self, v: int) -> str:
-        return self.names[v]
 
     def __contains__(self, name: str) -> bool:
         return name in self._index

@@ -1,13 +1,14 @@
 """Bulk-synchronous label propagation over an undirected graph.
 
-The engine runs a fixed number of fully synchronous supersteps.  Within
-superstep ``k+1`` every node reads only values from the end of superstep
-``k`` (double buffering), so results are deterministic for any degree of
-parallelism.  Seed nodes keep their initial values forever; an unlabeled
-node activates the first time it has at least one active neighbor, taking
-the plain mean of those neighbors' values, and from then on blends its own
-value with the active-neighbor mean.  Inactive neighbors never contribute
-to sums or denominators.
+One superstep loop serves every strategy at any channel count.  It runs a
+fixed number of fully synchronous supersteps.  Within superstep ``k+1``
+every node reads only values from the end of superstep ``k`` (double
+buffering), so results are deterministic for any degree of parallelism.
+Seed nodes keep their initial values forever; an unlabeled node activates
+the first time it has at least one active neighbor, taking the plain mean
+of those neighbors' values, and from then on blends its own value with the
+active-neighbor mean.  Inactive neighbors never contribute to sums or
+denominators.
 
 Three blending strategies are supported:
 
@@ -15,17 +16,17 @@ Three blending strategies are supported:
 * ``beta``   - exponentially decaying neighbor weight: at superstep ``k``
   (1-based) the blend is ``y <- (1-b^k)*y + b^k*mean``, so distant labels
   matter less and less.
-* ``gamma``  - per-class accumulators: each class channel grows by
-  ``g*mean`` every superstep with no damping of the node's own value, and
-  the channels are normalized into a distribution once, after the final
-  superstep.  For binary gender the two channels are (male, female) and
-  the scalar output is the female share.
+* ``gamma``  - per-class accumulators at any channel count: each channel
+  grows by ``g*mean`` every superstep with no damping of the node's own
+  value, and the channels are normalized into a distribution once, after
+  the final superstep.  Scalar binary gender seeds run as two channels
+  (male, female) and the scalar output is the female share.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Mapping
 
 import numpy as np
@@ -193,7 +194,7 @@ def _neighbor_means(g: Graph, values: np.ndarray, active: np.ndarray):
     """Mean of active neighbors' values per node.
 
     Returns ``(means, has_active_neighbor)``; rows without an active
-    neighbor are zero.  Both engines keep the rows of inactive nodes at
+    neighbor are zero.  The engine keeps the rows of inactive nodes at
     exactly 0.0, so multiplying by the full adjacency matrix adds only
     +0.0 for inactive neighbors, and the sums equal those over active
     neighbors alone.  Each row is summed in CSR order, so the result is
@@ -207,7 +208,7 @@ def _neighbor_means(g: Graph, values: np.ndarray, active: np.ndarray):
     return means, has
 
 
-def _check_inputs(g: Graph, seeds: LabelState, iterations: int) -> None:
+def _check_inputs(g: Graph, seeds: LabelState) -> None:
     if g.node_count == 0:
         raise ValidationError("graph has no nodes")
     if seeds.node_count != g.node_count:
@@ -215,43 +216,9 @@ def _check_inputs(g: Graph, seeds: LabelState, iterations: int) -> None:
             f"seed state covers {seeds.node_count} nodes, graph has {g.node_count}")
     if not seeds.is_seed.any():
         raise ConfigError("propagation requires at least one seed node")
-    if iterations < 1:
-        raise ConfigError(f"iterations must be >= 1, got {iterations}")
 
 
 SuperstepHook = Callable[[int, LabelState], None]
-
-
-def _run_blended(g: Graph, seeds: LabelState, weights: list[float],
-                 on_superstep: SuperstepHook | None = None) -> LabelState:
-    """Shared engine for the alpha and beta strategies.
-
-    ``weights[k-1]`` is the neighbor-mean weight at superstep ``k``; the
-    node keeps ``1 - w`` of its own value.  First activation always takes
-    the plain neighbor mean.
-    """
-    values = np.where(seeds.is_active[:, None], seeds.values, 0.0)
-    active = seeds.is_active.copy()
-    is_seed = seeds.is_seed.copy()
-    movable = ~is_seed
-    for k, w in enumerate(weights, start=1):
-        means, has = _neighbor_means(g, values, active)
-        blend = movable & active & has
-        first = movable & ~active & has
-        new_values = values.copy()
-        new_values[blend] = (1.0 - w) * values[blend] + w * means[blend]
-        new_values[first] = means[first]
-        if logger.isEnabledFor(logging.DEBUG) and blend.any():
-            delta = np.abs(new_values[blend] - values[blend]).max()
-            logger.debug("superstep %d: max delta %.3e, %d newly active",
-                         k, delta, int(first.sum()))
-        values = new_values
-        active = active | has
-        if on_superstep is not None:
-            # values and active are new arrays every superstep and are never
-            # written again, so the hook may keep them without a copy.
-            on_superstep(k, LabelState(values, is_seed, active))
-    return LabelState(values, is_seed, active)
 
 
 def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,
@@ -265,21 +232,50 @@ def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,
     return LabelState(out, seeds.is_seed.copy(), active.copy())
 
 
-def _run_additive(g: Graph, seeds: LabelState, gamma: float, iterations: int,
-                  on_superstep: SuperstepHook | None = None) -> LabelState:
-    """Accumulator engine for the gamma strategy (any channel count)."""
-    acc = np.where(seeds.is_active[:, None], seeds.values, 0.0)
+def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
+         on_superstep: SuperstepHook | None = None) -> LabelState:
+    """The superstep loop of every strategy at any channel count.
+
+    Each superstep updates the non-seed nodes with an active neighbor
+    (``grow``).  Alpha and beta blend an active node's value with the
+    neighbor mean at weight ``w`` and give a newly active node the plain
+    mean; gamma adds ``gamma * mean`` to every channel and activates a node
+    once it holds mass.  The hook and the result see the raw state, or for
+    gamma the normalized accumulators.
+    """
+    values = np.where(seeds.is_active[:, None], seeds.values, 0.0)
     active = seeds.is_active.copy()
-    movable = ~seeds.is_seed
-    for k in range(1, iterations + 1):
-        means, has = _neighbor_means(g, acc, active)
-        grow = movable & has
-        acc = acc.copy()
-        acc[grow] += gamma * means[grow]
-        active = active | (acc.sum(axis=1) > 0)
+    is_seed = seeds.is_seed.copy()
+    gamma = cfg.strategy == "gamma"
+
+    def state() -> LabelState:
+        if gamma:
+            return _finalize_accumulators(values, active, seeds)
+        # values and active are new arrays every superstep and are never
+        # written again, so the hook may keep them without a copy.
+        return LabelState(values, is_seed, active)
+
+    for k in range(1, cfg.iterations + 1):
+        means, has = _neighbor_means(g, values, active)
+        grow = (has & ~is_seed)[:, None]
+        if gamma:
+            new = np.where(grow, values + cfg.gamma * means, values)
+            new_active = active | (new.sum(axis=1) > 0)
+        else:
+            w = 1.0 - cfg.alpha if cfg.strategy == "alpha" else cfg.beta ** k
+            new = np.where(grow, np.where(active[:, None],
+                                          (1.0 - w) * values + w * means,
+                                          means), values)
+            new_active = active | has
+        if logger.isEnabledFor(logging.DEBUG):
+            moved = grow[:, 0] & active
+            delta = np.abs(new - values)[moved].max() if moved.any() else 0.0
+            logger.debug("superstep %d: max delta %.3e, %d newly active",
+                         k, delta, int((new_active & ~active).sum()))
+        values, active = new, new_active
         if on_superstep is not None:
-            on_superstep(k, _finalize_accumulators(acc, active, seeds))
-    return _finalize_accumulators(acc, active, seeds)
+            on_superstep(k, state())
+    return state()
 
 
 def propagate(g: Graph, seeds: LabelState, cfg: PropagationConfig,
@@ -287,18 +283,15 @@ def propagate(g: Graph, seeds: LabelState, cfg: PropagationConfig,
     """Run ``cfg.iterations`` synchronous supersteps from the seed state.
 
     Returns the final state; activation coverage is available as
-    ``state.coverage``.  The gamma strategy requires scalar binary seeds
-    with values in {0, 1} and returns the female-share scalar.
+    ``state.coverage``.  Under the gamma strategy scalar seeds are binary
+    values in {0, 1} and the result is the female-share scalar
+    (``propagate_gamma``); wider seeds accumulate per channel.
     """
     cfg.validate()
-    _check_inputs(g, seeds, cfg.iterations)
-    if cfg.strategy == "alpha":
-        weights = [1.0 - cfg.alpha] * cfg.iterations
-        return _run_blended(g, seeds, weights, on_superstep)
-    if cfg.strategy == "beta":
-        weights = [cfg.beta ** k for k in range(1, cfg.iterations + 1)]
-        return _run_blended(g, seeds, weights, on_superstep)
-    return propagate_gamma(g, seeds, cfg.gamma, cfg.iterations, on_superstep)
+    _check_inputs(g, seeds)
+    if cfg.strategy == "gamma" and seeds.num_classes == 1:
+        return propagate_gamma(g, seeds, cfg.gamma, cfg.iterations, on_superstep)
+    return _run(g, seeds, cfg, on_superstep)
 
 
 def propagate_beta(g: Graph, seeds: LabelState, beta: float,
@@ -318,9 +311,9 @@ def propagate_gamma(g: Graph, seeds: LabelState, gamma: float, iterations: int,
     active only once it has accumulated nonzero mass, so ``gamma = 0``
     leaves every non-seed inactive.
     """
-    if not 0.0 <= gamma < 1.0:
-        raise ConfigError(f"gamma must lie in [0, 1), got {gamma}")
-    _check_inputs(g, seeds, iterations)
+    cfg = PropagationConfig(strategy="gamma", gamma=gamma, iterations=iterations)
+    cfg.validate()
+    _check_inputs(g, seeds)
     if seeds.num_classes != 1:
         raise ValidationError("gamma strategy needs scalar binary seeds")
     seed_vals = seeds.values[seeds.is_seed, 0]
@@ -339,8 +332,7 @@ def propagate_gamma(g: Graph, seeds: LabelState, gamma: float, iterations: int,
     hook = None
     if on_superstep is not None:
         hook = lambda k, state: on_superstep(k, scalar(state))
-    result = _run_additive(g, two_channel, gamma, iterations, hook)
-    return scalar(result)
+    return scalar(_run(g, two_channel, cfg, hook))
 
 
 def propagate_multiclass(g: Graph, seed_classes: Mapping[int, int] | np.ndarray,
@@ -355,7 +347,6 @@ def propagate_multiclass(g: Graph, seed_classes: Mapping[int, int] | np.ndarray,
     gamma strategy the channels accumulate independently and the final
     vector is normalized to sum to 1.
     """
-    cfg.validate()
     if isinstance(seed_classes, Mapping):
         idx = np.fromiter(seed_classes.keys(), dtype=np.int64,
                           count=len(seed_classes))
@@ -367,9 +358,6 @@ def propagate_multiclass(g: Graph, seed_classes: Mapping[int, int] | np.ndarray,
         classes = arr[idx]
     seeds = LabelState.from_seed_classes(g.node_count, idx, classes,
                                          num_classes=num_classes)
-    if cfg.strategy == "gamma":
-        _check_inputs(g, seeds, cfg.iterations)
-        return _run_additive(g, seeds, cfg.gamma, cfg.iterations)
     return propagate(g, seeds, cfg)
 
 
@@ -391,10 +379,7 @@ def propagate_trace(g: Graph, seeds: LabelState, cfg: PropagationConfig,
         if k in wanted_set:
             snapshots[k] = state
 
-    run_cfg = PropagationConfig(strategy=cfg.strategy, alpha=cfg.alpha,
-                                beta=cfg.beta, gamma=cfg.gamma,
-                                iterations=wanted[-1])
-    propagate(g, seeds, run_cfg, on_superstep=keep)
+    propagate(g, seeds, replace(cfg, iterations=wanted[-1]), on_superstep=keep)
     return snapshots
 
 

@@ -11,7 +11,6 @@ masked; the leave-out mean uses only unmasked entries.
 
 from __future__ import annotations
 
-import csv
 import logging
 from dataclasses import dataclass
 
@@ -20,13 +19,13 @@ import numpy as np
 from .errors import ConfigError, ValidationError
 from .graph import Graph
 from .labelprop import LabelState, PropagationConfig, propagate
+from .model import FeatureMatrix
 
 __all__ = [
     "LPFeatureBlock",
     "PartitionPlan",
     "lp_features",
     "make_partitions",
-    "write_lp_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -83,11 +82,6 @@ class LPFeatureBlock:
     def node_count(self) -> int:
         return self.values.shape[0]
 
-    def run_values(self, i: int) -> np.ndarray:
-        """The (n, C) slice contributed by run ``i``."""
-        c = self.n_classes
-        return self.values[:, i * c:(i + 1) * c]
-
     def column_names(self, prefix: str = "lp") -> list[str]:
         if self.n_classes == 1:
             return [f"{prefix}_{i}" for i in range(self.n_partitions)]
@@ -103,6 +97,15 @@ class LPFeatureBlock:
         mask = np.repeat(self.present, self.n_classes, axis=1)
         out[~mask] = MASKED_FILL
         return out
+
+    def table(self, names: list[str], presence: bool = True) -> FeatureMatrix:
+        """The emitted feature rows of nodes ``names``: the imputed values,
+        then (with ``presence``) the presence columns as 0.0/1.0."""
+        columns, values = self.column_names(), self.imputed()
+        if presence:
+            columns += self.presence_names()
+            values = np.hstack([values, self.present.astype(np.float64)])
+        return FeatureMatrix(list(names), columns, values)
 
 
 def lp_features(g: Graph, labels: LabelState, plan: PartitionPlan,
@@ -144,19 +147,3 @@ def lp_features(g: Graph, labels: LabelState, plan: PartitionPlan,
     return LPFeatureBlock(values.reshape(n, plan.n_partitions * n_classes),
                           present, plan.n_partitions, n_classes)
 
-
-def write_lp_csv(block: LPFeatureBlock, g: Graph, path,
-                 include_presence: bool = True) -> None:
-    """Emit fixed-width feature rows for every node, masked entries imputed."""
-    values = block.imputed()
-    header = ["node"] + block.column_names()
-    if include_presence:
-        header += block.presence_names()
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for v in range(block.node_count):
-            row = [g.names[v]] + [f"{x:.17g}" for x in values[v]]
-            if include_presence:
-                row += [str(int(x)) for x in block.present[v]]
-            writer.writerow(row)

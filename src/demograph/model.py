@@ -61,10 +61,6 @@ class FeatureMatrix:
                 f"{len(self.nodes)} nodes x {len(self.columns)} columns")
         self._row = {name: i for i, name in enumerate(self.nodes)}
 
-    @property
-    def width(self) -> int:
-        return len(self.columns)
-
     def __contains__(self, node: str) -> bool:
         return node in self._row
 
@@ -235,11 +231,6 @@ class ModelParams:
     def n_classes(self) -> int:
         out_units = self.weights[-1].shape[1]
         return 2 if self.output == "sigmoid" else out_units
-
-    def check_finite(self) -> None:
-        for w, b in zip(self.weights, self.biases):
-            if not (np.isfinite(w).all() and np.isfinite(b).all()):
-                raise ValidationError("model parameters contain non-finite values")
 
 
 def _init_params(widths: list[int], output: str,
@@ -425,14 +416,20 @@ def auc_rank(scores, labels) -> float:
 
     Equals the fraction of (positive, negative) pairs ranked correctly,
     exactly, because tied groups get the average of their rank range.
+    NaN scores have no rank and raise ``ValidationError``.
     """
     scores = np.asarray(scores, dtype=np.float64)
+    nan = int(np.isnan(scores).sum())
+    if nan:
+        raise ValidationError(f"{nan} AUC scores are NaN")
     labels = np.asarray(labels).astype(bool)
     n_pos = int(labels.sum())
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC is undefined when only one class is present")
-    order = np.argsort(scores, kind="mergesort")
+    # A tie group's members all get the same rank, so the order within a
+    # tie, which the default sort leaves open, does not matter.
+    order = np.argsort(scores)
     sorted_scores = scores[order]
     # Tie group g spans sorted positions [starts[g], ends[g]); each member
     # gets the mean of the 1-based ranks starts[g]+1 .. ends[g].
@@ -451,6 +448,8 @@ def evaluate(predictions, truth) -> dict:
     probability rows; ``truth`` is a class index per row.  AUC is reported
     only for binary problems with both classes present in the truth, and
     is ``None`` otherwise (use ``auc_rank`` directly to get the error).
+    Rows with a non-finite value (such as the ``nan`` rows of inactive
+    nodes) raise ``ValidationError``.
     """
     probs = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(truth, dtype=np.int64)
@@ -461,6 +460,10 @@ def evaluate(predictions, truth) -> dict:
         raise ValidationError(f"{len(probs)} predictions vs {len(y)} labels")
     if len(y) == 0:
         raise ValidationError("nothing to evaluate")
+    bad = int((~np.isfinite(probs).all(axis=1)).sum())
+    if bad:
+        raise ValidationError(
+            f"{bad} of {len(y)} prediction rows are not finite")
     accuracy = float((probs.argmax(axis=1) == y).mean())
     clamped = np.clip(probs[np.arange(len(y)), y], PROB_CLAMP, None)
     # fsum makes the mean exactly invariant to row order.

@@ -8,6 +8,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 from dataclasses import dataclass, field
@@ -166,13 +167,16 @@ def run_sensitivity(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
 
 
 def write_sensitivity_csv(rows: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("strategy,param,iterations,rep,auc,coverage,error\n")
+    """One CSV line per grid row; an error message with a comma is quoted."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["strategy", "param", "iterations", "rep", "auc",
+                         "coverage", "error"])
         for r in rows:
             auc = "" if r["auc"] is None else f"{r['auc']:.17g}"
             cov = "" if r["coverage"] is None else f"{r['coverage']:.17g}"
-            fh.write(f"{r['strategy']},{r['param']:g},{r['iterations']},"
-                     f"{r['rep']},{auc},{cov},{r['error']}\n")
+            writer.writerow([r["strategy"], f"{r['param']:g}", r["iterations"],
+                             r["rep"], auc, cov, r["error"]])
 
 
 def format_pivot(rows: list[dict]) -> str:
@@ -377,10 +381,7 @@ def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
                                       derive_seed(root, "lp-partitions"))
     prop_cfg = PropagationConfig(alpha=cfg.value("lp_alpha"),
                                  iterations=cfg.value("lp_iters"))
-    block = lpfeatures.lp_features(g, seeds, plan, prop_cfg)
-    values = np.hstack([block.imputed(), block.present.astype(np.float64)])
-    columns = block.column_names() + block.presence_names()
-    return FeatureMatrix(list(g.names), columns, values)
+    return lpfeatures.lp_features(g, seeds, plan, prop_cfg).table(g.names)
 
 
 def _emb_block(cfg: PipelineConfig, g: Graph, edges_path,

@@ -3,7 +3,11 @@
 Everything here is deliberately written with plain python loops over dense
 structures so it shares no code path with the package: dict-of-set graphs,
 per-node propagation, pairwise AUC, central finite differences, a
-line-by-line edge-list loader, and a per-pair word2vec trainer.
+line-by-line edge-list loader, and a per-pair word2vec trainer.  The one
+exception is the pair of masked-assignment engines ``reference_blended`` and
+``reference_additive``: they call the package's ``_neighbor_means`` so that
+the package's single superstep loop can be checked against them bit for
+bit.
 """
 
 from __future__ import annotations
@@ -93,6 +97,70 @@ def dense_propagate_gamma(adj: list[set[int]], seed_labels: dict[int, int],
             m, f = acc[v]
             out[v] = f / (m + f)
     return out, flags
+
+
+def reference_blended(g, seeds, weights: list[float], on_superstep=None):
+    """Alpha/beta engine with per-superstep masked assignments.
+
+    ``weights[k-1]`` is the neighbor-mean weight at superstep ``k``; the
+    node keeps ``1 - w`` of its own value and first activation takes the
+    plain neighbor mean.  Calls the package's ``_neighbor_means``, so its
+    results are comparable with the package engine byte for byte.
+    Returns ``(values, is_active)`` and calls ``on_superstep(k, values,
+    is_active)`` after every superstep.
+    """
+    from demograph.labelprop import _neighbor_means
+
+    values = np.where(seeds.is_active[:, None], seeds.values, 0.0)
+    active = seeds.is_active.copy()
+    movable = ~seeds.is_seed
+    for k, w in enumerate(weights, start=1):
+        means, has = _neighbor_means(g, values, active)
+        blend = movable & active & has
+        first = movable & ~active & has
+        new_values = values.copy()
+        new_values[blend] = (1.0 - w) * values[blend] + w * means[blend]
+        new_values[first] = means[first]
+        values = new_values
+        active = active | has
+        if on_superstep is not None:
+            on_superstep(k, values, active)
+    return values, active
+
+
+def _reference_finalize(acc, active, seeds):
+    out = np.zeros_like(acc)
+    mass = acc.sum(axis=1)
+    rows = active & (mass > 0)
+    out[rows] = acc[rows] / mass[rows, None]
+    out[seeds.is_seed] = seeds.values[seeds.is_seed]
+    return out
+
+
+def reference_additive(g, seeds, gamma: float, iterations: int,
+                       on_superstep=None):
+    """Gamma accumulator engine (any channel count) with per-superstep
+    masked assignments.
+
+    Calls the package's ``_neighbor_means``, so its results are comparable
+    with the package engine byte for byte.  Returns the normalized
+    ``(values, is_active)`` (seed rows pass through) and calls
+    ``on_superstep(k, values, is_active)`` with them after every superstep.
+    """
+    from demograph.labelprop import _neighbor_means
+
+    acc = np.where(seeds.is_active[:, None], seeds.values, 0.0)
+    active = seeds.is_active.copy()
+    movable = ~seeds.is_seed
+    for k in range(1, iterations + 1):
+        means, has = _neighbor_means(g, acc, active)
+        grow = movable & has
+        acc = acc.copy()
+        acc[grow] += gamma * means[grow]
+        active = active | (acc.sum(axis=1) > 0)
+        if on_superstep is not None:
+            on_superstep(k, _reference_finalize(acc, active, seeds), active)
+    return _reference_finalize(acc, active, seeds), active
 
 
 def brute_force_auc(scores, labels) -> float:

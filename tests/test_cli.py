@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -14,7 +15,9 @@ import pytest
 import demograph
 
 from demograph.cli import main
-from demograph.labelprop import read_node_vectors
+from demograph.graph import load_edge_list
+from demograph.labelprop import (PropagationConfig, propagate_multiclass,
+                                 read_node_vectors)
 from demograph.model import (FeatureMatrix, SplitSpec, TrainHyper,
                              balance_classes, predict, split)
 from demograph.pipeline import derive_seed, read_labels, train_model
@@ -100,6 +103,40 @@ class TestPropagateAndEval:
         assert code == 0
         values = read_node_vectors(preds)
         assert all(0.0 <= v[0] <= 1.0 for v in values.values())
+
+    def test_gamma_strategy_over_seven_classes(self, dataset, tmp_path):
+        preds = tmp_path / "preds.tsv"
+        assert run(["propagate", "--graph", str(dataset / "edges.tsv"),
+                    "--seeds", str(dataset / "seeds.tsv"),
+                    "--strategy", "gamma", "--gamma", "0.9", "--iters", "2",
+                    "--classes", "7", "--out", str(preds)]) == 0
+        g = load_edge_list(dataset / "edges.tsv")
+        classes = {g.index_of(name): int(value) for name, value in
+                   (line.split("\t") for line in
+                    (dataset / "seeds.tsv").read_text().splitlines())}
+        want = propagate_multiclass(g, classes, PropagationConfig(
+            strategy="gamma", gamma=0.9, iterations=2), num_classes=7)
+        got = read_node_vectors(preds)
+        assert sorted(got) == sorted(np.array(g.names)[want.is_active])
+        for name, row in got.items():
+            assert np.array_equal(row, want.values[g.index_of(name)])
+
+    def test_eval_rejects_nan_predictions(self, tmp_path, capsys):
+        data = tmp_path / "data"
+        assert run(["synth", "--per-class", "30", "--p", "0.02", "--q", "0.002",
+                    "--reveal", "0.1", "--rng-seed", "1",
+                    "--out-dir", str(data)]) == 0
+        preds = tmp_path / "preds.tsv"
+        assert run(["propagate", "--graph", str(data / "edges.tsv"),
+                    "--seeds", str(data / "seeds.tsv"), "--iters", "1",
+                    "--emit-inactive", "--out", str(preds)]) == 0
+        assert "nan" in preds.read_text()
+        capsys.readouterr()
+        assert run(["eval", "--predictions", str(preds),
+                    "--labels", str(data / "truth.tsv")]) == 1
+        captured = capsys.readouterr()
+        assert "prediction rows are not finite" in captured.err
+        assert captured.out == ""
 
     def test_invalid_iterations_exit_1(self, dataset, tmp_path):
         assert run(["propagate", "--graph", str(dataset / "edges.tsv"),
@@ -338,6 +375,28 @@ class TestSensitivityCommand:
         assert "K=1" in capsys.readouterr().out
         lines = out.read_text().splitlines()
         assert len(lines) == 1 + (2 + 1 + 1) * 3
+
+    def test_error_with_comma_stays_one_field(self, dataset, tmp_path):
+        # Fractional seeds fail every gamma cell with "gamma strategy needs
+        # seed values in {0, 1}", a message with a comma in it.
+        lines = (dataset / "seeds.tsv").read_text().splitlines()
+        seeds = tmp_path / "seeds.tsv"
+        seeds.write_text("".join(
+            (line.split("\t")[0] + "\t0.5" if i < 2 else line) + "\n"
+            for i, line in enumerate(lines)))
+        out = tmp_path / "sens.csv"
+        assert run(["sensitivity", "--edges", str(dataset / "edges.tsv"),
+                    "--truth", str(dataset / "truth.tsv"),
+                    "--seeds", str(seeds), "--strategies", "alpha,gamma",
+                    "--alphas", "0.3", "--gammas", "0.9", "--ks", "1,2",
+                    "--out", str(out)]) == 0
+        with open(out, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "error" and len(rows) == 1 + 2 * 2
+        assert all(len(row) == 7 for row in rows)
+        errors = [row[-1] for row in rows[1:] if row[0] == "gamma"]
+        assert errors == ["gamma strategy needs seed values in {0, 1}"] * 2
+        assert all(row[-1] == "" for row in rows[1:] if row[0] == "alpha")
 
     def test_empty_seed_file_exits_1_before_running(self, dataset, tmp_path):
         empty = tmp_path / "empty.tsv"

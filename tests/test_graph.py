@@ -127,7 +127,7 @@ class TestLoadEdgeList:
     def test_target_only_nodes_are_interned(self, tmp_path):
         p = write_edges(tmp_path / "e.tsv", ["A\tB", "A\tC"])
         g = load_edge_list(p)
-        assert "C" in g and g.degree(g.index_of("C")) == 1
+        assert "C" in g and g.degrees[g.index_of("C")] == 1
 
 
 class TestLoaderAgainstReference:
@@ -231,7 +231,7 @@ class TestInvariants:
         p = write_edges(tmp_path / "e.tsv", ["x\ty", "z\tx", "w\tz"])
         g = load_edge_list(p)
         for name in ("x", "y", "z", "w"):
-            assert g.name_of(g.index_of(name)) == name
+            assert g.names[g.index_of(name)] == name
         assert sorted(g._index.values()) == list(range(g.node_count))
 
     def test_write_reload_round_trip(self, tmp_path, rng):

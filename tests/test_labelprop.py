@@ -15,7 +15,8 @@ from demograph.labelprop import (LabelState, PropagationConfig,
                                  write_label_state)
 
 from conftest import random_binary_seeds, random_graph
-from oracles import bfs_distances, dense_propagate, dense_propagate_gamma
+from oracles import (bfs_distances, dense_propagate, dense_propagate_gamma,
+                     reference_additive, reference_blended)
 
 
 def path_graph(names):
@@ -375,7 +376,7 @@ class TestNeighborMeans:
             # Spread magnitudes so that summation order shows in the bits.
             raw = rng.random((160, channels)) * 10.0 ** rng.integers(
                 -6, 7, size=(160, channels))
-            # Both engines keep the rows of inactive nodes at exactly 0.0.
+            # The engine keeps the rows of inactive nodes at exactly 0.0.
             values = np.where(active[:, None], raw, 0.0)
             means, has = _neighbor_means(g, values, active)
             ref_means, ref_has = self.masked_bincount_means(g, values, active)
@@ -383,6 +384,97 @@ class TestNeighborMeans:
             assert np.array_equal(means, ref_means)
             if mask == "none":
                 assert not has.any() and not means.any()
+
+
+class TestEngineAgainstReference:
+    """The one superstep loop against the two masked-assignment engines it
+    replaced (``tests/oracles.py``), byte for byte, at every snapshot."""
+
+    @staticmethod
+    def reference(g, seeds, cfg, hook=None):
+        """The replaced dispatch: (values, is_active) after ``cfg``."""
+        k_max = cfg.iterations
+        if cfg.strategy == "alpha":
+            return reference_blended(g, seeds, [1.0 - cfg.alpha] * k_max, hook)
+        if cfg.strategy == "beta":
+            weights = [cfg.beta ** k for k in range(1, k_max + 1)]
+            return reference_blended(g, seeds, weights, hook)
+        if seeds.num_classes > 1:
+            return reference_additive(g, seeds, cfg.gamma, k_max, hook)
+        female = np.where(seeds.is_active, seeds.values[:, 0], 0.0)
+        two = LabelState(np.stack([np.where(seeds.is_active, 1.0 - female, 0.0),
+                                   female], axis=1),
+                         seeds.is_seed, seeds.is_active)
+        inner = None
+        if hook is not None:
+            inner = lambda k, values, active: hook(k, values[:, 1:2].copy(),
+                                                   active)
+        values, active = reference_additive(g, two, cfg.gamma, k_max, inner)
+        return values[:, 1:2].copy(), active
+
+    @staticmethod
+    def case(rng, channels):
+        """A graph with isolated nodes and a start state whose active rows
+        include non-seeds (some of them isolated)."""
+        core, _ = random_graph(rng, 40, float(rng.uniform(0.03, 0.15)))
+        pairs = [(u, int(v)) for u in range(40) for v in core.neighbors(u)
+                 if v > u]
+        g = Graph.build([f"n{i}" for i in range(46)], pairs)
+        picked = rng.choice(46, size=12, replace=False)
+        is_seed = np.zeros(46, dtype=bool)
+        is_seed[picked[:6]] = True
+        is_active = is_seed.copy()
+        is_active[picked[6:]] = True
+        if channels == 1:
+            values = rng.random((46, 1))
+            values[is_seed] = rng.integers(0, 2, size=(6, 1))
+        else:
+            values = rng.dirichlet(np.ones(channels), size=46)
+        return g, LabelState(values, is_seed, is_active)
+
+    @staticmethod
+    def assert_same(state, values, active):
+        assert state.values.tobytes() == values.tobytes()
+        assert np.array_equal(state.is_active, active)
+
+    @pytest.mark.parametrize("strategy", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("channels", [1, 2, 7])
+    def test_every_entry_point_matches(self, rng, strategy, channels):
+        for _ in range(8):
+            g, seeds = self.case(rng, channels)
+            k_max = int(rng.integers(1, 7))
+            cfg = PropagationConfig(
+                strategy=strategy, alpha=float(rng.uniform(0.05, 0.95)),
+                beta=float(rng.uniform(0.05, 0.95)),
+                gamma=float(rng.uniform(0.05, 0.95)), iterations=k_max)
+            want = {}
+            values, active = self.reference(
+                g, seeds, cfg,
+                lambda k, v, a: want.__setitem__(k, (v.copy(), a.copy())))
+            out = propagate(g, seeds, cfg)
+            self.assert_same(out, values, active)
+            assert np.array_equal(out.is_seed, seeds.is_seed)
+            trace = propagate_trace(g, seeds, cfg, range(1, k_max + 1))
+            assert sorted(trace) == list(range(1, k_max + 1))
+            for k, snap in trace.items():
+                self.assert_same(snap, *want[k])
+            if strategy == "gamma" and channels == 1:
+                self.assert_same(propagate_gamma(g, seeds, cfg.gamma, k_max),
+                                 values, active)
+
+            # One-hot class seeds, without the extra active rows.
+            classes = {int(v): int(rng.integers(0, channels))
+                       for v in np.flatnonzero(seeds.is_seed)}
+            onehot = LabelState.from_seed_classes(
+                g.node_count, list(classes), list(classes.values()),
+                num_classes=channels)
+            if strategy == "gamma":
+                values, active = reference_additive(g, onehot, cfg.gamma, k_max)
+            else:
+                values, active = self.reference(g, onehot, cfg)
+            self.assert_same(
+                propagate_multiclass(g, classes, cfg, num_classes=channels),
+                values, active)
 
 
 class TestLabelIO:

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph
 from demograph.labelprop import LabelState, PropagationConfig, propagate
-from demograph.lpfeatures import lp_features, make_partitions, write_lp_csv
+from demograph.lpfeatures import lp_features, make_partitions
 from demograph.model import FeatureMatrix
 
 from conftest import random_binary_seeds, random_graph
@@ -184,7 +186,7 @@ class TestLPFeatures:
             others = [runs[j].values[u] for j in range(3)
                       if j != i and runs[j].is_active[u]]
             if others:
-                got = block.run_values(i)[u]
+                got = block.values[u, i * 7:(i + 1) * 7]
                 assert np.allclose(got, np.mean(others, axis=0), atol=1e-15)
 
 
@@ -235,6 +237,23 @@ class TestLeaveOutAgainstLoop:
         assert own.any() and not own.all()
 
 
+def reference_lp_csv(block, g, path, include_presence=True):
+    """The dedicated lp-feature writer that ``LPFeatureBlock.table`` plus
+    ``FeatureMatrix.to_csv`` replaced, kept as the byte reference."""
+    values = block.imputed()
+    header = ["node"] + block.column_names()
+    if include_presence:
+        header += block.presence_names()
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for v in range(block.node_count):
+            row = [g.names[v]] + [f"{x:.17g}" for x in values[v]]
+            if include_presence:
+                row += [str(int(x)) for x in block.present[v]]
+            writer.writerow(row)
+
+
 class TestCSV:
     def test_header_and_round_trip(self, tmp_path, rng):
         g, _ = random_graph(rng, 12, 0.3)
@@ -243,7 +262,7 @@ class TestCSV:
         block = lp_features(g, seeds, plan,
                             PropagationConfig(alpha=0.3, iterations=3))
         out = tmp_path / "lp.csv"
-        write_lp_csv(block, g, out)
+        block.table(g.names).to_csv(out)
         fm = FeatureMatrix.from_csv(out)
         assert fm.columns == ["lp_0", "lp_1", "lp_2",
                               "lp_present_0", "lp_present_1", "lp_present_2"]
@@ -258,6 +277,31 @@ class TestCSV:
         block = lp_features(g, seeds, plan,
                             PropagationConfig(alpha=0.3, iterations=2))
         out = tmp_path / "lp.csv"
-        write_lp_csv(block, g, out, include_presence=False)
+        block.table(g.names, presence=False).to_csv(out)
         fm = FeatureMatrix.from_csv(out)
         assert fm.columns == ["lp_0", "lp_1"]
+        assert np.array_equal(fm.values, block.imputed())
+
+    @pytest.mark.parametrize("presence", [True, False])
+    @pytest.mark.parametrize("n_classes", [1, 7])
+    def test_bytes_equal_reference_writer(self, tmp_path, presence, n_classes):
+        rng = np.random.default_rng(7 * n_classes)
+        # Sparse edges and isolated nodes leave some entries masked.
+        core, _ = random_graph(rng, 40, 0.04)
+        pairs = [(u, int(v)) for u in range(40) for v in core.neighbors(u)
+                 if v > u]
+        g = Graph.build([f"n{i}" for i in range(44)], pairs)
+        idx = np.concatenate([rng.choice(40, size=12, replace=False),
+                              np.arange(40, 44)])
+        if n_classes == 1:
+            labels = LabelState.from_seed_values(44, idx, rng.random(len(idx)))
+        else:
+            labels = LabelState.from_seed_classes(
+                44, idx, rng.integers(0, 7, size=len(idx)))
+        block = lp_features(g, labels, make_partitions(idx, 3, rng_seed=2),
+                            PropagationConfig(alpha=0.3, iterations=2))
+        assert not block.present.all()
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        reference_lp_csv(block, g, want, include_presence=presence)
+        block.table(g.names, presence=presence).to_csv(got)
+        assert got.read_bytes() == want.read_bytes()

@@ -312,6 +312,19 @@ class TestMetrics:
         assert auc_rank(scores, labels) == brute_force_auc(scores, labels)
         assert auc_rank(scores, labels) == 0.5
 
+    def test_nan_scores_rejected(self):
+        # A NaN has no place in the order, so it cannot get a rank.
+        with pytest.raises(ValidationError, match="1 AUC scores are NaN"):
+            auc_rank([0.2, np.nan, 0.7, 0.4], [1, 0, 1, 0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_predictions_rejected(self, bad):
+        with pytest.raises(ValidationError, match="1 of 3 prediction rows"):
+            evaluate(np.array([0.9, bad, 0.2]), np.array([1, 0, 0]))
+        probs = np.array([[0.1, 0.9], [0.5, 0.5], [bad, 0.0]])
+        with pytest.raises(ValidationError, match="1 of 3 prediction rows"):
+            evaluate(probs, np.array([1, 0, 0]))
+
     def test_cross_entropy_clamped(self):
         metrics = evaluate(np.array([[1.0, 0.0]]), np.array([1]))
         assert math.isfinite(metrics["cross_entropy"])
