@@ -17,14 +17,15 @@ from . import __version__, embed, lpfeatures, synth
 from .errors import ConfigError, ValidationError
 from .graph import (load_directed_edges, load_edge_list, write_edge_list,
                     write_node_map)
-from .labelprop import (PropagationConfig, propagate,
-                        read_node_vectors, read_seed_labels, write_label_state)
+from .labelprop import (PropagationConfig, propagate, read_node_vectors,
+                        read_seed_labels, write_label_state,
+                        write_node_vectors)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, evaluate,
-                    join_features, predict, split)
-from .pipeline import (ExperimentGrid, PipelineConfig, float_list,
-                       format_metrics_table, format_pivot, int_list,
-                       read_labels, run_pipeline, run_sensitivity,
-                       train_model, write_sensitivity_csv)
+                    join_features, split)
+from .pipeline import (ExperimentGrid, PipelineConfig, fit_and_score,
+                       float_list, format_metrics_table, format_pivot,
+                       int_list, read_labels, run_pipeline, run_sensitivity,
+                       task_classes, write_sensitivity_csv)
 
 
 class _UsageError(ConfigError):
@@ -288,27 +289,17 @@ def _cmd_train(args):
         raise ConfigError("no labeled node has features")
     spec = SplitSpec(mode=args.split, train_fraction=args.train_frac,
                      rng_seed=args.rng_seed)
+    # The random split depends on this list: only labeled nodes with features.
     train_names, test_names = split(labeled, spec)
-    if not train_names or not test_names:
-        raise ConfigError("split produced an empty train or test side")
-    n_classes = 2 if args.task == "gender" else 7
-    y_train = np.array([labels[n] for n in train_names])
-    y_test = np.array([labels[n] for n in test_names])
-    x_train = features.rows_for(train_names)
-    x_test = features.rows_for(test_names)
     hyper = TrainHyper(rate=args.rate, epochs=args.epochs,
                        minibatch=args.minibatch, l2=args.l2,
                        rng_seed=args.rng_seed)
-    params = train_model(x_train, y_train, n_classes, args.model, args.hidden,
-                         hyper, args.balance)
-    probs = predict(params, x_test)
-    metrics = evaluate(probs, y_test)
+    test_rows, probs, record = fit_and_score(
+        features, labels, train_names, test_names, task_classes(args.task),
+        args.model, args.hidden, hyper, args.balance)
     if args.predictions_out:
-        with open(args.predictions_out, "w", encoding="utf-8") as fh:
-            for name, row in zip(test_names, probs):
-                fh.write(name + "\t" + ",".join(f"{x:.17g}" for x in row) + "\n")
-    _emit_metrics(metrics, args.metrics_out,
-                  extra={"n_train": len(train_names), "n_test": len(test_names)})
+        write_node_vectors(args.predictions_out, test_rows, probs)
+    _emit_metrics(record, args.metrics_out)
 
 
 def _cmd_eval(args):
@@ -317,25 +308,19 @@ def _cmd_eval(args):
     common = [n for n in labels if n in predictions]
     if not common:
         raise ConfigError("no prediction matches a labeled node")
-    widths = {len(predictions[n]) for n in common}
-    if len(widths) != 1:
-        raise ValidationError(f"inconsistent prediction widths: {sorted(widths)}")
     probs = np.stack([predictions[n] for n in common])
     truth = np.array([labels[n] for n in common])
-    _emit_metrics(evaluate(probs, truth), args.metrics_out,
-                  extra={"n_eval": len(common)})
+    _emit_metrics({**evaluate(probs, truth), "n_eval": len(common)},
+                  args.metrics_out)
 
 
-def _emit_metrics(metrics: dict, out_path, extra: dict | None = None):
-    record = dict(metrics)
-    if extra:
-        record.update(extra)
+def _emit_metrics(record: dict, out_path):
     line = json.dumps(record, sort_keys=True)
     print(line)
-    auc = "-" if metrics.get("auc") is None else f"{metrics['auc']:.4f}"
+    auc = "-" if record.get("auc") is None else f"{record['auc']:.4f}"
     print(f"{'auc':<15}{auc}")
-    print(f"{'accuracy':<15}{metrics['accuracy']:.4f}")
-    print(f"{'cross_entropy':<15}{metrics['cross_entropy']:.4f}")
+    print(f"{'accuracy':<15}{record['accuracy']:.4f}")
+    print(f"{'cross_entropy':<15}{record['cross_entropy']:.4f}")
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(line + "\n")

@@ -160,10 +160,6 @@ class DirectedEdges:
     out_indices: np.ndarray
     in_indptr: np.ndarray
     in_indices: np.ndarray
-    _index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {name: i for i, name in enumerate(self.names)}
 
     @property
     def node_count(self) -> int:
@@ -174,9 +170,6 @@ class DirectedEdges:
 
     def in_neighbors(self, v: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
-
-    def index_of(self, name: str) -> int:
-        return self._index[name]
 
 
 def _read_rows(path, width: int, sep: str | None = None):

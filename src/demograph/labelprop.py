@@ -49,6 +49,7 @@ __all__ = [
     "read_seed_labels",
     "read_node_vectors",
     "write_label_state",
+    "write_node_vectors",
 ]
 
 logger = logging.getLogger(__name__)
@@ -156,10 +157,6 @@ class LabelState:
     @property
     def seed_count(self) -> int:
         return int(self.is_seed.sum())
-
-    def copy(self) -> "LabelState":
-        return LabelState(self.values.copy(), self.is_seed.copy(),
-                          self.is_active.copy())
 
     @classmethod
     def from_seed_values(cls, node_count: int, indices: Iterable[int],
@@ -428,30 +425,42 @@ def read_seed_labels(path, g: Graph, num_classes: int = 1,
                                         num_classes=num_classes)
 
 
+def write_node_vectors(path, names, rows) -> None:
+    """Write ``<name><TAB><v0>[,v1..]`` lines with 17 significant digits,
+    the format ``read_node_vectors`` reads."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, row in zip(names, rows):
+            fh.write(name + "\t" + ",".join(f"{x:.17g}" for x in row) + "\n")
+
+
 def write_label_state(path, g: Graph, state: LabelState,
                       emit_inactive: bool = False) -> None:
-    """Write ``<name><TAB><v0>[,v1..]`` rows with 17 significant digits.
+    """Write the active nodes' rows with ``write_node_vectors``.
 
     Inactive nodes are omitted unless ``emit_inactive`` is set, in which
     case they appear with ``nan`` in every channel.
     """
-    with open(path, "w", encoding="utf-8") as fh:
-        for v in range(state.node_count):
-            if state.is_active[v]:
-                row = ",".join(f"{x:.17g}" for x in state.values[v])
-            elif emit_inactive:
-                row = ",".join(["nan"] * state.num_classes)
-            else:
-                continue
-            fh.write(f"{g.names[v]}\t{row}\n")
+    keep = np.flatnonzero(state.is_active | emit_inactive)
+    rows = np.where(state.is_active[:, None], state.values, np.nan)[keep]
+    write_node_vectors(path, [g.names[v] for v in keep], rows)
 
 
 def read_node_vectors(path) -> dict[str, np.ndarray]:
-    """Read the ``write_label_state`` format back as name -> vector."""
+    """Read the ``write_node_vectors`` format back as name -> vector; a bad
+    value, a repeated name or a width unlike the first row's fails at
+    ``path:line``."""
     out: dict[str, np.ndarray] = {}
+    width = None
     for line_no, (name, raw) in _read_rows(path, 2, sep="\t"):
         try:
-            out[name] = np.array([float(x) for x in raw.split(",")])
+            vector = np.array([float(x) for x in raw.split(",")])
         except ValueError:
             raise EdgeListParseError(path, line_no, f"bad vector {raw!r}") from None
+        if name in out:
+            raise EdgeListParseError(path, line_no, f"repeated name {name!r}")
+        width = width or len(vector)
+        if len(vector) != width:
+            raise EdgeListParseError(
+                path, line_no, f"expected {width} values, got {len(vector)}")
+        out[name] = vector
     return out

@@ -25,6 +25,7 @@ __all__ = [
     "SplitSpec",
     "TrainHyper",
     "auc_rank",
+    "check_hidden",
     "evaluate",
     "fnv1a64",
     "join_features",
@@ -76,6 +77,8 @@ class FeatureMatrix:
 
     @classmethod
     def from_csv(cls, path) -> "FeatureMatrix":
+        """Read the ``to_csv`` format; a bad row (wrong width, a non-finite
+        value, a repeated node) raises ``ValidationError`` at ``path:line``."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
@@ -83,12 +86,15 @@ class FeatureMatrix:
                 raise ValidationError(f"{path}: first column must be 'node'")
             columns = header[1:]
             nodes, rows = [], []
+            line_of: dict[str, int] = {}
             for lineno, row in enumerate(reader, start=2):
                 if not row:
                     continue
                 if len(row) != len(header):
                     raise ValidationError(
                         f"{path}:{lineno}: expected {len(header)} fields")
+                if line_of.setdefault(row[0], lineno) != lineno:
+                    raise ValidationError(f"{path}:{lineno}: repeated node")
                 nodes.append(row[0])
                 try:
                     rows.append([float(x) for x in row[1:]])
@@ -96,6 +102,10 @@ class FeatureMatrix:
                     raise ValidationError(f"{path}:{lineno}: bad number") from exc
         values = (np.asarray(rows, dtype=np.float64) if rows
                   else np.zeros((0, len(columns))))
+        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+        if bad.size:
+            raise ValidationError(
+                f"{path}:{line_of[nodes[bad[0]]]}: non-finite value")
         return cls(nodes, columns, values)
 
 
@@ -226,11 +236,6 @@ class ModelParams:
     @property
     def input_width(self) -> int:
         return self.weights[0].shape[0]
-
-    @property
-    def n_classes(self) -> int:
-        out_units = self.weights[-1].shape[1]
-        return 2 if self.output == "sigmoid" else out_units
 
 
 def _init_params(widths: list[int], output: str,
@@ -388,9 +393,14 @@ def train_mlp(features, labels, hidden: list[int], n_classes: int = 2,
     Default architecture is three hidden layers of 256 units; pass
     ``hidden`` explicitly for anything else.
     """
+    check_hidden(hidden)
+    return _train(features, labels, hidden, n_classes, "softmax", hyper)
+
+
+def check_hidden(hidden: list[int]) -> None:
+    """Reject an empty list of MLP layer widths or a width below 1."""
     if not hidden or any(h < 1 for h in hidden):
         raise ConfigError(f"bad hidden layer sizes {hidden!r}")
-    return _train(features, labels, hidden, n_classes, "softmax", hyper)
 
 
 def predict(params: ModelParams, features) -> np.ndarray:
@@ -449,7 +459,8 @@ def evaluate(predictions, truth) -> dict:
     only for binary problems with both classes present in the truth, and
     is ``None`` otherwise (use ``auc_rank`` directly to get the error).
     Rows with a non-finite value (such as the ``nan`` rows of inactive
-    nodes) raise ``ValidationError``.
+    nodes) and truth classes outside the prediction width raise
+    ``ValidationError``.
     """
     probs = np.asarray(predictions, dtype=np.float64)
     y = np.asarray(truth, dtype=np.int64)
@@ -460,6 +471,8 @@ def evaluate(predictions, truth) -> dict:
         raise ValidationError(f"{len(probs)} predictions vs {len(y)} labels")
     if len(y) == 0:
         raise ValidationError("nothing to evaluate")
+    if y.min() < 0 or y.max() >= probs.shape[1]:
+        raise ValidationError(f"truth classes must lie in [0, {probs.shape[1]})")
     bad = int((~np.isfinite(probs).all(axis=1)).sum())
     if bad:
         raise ValidationError(

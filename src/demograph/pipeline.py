@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,8 +21,8 @@ from .errors import ConfigError, EdgeListParseError, ValidationError
 from .graph import Graph, _read_rows, load_directed_edges, load_edge_list
 from .labelprop import (NUM_AGE_BUCKETS, LabelState, PropagationConfig,
                         class_label, propagate_trace)
-from .model import (FeatureMatrix, ModelParams, SplitSpec, TrainHyper,
-                    auc_rank, balance_classes, evaluate, fnv1a64,
+from .model import (FeatureMatrix, SplitSpec, TrainHyper, auc_rank,
+                    balance_classes, check_hidden, evaluate, fnv1a64,
                     join_features, predict, split, train_logistic, train_mlp,
                     train_softmax)
 
@@ -30,12 +30,13 @@ __all__ = [
     "ExperimentGrid",
     "PipelineConfig",
     "derive_seed",
+    "fit_and_score",
     "format_metrics_table",
     "format_pivot",
     "read_labels",
     "run_pipeline",
     "run_sensitivity",
-    "train_model",
+    "task_classes",
     "write_sensitivity_csv",
 ]
 
@@ -45,6 +46,11 @@ logger = logging.getLogger(__name__)
 def derive_seed(root_seed: int, stage: str) -> int:
     """Stage-specific RNG seed derived from the run's root seed."""
     return fnv1a64(f"{root_seed}:{stage}") & (2 ** 63 - 1)
+
+
+def task_classes(task: str) -> int:
+    """Class count of a task: two genders, or the age buckets."""
+    return 2 if task == "gender" else NUM_AGE_BUCKETS
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +322,21 @@ class PipelineConfig:
         for key, known in (("task", ("gender", "age")), ("model", ("lr", "mlp"))):
             if self[key] not in known:
                 raise ConfigError(f"unknown {key} {self[key]!r}")
+        if self.value("min_degree") < 0:
+            raise ConfigError("config key 'min_degree' must be >= 0")
         root = self.value("root_seed")
         _split_spec(self, root).validate()
+        _train_hyper(self).validate()
+        if self["model"] == "mlp":
+            check_hidden(self.value("hidden"))
         needed = {b for r in self.regimes() for b in self.regime_blocks(r)}
+        if "lp" in needed:
+            if self.value("lp_splits") < 2:
+                raise ConfigError("config key 'lp_splits' must be >= 2")
+            try:
+                _lp_config(self).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"config lp_alpha/lp_iters: {exc}") from None
         if "emb" in needed:
             _embed_config(self, root).validate()
         required = {"edges": self["edges"], "labels": self["labels"]}
@@ -338,6 +356,16 @@ def _split_spec(cfg: PipelineConfig, root: int) -> SplitSpec:
                      rng_seed=derive_seed(root, "split"))
 
 
+def _train_hyper(cfg: PipelineConfig) -> TrainHyper:
+    return TrainHyper(rate=cfg.value("rate"), epochs=cfg.value("epochs"),
+                      minibatch=cfg.value("minibatch"), l2=cfg.value("l2"))
+
+
+def _lp_config(cfg: PipelineConfig) -> PropagationConfig:
+    return PropagationConfig(alpha=cfg.value("lp_alpha"),
+                             iterations=cfg.value("lp_iters"))
+
+
 def _embed_config(cfg: PipelineConfig, root: int) -> embed.TrainConfig:
     return embed.TrainConfig(
         mode=cfg["emb_mode"], dim=cfg.value("emb_dim"),
@@ -350,7 +378,7 @@ def _embed_config(cfg: PipelineConfig, root: int) -> embed.TrainConfig:
 def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int]:
     """Read ``<name><TAB><label>`` truth files as name -> class index.
     Every line is checked; of two lines for one name the first wins."""
-    n_classes = 2 if task == "gender" else NUM_AGE_BUCKETS
+    n_classes = task_classes(task)
     labels: dict[str, int] = {}
     for line_no, (name, raw) in _read_rows(path, 2):
         try:
@@ -370,7 +398,8 @@ def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
     if not train_in_graph:
         raise ConfigError("no training labels fall inside the graph")
     idx = [g.index_of(n) for n in train_in_graph]
-    if n_classes == 1:
+    # Binary labels propagate as one channel, the positive-class share.
+    if n_classes == 2:
         seeds = LabelState.from_seed_values(
             g.node_count, idx, [float(labels[n]) for n in train_in_graph])
     else:
@@ -379,9 +408,7 @@ def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
             num_classes=n_classes)
     plan = lpfeatures.make_partitions(idx, cfg.value("lp_splits"),
                                       derive_seed(root, "lp-partitions"))
-    prop_cfg = PropagationConfig(alpha=cfg.value("lp_alpha"),
-                                 iterations=cfg.value("lp_iters"))
-    return lpfeatures.lp_features(g, seeds, plan, prop_cfg).table(g.names)
+    return lpfeatures.lp_features(g, seeds, plan, _lp_config(cfg)).table(g.names)
 
 
 def _emb_block(cfg: PipelineConfig, g: Graph, edges_path,
@@ -397,27 +424,42 @@ def _emb_block(cfg: PipelineConfig, g: Graph, edges_path,
     return FeatureMatrix(nodes, columns, rows)
 
 
-def train_model(x: np.ndarray, y: np.ndarray, n_classes: int, model: str,
-                hidden: list[int], hyper: TrainHyper,
-                balance: bool = False) -> ModelParams:
-    """Train one classifier on rows ``x`` with class labels ``y``.
+def fit_and_score(features: FeatureMatrix, labels: dict[str, int],
+                  train_names: list[str], test_names: list[str],
+                  n_classes: int, model: str, hidden: list[int],
+                  hyper: TrainHyper, balance: bool = False
+                  ) -> tuple[list[str], np.ndarray, dict]:
+    """Train on the train names that have feature rows, score the test
+    names that do, and return (test rows, probabilities, record).
 
     ``model`` is ``"lr"`` (logistic regression for two classes, softmax
     otherwise) or ``"mlp"`` with ``hidden`` layer widths.  With
     ``balance`` the rows are first class-balanced by an RNG seeded from
-    ``derive_seed(hyper.rng_seed, "balance")``.
+    ``derive_seed(hyper.rng_seed, "balance")``.  The record holds
+    ``n_train``, ``n_test`` and the ``evaluate`` metrics.
     """
+    train_rows = [n for n in train_names if n in features]
+    test_rows = [n for n in test_names if n in features]
+    if not train_rows or not test_rows:
+        raise ConfigError("empty train or test side after joining features")
+    x = features.rows_for(train_rows)
+    y = np.array([labels[n] for n in train_rows])
     if balance:
         keep = balance_classes(y, np.random.default_rng(
             derive_seed(hyper.rng_seed, "balance")))
         x, y = x[keep], y[keep]
     if model == "mlp":
-        return train_mlp(x, y, hidden, n_classes=n_classes, hyper=hyper)
-    if model != "lr":
+        params = train_mlp(x, y, hidden, n_classes=n_classes, hyper=hyper)
+    elif model == "lr" and n_classes == 2:
+        params = train_logistic(x, y, hyper)
+    elif model == "lr":
+        params = train_softmax(x, y, n_classes, hyper)
+    else:
         raise ConfigError(f"unknown model {model!r}")
-    if n_classes == 2:
-        return train_logistic(x, y, hyper)
-    return train_softmax(x, y, n_classes, hyper)
+    probs = predict(params, features.rows_for(test_rows))
+    metrics = evaluate(probs, np.array([labels[n] for n in test_rows]))
+    return test_rows, probs, {"n_train": len(train_rows),
+                              "n_test": len(test_rows), **metrics}
 
 
 def run_pipeline(cfg: PipelineConfig) -> list[dict]:
@@ -430,7 +472,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
     cfg.check_inputs()
     root = cfg.value("root_seed")
     task = cfg["task"]
-    n_classes = 2 if task == "gender" else 7
+    n_classes = task_classes(task)
     g = load_edge_list(cfg["edges"], min_degree=cfg.value("min_degree"))
     labels = read_labels(cfg["labels"], task, cfg.flag("ages"))
 
@@ -441,31 +483,23 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
     if "cumf" in needed:
         blocks["cumf"] = FeatureMatrix.from_csv(cfg["cumf"])
     if "lp" in needed:
-        lp_classes = 1 if task == "gender" else 7
-        blocks["lp"] = _lp_block(cfg, g, labels, train_names, lp_classes, root)
+        blocks["lp"] = _lp_block(cfg, g, labels, train_names, n_classes, root)
     if "emb" in needed:
         blocks["emb"] = _emb_block(cfg, g, cfg["edges"], root)
 
+    hyper = _train_hyper(cfg)
     records = []
     for regime in cfg.regimes():
         features = join_features({b: blocks[b] for b in cfg.regime_blocks(regime)})
-        train_rows = [n for n in train_names if n in features]
-        test_rows = [n for n in test_names if n in features]
-        if not train_rows or not test_rows:
-            raise ConfigError(f"regime {regime!r}: empty train or test side "
-                              "after joining features")
-        x_train = features.rows_for(train_rows)
-        y_train = np.array([labels[n] for n in train_rows])
-        x_test = features.rows_for(test_rows)
-        y_test = np.array([labels[n] for n in test_rows])
-        hyper = TrainHyper(rate=cfg.value("rate"), epochs=cfg.value("epochs"),
-                           minibatch=cfg.value("minibatch"), l2=cfg.value("l2"),
-                           rng_seed=derive_seed(root, f"train:{regime}"))
-        params = train_model(x_train, y_train, n_classes, cfg["model"],
-                             cfg.value("hidden"), hyper, cfg.flag("balance"))
-        metrics = evaluate(predict(params, x_test), y_test)
-        records.append({"regime": regime, "n_train": len(train_rows),
-                        "n_test": len(test_rows), **metrics})
+        try:
+            _, _, scores = fit_and_score(
+                features, labels, train_names, test_names, n_classes,
+                cfg["model"], cfg.value("hidden"),
+                replace(hyper, rng_seed=derive_seed(root, f"train:{regime}")),
+                cfg.flag("balance"))
+        except ConfigError as exc:
+            raise ConfigError(f"regime {regime!r}: {exc}") from None
+        records.append({"regime": regime, **scores})
 
     if cfg["out"]:
         with open(cfg["out"], "w", encoding="utf-8") as fh:

@@ -9,13 +9,13 @@ features.  Everything is a deterministic function of the spec's seed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ValidationError
+from .model import FeatureMatrix
 
 __all__ = ["PlantedGraphSpec", "SynthData", "generate", "write_outputs"]
 
@@ -115,9 +115,6 @@ def write_outputs(data: SynthData, out_dir) -> dict[str, Path]:
     with open(paths["seeds"], "w", encoding="utf-8") as fh:
         for i in data.seed_indices:
             fh.write(f"{data.names[i]}\t{data.truth[i]}\n")
-    with open(paths["cumf"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node"] + [f"cumf_{c}" for c in range(data.features.shape[1])])
-        for name, row in zip(data.names, data.features):
-            writer.writerow([name] + [f"{x:.17g}" for x in row])
+    columns = [f"cumf_{c}" for c in range(data.features.shape[1])]
+    FeatureMatrix(data.names, columns, data.features).to_csv(paths["cumf"])
     return paths

@@ -19,8 +19,8 @@ from demograph.graph import load_edge_list
 from demograph.labelprop import (PropagationConfig, propagate_multiclass,
                                  read_node_vectors)
 from demograph.model import (FeatureMatrix, SplitSpec, TrainHyper,
-                             balance_classes, predict, split)
-from demograph.pipeline import derive_seed, read_labels, train_model
+                             balance_classes, predict, split, train_mlp)
+from demograph.pipeline import derive_seed, read_labels
 
 SUBCOMMANDS = ["ingest", "propagate", "lp-features", "sentences", "embed",
                "coldstart", "synth", "train", "eval", "pipeline",
@@ -138,6 +138,39 @@ class TestPropagateAndEval:
         assert "prediction rows are not finite" in captured.err
         assert captured.out == ""
 
+    def test_eval_truth_wider_than_predictions_exits_1(self, dataset,
+                                                       tmp_path, capsys):
+        # Binary propagate output scored against 7-class age labels.
+        ages = tmp_path / "ages"
+        assert run(["synth", "--classes", "7", "--per-class", "20",
+                    "--p", "0.3", "--q", "0.02", "--rng-seed", "2",
+                    "--out-dir", str(ages)]) == 0
+        preds = tmp_path / "preds.tsv"
+        assert run(["propagate", "--graph", str(dataset / "edges.tsv"),
+                    "--seeds", str(dataset / "seeds.tsv"),
+                    "--out", str(preds)]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--predictions", str(preds),
+                    "--labels", str(ages / "truth.tsv"), "--task", "age"]) == 1
+        assert "truth classes must lie in [0, 2)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("extra,message", [
+        ("u000000\t0.5\n", "repeated name 'u000000'"),
+        ("zz\t0.2,0.8\n", "expected 1 values, got 2")])
+    def test_eval_bad_prediction_rows_exit_1(self, dataset, tmp_path, capsys,
+                                             extra, message):
+        preds = tmp_path / "preds.tsv"
+        assert run(["propagate", "--graph", str(dataset / "edges.tsv"),
+                    "--seeds", str(dataset / "seeds.tsv"),
+                    "--out", str(preds)]) == 0
+        count = len(preds.read_text().splitlines())
+        with open(preds, "a", encoding="utf-8") as fh:
+            fh.write(extra)
+        capsys.readouterr()
+        assert run(["eval", "--predictions", str(preds),
+                    "--labels", str(dataset / "truth.tsv")]) == 1
+        assert f"preds.tsv:{count + 1}: {message}" in capsys.readouterr().err
+
     def test_invalid_iterations_exit_1(self, dataset, tmp_path):
         assert run(["propagate", "--graph", str(dataset / "edges.tsv"),
                     "--seeds", str(dataset / "seeds.tsv"),
@@ -250,7 +283,7 @@ class TestTrain:
                     "--labels", str(dataset / "truth.tsv"),
                     "--epochs", "20", "--minibatch", "64"]) == 0
 
-    def test_balance_matches_train_model(self, dataset, tmp_path):
+    def test_balance_matches_hand_built_training(self, dataset, tmp_path):
         preds = tmp_path / "preds.tsv"
         assert run(["train", "--features", str(dataset / "cumf.csv"),
                     "--labels", str(dataset / "truth.tsv"),
@@ -258,7 +291,7 @@ class TestTrain:
                     "--minibatch", "32", "--rate", "0.2", "--balance",
                     "--train-frac", "0.6", "--rng-seed", "9",
                     "--predictions-out", str(preds)]) == 0
-        # The same rows, trained directly.
+        # The same rows, balanced and trained by hand.
         features = FeatureMatrix.from_csv(dataset / "cumf.csv")
         labels = read_labels(dataset / "truth.tsv")
         train, test = split([n for n in labels if n in features],
@@ -269,13 +302,28 @@ class TestTrain:
             derive_seed(9, "balance")))
         assert len(keep) < len(train)
         hyper = TrainHyper(rate=0.2, epochs=5, minibatch=32, rng_seed=9)
-        params = train_model(features.rows_for(train), y_train, 2, "mlp", [6],
-                             hyper, balance=True)
+        params = train_mlp(features.rows_for(train)[keep], y_train[keep], [6],
+                           n_classes=2, hyper=hyper)
         probs = predict(params, features.rows_for(test))
         expected = "".join(
             name + "\t" + ",".join(f"{x:.17g}" for x in row) + "\n"
             for name, row in zip(test, probs))
         assert preds.read_text() == expected
+
+    @pytest.mark.parametrize("bad", ["repeat", "inf"])
+    def test_bad_feature_rows_exit_1(self, dataset, tmp_path, capsys, bad):
+        lines = (dataset / "cumf.csv").read_text().splitlines()
+        if bad == "repeat":
+            lines.append(lines[1])
+            message = f"cumf.csv:{len(lines)}: repeated node"
+        else:
+            lines[1] = lines[1].split(",")[0] + ",inf,0"
+            message = "cumf.csv:2: non-finite value"
+        cumf = tmp_path / "cumf.csv"
+        cumf.write_text("\n".join(lines) + "\n")
+        assert run(["train", "--features", str(cumf),
+                    "--labels", str(dataset / "truth.tsv")]) == 1
+        assert message in capsys.readouterr().err
 
     def test_malformed_hidden_exits_1(self, dataset, capsys):
         assert run(["train", "--features", str(dataset / "cumf.csv"),

@@ -278,13 +278,13 @@ class TestDirectedEdges:
     def test_out_and_in_neighbors(self, tmp_path):
         p = write_edges(tmp_path / "e.tsv", ["A\tB", "A\tC", "C\tA", "B\tB"])
         d = load_directed_edges(p)
-        a = d.index_of("A")
+        a = d.names.index("A")
         assert [d.names[i] for i in d.out_neighbors(a)] == ["B", "C"]
         assert [d.names[i] for i in d.in_neighbors(a)] == ["C"]
         # Self-loop dropped.
-        assert np.diff(d.out_indptr)[d.index_of("B")] == 0
+        assert np.diff(d.out_indptr)[d.names.index("B")] == 0
 
     def test_duplicates_collapse(self, tmp_path):
         p = write_edges(tmp_path / "e.tsv", ["A\tB", "A\tB"])
         d = load_directed_edges(p)
-        assert np.diff(d.out_indptr)[d.index_of("A")] == 1
+        assert np.diff(d.out_indptr)[d.names.index("A")] == 1

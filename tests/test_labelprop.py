@@ -545,6 +545,16 @@ class TestLabelIO:
         with pytest.raises(EdgeListParseError, match=r"vec\.tsv:2: "):
             read_node_vectors(path)
 
+    @pytest.mark.parametrize("second,message", [
+        ("a\t0.1,0.9", "repeated name 'a'"),
+        ("b\t0.5", "expected 2 values, got 1"),
+        ("b\t0.1,0.2,0.7", "expected 2 values, got 3")])
+    def test_node_vector_rows_must_agree(self, tmp_path, second, message):
+        path = tmp_path / "vec.tsv"
+        path.write_text(f"a\t0.4,0.6\n\n{second}\n")
+        with pytest.raises(EdgeListParseError, match=rf"vec\.tsv:3: {message}"):
+            read_node_vectors(path)
+
     def test_out_of_range_binary_value(self, tmp_path):
         g = path_graph(["a", "b"])
         seed_file = tmp_path / "seeds.tsv"
@@ -568,6 +578,22 @@ class TestLabelIO:
         parsed = read_node_vectors(out)
         assert parsed["a"][0] == 1 / 3  # 17 digits round-trip exactly
 
+    @pytest.mark.parametrize("emit_inactive", [False, True])
+    @pytest.mark.parametrize("channels", [1, 7])
+    def test_bytes_equal_reference_writer(self, tmp_path, rng, channels,
+                                          emit_inactive):
+        g, _ = random_graph(rng, 30, 0.06)
+        values = rng.random((30, channels))
+        values[0] = -0.0
+        active = rng.random(30) < 0.6
+        active[:2] = True
+        state = LabelState(np.where(active[:, None], values, 0.0),
+                           np.arange(30) < 2, active)
+        want, got = tmp_path / "want.tsv", tmp_path / "got.tsv"
+        reference_label_state(want, g, state, emit_inactive)
+        write_label_state(got, g, state, emit_inactive=emit_inactive)
+        assert got.read_bytes() == want.read_bytes()
+
     def test_multichannel_output_format(self, tmp_path):
         g = path_graph(["a", "b"])
         state = LabelState(np.array([[0.25, 0.75], [0.0, 0.0]]),
@@ -575,3 +601,17 @@ class TestLabelIO:
         out = tmp_path / "out.tsv"
         write_label_state(out, g, state)
         assert out.read_text() == "a\t0.25,0.75\n"
+
+
+def reference_label_state(path, g, state, emit_inactive):
+    """The per-node ``write_label_state`` loop that ``write_node_vectors``
+    replaced, kept as the byte reference."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for v in range(state.node_count):
+            if state.is_active[v]:
+                row = ",".join(f"{x:.17g}" for x in state.values[v])
+            elif emit_inactive:
+                row = ",".join(["nan"] * state.num_classes)
+            else:
+                continue
+            fh.write(f"{g.names[v]}\t{row}\n")

@@ -32,6 +32,17 @@ class TestFeatureMatrix:
         assert back.nodes == fm.nodes and back.columns == fm.columns
         assert np.array_equal(back.values, fm.values)
 
+    @pytest.mark.parametrize("rows,message", [
+        ("a,1,2\nb,inf,0\n", r"f\.csv:3: non-finite value"),
+        ("a,1,2\nb,0,nan\n", r"f\.csv:3: non-finite value"),
+        ("a,1,2\n\nb,0,1\na,3,4\n", r"f\.csv:5: repeated node")])
+    def test_csv_rejects_bad_rows_with_path_and_line(self, tmp_path, rows,
+                                                      message):
+        path = tmp_path / "f.csv"
+        path.write_text("node,x,y\n" + rows)
+        with pytest.raises(ValidationError, match=message):
+            FeatureMatrix.from_csv(path)
+
     def test_csv_requires_node_header(self, tmp_path):
         path = tmp_path / "f.csv"
         path.write_text("id,x\na,1\n")
@@ -324,6 +335,11 @@ class TestMetrics:
         probs = np.array([[0.1, 0.9], [0.5, 0.5], [bad, 0.0]])
         with pytest.raises(ValidationError, match="1 of 3 prediction rows"):
             evaluate(probs, np.array([1, 0, 0]))
+
+    @pytest.mark.parametrize("truth", [[0, 2], [-1, 1]])
+    def test_truth_outside_prediction_width_rejected(self, truth):
+        with pytest.raises(ValidationError, match=r"\[0, 2\)"):
+            evaluate(np.array([0.9, 0.2]), np.array(truth))
 
     def test_cross_entropy_clamped(self):
         metrics = evaluate(np.array([[1.0, 0.0]]), np.array([1]))

@@ -260,7 +260,17 @@ class TestPipelineConfig:
         ("split", "foo", "unknown split mode 'foo'"),
         ("emb_mode", "foo", "unknown embedding mode 'foo'"),
         ("task", "foo", "unknown task 'foo'"),
-        ("train_frac", "1.5", "train fraction")])
+        ("train_frac", "1.5", "train fraction"),
+        ("epochs", "0", "epochs must be >= 1"),
+        ("minibatch", "0", "minibatch must be >= 1"),
+        ("rate", "0", "rate must be positive"),
+        ("l2", "-1", "l2 must be >= 0"),
+        ("lp_splits", "1", "'lp_splits' must be >= 2"),
+        ("lp_alpha", "2", "lp_alpha.*alpha must lie in"),
+        ("lp_iters", "0", "lp_iters.*iterations must be >= 1"),
+        ("hidden", "0", "bad hidden layer sizes"),
+        ("hidden", "", "bad hidden layer sizes"),
+        ("min_degree", "-1", "'min_degree' must be >= 0")])
     def test_bad_setting_fails_before_ingest(self, tmp_path, monkeypatch,
                                              key, raw, message):
         edges = tmp_path / "e.tsv"
@@ -270,8 +280,10 @@ class TestPipelineConfig:
         loads = []
         monkeypatch.setattr(pipeline_module, "load_edge_list",
                             lambda *a, **k: loads.append(a))
+        # Every setting applies: lp and emb both run, with an MLP.
+        settings = {"regimes": "emb+lp", "model": "mlp", key: raw}
         cfg = PipelineConfig.from_settings(edges=str(edges), labels=str(labels),
-                                           regimes="emb", **{key: raw})
+                                           **settings)
         with pytest.raises(ConfigError, match=message):
             run_pipeline(cfg)
         assert loads == []

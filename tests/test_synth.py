@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -99,6 +101,16 @@ class TestOutputsOnDisk:
         assert all(seeds[name] == truth[name] for name in seeds)
         assert g.node_count <= data.node_count  # isolated nodes not in edges
 
+    @pytest.mark.parametrize("classes", [2, 7])
+    def test_cumf_bytes_equal_reference_writer(self, tmp_path, classes):
+        data = generate(PlantedGraphSpec(per_class=15, classes=classes,
+                                         p=0.2, q=0.02, reveal=0.3,
+                                         noise=0.8, rng_seed=classes))
+        paths = write_outputs(data, tmp_path)
+        want = tmp_path / "want.csv"
+        reference_cumf_csv(data, want)
+        assert paths["cumf"].read_bytes() == want.read_bytes()
+
     def test_homophily_sanity_bar(self, tmp_path):
         # p >> q with a healthy reveal: propagation must separate the
         # hidden labels decisively (AUC >= 0.9).
@@ -117,3 +129,13 @@ class TestOutputsOnDisk:
         scores = out.values[hidden, 0]
         labels = np.array([truth[g.names[i]] for i in np.flatnonzero(hidden)])
         assert auc_rank(scores, labels) >= 0.9
+
+
+def reference_cumf_csv(data, path):
+    """The dedicated cumf writer that ``FeatureMatrix.to_csv`` replaced in
+    ``write_outputs``, kept as the byte reference."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node"] + [f"cumf_{c}" for c in range(data.features.shape[1])])
+        for name, row in zip(data.names, data.features):
+            writer.writerow([name] + [f"{x:.17g}" for x in row])
