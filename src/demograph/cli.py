@@ -309,6 +309,11 @@ def _cmd_eval(args):
     if not common:
         raise ConfigError("no prediction matches a labeled node")
     probs = np.stack([predictions[n] for n in common])
+    classes = task_classes(args.task)
+    if probs.shape[1] not in (1, classes):
+        raise ValidationError(
+            f"{args.predictions}: {probs.shape[1]} columns per prediction, "
+            f"but task {args.task} takes 1 or {classes}")
     truth = np.array([labels[n] for n in common])
     _emit_metrics({**evaluate(probs, truth), "n_eval": len(common)},
                   args.metrics_out)

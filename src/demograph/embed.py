@@ -9,7 +9,8 @@ count threshold can still get a vector afterwards by averaging their
 embedded graph neighbors (one round, no transitive fill).
 
 Training is single-threaded and fully seeded: a fixed seed gives a
-bit-identical table.
+bit-identical table.  It updates the weights once per ``BATCH`` examples,
+with the negatives of a batch drawn in one call.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "TrainConfig",
     "build_sentences",
     "fill_missing_embeddings",
-    "log_sigmoid",
     "pair_gradients",
     "pair_objective",
     "read_corpus",
@@ -38,6 +38,9 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+# Examples per SGD step of ``train_embeddings``.
+BATCH = 256
 
 
 @dataclass
@@ -119,31 +122,36 @@ class EmbeddingTable:
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
+        """Reads ``save``'s format; a ``0 <dim>`` header is an empty table.
+        A bad header or row, a repeated token or a non-finite component
+        raises ``ValidationError`` naming ``path:line``."""
         with open(path, encoding="utf-8") as fh:
             header = fh.readline().split()
             try:
                 count, dim = (int(x) for x in header)
+                if count < 0 or dim < 1:
+                    raise ValueError("count < 0 or dim < 1")
             except ValueError as exc:
                 raise ValidationError(
                     f"{path}:1: bad embedding header {header!r}") from exc
-            tokens, rows = [], []
+            rows: dict[str, list[float]] = {}
             for line_no, line in enumerate(fh, start=2):
-                parts = line.rstrip("\n").split(" ")
-                if len(parts) != dim + 1:
-                    raise ValidationError(
-                        f"{path}:{line_no}: expected {dim} components "
-                        f"for {parts[0]!r}")
+                token, *values = line.rstrip("\n").split(" ")
+                where = f"{path}:{line_no}: {token!r}:"
+                if len(values) != dim:
+                    raise ValidationError(f"{where} expected {dim} components")
+                if token in rows:
+                    raise ValidationError(f"{where} repeated token")
                 try:
-                    rows.append([float(x) for x in parts[1:]])
+                    rows[token] = [float(x) for x in values]
                 except ValueError as exc:
-                    raise ValidationError(
-                        f"{path}:{line_no}: bad component for "
-                        f"{parts[0]!r}") from exc
-                tokens.append(parts[0])
-        if len(tokens) != count:
+                    raise ValidationError(f"{where} bad component") from exc
+                if not np.isfinite(rows[token]).all():
+                    raise ValidationError(f"{where} non-finite component")
+        if len(rows) != count:
             raise ValidationError(f"{path}: header says {count} tokens, "
-                                  f"found {len(tokens)}")
-        return cls(tokens, np.asarray(rows, dtype=np.float64))
+                                  f"found {len(rows)}")
+        return cls(list(rows), np.reshape(list(rows.values()), (count, dim)))
 
 
 def build_sentences(edges: DirectedEdges, rng_seed: int,
@@ -175,13 +183,8 @@ def write_corpus(sentences: list[list[str]], path) -> None:
 
 
 def read_corpus(path) -> list[list[str]]:
-    sentences = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            tokens = line.split()
-            if tokens:
-                sentences.append(tokens)
-    return sentences
+        return [tokens for tokens in map(str.split, fh) if tokens]
 
 
 def sigmoid(x):
@@ -191,32 +194,29 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def log_sigmoid(x):
-    x = np.asarray(x, dtype=np.float64)
-    return np.where(x >= 0, -np.log1p(np.exp(-np.abs(x))),
-                    x - np.log1p(np.exp(-np.abs(x))))
-
-
 def pair_objective(center: np.ndarray, outputs: np.ndarray,
                    labels: np.ndarray) -> float:
     """Negative-sampling log likelihood of one training pair.
 
     ``outputs`` stacks the positive target and the negative samples as
     rows; ``labels`` is 1 for the positive row, 0 for negatives.  The
-    value is ``log s(c.u_pos) + sum log s(-c.u_neg)``.
+    value is ``log s(c.u_pos) + sum log s(-c.u_neg)``, where
+    ``log s(x) = -log(1 + exp(-x))``.
     """
     scores = outputs @ center
     signs = np.where(labels > 0, 1.0, -1.0)
-    return float(log_sigmoid(signs * scores).sum())
+    return float(-np.logaddexp(0.0, -signs * scores).sum())
 
 
 def pair_gradients(center: np.ndarray, outputs: np.ndarray,
                    labels: np.ndarray):
-    """Ascent gradients of ``pair_objective`` w.r.t. center and outputs."""
-    scores = outputs @ center
+    """Ascent gradients of ``pair_objective`` w.r.t. center and outputs,
+    for one pair or a stack of them (``(..., d)`` and ``(..., k, d)``; each
+    stacked product equals the unstacked one bit for bit)."""
+    scores = (outputs @ center[..., None])[..., 0]
     coef = labels - sigmoid(scores)
-    grad_center = outputs.T @ coef
-    grad_outputs = coef[:, None] * center
+    grad_center = (coef[..., None, :] @ outputs)[..., 0, :]
+    grad_outputs = coef[..., None] * center[..., None, :]
     return grad_center, grad_outputs
 
 
@@ -237,52 +237,65 @@ class _Vocabulary:
         noise = self.counts ** 0.75
         self.noise_cdf = np.cumsum(noise / noise.sum())
 
-    def sample_negatives(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        draws = np.searchsorted(self.noise_cdf, rng.random(k), side="right")
-        return np.minimum(draws, len(self.tokens) - 1)
-
-    def encode(self, sentences: list[list[str]]) -> list[np.ndarray]:
-        encoded = []
-        for s in sentences:
-            ids = [self.index[t] for t in s if t in self.index]
-            if len(ids) >= 2:
-                encoded.append(np.asarray(ids, dtype=np.int64))
-        return encoded
+    def encode(self, sentences: list[list[str]]):
+        """Token ids of the sentences that keep >= 2 vocabulary tokens, as
+        (flat ids, sentence lengths)."""
+        encoded = [[self.index[t] for t in s if t in self.index]
+                   for s in sentences]
+        encoded = [ids for ids in encoded if len(ids) >= 2]
+        return (np.array([t for ids in encoded for t in ids], dtype=np.int64),
+                np.array([len(ids) for ids in encoded], dtype=np.int64))
 
 
-def _examples(s: np.ndarray, offsets: np.ndarray, cbow: bool):
-    """The training examples of one sentence in loop order (center
-    position, then context position), as (flat input ids, inputs per
-    example, target ids).
+def _by_width(widths: np.ndarray):
+    """For examples that own ``widths[e]`` consecutive rows of a flat
+    array: (examples, ``(n, width)`` row positions, width) per width."""
+    starts = np.cumsum(widths) - widths
+    for width in np.unique(widths):
+        sel = np.flatnonzero(widths == width)
+        yield sel, starts[sel, None] + np.arange(width), width
 
-    A skip-gram example is one (center, context token) pair; a CBOW example
-    is one position, with its context block as inputs and its token as the
-    target.  Every position has context, since sentences hold >= 2 tokens.
-    """
-    positions = np.arange(len(s))
-    context = positions[:, None] + offsets
-    inside = (context >= 0) & (context < len(s))
-    if cbow:
-        return s[context[inside]], inside.sum(axis=1), s
-    centers = np.broadcast_to(positions[:, None], context.shape)[inside]
-    return s[centers], np.ones(len(centers), dtype=np.int64), s[context[inside]]
+
+def _update(w_in, w_out, inputs, counts, targets, rates, negatives):
+    """One SGD step over a batch of examples (see ``train_embeddings``).
+    Grouping examples by row count, not padding them, keeps each stacked
+    sum and product equal to the per-example one bit for bit."""
+    outputs = np.column_stack([targets, negatives])
+    used = outputs != targets[:, None]
+    used[:, 0] = True
+    widths = used.sum(axis=1)
+    outputs = outputs[used]
+    h = np.empty((len(targets), w_in.shape[1]))
+    for sel, rows, width in _by_width(counts):
+        h[sel] = w_in[inputs[rows]].sum(axis=1) / width
+    grad_h, grad_out = np.empty_like(h), np.empty((len(outputs), h.shape[1]))
+    for sel, rows, width in _by_width(widths):
+        grad_h[sel], grad_out[rows] = pair_gradients(
+            h[sel], w_out[outputs[rows]], np.arange(width) == 0)
+    # np.add.at adds repeated ids one after another.
+    np.add.at(w_out, outputs, np.repeat(rates, widths)[:, None] * grad_out)
+    np.add.at(w_in, inputs, np.repeat(rates[:, None] * grad_h / counts[:, None],
+                                      counts, axis=0))
 
 
 def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingTable:
-    """Train input-side vectors with stochastic gradient ascent.
+    """Train input-side vectors with minibatched stochastic gradient ascent.
 
-    Both modes run the same update: the hidden vector is the mean of the
-    example's input rows (the center alone for skip-gram), and its gradient
-    is shared out evenly among them.  The learning rate decays with the
-    number of (center, context) pairs seen, counting one per skip-gram
-    example and one per context token of a CBOW example.
+    An example is a (center, context token) pair for skip-gram, or a
+    position with its context block as inputs for CBOW; its hidden vector
+    is the mean of its input rows, whose gradient is shared out evenly
+    among them.  Each epoch takes the examples in order (sentence, center
+    position, context position) in batches of ``BATCH`` that cross
+    sentence boundaries.  Every example of a batch reads the weights as
+    they stood at the batch start, and the batch's updates are then added
+    in example order, so ``BATCH = 1`` is per-example SGD.  The learning
+    rate decays with the (center, context) pairs seen before the example.
 
-    RNG consumption order (relevant for reproducing a run by hand): the
-    input matrix is initialized with one uniform draw, then subsampling
-    draws if enabled, then ``cfg.negatives`` draws per training example,
-    taken for one sentence at a time in one call (the same stream as one
-    call per example).  Negative samples that hit the positive target are
-    skipped, not redrawn.
+    RNG consumption order: one uniform draw initializes the input matrix,
+    then come the subsampling draws if enabled, then ``cfg.negatives``
+    draws per example, in one call per batch (the same stream as one call
+    per example).  Negatives that hit the positive target are skipped,
+    not redrawn.
     """
     cfg.validate()
     if not sentences:
@@ -293,67 +306,54 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
     w_in = (rng.random((size, cfg.dim)) - 0.5) / cfg.dim
     w_out = np.zeros((size, cfg.dim))
 
-    encoded = vocab.encode(sentences)
+    tokens, lengths = vocab.encode(sentences)
     if cfg.subsample > 0:
-        encoded = _subsample(encoded, vocab, cfg.subsample, rng)
-    window = cfg.effective_window
-    # A sentence of length L has 2 * sum_i min(i, window) pairs, which is
-    # near * (near + 1) + 2 * (L - 1 - near) * window, near = min(L - 1, window).
-    lengths = np.array([len(s) for s in encoded], dtype=np.int64)
-    near = np.minimum(lengths - 1, window)
-    per_epoch = int((near * (near + 1) + 2 * (lengths - 1 - near) * window).sum())
+        tokens, lengths = _subsample(tokens, lengths, vocab, cfg.subsample, rng)
+    # O(corpus tokens) arrays per position: first context position, context
+    # size, pairs before it.  A batch of examples [e0, e1) holds pairs
+    # [e0, e1) for skip-gram and the pairs of positions [e0, e1) for CBOW.
+    end = np.repeat(np.cumsum(lengths), lengths)
+    position, window = np.arange(len(tokens)), cfg.effective_window
+    lo = np.maximum(end - np.repeat(lengths, lengths), position - window)
+    context = np.minimum(end, position + window + 1) - lo - 1
+    first_pair = np.concatenate([[0], np.cumsum(context)])
+    per_epoch = int(first_pair[-1])
     total_pairs = max(1, cfg.epochs * per_epoch)
-    offsets = np.r_[-window:0, 1:window + 1]
-    floor = cfg.rate * 1e-4
-    seen = 0
-    for _epoch in range(cfg.epochs):
-        for s in encoded:
-            inputs, counts, targets = _examples(s, offsets, cfg.mode == "cbow")
-            in_ends = np.cumsum(counts)
-            in_starts = in_ends - counts
-            rates = np.maximum(
-                floor, cfg.rate * (1.0 - (seen + in_starts) / total_pairs))
-            seen += int(in_ends[-1])
-            # Output rows per example: the target, then the negatives that
-            # miss it; labels mark each example's first row.
-            negatives = vocab.sample_negatives(len(targets) * cfg.negatives, rng)
-            outputs = np.column_stack([targets, negatives.reshape(len(targets), -1)])
-            used = outputs != targets[:, None]
-            used[:, 0] = True
-            out_counts = used.sum(axis=1)
-            out_ends = np.cumsum(out_counts)
-            out_starts = out_ends - out_counts
-            outputs = outputs[used]
-            labels = np.zeros(len(outputs))
-            labels[out_starts] = 1.0
-            for lr, i0, i1, o0, o1 in zip(
-                    rates.tolist(), in_starts.tolist(), in_ends.tolist(),
-                    out_starts.tolist(), out_ends.tolist()):
-                ids = inputs[i0:i1]
-                count = i1 - i0
-                out = outputs[o0:o1]
-                h = w_in[ids].sum(axis=0) / count
-                grad_h, grad_out = pair_gradients(h, w_out[out], labels[o0:o1])
-                # np.add.at handles repeated ids correctly.
-                np.add.at(w_out, out, lr * grad_out)
-                np.add.at(w_in, ids, lr * grad_h / count)
+    cbow = cfg.mode == "cbow"
+    examples = len(tokens) if cbow else per_epoch
+    for epoch in range(cfg.epochs):
+        for e0 in range(0, examples, BATCH):
+            e1 = min(e0 + BATCH, examples)
+            pair = np.arange(*(first_pair[[e0, e1]] if cbow else (e0, e1)))
+            center = np.searchsorted(first_pair, pair, side="right") - 1
+            other = lo[center] + pair - first_pair[center]
+            other += other >= center
+            inputs, targets, counts, first = (
+                tokens[center], tokens[other], np.ones_like(pair), pair)
+            if cbow:
+                inputs, targets = targets, tokens[e0:e1]
+                counts, first = context[e0:e1], first_pair[e0:e1]
+            rates = np.maximum(cfg.rate * 1e-4, cfg.rate * (
+                1.0 - (epoch * per_epoch + first) / total_pairs))
+            draws = rng.random((len(targets), cfg.negatives))
+            negatives = np.minimum(size - 1, np.searchsorted(
+                vocab.noise_cdf, draws, side="right"))
+            _update(w_in, w_out, inputs, counts, targets, rates, negatives)
     logger.info("trained %d vectors (dim %d) over %d pairs",
-                size, cfg.dim, seen)
+                size, cfg.dim, cfg.epochs * per_epoch)
     return EmbeddingTable(list(vocab.tokens), w_in)
 
 
-def _subsample(encoded: list[np.ndarray], vocab: _Vocabulary,
+def _subsample(tokens: np.ndarray, lengths: np.ndarray, vocab: _Vocabulary,
                threshold: float, rng: np.random.Generator):
-    total = vocab.counts.sum()
-    freq = vocab.counts / total
+    """Drops frequent tokens, one draw each, then sentences left short."""
+    freq = vocab.counts / vocab.counts.sum()
     keep = np.minimum(1.0, np.sqrt(threshold / freq) + threshold / freq)
-    out = []
-    for s in encoded:
-        mask = rng.random(len(s)) < keep[s]
-        trimmed = s[mask]
-        if len(trimmed) >= 2:
-            out.append(trimmed)
-    return out
+    mask = rng.random(len(tokens)) < keep[tokens]
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    kept = np.bincount(sentence[mask], minlength=len(lengths))
+    mask &= (kept >= 2)[sentence]
+    return tokens[mask], kept[kept >= 2]
 
 
 def fill_missing_embeddings(g: Graph, table: EmbeddingTable) -> EmbeddingTable:

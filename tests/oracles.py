@@ -299,9 +299,15 @@ def two_branch_sigmoid(x) -> np.ndarray:
 
 def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
                        window: int, negatives: int, rate: float, epochs: int,
-                       min_count: int, subsample: float, rng_seed: int):
+                       min_count: int, subsample: float, rng_seed: int,
+                       batch: int = 1):
     """Per-pair SGNS trainer: one update per skip-gram pair or CBOW
     position, ``negatives`` draws each, in the package's RNG order.
+
+    With ``batch > 1`` every example reads copies of the weights taken at
+    the start of its batch of ``batch`` consecutive examples (batches
+    restart each epoch), while its updates still go to the live weights
+    in example order.
 
     Returns (tokens, input vectors, pairs seen).
     """
@@ -328,6 +334,16 @@ def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
         trimmed = [s[rng.random(len(s)) < keep[s]] for s in encoded]
         encoded = [s for s in trimmed if len(s) >= 2]
 
+    read_in, read_out = w_in, w_out
+
+    def start_example():
+        """Takes the batch-start copies before the first example of a
+        batch; at ``batch == 1`` examples read the live weights."""
+        nonlocal read_in, read_out, examples
+        if batch > 1 and examples % batch == 0:
+            read_in, read_out = w_in.copy(), w_out.copy()
+        examples += 1
+
     def step(h: np.ndarray, target: int, lr: float) -> np.ndarray:
         """Draws the negatives, updates their output rows and the target's,
         and returns the scaled ascent step for ``h``."""
@@ -337,7 +353,7 @@ def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
         ids = np.array([target] + negs, dtype=np.int64)
         labels = np.zeros(len(ids))
         labels[0] = 1.0
-        outputs = w_out[ids]
+        outputs = read_out[ids]
         coef = labels - two_branch_sigmoid(outputs @ h)
         np.add.at(w_out, ids, lr * np.outer(coef, h))
         return lr * (outputs.T @ coef)
@@ -350,6 +366,7 @@ def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
     floor = rate * 1e-4
     seen = 0
     for _epoch in range(epochs):
+        examples = 0
         for s in encoded:
             for i in range(len(s)):
                 lo, hi = max(0, i - window), min(len(s), i + window + 1)
@@ -359,13 +376,15 @@ def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
                 if mode == "skipgram":
                     center = int(s[i])
                     for target in context:
+                        start_example()
                         lr = max(floor, rate * (1.0 - seen / total_pairs))
                         seen += 1
-                        w_in[center] += step(w_in[center], target, lr)
+                        w_in[center] += step(read_in[center], target, lr)
                 else:
+                    start_example()
                     lr = max(floor, rate * (1.0 - seen / total_pairs))
                     seen += len(context)
                     ctx = np.asarray(context, dtype=np.int64)
-                    share = step(w_in[ctx].mean(axis=0), int(s[i]), lr) / len(ctx)
+                    share = step(read_in[ctx].mean(axis=0), int(s[i]), lr) / len(ctx)
                     np.add.at(w_in, ctx, np.broadcast_to(share, (len(ctx), dim)))
     return tokens, w_in, seen

@@ -154,6 +154,21 @@ class TestPropagateAndEval:
                     "--labels", str(ages / "truth.tsv"), "--task", "age"]) == 1
         assert "truth classes must lie in [0, 2)" in capsys.readouterr().err
 
+    def test_eval_rejects_width_unlike_task(self, dataset, tmp_path, capsys):
+        # Seven-column age scores against binary gender labels.
+        preds = tmp_path / "preds.tsv"
+        assert run(["propagate", "--graph", str(dataset / "edges.tsv"),
+                    "--seeds", str(dataset / "seeds.tsv"), "--classes", "7",
+                    "--out", str(preds)]) == 0
+        capsys.readouterr()
+        assert run(["eval", "--predictions", str(preds),
+                    "--labels", str(dataset / "truth.tsv"),
+                    "--task", "gender"]) == 1
+        captured = capsys.readouterr()
+        assert (f"{preds}: 7 columns per prediction, but task gender takes "
+                "1 or 2") in captured.err
+        assert captured.out == ""
+
     @pytest.mark.parametrize("extra,message", [
         ("u000000\t0.5\n", "repeated name 'u000000'"),
         ("zz\t0.2,0.8\n", "expected 1 values, got 2")])
@@ -229,6 +244,27 @@ class TestFeatureCommands:
                     "--embeddings", str(emb),
                     "--out", str(tmp_path / "filled.txt")]) == 1
         assert "emb.txt:2:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text,where", [
+        ("1 0\nn0\n", "emb.txt:1:"),
+        ("2 2\nn0 1 2\nn0 3 4\n", "emb.txt:3: 'n0': repeated token"),
+        ("1 2\nn0 nan 1\n", "emb.txt:2: 'n0': non-finite component")],
+        ids=["zero-dim", "repeated-token", "nan"])
+    def test_coldstart_rejects_bad_table(self, dataset, tmp_path, capsys,
+                                         text, where):
+        emb = tmp_path / "emb.txt"
+        emb.write_text(text)
+        assert run(["coldstart", "--graph", str(dataset / "edges.tsv"),
+                    "--embeddings", str(emb),
+                    "--out", str(tmp_path / "filled.txt")]) == 1
+        assert where in capsys.readouterr().err
+
+    def test_coldstart_empty_table_fills_nothing(self, dataset, tmp_path):
+        emb, filled = tmp_path / "emb.txt", tmp_path / "filled.txt"
+        emb.write_text("0 5\n")
+        assert run(["coldstart", "--graph", str(dataset / "edges.tsv"),
+                    "--embeddings", str(emb), "--out", str(filled)]) == 0
+        assert filled.read_text() == "0 5\n"
 
     def test_sentences_embed_coldstart_chain(self, dataset, tmp_path):
         corpus = tmp_path / "corpus.txt"

@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from demograph import embed
 from demograph.embed import (EmbeddingTable, TrainConfig, build_sentences,
                              fill_missing_embeddings, pair_gradients,
                              pair_objective, read_corpus, sigmoid,
@@ -127,9 +128,10 @@ class TestGradients:
             assert relative_error(grad_center, num_center) <= 1e-6
             assert relative_error(grad_out, num_out) <= 1e-6
 
-    def test_single_update_matches_hand_trace(self):
+    def test_single_update_matches_hand_trace(self, monkeypatch):
         """Replicates the documented RNG protocol and checks each SGD
         update against inline gradient formulas, not pair_gradients."""
+        monkeypatch.setattr(embed, "BATCH", 1)
         seed, dim, rate = 123, 4, 0.025
         cfg = TrainConfig(dim=dim, negatives=1, epochs=1, min_count=1,
                           rate=rate, rng_seed=seed)
@@ -179,11 +181,16 @@ class TestAgainstReference:
                 for _ in range(int(rng.integers(1, 12)))]
 
     @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
-    def test_matches_per_pair_trainer_bit_for_bit(self, mode, caplog):
+    def test_matches_per_pair_trainer_bit_for_bit(self, mode, caplog,
+                                                  monkeypatch):
+        """At batch 1 the reference is the per-example trainer; above it,
+        every example reads the weights of its batch start."""
         caplog.set_level(logging.INFO, logger="demograph.embed")
         checked = 0
-        for seed, window, subsample, negatives, min_count in itertools.product(
-                range(5), (None, 1, 3), (0.0, 0.05), (1, 5), (1, 2)):
+        for batch, seed, window, subsample, negatives, min_count in (
+                itertools.product((1, 2, 7, 64), range(5), (None, 1, 3),
+                                  (0.0, 0.05), (1, 5), (1, 2))):
+            monkeypatch.setattr(embed, "BATCH", batch)
             sentences = self.corpus(seed)
             cfg = TrainConfig(mode=mode, dim=5, window=window,
                               negatives=negatives, epochs=2,
@@ -196,12 +203,12 @@ class TestAgainstReference:
                 continue
             tokens, vectors, seen = reference_word2vec(
                 sentences, mode, cfg.dim, cfg.effective_window, negatives,
-                cfg.rate, cfg.epochs, min_count, subsample, seed)
+                cfg.rate, cfg.epochs, min_count, subsample, seed, batch)
             assert table.tokens == tokens
-            assert np.array_equal(table.vectors, vectors)
+            assert np.array_equal(table.vectors, vectors), (batch, cfg)
             assert caplog.records[-1].args[-1] == seen
             checked += 1
-        assert checked >= 100
+        assert checked >= 400
 
 
 def test_sigmoid_matches_two_branch_formula(rng):
@@ -326,3 +333,33 @@ class TestTableIO:
         path.write_text("2 3\na 1 2 3\nb 4 5\n")
         with pytest.raises(ValidationError, match=r"emb\.txt:3: "):
             EmbeddingTable.load(path)
+
+    @pytest.mark.parametrize("header", ["1 0", "0 0", "-1 3"])
+    def test_bad_header_size_names_path_and_line(self, tmp_path, header):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"{header}\na\n")
+        with pytest.raises(ValidationError, match=r"emb\.txt:1: "):
+            EmbeddingTable.load(path)
+
+    def test_repeated_token_names_path_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\na 1 2\na 3 4\n")
+        with pytest.raises(ValidationError,
+                           match=r"emb\.txt:3: 'a': repeated token"):
+            EmbeddingTable.load(path)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_component_names_path_and_line(self, tmp_path, value):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"2 2\na 1 2\nb {value} 4\n")
+        with pytest.raises(ValidationError,
+                           match=r"emb\.txt:3: 'b': non-finite component"):
+            EmbeddingTable.load(path)
+
+    def test_empty_table_round_trip(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("0 5\n")
+        table = EmbeddingTable.load(path)
+        assert len(table) == 0 and table.vectors.shape == (0, 5)
+        table.save(tmp_path / "again.txt")
+        assert (tmp_path / "again.txt").read_text() == "0 5\n"
