@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .graph import DirectedEdges, Graph
+from .graph import DirectedEdges, Graph, _open_text
 
 __all__ = [
     "EmbeddingTable",
@@ -123,9 +123,10 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         """Reads ``save``'s format; a ``0 <dim>`` header is an empty table.
-        A bad header or row, a repeated token or a non-finite component
-        raises ``ValidationError`` naming ``path:line``."""
-        with open(path, encoding="utf-8") as fh:
+        A bad header or row, an empty or repeated token, a non-finite
+        component or a byte that is not UTF-8 raises ``ValidationError``
+        naming ``path:line``."""
+        with _open_text(path) as fh:
             header = fh.readline().split()
             try:
                 count, dim = (int(x) for x in header)
@@ -140,6 +141,8 @@ class EmbeddingTable:
                 where = f"{path}:{line_no}: {token!r}:"
                 if len(values) != dim:
                     raise ValidationError(f"{where} expected {dim} components")
+                if not token:
+                    raise ValidationError(f"{where} empty token")
                 if token in rows:
                     raise ValidationError(f"{where} repeated token")
                 try:
@@ -183,7 +186,7 @@ def write_corpus(sentences: list[list[str]], path) -> None:
 
 
 def read_corpus(path) -> list[list[str]]:
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         return [tokens for tokens in map(str.split, fh) if tokens]
 
 

@@ -14,6 +14,7 @@ directed view that the undirected ``Graph`` deliberately discards.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -172,6 +173,21 @@ class DirectedEdges:
         return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
 
 
+@contextmanager
+def _open_text(path, newline=None):
+    """Open ``path`` as UTF-8 text; a byte that is not UTF-8 raises
+    ``ValidationError`` naming ``path:line``."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            yield fh
+    except UnicodeDecodeError as exc:
+        with open(path, "rb") as fh:  # bytes split at \n, \r and \r\n only
+            lines = fh.read().splitlines()
+        line = next(i for i, raw in enumerate(lines, start=1)
+                    if raw.decode("utf-8", "ignore").encode() != raw)
+        raise ValidationError(f"{path}:{line}: not UTF-8 text") from exc
+
+
 def _read_rows(path, width: int, sep: str | None = None):
     """Yield ``(line_no, tokens)`` for every line of a tab file (edges,
     seeds, labels, node vectors) that is not blank or a ``#`` comment.
@@ -179,7 +195,7 @@ def _read_rows(path, width: int, sep: str | None = None):
     Tokens are split on ``sep`` (any whitespace by default); a line with
     other than ``width`` tokens raises ``EdgeListParseError`` (``path:line``).
     """
-    with open(path, encoding="utf-8") as fh:
+    with _open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
             stripped = line.strip()
             if not stripped or stripped.startswith("#"):
@@ -191,11 +207,104 @@ def _read_rows(path, width: int, sep: str | None = None):
             yield line_no, tokens
 
 
+# Byte kinds of the array edge parse: 0 sends the file to the line reader,
+# 1 separates tokens, 2 ends a line, 3 is part of a token.
+_BYTE_KIND = np.zeros(256, np.uint8)
+_BYTE_KIND[0x21:0x7F] = 3
+_BYTE_KIND[[ord("\t"), ord(" "), ord("\n"), ord("#")]] = [1, 1, 2, 0]
+_BLOCK = 1 << 20
+_ONES = np.uint64(2**64 - 1)
+
+
+def _token_words(block: np.ndarray):
+    """The uint64 word columns of a block of whole lines: word ``j`` of a
+    token holds its bytes ``8j .. 8j+7``, zero-padded and big-endian, and
+    is 0 past its end.  ``None`` if the block declines the array parse."""
+    kind = _BYTE_KIND[block]
+    if not kind.all():
+        return None
+    is_token = np.zeros(len(block) + 2, np.int8)
+    is_token[1:-1] = kind == 3
+    bounds = np.flatnonzero(np.diff(is_token))
+    begin, size = bounds[0::2], bounds[1::2] - bounds[0::2]
+    line = np.searchsorted(np.flatnonzero(kind == 2), begin)
+    if (len(begin) % 2 or (line[0::2] != line[1::2]).any()
+            or (line[2::2] == line[1:-1:2]).any()):
+        return None
+    # words[i] is the big-endian word of bytes i .. i+7 of the block.
+    words = np.ndarray(len(block) + 1, ">u8",
+                       np.append(block, np.zeros(8, np.uint8)), strides=(1,))
+    cols = []
+    for j in range(0, size.max(initial=0), 8):
+        col = np.zeros(len(begin), np.uint64)
+        rows = np.flatnonzero(size > j)
+        keep = np.minimum(size[rows] - j, 8).astype(np.uint64)  # bytes left
+        col[rows] = words[begin[rows] + j] & (_ONES << 8 * (8 - keep))
+        cols.append(col)
+    return cols
+
+
+def _array_arcs(path):
+    """``_read_arcs`` by array operations, or ``None`` for a file with a
+    byte other than tab, space, newline and printable ASCII but ``#``, or
+    with a non-blank line of other than two tokens.  Only the token words
+    outlive each block of lines; a name longer than one word folds into
+    one integer key through dense ranks."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    blocks, start = [], 0
+    while start < len(data):
+        end = (len(data) if start + _BLOCK >= len(data)
+               else data.rfind(b"\n", start, start + _BLOCK) + 1)
+        if end <= start:
+            end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        cols = _token_words(np.frombuffer(data, np.uint8, end - start, start))
+        if cols is None:
+            return None
+        if cols:
+            blocks.append(cols)
+        start = end
+    del data
+    if not blocks:
+        return None
+    cols = [np.concatenate([b[j] if j < len(b) else np.zeros_like(b[0])
+                            for b in blocks])
+            for j in range(max(map(len, blocks)))]
+    del blocks
+    key = cols[0]
+    for col in cols[1:]:
+        levels, word = np.unique(col, return_inverse=True)
+        key = np.unique(key, return_inverse=True)[1] * len(levels) + word
+    # Renumber by first appearance: sort the keys, find each name's first
+    # token and give every token its name's rank.  Freeing the sorted keys
+    # only here, and the ids taking the spent keys' buffer, keep the heap
+    # from growing past the sort.
+    perm = key.argsort()
+    sorted_key = key[perm]
+    starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
+    first = np.minimum.reduceat(perm, starts)
+    order = np.argsort(first)
+    packed = np.stack([col[first[order]] for col in cols], axis=1)
+    rank = np.empty(len(order), np.int64)
+    rank[order] = np.arange(len(order))
+    del cols, sorted_key
+    group = np.repeat(rank, np.diff(starts, append=len(perm)))
+    arcs = key.view(np.int64)
+    arcs[perm] = group
+    del perm, group
+    names = packed.astype(">u8").view(f"S{8 * packed.shape[1]}").ravel()
+    return names.astype(str).tolist(), arcs.reshape(-1, 2)
+
+
 def _read_arcs(path) -> tuple[list[str], np.ndarray]:
     """Parse an edge-list file into names and an int64 ``(m, 2)`` arc array.
 
-    Names are numbered in order of first appearance, source first.
+    Names are numbered in order of first appearance, source first.  A file
+    that ``_array_arcs`` declines goes through the line reader.
     """
+    parsed = _array_arcs(path)
+    if parsed is not None:
+        return parsed
     index: dict[str, int] = {}
     ids = np.fromiter((index.setdefault(token, len(index))
                        for _, pair in _read_rows(path, 2) for token in pair),

@@ -18,6 +18,7 @@ import numpy as np
 
 from .embed import sigmoid
 from .errors import ConfigError, DivergenceError, ValidationError
+from .graph import _open_text
 
 __all__ = [
     "FeatureMatrix",
@@ -79,34 +80,76 @@ class FeatureMatrix:
     def from_csv(cls, path) -> "FeatureMatrix":
         """Read the ``to_csv`` format; a bad row (wrong width, a non-finite
         value, a repeated node) raises ``ValidationError`` at ``path:line``."""
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if not header or header[0] != "node":
-                raise ValidationError(f"{path}: first column must be 'node'")
-            columns = header[1:]
-            nodes, rows = [], []
-            line_of: dict[str, int] = {}
-            for lineno, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                if len(row) != len(header):
-                    raise ValidationError(
-                        f"{path}:{lineno}: expected {len(header)} fields")
-                if line_of.setdefault(row[0], lineno) != lineno:
-                    raise ValidationError(f"{path}:{lineno}: repeated node")
-                nodes.append(row[0])
-                try:
-                    rows.append([float(x) for x in row[1:]])
-                except ValueError as exc:
-                    raise ValidationError(f"{path}:{lineno}: bad number") from exc
-        values = (np.asarray(rows, dtype=np.float64) if rows
-                  else np.zeros((0, len(columns))))
-        bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
-        if bad.size:
-            raise ValidationError(
-                f"{path}:{line_of[nodes[bad[0]]]}: non-finite value")
-        return cls(nodes, columns, values)
+        return cls(*(_array_csv(path) or _read_csv_rows(path)))
+
+
+# Every byte but a quote and the control bytes other than tab, newline and
+# carriage return: csv.reader and np.loadtxt may read those apart (loadtxt
+# strips 0x1c-0x1f around a number, float() does not).
+_CSV_PLAIN = bytes(set(range(256)) - set(range(0x20)) - {ord('"')}) + b"\t\n\r"
+
+
+def _array_csv(path):
+    """``from_csv`` by ``np.loadtxt``, or ``None`` to leave the file to the
+    line reader: a byte outside ``_CSV_PLAIN``, a lone carriage return, a
+    byte that is not UTF-8, a row of other than the header's comma count,
+    a value ``loadtxt`` rejects, a repeated node or a non-finite value."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if (raw.translate(None, _CSV_PLAIN)
+            or raw.count(b"\r") != raw.count(b"\r\n")):
+        return None
+    try:
+        header, *lines = raw.replace(b"\r", b"").decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    header = header.split(",")
+    lines = [line for line in lines if line]
+    width = len(header)
+    if (header[0] != "node" or width < 2 or not lines
+            or any(line.count(",") != width - 1 for line in lines)):
+        return None
+    nodes = [line.partition(",")[0] for line in lines]
+    try:
+        values = np.loadtxt(lines, delimiter=",", usecols=range(1, width),
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if len(set(nodes)) != len(nodes) or not np.isfinite(values).all():
+        return None
+    return nodes, header[1:], values
+
+
+def _read_csv_rows(path):
+    """The line reader of ``from_csv``: ``csv.reader`` row by row."""
+    with _open_text(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if not header or header[0] != "node":
+            raise ValidationError(f"{path}: first column must be 'node'")
+        columns = header[1:]
+        nodes, rows = [], []
+        line_of: dict[str, int] = {}
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValidationError(
+                    f"{path}:{lineno}: expected {len(header)} fields")
+            if line_of.setdefault(row[0], lineno) != lineno:
+                raise ValidationError(f"{path}:{lineno}: repeated node")
+            nodes.append(row[0])
+            try:
+                rows.append([float(x) for x in row[1:]])
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{lineno}: bad number") from exc
+    values = (np.asarray(rows, dtype=np.float64) if rows
+              else np.zeros((0, len(columns))))
+    bad = np.flatnonzero(~np.isfinite(values).all(axis=1))
+    if bad.size:
+        raise ValidationError(
+            f"{path}:{line_of[nodes[bad[0]]]}: non-finite value")
+    return nodes, columns, values
 
 
 def join_features(blocks: dict[str, FeatureMatrix]) -> FeatureMatrix:
@@ -151,6 +194,20 @@ def fnv1a64(text: str) -> int:
     return h
 
 
+def _fnv1a64_all(names: list[str]) -> np.ndarray:
+    """``fnv1a64`` of every name as uint64, one byte column at a time over
+    the rows whose name is long enough."""
+    encoded = [name.encode("utf-8") for name in names]
+    sizes = np.array([len(b) for b in encoded], dtype=np.int64)
+    data = np.frombuffer(b"".join(encoded), np.uint8)
+    starts = np.cumsum(sizes) - sizes
+    h = np.full(len(names), _FNV_OFFSET, np.uint64)
+    for j in range(sizes.max(initial=0)):
+        rows = np.flatnonzero(sizes > j)
+        h[rows] = (h[rows] ^ data[starts[rows] + j]) * np.uint64(_FNV_PRIME)
+    return h
+
+
 @dataclass
 class SplitSpec:
     """How to carve labeled nodes into train and test sides.
@@ -185,7 +242,7 @@ def split(nodes: list[str], spec: SplitSpec) -> tuple[list[str], list[str]]:
         raise ValidationError("cannot split an empty node list")
     fraction = spec.resolved_fraction()
     if spec.mode == "hash":
-        is_train = [(fnv1a64(n) % 10000) / 10000.0 < fraction for n in nodes]
+        is_train = (_fnv1a64_all(nodes) % 10000) / 10000.0 < fraction
         train = [n for n, t in zip(nodes, is_train) if t]
         test = [n for n, t in zip(nodes, is_train) if not t]
         return train, test
@@ -224,8 +281,9 @@ class ModelParams:
     """Layer weights/biases plus the output head kind.
 
     ``output`` is "sigmoid" (one unit, binary) or "softmax" (one unit per
-    class).  ``loss_history`` records the full-dataset cross-entropy after
-    each training epoch.
+    class).  ``loss_history`` records each training epoch's loss: the mean
+    over its minibatches, weighted by batch size, of the cross-entropy
+    (plus L2) that each batch had before its step.
     """
 
     weights: list[np.ndarray]
@@ -275,20 +333,6 @@ def _target_matrix(params: ModelParams, y: np.ndarray) -> np.ndarray:
     return onehot
 
 
-def _loss(params: ModelParams, probs: np.ndarray, y: np.ndarray,
-          l2: float) -> float:
-    """Mean cross-entropy of the output ``probs`` plus L2 on weights."""
-    clamped = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
-    if params.output == "sigmoid":
-        target = _target_matrix(params, y)
-        ce = -np.mean(target * np.log(clamped)
-                      + (1.0 - target) * np.log(1.0 - clamped))
-    else:
-        ce = -np.mean(np.log(clamped[np.arange(len(y)), y]))
-    return float(ce + 0.5 * l2 * sum(float((w * w).sum())
-                                     for w in params.weights))
-
-
 def loss_and_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray,
                        l2: float = 0.0):
     """Mean cross-entropy (plus L2 on weights) and its exact gradients.
@@ -298,8 +342,16 @@ def loss_and_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray,
     layers.  Gradients are returned as (weight grads, bias grads) lists.
     """
     acts, probs = _forward(params, x)
-    loss = _loss(params, probs, y, l2)
-    delta = (probs - _target_matrix(params, y)) / len(x)
+    target = _target_matrix(params, y)
+    clamped = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
+    if params.output == "sigmoid":
+        ce = -np.mean(target * np.log(clamped)
+                      + (1.0 - target) * np.log(1.0 - clamped))
+    else:
+        ce = -np.mean(np.log(clamped[np.arange(len(y)), y]))
+    loss = float(ce + 0.5 * l2 * sum(float((w * w).sum())
+                                     for w in params.weights))
+    delta = (probs - target) / len(x)
     grads_w, grads_b = [], []
     for layer in range(len(params.weights) - 1, -1, -1):
         grads_w.append(acts[layer].T @ delta + l2 * params.weights[layer])
@@ -316,18 +368,22 @@ def _sgd(params: ModelParams, x: np.ndarray, y: np.ndarray,
     n = len(x)
     for epoch in range(1, hyper.epochs + 1):
         order = rng.permutation(n)
+        total = 0.0
         for start in range(0, n, hyper.minibatch):
             batch = order[start:start + hyper.minibatch]
-            _, grads_w, grads_b = loss_and_gradients(
+            loss, grads_w, grads_b = loss_and_gradients(
                 params, x[batch], y[batch], hyper.l2)
+            if not np.isfinite(loss):
+                raise DivergenceError(epoch, loss)
+            total += loss * len(batch)
             for w, b, gw, gb in zip(params.weights, params.biases,
                                     grads_w, grads_b):
                 w -= hyper.rate * gw
                 b -= hyper.rate * gb
-        epoch_loss = _loss(params, _forward(params, x)[1], y, hyper.l2)
-        if not np.isfinite(epoch_loss):
-            raise DivergenceError(epoch, epoch_loss)
-        params.loss_history.append(epoch_loss)
+        if not all(np.isfinite(a).all()
+                   for a in params.weights + params.biases):
+            raise DivergenceError(epoch, math.nan)
+        params.loss_history.append(total / n)
     return params
 
 

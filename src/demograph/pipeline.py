@@ -18,7 +18,8 @@ import numpy as np
 
 from . import embed, lpfeatures
 from .errors import ConfigError, EdgeListParseError, ValidationError
-from .graph import Graph, _read_rows, load_directed_edges, load_edge_list
+from .graph import (Graph, _open_text, _read_rows, load_directed_edges,
+                    load_edge_list)
 from .labelprop import (NUM_AGE_BUCKETS, LabelState, PropagationConfig,
                         class_label, propagate_trace)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, auc_rank,
@@ -257,7 +258,7 @@ class PipelineConfig:
     def from_file(cls, path, overrides: dict[str, str] | None = None
                   ) -> "PipelineConfig":
         settings = dict(_CONFIG_DEFAULTS)
-        with open(path, encoding="utf-8") as fh:
+        with _open_text(path) as fh:
             for line_no, line in enumerate(fh, start=1):
                 stripped = line.strip()
                 if not stripped or stripped.startswith("#"):

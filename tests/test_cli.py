@@ -214,6 +214,38 @@ class TestPropagateAndEval:
         assert lines["x"] == "nan" and lines["y"] == "nan"
 
 
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 exits 1 with ``path:line``, never 2."""
+
+    BAD = b"a\tb\n\xff\xfe\tc\n"
+
+    @pytest.mark.parametrize("flag", ["--graph", "--seeds"])
+    def test_propagate(self, dataset, tmp_path, capsys, flag):
+        paths = {"--graph": str(dataset / "edges.tsv"),
+                 "--seeds": str(dataset / "seeds.tsv")}
+        paths[flag] = str(tmp_path / "bad.tsv")
+        (tmp_path / "bad.tsv").write_bytes(self.BAD)
+        assert run(["propagate", *(x for kv in paths.items() for x in kv),
+                    "--out", str(tmp_path / "o.tsv")]) == 1
+        assert "bad.tsv:2: not UTF-8 text" in capsys.readouterr().err
+
+    def test_train_features(self, dataset, tmp_path, capsys):
+        features = tmp_path / "bad.csv"
+        features.write_bytes(b"node,x\r\nn0,1\r\n\xffn1,2\r\n")
+        assert run(["train", "--features", str(features),
+                    "--labels", str(dataset / "truth.tsv"),
+                    "--model", "lr"]) == 1
+        assert "bad.csv:3: not UTF-8 text" in capsys.readouterr().err
+
+    def test_coldstart_embeddings(self, dataset, tmp_path, capsys):
+        emb = tmp_path / "bad.txt"
+        emb.write_bytes(b"1 2\n\xff 1 2\n")
+        assert run(["coldstart", "--graph", str(dataset / "edges.tsv"),
+                    "--embeddings", str(emb),
+                    "--out", str(tmp_path / "filled.txt")]) == 1
+        assert "bad.txt:2: not UTF-8 text" in capsys.readouterr().err
+
+
 class TestFeatureCommands:
     def test_lp_features_csv(self, dataset, tmp_path):
         out = tmp_path / "lp.csv"

@@ -356,6 +356,20 @@ class TestTableIO:
                            match=r"emb\.txt:3: 'b': non-finite component"):
             EmbeddingTable.load(path)
 
+    def test_empty_token_names_path_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("1 2\n 1 2\n")
+        with pytest.raises(ValidationError,
+                           match=r"emb\.txt:2: '': empty token"):
+            EmbeddingTable.load(path)
+
+    def test_non_utf8_names_path_and_line(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"2 1\na 1\r\n\xff 2\n")
+        with pytest.raises(ValidationError,
+                           match=r"emb\.txt:3: not UTF-8 text"):
+            EmbeddingTable.load(path)
+
     def test_empty_table_round_trip(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("0 5\n")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from demograph.errors import (EdgeListParseError, EmptyGraphError,
                               ValidationError)
+from demograph import graph
 from demograph.graph import (Graph, load_directed_edges, load_edge_list,
                              write_edge_list, write_node_map)
 
@@ -288,3 +291,96 @@ class TestDirectedEdges:
         p = write_edges(tmp_path / "e.tsv", ["A\tB", "A\tB"])
         d = load_directed_edges(p)
         assert np.diff(d.out_indptr)[d.names.index("A")] == 1
+
+
+# Raw edge files for the array parse: lines of clean ASCII names (some
+# longer than 8 and 16 bytes) between tabs and spaces, blank lines, an
+# optional missing final newline, and at most one line the parse must
+# decline: a comment, an odd token count, a non-ASCII or control byte, a
+# carriage return or a byte that is not UTF-8.
+_CLEAN = st.sampled_from(["a", "b", "u07", "abcdefgh", "abcdefghX",
+                          "abcdefghabcdefghY", "zyxwvutsrqponmlkjihgfedcba"])
+_edge = st.tuples(st.sampled_from(["", "", "", " ", "\t"]), _CLEAN,
+                  st.sampled_from(["\t", "\t", " ", " \t "]), _CLEAN,
+                  st.sampled_from(["", "", "", " "])).map("".join)
+_clean_line = st.one_of(_edge, _edge, _edge, st.sampled_from(["", "  ", "\t"]))
+_DECLINED = [b"# comment\n", b"#a b\n", b"a\tb#c\n", b"a\tb\tc\n", b"a\n",
+             b"a b c d\n",
+             "a\t\u00e9\n".encode(), "\u540d\u524d b\n".encode(),
+             b"a\x00\tb\n", b"a\x0b b\n", b"\x1fc\td\n", "d\x85\te\n".encode(),
+             b"e\x7f\tf\n", b"a\tb\r\n", b"a\rb c\n", b"\xff\tq\n"]
+
+
+def _spiced(lines, spice, at, final_newline):
+    text = [line.encode() + b"\n" for line in lines]
+    text.insert(min(at, len(text)), spice)
+    data = b"".join(text)
+    return data if final_newline else data.removesuffix(b"\n")
+
+
+_raw_edge_file = st.builds(_spiced, st.lists(_clean_line, max_size=12),
+                           st.sampled_from([b""] * len(_DECLINED) + _DECLINED),
+                           st.integers(0, 12), st.booleans())
+
+
+def _arcs_outcome(path):
+    try:
+        names, arcs = graph._read_arcs(path)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    assert arcs.dtype == np.int64
+    return names, arcs.tolist()
+
+
+class TestArrayParse:
+    """The array edge parse against the line reader it stands in for."""
+
+    @given(_raw_edge_file, st.sampled_from([5, 16, 64, 1 << 20]))
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_as_line_reader(self, tmp_path_factory, data, block):
+        path = tmp_path_factory.mktemp("e") / "e.tsv"
+        path.write_bytes(data)
+        with mock.patch.object(graph, "_BLOCK", block):
+            fast = _arcs_outcome(path)
+        with mock.patch.object(graph, "_array_arcs", return_value=None):
+            assert fast == _arcs_outcome(path)
+
+    @pytest.mark.parametrize("line", _DECLINED)
+    def test_declined_line_goes_to_line_reader(self, tmp_path, line):
+        path = tmp_path / "e.tsv"
+        path.write_bytes(b"a\tb\n" + line + b"b c\n")
+        assert graph._array_arcs(path) is None
+        with mock.patch.object(graph, "_BLOCK", 4):
+            assert graph._array_arcs(path) is None
+
+    def test_file_of_many_blocks_matches_line_reader(self, tmp_path, rng):
+        names = [f"node-{i:05d}{'x' * (i % 13)}" for i in range(5000)]
+        pairs = rng.integers(0, len(names), size=(70_000, 2))
+        path = tmp_path / "e.tsv"
+        path.write_text("".join(f"{names[u]}\t{names[v]}\n" for u, v in pairs))
+        assert path.stat().st_size > 2 * graph._BLOCK
+        fast = graph._array_arcs(path)
+        assert fast is not None
+        with mock.patch.object(graph, "_array_arcs", return_value=None):
+            names, arcs = graph._read_arcs(path)
+        assert fast[0] == names and np.array_equal(fast[1], arcs)
+
+    @pytest.mark.parametrize("text,taken", [
+        ("a\tb\n  \nc d", True),
+        ("abcdefghi\tabcdefgh\nabcdefgh abcdefghi\n", True),
+        ("\n \n", False)])
+    def test_which_files_the_array_parse_takes(self, tmp_path, text, taken):
+        path = tmp_path / "e.tsv"
+        path.write_bytes(text.encode())
+        assert (graph._array_arcs(path) is not None) == taken
+
+    def test_long_names_stay_apart(self, tmp_path):
+        # Names that share their first 8 or 16 bytes or are a prefix of
+        # another.
+        lines = ["abcdefghA\tabcdefghB", "abcdefghabcdefghC\tabcdefgh",
+                 "abcdefghabcdefgh\tabcdefghA"]
+        path = write_edges(tmp_path / "e.tsv", lines)
+        names, arcs = graph._array_arcs(path)
+        assert names == ["abcdefghA", "abcdefghB", "abcdefghabcdefghC",
+                         "abcdefgh", "abcdefghabcdefgh"]
+        assert arcs.tolist() == [[0, 1], [2, 3], [4, 0]]

@@ -3,17 +3,20 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demograph import model
 from demograph.errors import ConfigError, DivergenceError, ValidationError
 from demograph.model import (FeatureMatrix, ModelParams, SplitSpec, TrainHyper,
-                             auc_rank, balance_classes, evaluate, fnv1a64,
-                             join_features, loss_and_gradients, predict, split,
-                             train_logistic, train_mlp, train_softmax)
+                             _init_params, auc_rank, balance_classes, evaluate,
+                             fnv1a64, join_features, loss_and_gradients,
+                             predict, split, train_logistic, train_mlp,
+                             train_softmax)
 
 from oracles import brute_force_auc, central_difference, relative_error
 
@@ -21,6 +24,43 @@ from oracles import brute_force_auc, central_difference, relative_error
 def matrix(nodes, width=2, fill=1.0):
     values = np.full((len(nodes), width), fill)
     return FeatureMatrix(list(nodes), [f"f{i}" for i in range(width)], values)
+
+
+# Raw feature CSVs for the array read: a header, rows of distinct names
+# and exactly printed floats, blank lines, LF or CRLF line ends, an
+# optional missing final newline, and at most one row that the array read
+# must decline or the line reader reject.
+_ODD_CSV_ROWS = [row.encode() for row in [
+    '"q,r",1,2', "a,1", "a,1,2,3", "b,1_0,2", "b,nan,1", "b,1e400,1",
+    "b,-inf,0", "b, 3,4 ", "b,,1", "b,abc,1", "b,0x10,1", "b,\x1c2,1",
+    "b,2\xa0,1", "b,\u0661,1", "b,+1,.5", "\u00e9\u540d,1,2", "a b,1,2",
+    ",1,2", "#x,1,2", "a\x00,1,2", "n0,5,6", "b,1\r2,3", "  ", "b,1,2\x85",
+    "b,1e5_0,1"]] + [b"\xff,1,2"]
+
+
+def _csv_bytes(header, rows, odd, at, eol, final_newline):
+    lines = [header.encode()] + [
+        f"n{i},{x!r},{y!r}".encode() for i, (x, y) in enumerate(rows)]
+    lines.insert(min(at, len(lines)), odd)
+    return eol.join(lines) + (eol if final_newline else b"")
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_raw_csv = st.builds(
+    _csv_bytes,
+    st.sampled_from(["node,x,y"] * 6 + ["node,x", "node", "id,x,y", ""]),
+    st.lists(st.tuples(_finite, _finite), max_size=8),
+    st.sampled_from([b""] * 16 + _ODD_CSV_ROWS),
+    st.integers(1, 9), st.sampled_from([b"\n", b"\n", b"\r\n"]),
+    st.booleans())
+
+
+def _csv_outcome(path):
+    try:
+        fm = FeatureMatrix.from_csv(path)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return fm.nodes, fm.columns, fm.values.shape, fm.values.tobytes()
 
 
 class TestFeatureMatrix:
@@ -42,6 +82,30 @@ class TestFeatureMatrix:
         path.write_text("node,x,y\n" + rows)
         with pytest.raises(ValidationError, match=message):
             FeatureMatrix.from_csv(path)
+
+    @given(_raw_csv)
+    @settings(max_examples=300, deadline=None)
+    def test_array_read_matches_line_reader(self, tmp_path_factory, data):
+        path = tmp_path_factory.mktemp("f") / "f.csv"
+        path.write_bytes(data)
+        fast = _csv_outcome(path)
+        with mock.patch.object(model, "_array_csv", return_value=None):
+            assert fast == _csv_outcome(path)
+
+    @pytest.mark.parametrize("odd", _ODD_CSV_ROWS)
+    def test_odd_row_matches_line_reader(self, tmp_path, odd):
+        path = tmp_path / "f.csv"
+        path.write_bytes(b"node,x,y\r\nn0,1,2\r\n" + odd + b"\r\nn1,3,4\r\n")
+        fast = _csv_outcome(path)
+        with mock.patch.object(model, "_array_csv", return_value=None):
+            assert fast == _csv_outcome(path)
+
+    def test_array_read_takes_what_to_csv_writes(self, tmp_path, rng):
+        fm = FeatureMatrix(["a", "b", "c"], ["x", "y"], rng.normal(size=(3, 2)))
+        fm.to_csv(tmp_path / "f.csv")
+        nodes, columns, values = model._array_csv(tmp_path / "f.csv")
+        assert nodes == fm.nodes and columns == fm.columns
+        assert values.tobytes() == fm.values.tobytes()
 
     def test_csv_requires_node_header(self, tmp_path):
         path = tmp_path / "f.csv"
@@ -112,6 +176,12 @@ class TestSplit:
         assert fnv1a64("") == 0xCBF29CE484222325
         assert fnv1a64("a") == 0xAF63DC4C8601EC8C
         assert fnv1a64("foobar") == 0x85944171F73967E8
+
+    @given(st.lists(st.text(max_size=45), max_size=30))
+    @settings(max_examples=200, deadline=None)
+    def test_array_fnv_matches_fnv1a64(self, names):
+        names += ["", "\u00e9\u540d", "a\x00", "x" * 40]
+        assert model._fnv1a64_all(names).tolist() == [fnv1a64(n) for n in names]
 
 
 class TestLogistic:
@@ -228,18 +298,47 @@ class TestSoftmaxAndMLP:
         lambda x, y, h: train_logistic(x, y % 2, h),
         lambda x, y, h: train_softmax(x, y, 3, h),
         lambda x, y, h: train_mlp(x, y, [5, 4], 3, h)])
-    def test_epoch_loss_is_full_data_loss(self, rng, trainer):
-        # The logged loss comes from a forward pass only; it must equal the
-        # loss of the full backward-capable computation exactly.
+    def test_epoch_loss_is_minibatch_mean(self, rng, trainer):
+        # Replays the training steps: each epoch logs the batch-size-weighted
+        # mean of its minibatch losses, each taken before its step.
         x = rng.normal(size=(50, 3))
         y = np.arange(50) % 3
         hyper = TrainHyper(rate=0.2, epochs=3, minibatch=7, l2=0.01,
                            rng_seed=4)
         params = trainer(x, y, hyper)
         labels = y % 2 if params.output == "sigmoid" else y
-        assert len(params.loss_history) == 3
-        assert params.loss_history[-1] == loss_and_gradients(
-            params, x, labels, hyper.l2)[0]
+        replay_rng = np.random.default_rng(hyper.rng_seed)
+        widths = [w.shape[0] for w in params.weights]
+        replay = _init_params(widths + [params.weights[-1].shape[1]],
+                              params.output, replay_rng)
+        expected = []
+        for _ in range(hyper.epochs):
+            order = replay_rng.permutation(len(x))
+            total = 0.0
+            for start in range(0, len(x), hyper.minibatch):
+                batch = order[start:start + hyper.minibatch]
+                loss, grads_w, grads_b = loss_and_gradients(
+                    replay, x[batch], labels[batch], hyper.l2)
+                total += loss * len(batch)
+                for w, b, gw, gb in zip(replay.weights, replay.biases,
+                                        grads_w, grads_b):
+                    w -= hyper.rate * gw
+                    b -= hyper.rate * gb
+            expected.append(total / len(x))
+        assert params.loss_history == expected
+        for trained, replayed in zip(params.weights, replay.weights):
+            assert np.array_equal(trained, replayed)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_divergence_in_last_step_is_caught(self, rng):
+        # One minibatch per epoch: the loss before the step is finite, and
+        # only the weights after it show the blow-up.
+        x = rng.normal(size=(20, 2)) * 100
+        y = np.arange(20) % 2
+        with pytest.raises(DivergenceError) as exc:
+            train_logistic(x, y, TrainHyper(rate=1e308, epochs=1,
+                                            minibatch=20))
+        assert exc.value.epoch == 1 and math.isnan(exc.value.loss)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_reports_epoch(self, rng):
