@@ -14,6 +14,7 @@ directed view that the undirected ``Graph`` deliberately discards.
 
 from __future__ import annotations
 
+import logging
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -30,6 +31,8 @@ __all__ = [
     "write_edge_list",
     "write_node_map",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 def _csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray):
@@ -317,16 +320,21 @@ def _read_arcs(path) -> tuple[list[str], np.ndarray]:
 def _filter_min_degree(names: list[str], arcs: np.ndarray, min_degree: int):
     """Keep the arcs between nodes with at least ``min_degree`` distinct
     non-self follow targets; the kept nodes are numbered again in order of
-    first appearance."""
+    first appearance in the kept arcs."""
     loop = arcs[:, 0] == arcs[:, 1]
     out_ptr, _ = _csr_from_arcs(len(names), arcs[~loop, 0], arcs[~loop, 1])
     kept = np.diff(out_ptr) >= min_degree
     arcs = arcs[kept[arcs[:, 0]] & kept[arcs[:, 1]]]
-    nodes, first, inverse = np.unique(arcs, return_index=True,
-                                      return_inverse=True)
-    order = np.argsort(first)  # the kept nodes by first appearance
-    renumbered = np.argsort(order)[inverse].reshape(-1, 2)
-    return [names[i] for i in nodes[order]], renumbered
+    # A kept node's first arc may be one the filter dropped, so the first
+    # positions are found again in the kept arcs.
+    ends = arcs.ravel()
+    first = np.full(len(names), len(ends), dtype=np.int64)
+    np.minimum.at(first, ends, np.arange(len(ends)))
+    nodes = np.flatnonzero(first < len(ends))
+    order = nodes[np.argsort(first[nodes])]
+    rank = np.empty(len(names), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return [names[i] for i in order], rank[arcs]
 
 
 def load_edge_list(path, min_degree: int = 0, symmetrize: bool = True) -> Graph:
@@ -346,7 +354,10 @@ def load_edge_list(path, min_degree: int = 0, symmetrize: bool = True) -> Graph:
         raise ValidationError(f"min_degree must be >= 0, got {min_degree}")
     names, arcs = _read_arcs(path)
     if min_degree > 0:
+        n, m = len(names), len(arcs)
         names, arcs = _filter_min_degree(names, arcs, min_degree)
+        logger.info("min_degree=%d drops %d of %d nodes and %d of %d arcs",
+                    min_degree, n - len(names), n, m - len(arcs), m)
         if not len(arcs):
             raise EmptyGraphError(
                 f"min_degree={min_degree} filter removed every edge of {path}")

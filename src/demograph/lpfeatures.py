@@ -43,8 +43,11 @@ class PartitionPlan:
     assignment: dict[int, int]
     rng_seed: int
 
-    def members(self, i: int) -> list[int]:
-        return sorted(v for v, p in self.assignment.items() if p == i)
+    def partitions(self) -> list[np.ndarray]:
+        """Each partition's nodes in increasing order."""
+        nodes = np.fromiter(self.assignment, np.int64, len(self.assignment))
+        part = np.fromiter(self.assignment.values(), np.int64, len(nodes))
+        return [np.sort(nodes[part == i]) for i in range(self.n_partitions)]
 
 
 def make_partitions(labeled, n_partitions: int, rng_seed: int) -> PartitionPlan:
@@ -53,14 +56,15 @@ def make_partitions(labeled, n_partitions: int, rng_seed: int) -> PartitionPlan:
     Deterministic for a given seed and labeled set (input order is
     irrelevant); partition sizes differ by at most one.
     """
-    nodes = np.unique(np.asarray(list(labeled), dtype=np.int64))
+    nodes = np.unique(np.fromiter(labeled, dtype=np.int64))
     if n_partitions < 2:
         raise ConfigError(f"need at least 2 partitions, got {n_partitions}")
     if n_partitions > len(nodes):
         raise ConfigError(
             f"{n_partitions} partitions for only {len(nodes)} labeled nodes")
     perm = np.random.default_rng(rng_seed).permutation(nodes)
-    assignment = {int(v): i % n_partitions for i, v in enumerate(perm)}
+    assignment = dict(zip(perm.tolist(),
+                          (np.arange(len(perm)) % n_partitions).tolist()))
     return PartitionPlan(n_partitions, assignment, rng_seed)
 
 
@@ -68,19 +72,20 @@ def make_partitions(labeled, n_partitions: int, rng_seed: int) -> PartitionPlan:
 class LPFeatureBlock:
     """Per-node feature rows from N propagation runs.
 
-    ``values`` is ``(n, N*C)``; ``present`` is ``(n, N)`` and marks which
-    run contributed a real value (False entries of ``values`` are zero and
-    meaningless until imputed for emission).
+    ``data`` is the ``(n, N*C + N)`` emitted table: the N*C values, with
+    masked entries filled with 0.5, then the N presence columns as
+    0.0/1.0.  ``present`` is ``(n, N)`` and marks which run contributed a
+    real value.
     """
 
-    values: np.ndarray
+    data: np.ndarray
     present: np.ndarray
     n_partitions: int
     n_classes: int
 
     @property
     def node_count(self) -> int:
-        return self.values.shape[0]
+        return self.data.shape[0]
 
     def column_names(self, prefix: str = "lp") -> list[str]:
         if self.n_classes == 1:
@@ -92,20 +97,15 @@ class LPFeatureBlock:
         return [f"{prefix}_present_{i}" for i in range(self.n_partitions)]
 
     def imputed(self) -> np.ndarray:
-        """Fixed-width rows with masked entries filled with 0.5."""
-        out = self.values.copy()
-        mask = np.repeat(self.present, self.n_classes, axis=1)
-        out[~mask] = MASKED_FILL
-        return out
+        """Fixed-width rows with masked entries filled with 0.5 (a view)."""
+        return self.data[:, :self.n_partitions * self.n_classes]
 
     def table(self, names: list[str], presence: bool = True) -> FeatureMatrix:
         """The emitted feature rows of nodes ``names``: the imputed values,
         then (with ``presence``) the presence columns as 0.0/1.0."""
-        columns, values = self.column_names(), self.imputed()
-        if presence:
-            columns += self.presence_names()
-            values = np.hstack([values, self.present.astype(np.float64)])
-        return FeatureMatrix(list(names), columns, values)
+        columns = self.column_names() + (self.presence_names() if presence else [])
+        return FeatureMatrix(list(names), columns,
+                             self.data if presence else self.imputed())
 
 
 def lp_features(g: Graph, labels: LabelState, plan: PartitionPlan,
@@ -118,32 +118,37 @@ def lp_features(g: Graph, labels: LabelState, plan: PartitionPlan,
     stays masked (that is data sparsity, not an error).
     """
     cfg.validate()
-    seed_idx = np.flatnonzero(labels.is_seed)
-    if set(plan.assignment) != set(int(v) for v in seed_idx):
+    n_parts, n_classes = plan.n_partitions, labels.num_classes
+    parts = plan.partitions()
+    if not np.array_equal(np.sort(np.concatenate(parts)),
+                          np.flatnonzero(labels.is_seed)):
         raise ValidationError("partition plan must cover exactly the seed set")
-    n, n_classes = g.node_count, labels.num_classes
-    parts = [plan.members(i) for i in range(plan.n_partitions)]
-    runs = [propagate(g, LabelState.from_seed_values(
-                n, part, labels.values[part], num_classes=n_classes), cfg)
-            for part in parts]
-    raw = np.stack([r.values for r in runs], axis=1)        # (n, N, C)
-    reached = np.stack([r.is_active for r in runs], axis=1)  # (n, N)
-    masked = np.where(reached[:, :, None], raw, 0.0)
-    values, present = raw.copy(), reached.copy()
+    n, width = g.node_count, n_parts * n_classes
+    data = np.empty((n, width + n_parts))
+    present = np.empty((n, n_parts), dtype=bool)
+    cols = [slice(i * n_classes, (i + 1) * n_classes) for i in range(n_parts)]
+    for i, part in enumerate(parts):
+        run = propagate(g, LabelState.from_seed_values(
+            n, part, labels.values[part], num_classes=n_classes), cfg)
+        present[:, i] = run.is_active
+        data[:, cols[i]] = np.where(run.is_active[:, None], run.values, 0.0)
+    # Partitions are disjoint, so the rows one partition's leave-out reads
+    # are never the rows another's writes.
     for i, part in enumerate(parts):
         # Leave-out mean: the other runs' rows added in run order (+0.0
         # where a run missed the node) over the count of runs that hit it.
-        others = [j for j in range(plan.n_partitions) if j != i]
-        total = masked[part, others[0]]
+        others = [j for j in range(n_parts) if j != i]
+        total = data[part, cols[others[0]]]
         for j in others[1:]:
-            total += masked[part, j]
-        count = reached[part][:, others].sum(axis=1)[:, None]
-        values[part, i] = np.divide(total, count, where=count > 0,
-                                    out=np.zeros_like(total))
+            total += data[part, cols[j]]
+        count = present[part][:, others].sum(axis=1)[:, None]
+        data[part, cols[i]] = np.divide(total, count, where=count > 0,
+                                        out=np.zeros_like(total))
         present[part, i] = count[:, 0] > 0
+    for i in range(n_parts):
+        data[~present[:, i], cols[i]] = MASKED_FILL
+    data[:, width:] = present
     if not present.any(axis=1).all():
         logger.info("%d nodes were reached by no run and are fully masked",
                     int((~present.any(axis=1)).sum()))
-    return LPFeatureBlock(values.reshape(n, plan.n_partitions * n_classes),
-                          present, plan.n_partitions, n_classes)
-
+    return LPFeatureBlock(data, present, n_parts, n_classes)

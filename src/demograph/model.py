@@ -13,6 +13,7 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "fnv1a64",
     "join_features",
     "predict",
+    "row_indices",
     "split",
     "train_logistic",
     "train_mlp",
@@ -62,12 +64,12 @@ class FeatureMatrix:
                 f"feature matrix shape {self.values.shape} does not match "
                 f"{len(self.nodes)} nodes x {len(self.columns)} columns")
         self._row = {name: i for i, name in enumerate(self.nodes)}
+        if len(self._row) != len(self.nodes):
+            dup = next(n for i, n in enumerate(self.nodes) if self._row[n] != i)
+            raise ValidationError(f"feature matrix repeats node {dup!r}")
 
     def __contains__(self, node: str) -> bool:
         return node in self._row
-
-    def rows_for(self, nodes: list[str]) -> np.ndarray:
-        return self.values[[self._row[n] for n in nodes]]
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -152,6 +154,12 @@ def _read_csv_rows(path):
     return nodes, columns, values
 
 
+def row_indices(row_of: dict[str, int], names: list[str]) -> np.ndarray:
+    """The row in ``row_of`` of each of ``names``, -1 where it has none."""
+    return np.fromiter((row_of.get(n, -1) for n in names), dtype=np.int64,
+                       count=len(names))
+
+
 def join_features(blocks: dict[str, FeatureMatrix]) -> FeatureMatrix:
     """Inner join of named blocks on node name.
 
@@ -162,7 +170,11 @@ def join_features(blocks: dict[str, FeatureMatrix]) -> FeatureMatrix:
         raise ValidationError("no feature blocks to join")
     names = list(blocks)
     first = blocks[names[0]]
-    keep = [n for n in first.nodes if all(n in blocks[b] for b in names[1:])]
+    # Each block's row of each of the first block's nodes, -1 where absent.
+    rows = [np.arange(len(first.nodes))] + [
+        row_indices(blocks[b]._row, first.nodes) for b in names[1:]]
+    mask = np.min(rows, axis=0) >= 0
+    keep = list(compress(first.nodes, mask))
     if not keep:
         raise ValidationError(
             f"feature blocks {names} share no nodes; nothing to join")
@@ -172,7 +184,7 @@ def join_features(blocks: dict[str, FeatureMatrix]) -> FeatureMatrix:
             logger.info("join: block %r loses %d of %d rows", b, dropped,
                         len(blocks[b].nodes))
     columns = [f"{b}.{c}" for b in names for c in blocks[b].columns]
-    values = np.hstack([blocks[b].rows_for(keep) for b in names])
+    values = np.hstack([blocks[b].values[r[mask]] for b, r in zip(names, rows)])
     return FeatureMatrix(keep, columns, values)
 
 
@@ -308,9 +320,11 @@ def _init_params(widths: list[int], output: str,
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Row softmax of ``z``, computed in place."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _forward(params: ModelParams, x: np.ndarray):
@@ -318,19 +332,14 @@ def _forward(params: ModelParams, x: np.ndarray):
     acts = [x]
     a = x
     for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        a = np.maximum(0.0, a @ w + b)
+        a = a @ w
+        a += b
+        np.maximum(0.0, a, out=a)
         acts.append(a)
-    z = a @ params.weights[-1] + params.biases[-1]
+    z = a @ params.weights[-1]
+    z += params.biases[-1]
     probs = sigmoid(z) if params.output == "sigmoid" else _softmax(z)
     return acts, probs
-
-
-def _target_matrix(params: ModelParams, y: np.ndarray) -> np.ndarray:
-    if params.output == "sigmoid":
-        return y.reshape(-1, 1).astype(np.float64)
-    onehot = np.zeros((len(y), params.weights[-1].shape[1]))
-    onehot[np.arange(len(y)), y] = 1.0
-    return onehot
 
 
 def loss_and_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray,
@@ -342,22 +351,32 @@ def loss_and_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray,
     layers.  Gradients are returned as (weight grads, bias grads) lists.
     """
     acts, probs = _forward(params, x)
-    target = _target_matrix(params, y)
-    clamped = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
     if params.output == "sigmoid":
+        target = y.reshape(-1, 1).astype(np.float64)
+        clamped = np.clip(probs, PROB_CLAMP, 1.0 - PROB_CLAMP)
         ce = -np.mean(target * np.log(clamped)
                       + (1.0 - target) * np.log(1.0 - clamped))
+        delta = probs - target
     else:
-        ce = -np.mean(np.log(clamped[np.arange(len(y)), y]))
-    loss = float(ce + 0.5 * l2 * sum(float((w * w).sum())
-                                     for w in params.weights))
-    delta = (probs - target) / len(x)
+        rows = np.arange(len(y))
+        ce = -np.mean(np.log(np.clip(probs[rows, y], PROB_CLAMP,
+                                     1.0 - PROB_CLAMP)))
+        delta = probs
+        delta[rows, y] -= 1.0
+    loss = float(ce)
+    if l2:  # a NaN l2 still reaches the loss and stops training
+        loss += 0.5 * l2 * sum(float((w * w).sum()) for w in params.weights)
+    delta /= len(x)
     grads_w, grads_b = [], []
     for layer in range(len(params.weights) - 1, -1, -1):
-        grads_w.append(acts[layer].T @ delta + l2 * params.weights[layer])
+        grad = acts[layer].T @ delta
+        if l2:
+            grad += l2 * params.weights[layer]
+        grads_w.append(grad)
         grads_b.append(delta.sum(axis=0))
         if layer > 0:
-            delta = (delta @ params.weights[layer].T) * (acts[layer] > 0)
+            delta = delta @ params.weights[layer].T
+            delta *= acts[layer] > 0
     grads_w.reverse()
     grads_b.reverse()
     return loss, grads_w, grads_b

@@ -12,6 +12,7 @@ import csv
 import json
 import logging
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -24,8 +25,8 @@ from .labelprop import (NUM_AGE_BUCKETS, LabelState, PropagationConfig,
                         class_label, propagate_trace)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, auc_rank,
                     balance_classes, check_hidden, evaluate, fnv1a64,
-                    join_features, predict, split, train_logistic, train_mlp,
-                    train_softmax)
+                    join_features, predict, row_indices, split, train_logistic,
+                    train_mlp, train_softmax)
 
 __all__ = [
     "ExperimentGrid",
@@ -395,18 +396,18 @@ def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int
 def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
               train_names: list[str], n_classes: int,
               root: int) -> FeatureMatrix:
-    train_in_graph = [n for n in train_names if n in g]
-    if not train_in_graph:
+    idx, classes = _rows_and_labels(g._index, labels, train_names)
+    if not len(idx):
         raise ConfigError("no training labels fall inside the graph")
-    idx = [g.index_of(n) for n in train_in_graph]
+    logger.info("lp: %d of %d training labels fall outside the graph",
+                len(train_names) - len(idx), len(train_names))
     # Binary labels propagate as one channel, the positive-class share.
     if n_classes == 2:
-        seeds = LabelState.from_seed_values(
-            g.node_count, idx, [float(labels[n]) for n in train_in_graph])
+        seeds = LabelState.from_seed_values(g.node_count, idx,
+                                            classes.astype(np.float64))
     else:
-        seeds = LabelState.from_seed_classes(
-            g.node_count, idx, [labels[n] for n in train_in_graph],
-            num_classes=n_classes)
+        seeds = LabelState.from_seed_classes(g.node_count, idx, classes,
+                                             num_classes=n_classes)
     plan = lpfeatures.make_partitions(idx, cfg.value("lp_splits"),
                                       derive_seed(root, "lp-partitions"))
     return lpfeatures.lp_features(g, seeds, plan, _lp_config(cfg)).table(g.names)
@@ -439,12 +440,11 @@ def fit_and_score(features: FeatureMatrix, labels: dict[str, int],
     ``derive_seed(hyper.rng_seed, "balance")``.  The record holds
     ``n_train``, ``n_test`` and the ``evaluate`` metrics.
     """
-    train_rows = [n for n in train_names if n in features]
-    test_rows = [n for n in test_names if n in features]
-    if not train_rows or not test_rows:
+    train_rows, y = _rows_and_labels(features._row, labels, train_names)
+    test_rows, y_test = _rows_and_labels(features._row, labels, test_names)
+    if not len(train_rows) or not len(test_rows):
         raise ConfigError("empty train or test side after joining features")
-    x = features.rows_for(train_rows)
-    y = np.array([labels[n] for n in train_rows])
+    x = features.values[train_rows]
     if balance:
         keep = balance_classes(y, np.random.default_rng(
             derive_seed(hyper.rng_seed, "balance")))
@@ -457,10 +457,21 @@ def fit_and_score(features: FeatureMatrix, labels: dict[str, int],
         params = train_softmax(x, y, n_classes, hyper)
     else:
         raise ConfigError(f"unknown model {model!r}")
-    probs = predict(params, features.rows_for(test_rows))
-    metrics = evaluate(probs, np.array([labels[n] for n in test_rows]))
-    return test_rows, probs, {"n_train": len(train_rows),
-                              "n_test": len(test_rows), **metrics}
+    probs = predict(params, features.values[test_rows])
+    metrics = evaluate(probs, y_test)
+    return ([features.nodes[i] for i in test_rows.tolist()], probs,
+            {"n_train": len(train_rows), "n_test": len(test_rows), **metrics})
+
+
+def _rows_and_labels(row_of: dict[str, int], labels: dict[str, int],
+                     names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows in ``row_of`` and the labels of those ``names`` that have
+    a row, in name order."""
+    rows = row_indices(row_of, names)
+    inside = rows >= 0
+    y = np.fromiter((labels[n] for n in compress(names, inside)),
+                    dtype=np.int64, count=int(inside.sum()))
+    return rows[inside], y
 
 
 def run_pipeline(cfg: PipelineConfig) -> list[dict]:

@@ -3,16 +3,24 @@
 Everything here is deliberately written with plain python loops over dense
 structures so it shares no code path with the package: dict-of-set graphs,
 per-node propagation, pairwise AUC, central finite differences, a
-line-by-line edge-list loader, and a per-pair word2vec trainer.  The one
-exception is the pair of masked-assignment engines ``reference_blended`` and
-``reference_additive``: they call the package's ``_neighbor_means`` so that
-the package's single superstep loop can be checked against them bit for
-bit.
+line-by-line edge-list loader, and a per-pair word2vec trainer.  The
+exceptions are checked against bit for bit, so they keep the arithmetic of
+the code they judge:
+
+- the masked-assignment engines ``reference_blended`` and
+  ``reference_additive`` call the package's ``_neighbor_means``;
+- ``reference_filter_min_degree``, ``reference_lp_features`` (with
+  ``ReferenceLPBlock.table``), ``reference_join_features`` and
+  ``reference_loss_and_gradients`` are the package's earlier
+  implementations: renumbering by a sort of all arc ends, three
+  ``(n, N, C)`` copies plus an imputed copy and a stack, joins and
+  gathers by name lists, and a step that builds a one-hot target.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -388,3 +396,143 @@ def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
                     share = step(read_in[ctx].mean(axis=0), int(s[i]), lr) / len(ctx)
                     np.add.at(w_in, ctx, np.broadcast_to(share, (len(ctx), dim)))
     return tokens, w_in, seen
+
+
+def reference_filter_min_degree(names: list[str], arcs: np.ndarray,
+                                min_degree: int):
+    """``graph._filter_min_degree`` as it renumbered by ``np.unique`` with
+    ``return_index`` and ``return_inverse``, a sort of all arc ends."""
+    from demograph.graph import _csr_from_arcs
+    loop = arcs[:, 0] == arcs[:, 1]
+    out_ptr, _ = _csr_from_arcs(len(names), arcs[~loop, 0], arcs[~loop, 1])
+    kept = np.diff(out_ptr) >= min_degree
+    arcs = arcs[kept[arcs[:, 0]] & kept[arcs[:, 1]]]
+    nodes, first, inverse = np.unique(arcs, return_index=True,
+                                      return_inverse=True)
+    order = np.argsort(first)  # the kept nodes by first appearance
+    renumbered = np.argsort(order)[inverse].reshape(-1, 2)
+    return [names[i] for i in nodes[order]], renumbered
+
+
+@dataclass
+class ReferenceLPBlock:
+    """The lp-feature block as ``values`` ``(n, N*C)`` with masked entries
+    meaningless and ``present`` ``(n, N)``, imputed on emission."""
+
+    values: np.ndarray
+    present: np.ndarray
+    n_partitions: int
+    n_classes: int
+
+    def imputed(self) -> np.ndarray:
+        out = self.values.copy()
+        mask = np.repeat(self.present, self.n_classes, axis=1)
+        out[~mask] = 0.5
+        return out
+
+    def table(self, names: list[str], presence: bool = True):
+        from demograph.model import FeatureMatrix
+        n_parts, n_classes = self.n_partitions, self.n_classes
+        columns = ([f"lp_{i}" for i in range(n_parts)] if n_classes == 1 else
+                   [f"lp_{i}_{c}" for i in range(n_parts)
+                    for c in range(n_classes)])
+        values = self.imputed()
+        if presence:
+            columns += [f"lp_present_{i}" for i in range(n_parts)]
+            values = np.hstack([values, self.present.astype(np.float64)])
+        return FeatureMatrix(list(names), columns, values)
+
+
+def reference_lp_features(g, labels, plan, cfg) -> ReferenceLPBlock:
+    """``lpfeatures.lp_features`` as it stacked every run into ``raw``,
+    ``masked`` and ``values`` copies; partitions come from
+    ``plan.assignment``."""
+    from demograph.labelprop import LabelState, propagate
+    cfg.validate()
+    seed_idx = np.flatnonzero(labels.is_seed)
+    if set(plan.assignment) != set(int(v) for v in seed_idx):
+        raise ValueError("partition plan must cover exactly the seed set")
+    n, n_classes = g.node_count, labels.num_classes
+    parts = [sorted(v for v, p in plan.assignment.items() if p == i)
+             for i in range(plan.n_partitions)]
+    runs = [propagate(g, LabelState.from_seed_values(
+                n, part, labels.values[part], num_classes=n_classes), cfg)
+            for part in parts]
+    raw = np.stack([r.values for r in runs], axis=1)        # (n, N, C)
+    reached = np.stack([r.is_active for r in runs], axis=1)  # (n, N)
+    masked = np.where(reached[:, :, None], raw, 0.0)
+    values, present = raw.copy(), reached.copy()
+    for i, part in enumerate(parts):
+        others = [j for j in range(plan.n_partitions) if j != i]
+        total = masked[part, others[0]]
+        for j in others[1:]:
+            total += masked[part, j]
+        count = reached[part][:, others].sum(axis=1)[:, None]
+        values[part, i] = np.divide(total, count, where=count > 0,
+                                    out=np.zeros_like(total))
+        present[part, i] = count[:, 0] > 0
+    return ReferenceLPBlock(values.reshape(n, plan.n_partitions * n_classes),
+                            present, plan.n_partitions, n_classes)
+
+
+def reference_join_features(blocks: dict):
+    """``model.join_features`` as it kept rows by name lists and gathered
+    each block through a per-name row lookup."""
+    from demograph.model import FeatureMatrix
+    if not blocks:
+        raise ValueError("no feature blocks to join")
+    names = list(blocks)
+    rows = {b: {n: i for i, n in enumerate(blocks[b].nodes)} for b in names}
+    keep = [n for n in blocks[names[0]].nodes
+            if all(n in rows[b] for b in names[1:])]
+    if not keep:
+        raise ValueError(f"feature blocks {names} share no nodes")
+    columns = [f"{b}.{c}" for b in names for c in blocks[b].columns]
+    values = np.hstack([blocks[b].values[[rows[b][n] for n in keep]]
+                        for b in names])
+    return FeatureMatrix(keep, columns, values)
+
+
+def _reference_forward(params, x: np.ndarray):
+    from demograph.embed import sigmoid
+    acts = [x]
+    a = x
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        a = np.maximum(0.0, a @ w + b)
+        acts.append(a)
+    z = a @ params.weights[-1] + params.biases[-1]
+    if params.output == "sigmoid":
+        return acts, sigmoid(z)
+    shifted = z - z.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    return acts, e / e.sum(axis=1, keepdims=True)
+
+
+def reference_loss_and_gradients(params, x: np.ndarray, y: np.ndarray,
+                                 l2: float = 0.0):
+    """``model.loss_and_gradients`` as it built a one-hot target, clipped
+    every probability and added the L2 terms at every ``l2``."""
+    acts, probs = _reference_forward(params, x)
+    if params.output == "sigmoid":
+        target = y.reshape(-1, 1).astype(np.float64)
+    else:
+        target = np.zeros((len(y), params.weights[-1].shape[1]))
+        target[np.arange(len(y)), y] = 1.0
+    clamped = np.clip(probs, 1e-12, 1.0 - 1e-12)
+    if params.output == "sigmoid":
+        ce = -np.mean(target * np.log(clamped)
+                      + (1.0 - target) * np.log(1.0 - clamped))
+    else:
+        ce = -np.mean(np.log(clamped[np.arange(len(y)), y]))
+    loss = float(ce + 0.5 * l2 * sum(float((w * w).sum())
+                                     for w in params.weights))
+    delta = (probs - target) / len(x)
+    grads_w, grads_b = [], []
+    for layer in range(len(params.weights) - 1, -1, -1):
+        grads_w.append(acts[layer].T @ delta + l2 * params.weights[layer])
+        grads_b.append(delta.sum(axis=0))
+        if layer > 0:
+            delta = (delta @ params.weights[layer].T) * (acts[layer] > 0)
+    grads_w.reverse()
+    grads_b.reverse()
+    return loss, grads_w, grads_b

@@ -323,7 +323,7 @@ def test_c07_leave_out_has_no_self_leakage():
         after = lp_features(
             g, LabelState.from_seed_values(n, idx, perturbed), plan, cfg)
         i = plan.assignment[u]
-        assert after.values[u, i] == base.values[u, i]
+        assert after.imputed()[u, i] == base.imputed()[u, i]
         assert after.present[u, i] == base.present[u, i]
     report(7, True, "perturbing a node's own seed never moves its "
                     "left-out feature entry (20 instances)")

@@ -370,9 +370,10 @@ class TestTrain:
             derive_seed(9, "balance")))
         assert len(keep) < len(train)
         hyper = TrainHyper(rate=0.2, epochs=5, minibatch=32, rng_seed=9)
-        params = train_mlp(features.rows_for(train)[keep], y_train[keep], [6],
-                           n_classes=2, hyper=hyper)
-        probs = predict(params, features.rows_for(test))
+        row = {name: i for i, name in enumerate(features.nodes)}
+        params = train_mlp(features.values[[row[n] for n in train]][keep],
+                           y_train[keep], [6], n_classes=2, hyper=hyper)
+        probs = predict(params, features.values[[row[n] for n in test]])
         expected = "".join(
             name + "\t" + ",".join(f"{x:.17g}" for x in row) + "\n"
             for name, row in zip(test, probs))

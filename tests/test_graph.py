@@ -16,7 +16,8 @@ from demograph.graph import (Graph, load_directed_edges, load_edge_list,
                              write_edge_list, write_node_map)
 
 from conftest import random_graph
-from oracles import reference_directed_edges, reference_edge_list
+from oracles import (reference_directed_edges, reference_edge_list,
+                     reference_filter_min_degree)
 
 
 def write_edges(path, lines):
@@ -186,6 +187,51 @@ class TestLoaderAgainstReference:
             ref_ptr, ref_idx = csr_of(ref)
             assert np.array_equal(indptr, ref_ptr)
             assert np.array_equal(indices, ref_idx)
+
+
+# Arc arrays over a small id range, so that self-loops, repeated arcs and
+# nodes whose first arc the filter drops are all common.
+_arc_array = st.integers(1, 12).flatmap(lambda k: st.tuples(
+    st.just(k), st.lists(st.tuples(st.integers(0, k - 1),
+                                   st.integers(0, k - 1)), max_size=60)))
+
+
+class TestFilterMinDegree:
+    """The O(arcs) renumbering against the sort it replaced."""
+
+    @staticmethod
+    def check(k, pairs, min_degree):
+        names = [f"v{i}" for i in range(k)]
+        arcs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        got_names, got_arcs = graph._filter_min_degree(names, arcs, min_degree)
+        want_names, want_arcs = reference_filter_min_degree(names, arcs,
+                                                            min_degree)
+        assert got_names == want_names
+        assert got_arcs.dtype == want_arcs.dtype
+        assert np.array_equal(got_arcs, want_arcs)
+        return got_names
+
+    @given(_arc_array, st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, case, min_degree):
+        self.check(*case, min_degree)
+
+    def test_first_arc_dropped(self):
+        # v0 follows only v1, so the filter drops v0 and with it v1's first
+        # arc: the kept order is v2, v3, v1, not the id order.
+        pairs = [(0, 1), (2, 3), (2, 1), (1, 2), (1, 3), (3, 1), (3, 2),
+                 (0, 0)]
+        names = self.check(4, pairs, 2)
+        assert names == ["v2", "v3", "v1"]
+
+    def test_load_logs_what_the_filter_drops(self, tmp_path, caplog):
+        p = write_edges(tmp_path / "e.tsv",
+                        ["A\tB", "A\tC", "B\tA", "B\tC", "C\tD", "C\tA",
+                         "D\tD"])
+        with caplog.at_level("INFO", logger="demograph.graph"):
+            g = load_edge_list(p, min_degree=2)
+        assert g.names == ["A", "B", "C"]
+        assert "min_degree=2 drops 1 of 4 nodes and 2 of 7 arcs" in caplog.text
 
 
 class TestNeighbors:

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 import csv
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph
@@ -14,16 +17,23 @@ from demograph.lpfeatures import lp_features, make_partitions
 from demograph.model import FeatureMatrix
 
 from conftest import random_binary_seeds, random_graph
+from oracles import reference_lp_features
 
 
 def seeded_state(n, mapping):
     return LabelState.from_seed_values(n, list(mapping), list(mapping.values()))
 
 
+def masked_values(block):
+    """The block's ``(n, N*C)`` values with masked entries at 0.0."""
+    mask = np.repeat(block.present, block.n_classes, axis=1)
+    return np.where(mask, block.imputed(), 0.0)
+
+
 class TestMakePartitions:
     def test_nine_into_three_is_balanced(self):
         plan = make_partitions(range(9), 3, rng_seed=1)
-        sizes = [len(plan.members(i)) for i in range(3)]
+        sizes = [len(part) for part in plan.partitions()]
         assert sizes == [3, 3, 3]
 
     def test_deterministic_for_seed(self):
@@ -33,13 +43,23 @@ class TestMakePartitions:
 
     def test_ten_into_three_sizes(self):
         plan = make_partitions(range(10), 3, rng_seed=3)
-        sizes = sorted(len(plan.members(i)) for i in range(3))
+        sizes = sorted(len(part) for part in plan.partitions())
         assert sizes == [3, 3, 4]
 
     def test_every_node_assigned_once(self):
         plan = make_partitions(range(17), 5, rng_seed=0)
         assert sorted(plan.assignment) == list(range(17))
         assert set(plan.assignment.values()) == set(range(5))
+
+    def test_partitions_equal_the_assignment(self):
+        plan = make_partitions(np.arange(3, 40, 3), 4, rng_seed=9)
+        for i, part in enumerate(plan.partitions()):
+            want = sorted(v for v, p in plan.assignment.items() if p == i)
+            assert part.dtype == np.int64 and part.tolist() == want
+        # A plan copied with a new assignment follows the new assignment.
+        moved = replace(plan, assignment={v: 0 for v in plan.assignment})
+        assert moved.partitions()[0].tolist() == sorted(plan.assignment)
+        assert all(len(part) == 0 for part in moved.partitions()[1:])
 
     def test_too_many_partitions_rejected(self):
         with pytest.raises(ConfigError):
@@ -54,8 +74,7 @@ class TestLPFeatures:
     def run_reference(self, g, labels, plan, cfg):
         """Independent per-partition runs used as the oracle."""
         outs = []
-        for i in range(plan.n_partitions):
-            part = plan.members(i)
+        for part in plan.partitions():
             sub = LabelState.from_seed_values(
                 g.node_count, part, labels.values[part],
                 num_classes=labels.num_classes)
@@ -68,6 +87,7 @@ class TestLPFeatures:
         plan = make_partitions(np.flatnonzero(seeds.is_seed), 3, rng_seed=2)
         cfg = PropagationConfig(alpha=0.3, iterations=3)
         block = lp_features(g, seeds, plan, cfg)
+        values = masked_values(block)
         runs = self.run_reference(g, seeds, plan, cfg)
         for u in range(20):
             if seeds.is_seed[u]:
@@ -75,7 +95,7 @@ class TestLPFeatures:
             for i, run in enumerate(runs):
                 if run.is_active[u]:
                     assert block.present[u, i]
-                    assert block.values[u, i] == run.values[u, 0]
+                    assert values[u, i] == run.values[u, 0]
                 else:
                     assert not block.present[u, i]
 
@@ -85,12 +105,13 @@ class TestLPFeatures:
         plan = make_partitions(np.flatnonzero(seeds.is_seed), 3, rng_seed=2)
         cfg = PropagationConfig(alpha=0.3, iterations=3)
         block = lp_features(g, seeds, plan, cfg)
+        values = masked_values(block)
         runs = self.run_reference(g, seeds, plan, cfg)
         for u, i in plan.assignment.items():
             others = [runs[j].values[u, 0] for j in range(3)
                       if j != i and runs[j].is_active[u]]
             if others:
-                assert block.values[u, i] == pytest.approx(
+                assert values[u, i] == pytest.approx(
                     float(np.mean(others)), abs=1e-15)
             else:
                 assert not block.present[u, i]
@@ -102,11 +123,11 @@ class TestLPFeatures:
         labels = seeded_state(3, {0: 1.0, 2: 0.0})
         plan = make_partitions([0, 2], 2, rng_seed=0)
         cfg = PropagationConfig(alpha=0.5, iterations=2)
-        block = lp_features(g, labels, plan, cfg)
+        values = masked_values(lp_features(g, labels, plan, cfg))
         runs = self.run_reference(g, labels, plan, cfg)
         for u, i in plan.assignment.items():
             other = 1 - i
-            assert block.values[u, i] == runs[other].values[u, 0]
+            assert values[u, i] == runs[other].values[u, 0]
 
     def test_no_self_leakage_under_seed_perturbation(self, rng):
         g, _ = random_graph(rng, 24, 0.2)
@@ -124,7 +145,8 @@ class TestLPFeatures:
         # Every entry of u's own row is independent of u's seed value: run
         # i never reads it for the substitution, and runs j != i never see
         # u as a seed at all.
-        assert np.array_equal(base.values[u], perturbed.values[u])
+        assert np.array_equal(masked_values(base)[u],
+                              masked_values(perturbed)[u])
         assert np.array_equal(base.present[u], perturbed.present[u])
 
     def test_permuting_partition_indices_permutes_columns(self, rng):
@@ -138,8 +160,9 @@ class TestLPFeatures:
         permuted_plan = PartitionPlan(
             3, {u: perm[i] for u, i in plan.assignment.items()}, plan.rng_seed)
         permuted = lp_features(g, seeds, permuted_plan, cfg)
+        values, permuted_values = masked_values(block), masked_values(permuted)
         for old, new in enumerate(perm):
-            assert np.array_equal(block.values[:, old], permuted.values[:, new])
+            assert np.array_equal(values[:, old], permuted_values[:, new])
             assert np.array_equal(block.present[:, old], permuted.present[:, new])
 
     def test_identical_seed_runs_make_equal_columns(self, rng):
@@ -179,14 +202,15 @@ class TestLPFeatures:
         plan = make_partitions(idx, 3, rng_seed=4)
         cfg = PropagationConfig(alpha=0.3, iterations=2)
         block = lp_features(g, labels, plan, cfg)
-        assert block.values.shape == (16, 3 * 7)
+        values = masked_values(block)
+        assert values.shape == (16, 3 * 7)
         assert len(block.column_names()) == 21
         runs = self.run_reference(g, labels, plan, cfg)
         for u, i in plan.assignment.items():
             others = [runs[j].values[u] for j in range(3)
                       if j != i and runs[j].is_active[u]]
             if others:
-                got = block.values[u, i * 7:(i + 1) * 7]
+                got = values[u, i * 7:(i + 1) * 7]
                 assert np.allclose(got, np.mean(others, axis=0), atol=1e-15)
 
 
@@ -230,11 +254,44 @@ class TestLeaveOutAgainstLoop:
         block = lp_features(g, labels, plan, cfg)
         runs = TestLPFeatures().run_reference(g, labels, plan, cfg)
         values, present = self.loop_reference(runs, plan)
-        assert np.array_equal(block.values, values)
+        assert np.array_equal(masked_values(block), values)
         assert np.array_equal(block.present, present)
         # Both branches of the rule are exercised.
         own = np.array([present[u, i] for u, i in plan.assignment.items()])
         assert own.any() and not own.all()
+
+
+class TestTableAgainstReference:
+    """The one preallocated table against the stacked copies it replaced."""
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7]),
+           st.integers(2, 4), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_bit_identical(self, seed, n_classes, n_partitions, presence):
+        rng = np.random.default_rng(seed)
+        # A sparse core plus isolated nodes: n35 is reached by no run (fully
+        # masked), an isolated labeled node by no run but its own.
+        core, _ = random_graph(rng, 30, float(rng.uniform(0.0, 0.15)))
+        pairs = [(u, int(v)) for u in range(30) for v in core.neighbors(u)
+                 if v > u]
+        g = Graph.build([f"n{i}" for i in range(36)], pairs)
+        idx = rng.choice(35, size=int(rng.integers(n_partitions, 20)),
+                         replace=False)
+        if n_classes == 1:
+            labels = LabelState.from_seed_values(36, idx, rng.random(len(idx)))
+        else:
+            labels = LabelState.from_seed_classes(
+                36, idx, rng.integers(0, 7, size=len(idx)))
+        plan = make_partitions(idx, n_partitions, rng_seed=seed)
+        cfg = PropagationConfig(alpha=0.3, iterations=int(rng.integers(1, 4)))
+        block = lp_features(g, labels, plan, cfg)
+        ref = reference_lp_features(g, labels, plan, cfg)
+        assert np.array_equal(masked_values(block), ref.values)
+        assert np.array_equal(block.present, ref.present)
+        assert not block.present[35].any()
+        got, want = block.table(g.names, presence), ref.table(g.names, presence)
+        assert got.nodes == want.nodes and got.columns == want.columns
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 def reference_lp_csv(block, g, path, include_presence=True):

@@ -15,10 +15,12 @@ from demograph.errors import ConfigError, DivergenceError, ValidationError
 from demograph.model import (FeatureMatrix, ModelParams, SplitSpec, TrainHyper,
                              _init_params, auc_rank, balance_classes, evaluate,
                              fnv1a64, join_features, loss_and_gradients,
-                             predict, split, train_logistic, train_mlp,
-                             train_softmax)
+                             predict, row_indices, split, train_logistic,
+                             train_mlp, train_softmax)
 
-from oracles import brute_force_auc, central_difference, relative_error
+from oracles import (brute_force_auc, central_difference,
+                     reference_join_features, reference_loss_and_gradients,
+                     relative_error)
 
 
 def matrix(nodes, width=2, fill=1.0):
@@ -64,6 +66,13 @@ def _csv_outcome(path):
 
 
 class TestFeatureMatrix:
+    def test_row_indices(self):
+        fm = matrix(["c", "a", "b"])
+        got = row_indices(fm._row, ["a", "z", "c", "a", ""])
+        assert got.dtype == np.int64
+        assert got.tolist() == [1, -1, 0, 1, -1]
+        assert row_indices(fm._row, []).tolist() == []
+
     def test_csv_round_trip(self, tmp_path, rng):
         fm = FeatureMatrix(["a", "b"], ["x", "y"], rng.normal(size=(2, 2)))
         path = tmp_path / "f.csv"
@@ -131,6 +140,32 @@ class TestFeatureMatrix:
     def test_join_preserves_first_block_order(self):
         fm = join_features({"l": matrix(["z", "a", "m"]), "r": matrix("amz")})
         assert fm.nodes == ["z", "a", "m"]
+
+    def test_repeated_node_rejected(self):
+        with pytest.raises(ValidationError, match="'b'"):
+            FeatureMatrix(["a", "b", "c", "b"], ["x"], np.zeros((4, 1)))
+
+    # Each block holds some of the names, in its own order.
+    @given(st.lists(st.permutations("abcdefgh").flatmap(
+               lambda names: st.integers(0, 8).map(lambda k: names[:k])),
+               min_size=1, max_size=3),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_join_equals_reference(self, node_lists, seed):
+        rng = np.random.default_rng(seed)
+        blocks = {f"b{i}": FeatureMatrix(
+                      nodes, [f"c{j}" for j in range(i + 1)],
+                      rng.normal(size=(len(nodes), i + 1)))
+                  for i, nodes in enumerate(node_lists)}
+        try:
+            want = reference_join_features(blocks)
+        except ValueError:
+            with pytest.raises(ValidationError, match="share no nodes"):
+                join_features(blocks)
+            return
+        got = join_features(blocks)
+        assert got.nodes == want.nodes and got.columns == want.columns
+        assert got.values.tobytes() == want.values.tobytes()
 
 
 class TestSplit:
@@ -242,6 +277,33 @@ class TestLogistic:
         assert relative_error(grads_b[0], num_b) <= 1e-6
 
 
+class TestStepAgainstReference:
+    """The in-place minibatch step against the one-hot step it replaced."""
+
+    @given(st.sampled_from(["sigmoid", "softmax", "mlp"]),
+           st.sampled_from([0.0, 0.01, math.nan]), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_loss_and_gradients_equal(self, head, l2, batch, seed):
+        rng = np.random.default_rng(seed)
+        classes = 2 if head == "sigmoid" else 5
+        hidden = [7, 4] if head == "mlp" else []
+        widths = [6, *hidden, 1 if head == "sigmoid" else classes]
+        params = ModelParams(
+            [rng.normal(size=(a, b)) for a, b in zip(widths[:-1], widths[1:])],
+            [rng.normal(size=b) for b in widths[1:]],
+            "sigmoid" if head == "sigmoid" else "softmax")
+        # Large inputs saturate some probabilities, so the clip is used.
+        x = rng.normal(size=(batch, 6)) * rng.choice([1.0, 30.0])
+        y = rng.integers(0, classes, size=batch)
+        loss, grads_w, grads_b = loss_and_gradients(params, x, y, l2)
+        want_loss, want_w, want_b = reference_loss_and_gradients(
+            params, x, y, l2)
+        assert np.array_equal(loss, want_loss, equal_nan=True)
+        for got, want in zip(grads_w + grads_b, want_w + want_b):
+            assert np.array_equal(got, want, equal_nan=True)
+
+
 class TestSoftmaxAndMLP:
     def test_xor_memorized(self):
         x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
@@ -338,6 +400,16 @@ class TestSoftmaxAndMLP:
         with pytest.raises(DivergenceError) as exc:
             train_logistic(x, y, TrainHyper(rate=1e308, epochs=1,
                                             minibatch=20))
+        assert exc.value.epoch == 1 and math.isnan(exc.value.loss)
+
+    def test_nan_l2_diverges(self, rng):
+        # A NaN l2 passes TrainHyper.validate; it must still poison the
+        # loss rather than switch the penalty off.
+        x = rng.normal(size=(20, 2))
+        y = np.arange(20) % 2
+        with pytest.raises(DivergenceError) as exc:
+            train_logistic(x, y, TrainHyper(epochs=2, minibatch=20,
+                                            l2=math.nan))
         assert exc.value.epoch == 1 and math.isnan(exc.value.loss)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -353,6 +353,21 @@ class TestRunPipeline:
         records = run_pipeline(cfg)
         assert records[0]["auc"] > 0.5
 
+    def test_lp_block_logs_labels_outside_the_graph(self, tmp_path, caplog):
+        cfg = self.base_config(tmp_path, lp_splits="2")
+        g = load_edge_list(cfg["edges"])
+        labels = read_labels(cfg["labels"])
+        train = list(labels)[:40]
+        ghosts = {"ghost0": 1, "ghost1": 0}
+        with caplog.at_level("INFO", logger="demograph.pipeline"):
+            table = pipeline_module._lp_block(
+                cfg, g, {**labels, **ghosts}, train[:20] + list(ghosts)
+                + train[20:], 2, 7)
+        assert "lp: 2 of 42 training labels fall outside the graph" in caplog.text
+        want = pipeline_module._lp_block(cfg, g, labels, train, 2, 7)
+        assert table.nodes == want.nodes == g.names
+        assert table.values.tobytes() == want.values.tobytes()
+
     def test_metrics_table_renders(self, tmp_path):
         records = run_pipeline(self.base_config(tmp_path))
         table = format_metrics_table(records)
