@@ -16,6 +16,7 @@ with the negatives of a batch drawn in one call.
 from __future__ import annotations
 
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -75,8 +76,8 @@ class TrainConfig:
             raise ConfigError("negatives must be >= 1")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
-        if self.rate <= 0:
-            raise ConfigError("rate must be positive")
+        if not 0 < self.rate < math.inf:  # NaN fails too
+            raise ConfigError(f"rate must be positive and finite, got {self.rate}")
         if self.min_count < 1:
             raise ConfigError("min_count must be >= 1")
 

@@ -278,8 +278,8 @@ class TrainHyper:
     rng_seed: int = 0
 
     def validate(self) -> None:
-        if self.rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.rate < math.inf:  # NaN fails too
+            raise ConfigError(f"rate must be positive and finite, got {self.rate}")
         if self.epochs < 1:
             raise ConfigError("epochs must be >= 1")
         if self.minibatch < 1:

@@ -88,6 +88,12 @@ class ExperimentGrid:
             raise ConfigError("iteration counts must be >= 1")
         if self.repetitions < 1:
             raise ConfigError("repetitions must be >= 1")
+        for s, p in self.cells():
+            try:
+                PropagationConfig(strategy=s, alpha=p, beta=p, gamma=p,
+                                  iterations=max(self.ks)).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"grid {s} value {p!r}: {exc}") from None
 
     def cells(self) -> list[tuple[str, float]]:
         return [(s, p) for s in self.strategies for p in self.params_for(s)]
@@ -158,6 +164,8 @@ def run_sensitivity(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
         raise ValidationError("truth array does not match the graph")
     if seeds is None and reveal is None:
         raise ConfigError("need either fixed seeds or a reveal fraction")
+    if reveal is not None and not 0.0 < reveal < 1.0:
+        raise ConfigError(f"reveal fraction must lie in (0, 1), got {reveal}")
     if seeds is not None and not seeds.is_seed.any():
         raise ConfigError("seed state has no seeds")
     cells = [(strategy, param, rep) for strategy, param in grid.cells()
@@ -340,7 +348,10 @@ class PipelineConfig:
             except ConfigError as exc:
                 raise ConfigError(f"config lp_alpha/lp_iters: {exc}") from None
         if "emb" in needed:
-            _embed_config(self, root).validate()
+            try:
+                _embed_config(self, root).validate()
+            except ConfigError as exc:
+                raise ConfigError(f"config emb_* keys: {exc}") from None
         required = {"edges": self["edges"], "labels": self["labels"]}
         if "cumf" in needed:
             required["cumf"] = self["cumf"]
@@ -457,6 +468,7 @@ def fit_and_score(features: FeatureMatrix, labels: dict[str, int],
         params = train_softmax(x, y, n_classes, hyper)
     else:
         raise ConfigError(f"unknown model {model!r}")
+    del x  # free the train matrix before predict allocates its activations
     probs = predict(params, features.values[test_rows])
     metrics = evaluate(probs, y_test)
     return ([features.nodes[i] for i in test_rows.tolist()], probs,
@@ -490,7 +502,8 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
 
     train_names, test_names = split(list(labels), _split_spec(cfg, root))
 
-    needed = {b for r in cfg.regimes() for b in cfg.regime_blocks(r)}
+    regimes = [(r, cfg.regime_blocks(r)) for r in cfg.regimes()]
+    needed = {b for _, names in regimes for b in names}
     blocks: dict[str, FeatureMatrix] = {}
     if "cumf" in needed:
         blocks["cumf"] = FeatureMatrix.from_csv(cfg["cumf"])
@@ -498,11 +511,18 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
         blocks["lp"] = _lp_block(cfg, g, labels, train_names, n_classes, root)
     if "emb" in needed:
         blocks["emb"] = _emb_block(cfg, g, cfg["edges"], root)
+    del g  # no later stage reads the graph
+    for b in blocks:
+        logger.info("block %r: %d rows x %d columns, %.1f MB", b,
+                    *blocks[b].values.shape, blocks[b].values.nbytes / 2 ** 20)
 
     hyper = _train_hyper(cfg)
     records = []
-    for regime in cfg.regimes():
-        features = join_features({b: blocks[b] for b in cfg.regime_blocks(regime)})
+    for i, (regime, names) in enumerate(regimes):
+        features = join_features({b: blocks[b] for b in names})
+        # Free each block that no later regime reads before this one trains.
+        for b in set(names).difference(*(later for _, later in regimes[i + 1:])):
+            del blocks[b]
         try:
             _, _, scores = fit_and_score(
                 features, labels, train_names, test_names, n_classes,
@@ -511,6 +531,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
                 cfg.flag("balance"))
         except ConfigError as exc:
             raise ConfigError(f"regime {regime!r}: {exc}") from None
+        del features  # free this join before the next regime joins
         records.append({"regime": regime, **scores})
 
     if cfg["out"]:

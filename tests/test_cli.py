@@ -315,6 +315,19 @@ class TestFeatureCommands:
         count, dim = header.split()
         assert int(dim) == 8 and int(count) >= 1
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_embed_rejects_non_finite_rate(self, dataset, tmp_path, capsys,
+                                           rate):
+        corpus = tmp_path / "corpus.txt"
+        out = tmp_path / "emb.txt"
+        assert run(["sentences", "--edges", str(dataset / "edges.tsv"),
+                    "--out", str(corpus)]) == 0
+        assert run(["embed", "--corpus", str(corpus), "--min-count", "1",
+                    "--rate", rate, "--out", str(out)]) == 1
+        assert f"rate must be positive and finite, got {rate}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     def test_embed_rejects_empty_vocab(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text("a b\n")
@@ -400,6 +413,14 @@ class TestTrain:
                     "--model", "mlp", "--hidden", "8,x"]) == 1
         assert "--hidden" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rate", ["nan", "inf"])
+    def test_non_finite_rate_exits_1(self, dataset, capsys, rate):
+        assert run(["train", "--features", str(dataset / "cumf.csv"),
+                    "--labels", str(dataset / "truth.tsv"),
+                    "--rate", rate]) == 1
+        assert f"rate must be positive and finite, got {rate}" \
+            in capsys.readouterr().err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_2(self, dataset):
         assert run(["train", "--features", str(dataset / "cumf.csv"),
@@ -472,6 +493,20 @@ class TestPipelineCommand:
         key = override.split("=")[0]
         assert f"config key {key!r}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("override,key", [
+        ("rate=nan", "rate"), ("emb_rate=nan", "emb_* keys: rate"),
+        ("emb_rate=inf", "emb_* keys: rate")])
+    def test_non_finite_rate_exits_1(self, dataset, tmp_path, capsys,
+                                     override, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"edges={dataset / 'edges.tsv'}\n"
+            f"labels={dataset / 'truth.tsv'}\n"
+            f"cumf={dataset / 'cumf.csv'}\n"
+            "regimes=cumf+emb\nmodel=lr\n")
+        assert run(["pipeline", "--config", str(cfg), "--set", override]) == 1
+        assert f"{key} must be positive and finite" in capsys.readouterr().err
+
     def test_missing_config_inputs_exit_1(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("edges=/no/such/file\nlabels=/none\nregimes=lp\n")
@@ -535,6 +570,26 @@ class TestSensitivityCommand:
                     "--seeds", str(dataset / "seeds.tsv"),
                     flag, value, "--out", str(out)]) == 1
         assert f"argument {flag}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--reveal", "nan"], "reveal fraction must lie in (0, 1), got nan"),
+        (["--reveal", "0"], "reveal fraction must lie in (0, 1), got 0.0"),
+        (["--reveal", "2"], "reveal fraction must lie in (0, 1), got 2.0"),
+        (["--reveal", "0.2", "--alphas", "2"], "grid alpha value 2.0"),
+        (["--seeds", "SEEDS", "--strategies", "gamma", "--gammas", "1"],
+         "grid gamma value 1.0"),
+        (["--seeds", "SEEDS", "--betas", "nan", "--strategies", "beta"],
+         "grid beta value nan")])
+    def test_bad_grid_or_reveal_exits_1(self, dataset, tmp_path, capsys,
+                                        flags, message):
+        out = tmp_path / "sens.csv"
+        flags = [str(dataset / "seeds.tsv") if f == "SEEDS" else f
+                 for f in flags]
+        assert run(["sensitivity", "--edges", str(dataset / "edges.tsv"),
+                    "--truth", str(dataset / "truth.tsv"), *flags,
+                    "--ks", "1,2", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_reveal_mode(self, dataset, tmp_path):

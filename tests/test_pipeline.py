@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from demograph import pipeline as pipeline_module
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import load_edge_list
 from demograph.labelprop import LabelState, PropagationConfig, propagate
-from demograph.model import auc_rank
+from demograph.model import FeatureMatrix, auc_rank
 from demograph.pipeline import (ExperimentGrid, PipelineConfig, derive_seed,
                                 format_metrics_table, format_pivot,
                                 read_labels, run_pipeline, run_sensitivity,
@@ -162,6 +163,25 @@ class TestSensitivity:
         with pytest.raises(ConfigError):
             run_sensitivity(g, truth, grid)  # neither seeds nor reveal
 
+    @pytest.mark.parametrize("reveal", [0.0, 1.0, 2.0, float("nan")])
+    def test_reveal_outside_unit_interval_rejected(self, tmp_path, reveal):
+        _, g, truth, _ = planted_fixture(tmp_path, per_class=50, p=0.1,
+                                         q=0.01, reveal=0.2)
+        grid = ExperimentGrid(strategies=["alpha"], alphas=[0.3], ks=[1])
+        with pytest.raises(ConfigError, match="reveal fraction must lie in"):
+            run_sensitivity(g, truth, grid, reveal=reveal)
+
+    @pytest.mark.parametrize("strategy,values,message", [
+        ("alpha", {"alphas": [0.2, 2.0]}, "grid alpha value 2.0: alpha must"),
+        ("alpha", {"alphas": [float("nan")]}, "grid alpha value nan"),
+        ("beta", {"betas": [-0.1]}, "grid beta value -0.1: beta must"),
+        ("gamma", {"gammas": [1.0]},
+         r"grid gamma value 1.0: gamma must lie in \[0, 1\)")])
+    def test_grid_checks_every_cell(self, strategy, values, message):
+        grid = ExperimentGrid(strategies=[strategy], ks=[1, 2], **values)
+        with pytest.raises(ConfigError, match=message):
+            grid.validate()
+
     def test_reveal_resampling_differs_per_rep(self, tmp_path):
         _, g, truth, _ = planted_fixture(tmp_path, per_class=80, p=0.08,
                                          q=0.01, reveal=0.2)
@@ -264,6 +284,10 @@ class TestPipelineConfig:
         ("epochs", "0", "epochs must be >= 1"),
         ("minibatch", "0", "minibatch must be >= 1"),
         ("rate", "0", "rate must be positive"),
+        ("rate", "nan", "rate must be positive and finite, got nan"),
+        ("rate", "inf", "rate must be positive and finite, got inf"),
+        ("emb_rate", "nan", r"emb_\* keys: rate must be positive and finite"),
+        ("emb_rate", "-inf", r"emb_\* keys: rate must be positive and finite"),
         ("l2", "-1", "l2 must be >= 0"),
         ("lp_splits", "1", "'lp_splits' must be >= 2"),
         ("lp_alpha", "2", "lp_alpha.*alpha must lie in"),
@@ -367,6 +391,78 @@ class TestRunPipeline:
         want = pipeline_module._lp_block(cfg, g, labels, train, 2, 7)
         assert table.nodes == want.nodes == g.names
         assert table.values.tobytes() == want.values.tobytes()
+
+    def run_watched(self, monkeypatch, cfg):
+        """Run ``cfg`` holding weak references to the graph, each block,
+        each join and each train matrix; return the names still alive at
+        each join, fit and predict."""
+        refs: dict[str, weakref.ref] = {}
+        events = []
+
+        def alive():
+            return {name for name, ref in refs.items() if ref() is not None}
+
+        def watch(name, fn, before=None, after=None):
+            def hooked(*args, **kwargs):
+                if before:
+                    before(*args)
+                result = fn(*args, **kwargs)
+                if after:
+                    after(result, *args)
+                return result
+            monkeypatch.setattr(pipeline_module, name, hooked)
+
+        def fit(x, *_):
+            events.append(("fit", alive()))
+            refs[f"x {len(events)}"] = weakref.ref(x)
+
+        def joined(features, blocks):
+            refs.update((f"block {b}", weakref.ref(m)) for b, m in blocks.items())
+            refs[f"join {len(events)}"] = weakref.ref(features)
+
+        watch("load_edge_list", pipeline_module.load_edge_list,
+              after=lambda g, *_: refs.update(graph=weakref.ref(g)))
+        watch("join_features", pipeline_module.join_features,
+              before=lambda *_: events.append(("join", alive())), after=joined)
+        watch("train_mlp", pipeline_module.train_mlp, before=fit)
+        watch("predict", pipeline_module.predict,
+              before=lambda *_: events.append(("predict", alive())))
+        records = run_pipeline(cfg)
+        return records, events
+
+    @pytest.mark.parametrize("balance", ["0", "1"])
+    def test_tables_die_after_their_last_reader(self, tmp_path, monkeypatch,
+                                                balance):
+        cfg = self.base_config(tmp_path, regimes="cumf,cumf+lp,lp",
+                               model="mlp", hidden="8", epochs="2",
+                               balance=balance)
+        records, events = self.run_watched(monkeypatch, cfg)
+        assert [event for event, _ in events] == ["join", "fit", "predict"] * 3
+        joins, fits, predicts = ([alive for event, alive in events
+                                  if event == name]
+                                 for name in ("join", "fit", "predict"))
+        assert "graph" not in fits[0]
+        # A regime's joined table is gone before the next regime joins.
+        assert not any(n.startswith("join") for alive in joins for n in alive)
+        # Only the blocks that a later regime reads outlive their last join.
+        assert [{n for n in alive if n.startswith("block")} for alive in fits] \
+            == [{"block cumf"}, {"block lp"}, set()]
+        # No train matrix outlives its fit.
+        assert not any(n.startswith("x") for alive in predicts for n in alive)
+        assert records == run_pipeline(cfg)
+
+    def test_logs_each_block(self, tmp_path, caplog):
+        cfg = self.base_config(tmp_path, regimes="cumf+lp")
+        cumf = FeatureMatrix.from_csv(cfg["cumf"])
+        g = load_edge_list(cfg["edges"])
+        with caplog.at_level("INFO", logger="demograph.pipeline"):
+            run_pipeline(cfg)
+        rows, cols = cumf.values.shape
+        assert (f"block 'cumf': {rows} rows x {cols} columns, "
+                f"{rows * cols * 8 / 2 ** 20:.1f} MB") in caplog.text
+        # Three runs of one channel, then three presence columns.
+        assert (f"block 'lp': {g.node_count} rows x 6 columns, "
+                f"{g.node_count * 6 * 8 / 2 ** 20:.1f} MB") in caplog.text
 
     def test_metrics_table_renders(self, tmp_path):
         records = run_pipeline(self.base_config(tmp_path))
