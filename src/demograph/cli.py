@@ -20,12 +20,12 @@ from .graph import (load_directed_edges, load_edge_list, write_edge_list,
 from .labelprop import (PropagationConfig, propagate, read_node_vectors,
                         read_seed_labels, write_label_state,
                         write_node_vectors)
-from .model import (FeatureMatrix, SplitSpec, TrainHyper, evaluate,
-                    join_features, split)
-from .pipeline import (ExperimentGrid, PipelineConfig, fit_and_score,
-                       float_list, format_metrics_table, format_pivot,
-                       int_list, read_labels, run_pipeline, run_sensitivity,
-                       task_classes, write_sensitivity_csv)
+from .model import (FeatureMatrix, SplitSpec, TrainHyper, check_hidden,
+                    evaluate, join_features, split)
+from .pipeline import (ExperimentGrid, PipelineConfig, _check_reveal,
+                       fit_and_score, float_list, format_metrics_table,
+                       format_pivot, int_list, read_labels, run_pipeline,
+                       run_sensitivity, task_classes, write_sensitivity_csv)
 
 
 class _UsageError(ConfigError):
@@ -211,12 +211,13 @@ def _cmd_ingest(args):
 
 
 def _cmd_propagate(args):
-    g = load_edge_list(args.graph, min_degree=args.min_degree)
-    seeds = read_seed_labels(args.seeds, g, num_classes=args.classes,
-                             ages=args.ages)
     cfg = PropagationConfig(strategy=args.strategy, alpha=args.alpha,
                             beta=args.beta, gamma=args.gamma,
                             iterations=args.iters)
+    cfg.validate()
+    g = load_edge_list(args.graph, min_degree=args.min_degree)
+    seeds = read_seed_labels(args.seeds, g, num_classes=args.classes,
+                             ages=args.ages)
     state = propagate(g, seeds, cfg)
     write_label_state(args.out, g, state, emit_inactive=args.emit_inactive)
     print(f"coverage={state.coverage:.6f} seeds={state.seed_count} "
@@ -224,12 +225,15 @@ def _cmd_propagate(args):
 
 
 def _cmd_lp_features(args):
+    if args.splits < 2:
+        raise ConfigError(f"--splits must be >= 2, got {args.splits}")
+    cfg = PropagationConfig(alpha=args.alpha, iterations=args.iters)
+    cfg.validate()
     g = load_edge_list(args.graph, min_degree=args.min_degree)
     seeds = read_seed_labels(args.seeds, g, num_classes=args.classes,
                              ages=args.ages)
     plan = lpfeatures.make_partitions(np.flatnonzero(seeds.is_seed),
                                       args.splits, args.rng_seed)
-    cfg = PropagationConfig(alpha=args.alpha, iterations=args.iters)
     block = lpfeatures.lp_features(g, seeds, plan, cfg)
     block.table(g.names, presence=not args.no_presence).to_csv(args.out)
     print(f"wrote {block.node_count} rows x {args.splits} runs to {args.out}")
@@ -244,11 +248,12 @@ def _cmd_sentences(args):
 
 
 def _cmd_embed(args):
-    corpus = embed.read_corpus(args.corpus)
     cfg = embed.TrainConfig(mode=args.mode, dim=args.dim, window=args.window,
                             negatives=args.negatives, rate=args.rate,
                             epochs=args.epochs, min_count=args.min_count,
                             subsample=args.subsample, rng_seed=args.rng_seed)
+    cfg.validate()
+    corpus = embed.read_corpus(args.corpus)
     table = embed.train_embeddings(corpus, cfg)
     table.save(args.out)
     print(f"trained {len(table)} vectors of dim {table.dim}")
@@ -275,25 +280,28 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
+    spec = SplitSpec(mode=args.split, train_fraction=args.train_frac,
+                     rng_seed=args.rng_seed)
+    hyper = TrainHyper(rate=args.rate, epochs=args.epochs,
+                       minibatch=args.minibatch, l2=args.l2,
+                       rng_seed=args.rng_seed)
+    spec.validate()
+    hyper.validate()
+    if args.model == "mlp":
+        check_hidden(args.hidden)
     paths = [p for p in args.features.split(",") if p]
-    blocks = {}
-    for path in paths:
-        name = Path(path).stem
-        if name in blocks:
-            raise ConfigError(f"two feature files share the name {name!r}")
-        blocks[name] = FeatureMatrix.from_csv(path)
+    names = [Path(p).stem for p in paths]
+    if not paths or len(set(names)) < len(names):
+        raise ConfigError(f"--features needs files with distinct names, got "
+                          f"{args.features!r}")
+    blocks = {name: FeatureMatrix.from_csv(p) for name, p in zip(names, paths)}
     features = join_features(blocks) if len(blocks) > 1 else next(iter(blocks.values()))
     labels = read_labels(args.labels, args.task, args.ages)
     labeled = [n for n in labels if n in features]
     if not labeled:
         raise ConfigError("no labeled node has features")
-    spec = SplitSpec(mode=args.split, train_fraction=args.train_frac,
-                     rng_seed=args.rng_seed)
     # The random split depends on this list: only labeled nodes with features.
     train_names, test_names = split(labeled, spec)
-    hyper = TrainHyper(rate=args.rate, epochs=args.epochs,
-                       minibatch=args.minibatch, l2=args.l2,
-                       rng_seed=args.rng_seed)
     test_rows, probs, record = fit_and_score(
         features, labels, train_names, test_names, task_classes(args.task),
         args.model, args.hidden, hyper, args.balance)
@@ -346,8 +354,12 @@ def _cmd_pipeline(args):
 
 
 def _cmd_sensitivity(args):
-    if not args.seeds and args.reveal is None:
-        raise ConfigError("pass --seeds or --reveal")
+    grid = ExperimentGrid(
+        strategies=[s for s in args.strategies.split(",") if s],
+        alphas=args.alphas, betas=args.betas, gammas=args.gammas, ks=args.ks,
+        repetitions=args.reps, rng_seed=args.rng_seed)
+    grid.validate()
+    _check_reveal(bool(args.seeds), args.reveal)
     g = load_edge_list(args.edges, min_degree=args.min_degree)
     truth_map = read_labels(args.truth, "gender", False)
     truth = np.full(g.node_count, -1, dtype=np.int64)
@@ -357,10 +369,6 @@ def _cmd_sensitivity(args):
     seeds = None
     if args.seeds:
         seeds = read_seed_labels(args.seeds, g, num_classes=1)
-    grid = ExperimentGrid(
-        strategies=[s for s in args.strategies.split(",") if s],
-        alphas=args.alphas, betas=args.betas, gammas=args.gammas, ks=args.ks,
-        repetitions=args.reps, rng_seed=args.rng_seed)
     rows = run_sensitivity(g, truth, grid, seeds=seeds, reveal=args.reveal,
                            workers=args.workers)
     write_sensitivity_csv(rows, args.out)

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -132,9 +132,9 @@ class LabelState:
     def __post_init__(self):
         self.is_seed = np.asarray(self.is_seed, dtype=bool)
         self.is_active = np.asarray(self.is_active, dtype=bool)
-        self.values = np.atleast_2d(np.asarray(self.values, dtype=np.float64))
-        if self.values.shape[0] == 1 and self.is_seed.shape[0] != 1:
-            self.values = self.values.T
+        self.values = np.asarray(self.values, dtype=np.float64)
+        if self.values.ndim != 2:
+            raise ValidationError("label state values must be (nodes, channels)")
         n = self.values.shape[0]
         if self.is_seed.shape != (n,) or self.is_active.shape != (n,):
             raise ValidationError("label state arrays disagree on node count")
@@ -175,16 +175,11 @@ class LabelState:
                           classes: Iterable[int],
                           num_classes: int = NUM_AGE_BUCKETS) -> "LabelState":
         """One-hot state for class-indexed seeds."""
-        idx = np.asarray(list(indices), dtype=np.int64)
         cls_idx = np.asarray(list(classes), dtype=np.int64)
-        if cls_idx.size and (cls_idx.min() < 0 or cls_idx.max() >= num_classes):
-            raise ValidationError(
-                f"class index out of range [0, {num_classes})")
-        vals = np.zeros((node_count, num_classes))
-        vals[idx, cls_idx] = 1.0
-        seed = np.zeros(node_count, dtype=bool)
-        seed[idx] = True
-        return cls(vals, seed, seed.copy())
+        if ((cls_idx < 0) | (cls_idx >= num_classes)).any():
+            raise ValidationError(f"class index out of range [0, {num_classes})")
+        return cls.from_seed_values(node_count, indices,
+                                    np.eye(num_classes)[cls_idx], num_classes)
 
 
 def _neighbor_means(g: Graph, values: np.ndarray, active: np.ndarray):
@@ -205,19 +200,6 @@ def _neighbor_means(g: Graph, values: np.ndarray, active: np.ndarray):
     return means, has
 
 
-def _check_inputs(g: Graph, seeds: LabelState) -> None:
-    if g.node_count == 0:
-        raise ValidationError("graph has no nodes")
-    if seeds.node_count != g.node_count:
-        raise ValidationError(
-            f"seed state covers {seeds.node_count} nodes, graph has {g.node_count}")
-    if not seeds.is_seed.any():
-        raise ConfigError("propagation requires at least one seed node")
-
-
-SuperstepHook = Callable[[int, LabelState], None]
-
-
 def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,
                            seeds: LabelState) -> LabelState:
     """Normalize accumulator rows into distributions; seeds pass through."""
@@ -230,28 +212,20 @@ def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,
 
 
 def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
-         on_superstep: SuperstepHook | None = None) -> LabelState:
+         keep: set[int]) -> Iterator[tuple[int, LabelState]]:
     """The superstep loop of every strategy at any channel count.
 
     Each superstep updates the non-seed nodes with an active neighbor
     (``grow``).  Alpha and beta blend an active node's value with the
     neighbor mean at weight ``w`` and give a newly active node the plain
     mean; gamma adds ``gamma * mean`` to every channel and activates a node
-    once it holds mass.  The hook and the result see the raw state, or for
-    gamma the normalized accumulators.
+    once it holds mass.  After each superstep ``k`` in ``keep`` it yields
+    ``(k, state)``: the raw state, or for gamma the normalized accumulators.
     """
     values = np.where(seeds.is_active[:, None], seeds.values, 0.0)
     active = seeds.is_active.copy()
     is_seed = seeds.is_seed.copy()
     gamma = cfg.strategy == "gamma"
-
-    def state() -> LabelState:
-        if gamma:
-            return _finalize_accumulators(values, active, seeds)
-        # values and active are new arrays every superstep and are never
-        # written again, so the hook may keep them without a copy.
-        return LabelState(values, is_seed, active)
-
     for k in range(1, cfg.iterations + 1):
         means, has = _neighbor_means(g, values, active)
         grow = (has & ~is_seed)[:, None]
@@ -270,13 +244,47 @@ def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
             logger.debug("superstep %d: max delta %.3e, %d newly active",
                          k, delta, int((new_active & ~active).sum()))
         values, active = new, new_active
-        if on_superstep is not None:
-            on_superstep(k, state())
-    return state()
+        if k in keep:
+            # values and active are new arrays every superstep and are
+            # never written again, so a caller may keep them without a copy.
+            yield k, (_finalize_accumulators(values, active, seeds) if gamma
+                      else LabelState(values, is_seed, active))
 
 
-def propagate(g: Graph, seeds: LabelState, cfg: PropagationConfig,
-              on_superstep: SuperstepHook | None = None) -> LabelState:
+def _female_share(states: Iterator[tuple[int, LabelState]]
+                  ) -> Iterator[tuple[int, LabelState]]:
+    """The scalar output of two-channel gamma states: the female channel.
+    Rebinding ``state`` frees each two-channel state before the next
+    superstep runs."""
+    for k, state in states:
+        state = LabelState(state.values[:, 1:2].copy(), state.is_seed,
+                           state.is_active)
+        yield k, state
+
+
+def _states(g: Graph, seeds: LabelState, cfg: PropagationConfig,
+            keep: set[int]) -> Iterator[tuple[int, LabelState]]:
+    """Check one run's inputs, then yield its states at the supersteps in
+    ``keep``.  Scalar gamma seeds run as (male, female) accumulators."""
+    cfg.validate()
+    if seeds.node_count != g.node_count:
+        raise ValidationError(
+            f"seed state covers {seeds.node_count} nodes, graph has {g.node_count}")
+    if not seeds.is_seed.any():
+        raise ConfigError("propagation requires at least one seed node")
+    if cfg.strategy != "gamma" or seeds.num_classes != 1:
+        return _run(g, seeds, cfg, keep)
+    if not np.isin(seeds.values[seeds.is_seed, 0], (0.0, 1.0)).all():
+        raise ValidationError("gamma strategy needs seed values in {0, 1}")
+    female = seeds.values[:, 0]
+    two_channel = LabelState(
+        np.stack([np.where(seeds.is_active, 1.0 - female, 0.0),
+                  np.where(seeds.is_active, female, 0.0)], axis=1),
+        seeds.is_seed, seeds.is_active)
+    return _female_share(_run(g, two_channel, cfg, keep))
+
+
+def propagate(g: Graph, seeds: LabelState, cfg: PropagationConfig) -> LabelState:
     """Run ``cfg.iterations`` synchronous supersteps from the seed state.
 
     Returns the final state; activation coverage is available as
@@ -284,11 +292,8 @@ def propagate(g: Graph, seeds: LabelState, cfg: PropagationConfig,
     values in {0, 1} and the result is the female-share scalar
     (``propagate_gamma``); wider seeds accumulate per channel.
     """
-    cfg.validate()
-    _check_inputs(g, seeds)
-    if cfg.strategy == "gamma" and seeds.num_classes == 1:
-        return propagate_gamma(g, seeds, cfg.gamma, cfg.iterations, on_superstep)
-    return _run(g, seeds, cfg, on_superstep)
+    [(_, state)] = _states(g, seeds, cfg, {cfg.iterations})
+    return state
 
 
 def propagate_beta(g: Graph, seeds: LabelState, beta: float,
@@ -298,38 +303,13 @@ def propagate_beta(g: Graph, seeds: LabelState, beta: float,
     return propagate(g, seeds, cfg)
 
 
-def propagate_gamma(g: Graph, seeds: LabelState, gamma: float, iterations: int,
-                    on_superstep: SuperstepHook | None = None) -> LabelState:
-    """Two-channel accumulator variant for binary gender.
-
-    Seeds must be scalar values in {0, 1} (female = 1).  Internally each
-    node carries (male, female) accumulators; seeds hold a fixed one-hot
-    pair and are excluded from the final normalization.  A node becomes
-    active only once it has accumulated nonzero mass, so ``gamma = 0``
-    leaves every non-seed inactive.
-    """
+def propagate_gamma(g: Graph, seeds: LabelState, gamma: float,
+                    iterations: int) -> LabelState:
+    """Accumulator variant for binary gender: scalar seeds in {0, 1}
+    (female = 1) run as (male, female) channels, and the result is the
+    female share.  ``gamma = 0`` leaves every non-seed inactive."""
     cfg = PropagationConfig(strategy="gamma", gamma=gamma, iterations=iterations)
-    cfg.validate()
-    _check_inputs(g, seeds)
-    if seeds.num_classes != 1:
-        raise ValidationError("gamma strategy needs scalar binary seeds")
-    seed_vals = seeds.values[seeds.is_seed, 0]
-    if not np.isin(seed_vals, (0.0, 1.0)).all():
-        raise ValidationError("gamma strategy needs seed values in {0, 1}")
-    female = seeds.values[:, 0]
-    two_channel = LabelState(
-        np.stack([np.where(seeds.is_active, 1.0 - female, 0.0),
-                  np.where(seeds.is_active, female, 0.0)], axis=1),
-        seeds.is_seed.copy(), seeds.is_active.copy())
-
-    def scalar(state: LabelState) -> LabelState:
-        return LabelState(state.values[:, 1:2].copy(), state.is_seed,
-                          state.is_active)
-
-    hook = None
-    if on_superstep is not None:
-        hook = lambda k, state: on_superstep(k, scalar(state))
-    return scalar(_run(g, two_channel, cfg, hook))
+    return propagate(g, seeds, cfg)
 
 
 def propagate_multiclass(g: Graph, seed_classes: Mapping[int, int] | np.ndarray,
@@ -345,10 +325,7 @@ def propagate_multiclass(g: Graph, seed_classes: Mapping[int, int] | np.ndarray,
     vector is normalized to sum to 1.
     """
     if isinstance(seed_classes, Mapping):
-        idx = np.fromiter(seed_classes.keys(), dtype=np.int64,
-                          count=len(seed_classes))
-        classes = np.fromiter(seed_classes.values(), dtype=np.int64,
-                              count=len(seed_classes))
+        idx, classes = list(seed_classes), list(seed_classes.values())
     else:
         arr = np.asarray(seed_classes, dtype=np.int64)
         idx = np.flatnonzero(arr >= 0)
@@ -366,23 +343,34 @@ def propagate_trace(g: Graph, seeds: LabelState, cfg: PropagationConfig,
     (the update rule depends only on the superstep index), so
     ``trace[k]`` equals ``propagate`` with ``iterations=k`` exactly.
     """
-    wanted = sorted(set(int(k) for k in checkpoints))
-    if not wanted or wanted[0] < 1:
+    wanted = set(int(k) for k in checkpoints)
+    if not wanted or min(wanted) < 1:
         raise ConfigError("checkpoints must be positive superstep counts")
-    wanted_set = set(wanted)
-    snapshots: dict[int, LabelState] = {}
-
-    def keep(k: int, state: LabelState) -> None:
-        if k in wanted_set:
-            snapshots[k] = state
-
-    propagate(g, seeds, replace(cfg, iterations=wanted[-1]), on_superstep=keep)
-    return snapshots
+    return dict(_states(g, seeds, replace(cfg, iterations=max(wanted)), wanted))
 
 
 # ---------------------------------------------------------------------------
 # Text I/O: seed files and propagated-state files.
 # ---------------------------------------------------------------------------
+
+def _label_rows(path, num_classes: int,
+                ages: bool = False) -> Iterator[tuple[int, str, float | int]]:
+    """``(line, name, label)`` for each ``<name><TAB><label>`` row: a real in
+    [0, 1] when ``num_classes`` is 1, else a ``class_label`` class index.
+    A bad label raises ``EdgeListParseError`` at ``path:line``."""
+    for line_no, (name, raw) in _read_rows(path, 2):
+        try:
+            if num_classes > 1:
+                value = class_label(raw, num_classes, ages)
+            else:
+                value = float(raw)
+                if not 0.0 <= value <= 1.0:  # False for nan too
+                    raise ValidationError(
+                        f"binary label must lie in [0, 1], got {raw!r}")
+        except (ValueError, ValidationError) as exc:
+            raise EdgeListParseError(path, line_no, str(exc)) from None
+        yield line_no, name, value
+
 
 def read_seed_labels(path, g: Graph, num_classes: int = 1,
                      ages: bool = False) -> LabelState:
@@ -395,17 +383,7 @@ def read_seed_labels(path, g: Graph, num_classes: int = 1,
     """
     seeds: dict[int, float | int] = {}
     skipped = 0
-    for line_no, (name, raw) in _read_rows(path, 2):
-        try:
-            if num_classes > 1:
-                value = class_label(raw, num_classes, ages)
-            else:
-                value = float(raw)
-                if not 0.0 <= value <= 1.0:  # False for nan too
-                    raise ValidationError(
-                        f"binary label must lie in [0, 1], got {raw!r}")
-        except (ValueError, ValidationError) as exc:
-            raise EdgeListParseError(path, line_no, str(exc)) from None
+    for line_no, name, value in _label_rows(path, num_classes, ages):
         if name not in g:
             skipped += 1
             continue

@@ -117,7 +117,6 @@ def lp_features(g: Graph, labels: LabelState, plan: PartitionPlan,
     runs' unmasked values at u; if every other run missed u the entry
     stays masked (that is data sparsity, not an error).
     """
-    cfg.validate()
     n_parts, n_classes = plan.n_partitions, labels.num_classes
     parts = plan.partitions()
     if not np.array_equal(np.sort(np.concatenate(parts)),

@@ -406,12 +406,6 @@ def _sgd(params: ModelParams, x: np.ndarray, y: np.ndarray,
     return params
 
 
-def _as_array(features) -> np.ndarray:
-    if isinstance(features, FeatureMatrix):
-        return features.values
-    return np.asarray(features, dtype=np.float64)
-
-
 def _check_training_inputs(x: np.ndarray, y: np.ndarray,
                            n_classes: int) -> None:
     if len(x) != len(y):
@@ -441,7 +435,7 @@ def _train(features, labels, hidden: list[int], n_classes: int, output: str,
     """The one trainer body: checks, init, then minibatch SGD."""
     hyper = hyper or TrainHyper()
     hyper.validate()
-    x = _as_array(features)
+    x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     _check_training_inputs(x, y, n_classes)
     rng = np.random.default_rng(hyper.rng_seed)
@@ -480,7 +474,7 @@ def check_hidden(hidden: list[int]) -> None:
 
 def predict(params: ModelParams, features) -> np.ndarray:
     """Per-row class-probability vectors, rows summing to 1."""
-    x = _as_array(features)
+    x = np.asarray(features, dtype=np.float64)
     if x.shape[1] != params.input_width:
         raise ValidationError(
             f"feature width {x.shape[1]} does not match model input "

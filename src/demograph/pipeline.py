@@ -18,11 +18,10 @@ from pathlib import Path
 import numpy as np
 
 from . import embed, lpfeatures
-from .errors import ConfigError, EdgeListParseError, ValidationError
-from .graph import (Graph, _open_text, _read_rows, load_directed_edges,
-                    load_edge_list)
+from .errors import ConfigError, ValidationError
+from .graph import Graph, _open_text, load_directed_edges, load_edge_list
 from .labelprop import (NUM_AGE_BUCKETS, LabelState, PropagationConfig,
-                        class_label, propagate_trace)
+                        _label_rows, propagate_trace)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, auc_rank,
                     balance_classes, check_hidden, evaluate, fnv1a64,
                     join_features, predict, row_indices, split, train_logistic,
@@ -72,6 +71,11 @@ class ExperimentGrid:
     repetitions: int = 1
     rng_seed: int = 0
 
+    def cell_config(self, strategy: str, param: float) -> PropagationConfig:
+        """The propagation of one grid cell, run to the largest K."""
+        return PropagationConfig(strategy=strategy, alpha=param, beta=param,
+                                 gamma=param, iterations=max(self.ks))
+
     def params_for(self, strategy: str) -> list[float]:
         return {"alpha": self.alphas, "beta": self.betas,
                 "gamma": self.gammas}[strategy]
@@ -90,13 +94,20 @@ class ExperimentGrid:
             raise ConfigError("repetitions must be >= 1")
         for s, p in self.cells():
             try:
-                PropagationConfig(strategy=s, alpha=p, beta=p, gamma=p,
-                                  iterations=max(self.ks)).validate()
+                self.cell_config(s, p).validate()
             except ConfigError as exc:
                 raise ConfigError(f"grid {s} value {p!r}: {exc}") from None
 
     def cells(self) -> list[tuple[str, float]]:
         return [(s, p) for s in self.strategies for p in self.params_for(s)]
+
+
+def _check_reveal(seeded: bool, reveal: float | None) -> None:
+    """A sensitivity run needs fixed seeds or a reveal fraction in (0, 1)."""
+    if not seeded and reveal is None:
+        raise ConfigError("need either fixed seeds or a reveal fraction")
+    if reveal is not None and not 0.0 < reveal < 1.0:
+        raise ConfigError(f"reveal fraction must lie in (0, 1), got {reveal}")
 
 
 def _sample_reveal(truth: np.ndarray, reveal: float,
@@ -119,8 +130,7 @@ def _run_cell(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
     else:
         rep_seeds = _sample_reveal(
             truth, reveal, derive_seed(grid.rng_seed, f"reveal-{rep}"))
-    cfg = PropagationConfig(strategy=strategy, alpha=param, beta=param,
-                            gamma=param, iterations=max(grid.ks))
+    cfg = grid.cell_config(strategy, param)
     base = {"strategy": strategy, "param": param, "rep": rep}
     try:
         snapshots = propagate_trace(g, rep_seeds, cfg, grid.ks)
@@ -159,13 +169,10 @@ def run_sensitivity(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
     parameter, repetition, iterations) regardless of completion order.
     """
     grid.validate()
+    _check_reveal(seeds is not None, reveal)
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != g.node_count:
         raise ValidationError("truth array does not match the graph")
-    if seeds is None and reveal is None:
-        raise ConfigError("need either fixed seeds or a reveal fraction")
-    if reveal is not None and not 0.0 < reveal < 1.0:
-        raise ConfigError(f"reveal fraction must lie in (0, 1), got {reveal}")
     if seeds is not None and not seeds.is_seed.any():
         raise ConfigError("seed state has no seeds")
     cells = [(strategy, param, rep) for strategy, param in grid.cells()
@@ -391,13 +398,9 @@ def _embed_config(cfg: PipelineConfig, root: int) -> embed.TrainConfig:
 def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int]:
     """Read ``<name><TAB><label>`` truth files as name -> class index.
     Every line is checked; of two lines for one name the first wins."""
-    n_classes = task_classes(task)
     labels: dict[str, int] = {}
-    for line_no, (name, raw) in _read_rows(path, 2):
-        try:
-            value = class_label(raw, n_classes, ages and task != "gender")
-        except (ValueError, ValidationError) as exc:
-            raise EdgeListParseError(path, line_no, str(exc)) from None
+    for _, name, value in _label_rows(path, task_classes(task),
+                                      ages and task != "gender"):
         labels.setdefault(name, value)
     if not labels:
         raise ConfigError(f"{path}: no labels found")

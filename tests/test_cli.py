@@ -601,6 +601,40 @@ class TestSensitivityCommand:
         assert len(out.read_text().splitlines()) == 1 + 2 * 2
 
 
+class TestSettingsBeforeInput:
+    """A bad setting is reported before any input is read, so with a
+    missing input file the error names the setting, not the file."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "0.2",
+          "--alphas", "2", "--out", "OUT"], "grid alpha value 2.0"),
+        (["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "2",
+          "--out", "OUT"], "reveal fraction must lie in (0, 1), got 2.0"),
+        (["propagate", "--graph", "M", "--seeds", "M", "--alpha", "2",
+          "--out", "OUT"], "alpha must lie in [0, 1], got 2.0"),
+        (["lp-features", "--graph", "M", "--seeds", "M", "--splits", "1",
+          "--out", "OUT"], "--splits must be >= 2, got 1"),
+        (["embed", "--corpus", "M", "--dim", "0", "--out", "OUT"],
+         "dim must be >= 1"),
+        (["train", "--features", "M", "--labels", "M", "--epochs", "0"],
+         "epochs must be >= 1"),
+        (["train", "--features", ",", "--labels", "M"],
+         "--features needs files with distinct names, got ','"),
+        (["train", "--features", "a/x.csv,b/x.csv", "--labels", "M"],
+         "--features needs files with distinct names"),
+    ], ids=["sensitivity-alphas", "sensitivity-reveal", "propagate-alpha",
+            "lp-features-splits", "embed-dim", "train-epochs",
+            "train-no-features", "train-same-stem"])
+    def test_bad_setting_named_despite_missing_input(self, tmp_path, capsys,
+                                                    argv, message):
+        out = tmp_path / "out"
+        names = {"M": str(tmp_path / "missing.tsv"), "OUT": str(out)}
+        assert run([names.get(arg, arg) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert message in err and "missing input" not in err
+        assert not out.exists()
+
+
 class TestSynthCommand:
     def test_rejects_antihomophily_without_flag(self, tmp_path):
         assert run(["synth", "--per-class", "10", "--p", "0.01", "--q", "0.5",

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -94,6 +96,11 @@ class TestPropagateExamples:
         seeds = LabelState.from_seed_values(12, range(12), values)
         out = propagate(g, seeds, PropagationConfig(alpha=0.4, iterations=k))
         assert np.array_equal(out.values[:, 0], values)
+
+    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros((1, 3))])
+    def test_values_must_be_one_row_per_node(self, values):
+        with pytest.raises(ValidationError):
+            LabelState(values, np.zeros(3, bool), np.zeros(3, bool))
 
     def test_zero_seeds_rejected(self):
         g = path_graph(["a", "b"])
@@ -475,6 +482,28 @@ class TestEngineAgainstReference:
             self.assert_same(
                 propagate_multiclass(g, classes, cfg, num_classes=channels),
                 values, active)
+            # The per-node array form, -1 marking an unlabeled node.
+            per_node = np.full(g.node_count, -1)
+            per_node[list(classes)] = list(classes.values())
+            self.assert_same(
+                propagate_multiclass(g, per_node, cfg, num_classes=channels),
+                values, active)
+
+
+class TestSuperstepLog:
+    def test_one_debug_line_per_superstep(self, rng, caplog):
+        g, adj = random_graph(rng, 40, 0.06)
+        seeds, seed_map = random_binary_seeds(rng, 40, 3)
+        caplog.set_level(logging.DEBUG, logger="demograph.labelprop")
+        propagate(g, seeds, PropagationConfig(alpha=0.3, iterations=5))
+        lines = [r for r in caplog.records if r.msg.startswith("superstep")]
+        assert [r.args[0] for r in lines] == [1, 2, 3, 4, 5]
+        # A node activates at the superstep equal to its hop distance.
+        dist = np.array(bfs_distances(adj, set(seed_map)))
+        assert [r.args[2] for r in lines] == [int((dist == k).sum())
+                                              for k in range(1, 6)]
+        # Only seeds are active before superstep 1, and seeds never move.
+        assert lines[0].args[1] == 0.0
 
 
 class TestLabelIO:

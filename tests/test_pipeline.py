@@ -10,7 +10,7 @@ import pytest
 
 from demograph import pipeline as pipeline_module
 from demograph.errors import ConfigError, ValidationError
-from demograph.graph import load_edge_list
+from demograph.graph import Graph, load_edge_list
 from demograph.labelprop import LabelState, PropagationConfig, propagate
 from demograph.model import FeatureMatrix, auc_rank
 from demograph.pipeline import (ExperimentGrid, PipelineConfig, derive_seed,
@@ -150,6 +150,18 @@ class TestSensitivity:
         assert all(r["error"] == "" and r["auc"] is not None
                    for r in alpha_rows)
         assert all(r["error"] != "" and r["auc"] is None for r in gamma_rows)
+
+    def test_undefined_auc_is_a_row_error(self):
+        # The one class-0 node is a seed, so every hidden label is 1.
+        g = Graph.build(["a", "b", "c", "d"], [(0, 1), (1, 2), (2, 3)])
+        truth = np.array([0, 1, 1, 1])
+        seeds = LabelState.from_seed_values(4, [0, 1], [0.0, 1.0])
+        grid = ExperimentGrid(strategies=["alpha"], alphas=[0.3], ks=[1, 2])
+        rows = run_sensitivity(g, truth, grid, seeds=seeds)
+        assert [r["auc"] for r in rows] == [None, None]
+        assert [r["coverage"] for r in rows] == [0.75, 1.0]
+        assert all(r["error"] == "AUC is undefined when only one class is "
+                   "present" for r in rows)
 
     def test_no_seeds_rejected_before_grid(self, tmp_path):
         _, g, truth, _ = planted_fixture(tmp_path, per_class=50, p=0.1,
