@@ -22,7 +22,7 @@ from .labelprop import (PropagationConfig, propagate, read_node_vectors,
                         write_node_vectors)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, check_hidden,
                     evaluate, join_features, split)
-from .pipeline import (ExperimentGrid, PipelineConfig, _check_reveal,
+from .pipeline import (ExperimentGrid, PipelineConfig, _check_sensitivity,
                        fit_and_score, float_list, format_metrics_table,
                        format_pivot, int_list, read_labels, run_pipeline,
                        run_sensitivity, task_classes, write_sensitivity_csv)
@@ -359,7 +359,7 @@ def _cmd_sensitivity(args):
         alphas=args.alphas, betas=args.betas, gammas=args.gammas, ks=args.ks,
         repetitions=args.reps, rng_seed=args.rng_seed)
     grid.validate()
-    _check_reveal(bool(args.seeds), args.reveal)
+    _check_sensitivity(bool(args.seeds), args.reveal, args.workers)
     g = load_edge_list(args.edges, min_degree=args.min_degree)
     truth_map = read_labels(args.truth, "gender", False)
     truth = np.full(g.node_count, -1, dtype=np.int64)

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .graph import DirectedEdges, Graph, _open_text
+from .graph import DirectedEdges, Graph, _float_rows, _open_text
 
 __all__ = [
     "EmbeddingTable",
@@ -118,8 +118,7 @@ class EmbeddingTable:
         ``<token> <v1> ... <vd>`` line per token."""
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(f"{len(self.tokens)} {self.dim}\n")
-            for token, vec in zip(self.tokens, self.vectors):
-                fh.write(token + " " + " ".join(f"{x:.17g}" for x in vec) + "\n")
+            fh.writelines(_float_rows(self.tokens, self.vectors, " ", " "))
 
     @classmethod
     def load(cls, path) -> "EmbeddingTable":

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError, EdgeListParseError, ValidationError
-from .graph import Graph, _read_rows
+from .graph import Graph, _float_rows, _read_rows
 
 __all__ = [
     "AGE_BUCKET_UPPER_BOUNDS",
@@ -407,8 +407,7 @@ def write_node_vectors(path, names, rows) -> None:
     """Write ``<name><TAB><v0>[,v1..]`` lines with 17 significant digits,
     the format ``read_node_vectors`` reads."""
     with open(path, "w", encoding="utf-8") as fh:
-        for name, row in zip(names, rows):
-            fh.write(name + "\t" + ",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.writelines(_float_rows(names, rows, "\t"))
 
 
 def write_label_state(path, g: Graph, state: LabelState,

@@ -19,7 +19,7 @@ import numpy as np
 
 from .embed import sigmoid
 from .errors import ConfigError, DivergenceError, ValidationError
-from .graph import _open_text
+from .graph import _float_rows, _open_text
 
 __all__ = [
     "FeatureMatrix",
@@ -72,9 +72,20 @@ class FeatureMatrix:
         return node in self._row
 
     def to_csv(self, path) -> None:
+        """Write ``csv.writer``'s excel dialect: CRLF line ends, and a name
+        quoted only if it holds a comma, a quote or a line break.
+        Tables without such a name are formatted in bulk; the others, and
+        tables without columns, go through ``csv.writer`` row by row."""
+        header = ["node"] + self.columns
         with open(path, "w", newline="", encoding="utf-8") as fh:
+            text = "".join([*self.nodes, *header])
+            if self.columns and not any(c in text for c in ',"\r\n'):
+                fh.write(",".join(header) + "\r\n")
+                fh.writelines(_float_rows(self.nodes, self.values, ",",
+                                          end="\r\n"))
+                return
             writer = csv.writer(fh)
-            writer.writerow(["node"] + self.columns)
+            writer.writerow(header)
             for name, row in zip(self.nodes, self.values):
                 writer.writerow([name] + [f"{x:.17g}" for x in row])
 

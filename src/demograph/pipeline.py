@@ -19,9 +19,10 @@ import numpy as np
 
 from . import embed, lpfeatures
 from .errors import ConfigError, ValidationError
-from .graph import Graph, _open_text, load_directed_edges, load_edge_list
-from .labelprop import (NUM_AGE_BUCKETS, LabelState, PropagationConfig,
-                        _label_rows, propagate_trace)
+from .graph import (Graph, _open_text, _pair_tokens, load_directed_edges,
+                    load_edge_list)
+from .labelprop import (AGE_BUCKET_UPPER_BOUNDS, NUM_AGE_BUCKETS, LabelState,
+                        PropagationConfig, _label_rows, propagate_trace)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, auc_rank,
                     balance_classes, check_hidden, evaluate, fnv1a64,
                     join_features, predict, row_indices, split, train_logistic,
@@ -102,12 +103,16 @@ class ExperimentGrid:
         return [(s, p) for s in self.strategies for p in self.params_for(s)]
 
 
-def _check_reveal(seeded: bool, reveal: float | None) -> None:
-    """A sensitivity run needs fixed seeds or a reveal fraction in (0, 1)."""
+def _check_sensitivity(seeded: bool, reveal: float | None,
+                       workers: int) -> None:
+    """A sensitivity run needs fixed seeds or a reveal fraction in (0, 1),
+    and at least one worker."""
     if not seeded and reveal is None:
         raise ConfigError("need either fixed seeds or a reveal fraction")
     if reveal is not None and not 0.0 < reveal < 1.0:
         raise ConfigError(f"reveal fraction must lie in (0, 1), got {reveal}")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
 
 
 def _sample_reveal(truth: np.ndarray, reveal: float,
@@ -169,7 +174,7 @@ def run_sensitivity(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
     parameter, repetition, iterations) regardless of completion order.
     """
     grid.validate()
-    _check_reveal(seeds is not None, reveal)
+    _check_sensitivity(seeds is not None, reveal, workers)
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != g.node_count:
         raise ValidationError("truth array does not match the graph")
@@ -395,13 +400,47 @@ def _embed_config(cfg: PipelineConfig, root: int) -> embed.TrainConfig:
         rng_seed=derive_seed(root, "embed"))
 
 
+def _array_labels(path, num_classes: int, ages: bool):
+    """``read_labels`` by array operations, or ``None`` to leave the file to
+    the line reader: a file the array edge parse declines (a byte other
+    than tab, space, newline and printable ASCII but ``#``, or a non-blank
+    line of other than two tokens), one without a row, a label other than
+    1 to 18 ASCII digits, a class out of range or a repeated name."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    data = np.frombuffer(raw, np.uint8)
+    tokens = _pair_tokens(data)
+    if tokens is None or not len(tokens[0]):
+        return None
+    begin, size = tokens[0][1::2], tokens[1][1::2]  # the label tokens
+    if size.max() > 18:
+        return None
+    values = np.zeros(len(begin), np.int64)
+    for j in range(size.max()):
+        at = np.flatnonzero(size > j)
+        digit = data[begin[at] + j] - ord("0")  # a byte below "0" wraps past 9
+        if (digit > 9).any():
+            return None
+        values[at] = values[at] * 10 + digit
+    if ages:  # the first bucket whose upper bound reaches the age
+        values = np.searchsorted(AGE_BUCKET_UPPER_BOUNDS, values)
+    if values.max() >= num_classes:
+        return None
+    names = raw.decode("ascii").split()[0::2]
+    labels = dict(zip(names, values.tolist()))
+    return labels if len(labels) == len(names) else None
+
+
 def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int]:
     """Read ``<name><TAB><label>`` truth files as name -> class index.
-    Every line is checked; of two lines for one name the first wins."""
-    labels: dict[str, int] = {}
-    for _, name, value in _label_rows(path, task_classes(task),
-                                      ages and task != "gender"):
-        labels.setdefault(name, value)
+    Every line is checked; of two lines for one name the first wins.  A
+    file that ``_array_labels`` declines goes through the line reader."""
+    num_classes, ages = task_classes(task), ages and task != "gender"
+    labels = _array_labels(path, num_classes, ages)
+    if labels is None:
+        labels = {}
+        for _, name, value in _label_rows(path, num_classes, ages):
+            labels.setdefault(name, value)
     if not labels:
         raise ConfigError(f"{path}: no labels found")
     return labels

@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .graph import _pair_rows, _suffixed
 from .model import FeatureMatrix
 
 __all__ = ["PlantedGraphSpec", "SynthData", "generate", "write_outputs"]
@@ -106,15 +107,17 @@ def write_outputs(data: SynthData, out_dir) -> dict[str, Path]:
     paths = {name: out / fname for name, fname in (
         ("edges", "edges.tsv"), ("truth", "truth.tsv"),
         ("seeds", "seeds.tsv"), ("cumf", "cumf.csv"))}
-    with open(paths["edges"], "w", encoding="utf-8") as fh:
-        for u, v in data.edges:
-            fh.write(f"{data.names[u]}\t{data.names[v]}\n")
-    with open(paths["truth"], "w", encoding="utf-8") as fh:
-        for name, label in zip(data.names, data.truth):
-            fh.write(f"{name}\t{label}\n")
-    with open(paths["seeds"], "w", encoding="utf-8") as fh:
-        for i in data.seed_indices:
-            fh.write(f"{data.names[i]}\t{data.truth[i]}\n")
+    tab = _suffixed(data.names, "\t")
+    # A truth or seed line pairs a node with the line end of its label.
+    labels, label_of = np.unique(data.truth, return_inverse=True)
+    ends = _suffixed([f"{label}" for label in labels], "\n")
+    node_label = np.stack([np.arange(len(label_of)), label_of], axis=1)
+    for name, pairs, right in (
+            ("edges", data.edges, _suffixed(data.names, "\n")),
+            ("truth", node_label, ends),
+            ("seeds", node_label[data.seed_indices], ends)):
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.writelines(_pair_rows(pairs, tab, right))
     columns = [f"cumf_{c}" for c in range(data.features.shape[1])]
     FeatureMatrix(data.names, columns, data.features).to_csv(paths["cumf"])
     return paths

@@ -38,6 +38,15 @@ def random_binary_seeds(rng: np.random.Generator, n: int, n_seeds: int):
     return state, {int(v): np.array([values[i]]) for i, v in enumerate(idx)}
 
 
+def spiced(lines, spice, at, final_newline):
+    """The bytes of a text file of ``lines`` with the raw line ``spice``
+    inserted before line ``at``, with or without a final newline."""
+    text = [line.encode() + b"\n" for line in lines]
+    text.insert(min(at, len(text)), spice)
+    data = b"".join(text)
+    return data if final_newline else data.removesuffix(b"\n")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)

@@ -15,10 +15,15 @@ the code they judge:
   implementations: renumbering by a sort of all arc ends, three
   ``(n, N, C)`` copies plus an imputed copy and a stack, joins and
   gathers by name lists, and a step that builds a one-hot target.
+
+The per-line file writers at the end are the package's earlier writers,
+one ``write`` or ``csv.writer.writerow`` call per line; the bulk writers
+must match them byte for byte.
 """
 
 from __future__ import annotations
 
+import csv
 from collections import Counter
 from dataclasses import dataclass
 
@@ -536,3 +541,68 @@ def reference_loss_and_gradients(params, x: np.ndarray, y: np.ndarray,
     grads_w.reverse()
     grads_b.reverse()
     return loss, grads_w, grads_b
+
+
+# ---------------------------------------------------------------------------
+# Per-line file writers
+# ---------------------------------------------------------------------------
+
+def reference_to_csv(fm, path):
+    """``FeatureMatrix.to_csv`` as one ``csv.writer`` row per node."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["node"] + fm.columns)
+        for name, row in zip(fm.nodes, fm.values):
+            writer.writerow([name] + [f"{x:.17g}" for x in row])
+
+
+def reference_write_node_vectors(path, names, rows):
+    with open(path, "w", encoding="utf-8") as fh:
+        for name, row in zip(names, rows):
+            fh.write(name + "\t" + ",".join(f"{x:.17g}" for x in row) + "\n")
+
+
+def reference_write_label_state(path, g, state, emit_inactive=False):
+    keep = np.flatnonzero(state.is_active | emit_inactive)
+    rows = np.where(state.is_active[:, None], state.values, np.nan)[keep]
+    reference_write_node_vectors(path, [g.names[v] for v in keep], rows)
+
+
+def reference_embedding_save(table, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{len(table.tokens)} {table.dim}\n")
+        for token, vec in zip(table.tokens, table.vectors):
+            fh.write(token + " " + " ".join(f"{x:.17g}" for x in vec) + "\n")
+
+
+def reference_write_edge_list(g, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for u in range(g.node_count):
+            for v in g.neighbors(u):
+                if v > u:
+                    fh.write(f"{g.names[u]}\t{g.names[v]}\n")
+
+
+def reference_write_node_map(g, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        for i, name in enumerate(g.names):
+            fh.write(f"{i}\t{name}\n")
+
+
+def reference_write_outputs(data, out_dir):
+    """``synth.write_outputs`` with one ``write`` per edge, truth and seed
+    line and ``reference_to_csv`` for the features."""
+    from demograph.model import FeatureMatrix
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / "edges.tsv", "w", encoding="utf-8") as fh:
+        for u, v in data.edges:
+            fh.write(f"{data.names[u]}\t{data.names[v]}\n")
+    with open(out_dir / "truth.tsv", "w", encoding="utf-8") as fh:
+        for name, label in zip(data.names, data.truth):
+            fh.write(f"{name}\t{label}\n")
+    with open(out_dir / "seeds.tsv", "w", encoding="utf-8") as fh:
+        for i in data.seed_indices:
+            fh.write(f"{data.names[i]}\t{data.truth[i]}\n")
+    columns = [f"cumf_{c}" for c in range(data.features.shape[1])]
+    reference_to_csv(FeatureMatrix(data.names, columns, data.features),
+                     out_dir / "cumf.csv")

@@ -610,6 +610,10 @@ class TestSettingsBeforeInput:
           "--alphas", "2", "--out", "OUT"], "grid alpha value 2.0"),
         (["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "2",
           "--out", "OUT"], "reveal fraction must lie in (0, 1), got 2.0"),
+        (["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "0.2",
+          "--workers", "0", "--out", "OUT"], "workers must be >= 1, got 0"),
+        (["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "0.2",
+          "--workers", "-2", "--out", "OUT"], "workers must be >= 1, got -2"),
         (["propagate", "--graph", "M", "--seeds", "M", "--alpha", "2",
           "--out", "OUT"], "alpha must lie in [0, 1], got 2.0"),
         (["lp-features", "--graph", "M", "--seeds", "M", "--splits", "1",
@@ -622,7 +626,8 @@ class TestSettingsBeforeInput:
          "--features needs files with distinct names, got ','"),
         (["train", "--features", "a/x.csv,b/x.csv", "--labels", "M"],
          "--features needs files with distinct names"),
-    ], ids=["sensitivity-alphas", "sensitivity-reveal", "propagate-alpha",
+    ], ids=["sensitivity-alphas", "sensitivity-reveal", "sensitivity-workers-0",
+            "sensitivity-workers-negative", "propagate-alpha",
             "lp-features-splits", "embed-dim", "train-epochs",
             "train-no-features", "train-same-stem"])
     def test_bad_setting_named_despite_missing_input(self, tmp_path, capsys,

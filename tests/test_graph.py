@@ -15,7 +15,7 @@ from demograph import graph
 from demograph.graph import (Graph, load_directed_edges, load_edge_list,
                              write_edge_list, write_node_map)
 
-from conftest import random_graph
+from conftest import random_graph, spiced
 from oracles import (reference_directed_edges, reference_edge_list,
                      reference_filter_min_degree)
 
@@ -357,14 +357,7 @@ _DECLINED = [b"# comment\n", b"#a b\n", b"a\tb#c\n", b"a\tb\tc\n", b"a\n",
              b"e\x7f\tf\n", b"a\tb\r\n", b"a\rb c\n", b"\xff\tq\n"]
 
 
-def _spiced(lines, spice, at, final_newline):
-    text = [line.encode() + b"\n" for line in lines]
-    text.insert(min(at, len(text)), spice)
-    data = b"".join(text)
-    return data if final_newline else data.removesuffix(b"\n")
-
-
-_raw_edge_file = st.builds(_spiced, st.lists(_clean_line, max_size=12),
+_raw_edge_file = st.builds(spiced, st.lists(_clean_line, max_size=12),
                            st.sampled_from([b""] * len(_DECLINED) + _DECLINED),
                            st.integers(0, 12), st.booleans())
 

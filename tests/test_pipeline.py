@@ -4,9 +4,12 @@ from __future__ import annotations
 
 import json
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from demograph import pipeline as pipeline_module
 from demograph.errors import ConfigError, ValidationError
@@ -18,6 +21,8 @@ from demograph.pipeline import (ExperimentGrid, PipelineConfig, derive_seed,
                                 read_labels, run_pipeline, run_sensitivity,
                                 write_sensitivity_csv)
 from demograph.synth import PlantedGraphSpec, generate, write_outputs
+
+from conftest import spiced
 
 
 def planted_fixture(tmp_path, per_class=600, p=0.012, q=0.0012, reveal=0.05,
@@ -95,6 +100,68 @@ class TestReadLabels:
         p.write_text("# nothing\n")
         with pytest.raises(ConfigError):
             read_labels(p)
+
+
+# Label files: lines whose label every task takes, under names that now
+# and then repeat, blank lines, and one line with a label that one task or
+# none takes or with bytes that send the file to the line reader.
+_label_line = st.one_of(
+    st.builds("{}{}{}".format,
+              st.from_regex(r"[a-c][a-z0-9_-]{0,5}", fullmatch=True),
+              st.sampled_from(["\t", " ", " \t "]),
+              st.sampled_from(["0", "1", "00", "01"])),
+    st.sampled_from(["", "  ", "\t"]))
+_LABEL_SPICE = [f"a\t{label}\n".encode() for label in [
+    "2", "6", "7", "17", "18", "64", "65", "120", "9" * 18, "9" * 19, "1.0",
+    "3.5", "-1", "+1", "1_0", "1e1", "nan", "inf", "x"]]
+_LABEL_DECLINED = [b"# comment\n", b"a\t1#c\n", b"a\n", b"a 1 1\n",
+                   "\u00e9\t1\n".encode(), b"a\t1\r\n", b"\x0bb\t1\n",
+                   b"a\t\xff\n"]
+
+
+def _labels_outcome(path, task, ages):
+    try:
+        return list(read_labels(path, task, ages).items())
+    except ValidationError as exc:
+        return type(exc), str(exc)
+
+
+class TestArrayLabels:
+    """The array label parse against the line reader it stands in for."""
+
+    @given(st.builds(spiced, st.lists(_label_line, max_size=10),
+                     st.sampled_from([b""] * 16 + _LABEL_SPICE + _LABEL_DECLINED),
+                     st.integers(0, 10), st.booleans()),
+           st.sampled_from([("gender", False), ("age", False), ("age", True)]))
+    @settings(max_examples=400, deadline=None)
+    def test_same_result_as_line_reader(self, tmp_path_factory, data, task):
+        path = tmp_path_factory.mktemp("l") / "labels.tsv"
+        path.write_bytes(data)
+        fast = _labels_outcome(path, *task)
+        with mock.patch.object(pipeline_module, "_array_labels",
+                               return_value=None):
+            assert fast == _labels_outcome(path, *task)
+
+    @pytest.mark.parametrize("text,classes,ages,taken", [
+        ("a\t1\n  \nb 0", 2, False, True),
+        ("a\t06\nb\t0\n", 7, False, True),
+        ("a\t17\nb\t18\nc\t999999999999999999\n", 7, True, True),
+        ("a\t2\n", 2, False, False),
+        ("a\t1.0\n", 2, False, False),
+        ("a\t1\na\t1\n", 2, False, False),
+        ("\n \n", 2, False, False)])
+    def test_which_files_the_array_parse_takes(self, tmp_path, text, classes,
+                                               ages, taken):
+        path = tmp_path / "labels.tsv"
+        path.write_bytes(text.encode())
+        labels = pipeline_module._array_labels(path, classes, ages)
+        assert (labels is not None) == taken
+
+    @pytest.mark.parametrize("line", _LABEL_DECLINED)
+    def test_declined_line_goes_to_line_reader(self, tmp_path, line):
+        path = tmp_path / "labels.tsv"
+        path.write_bytes(b"a\t1\n" + line + b"b\t0\n")
+        assert pipeline_module._array_labels(path, 2, False) is None
 
 
 class TestSensitivity:
@@ -182,6 +249,14 @@ class TestSensitivity:
         grid = ExperimentGrid(strategies=["alpha"], alphas=[0.3], ks=[1])
         with pytest.raises(ConfigError, match="reveal fraction must lie in"):
             run_sensitivity(g, truth, grid, reveal=reveal)
+
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_workers_below_one_rejected(self, tmp_path, workers):
+        _, g, truth, seeds = planted_fixture(tmp_path, per_class=50, p=0.1,
+                                             q=0.01, reveal=0.2)
+        grid = ExperimentGrid(strategies=["alpha"], alphas=[0.3], ks=[1])
+        with pytest.raises(ConfigError, match=f"workers must be >= 1, got {workers}"):
+            run_sensitivity(g, truth, grid, seeds=seeds, workers=workers)
 
     @pytest.mark.parametrize("strategy,values,message", [
         ("alpha", {"alphas": [0.2, 2.0]}, "grid alpha value 2.0: alpha must"),

@@ -2,17 +2,17 @@
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 import pytest
 
 from demograph.errors import ValidationError
 from demograph.graph import load_edge_list
 from demograph.labelprop import LabelState, PropagationConfig, propagate
-from demograph.model import auc_rank
+from demograph.model import FeatureMatrix, auc_rank
 from demograph.pipeline import read_labels
 from demograph.synth import PlantedGraphSpec, generate, write_outputs
+
+from oracles import reference_to_csv
 
 
 class TestGenerate:
@@ -108,7 +108,8 @@ class TestOutputsOnDisk:
                                          noise=0.8, rng_seed=classes))
         paths = write_outputs(data, tmp_path)
         want = tmp_path / "want.csv"
-        reference_cumf_csv(data, want)
+        columns = [f"cumf_{c}" for c in range(classes)]
+        reference_to_csv(FeatureMatrix(data.names, columns, data.features), want)
         assert paths["cumf"].read_bytes() == want.read_bytes()
 
     def test_homophily_sanity_bar(self, tmp_path):
@@ -129,13 +130,3 @@ class TestOutputsOnDisk:
         scores = out.values[hidden, 0]
         labels = np.array([truth[g.names[i]] for i in np.flatnonzero(hidden)])
         assert auc_rank(scores, labels) >= 0.9
-
-
-def reference_cumf_csv(data, path):
-    """The dedicated cumf writer that ``FeatureMatrix.to_csv`` replaced in
-    ``write_outputs``, kept as the byte reference."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["node"] + [f"cumf_{c}" for c in range(data.features.shape[1])])
-        for name, row in zip(data.names, data.features):
-            writer.writerow([name] + [f"{x:.17g}" for x in row])
