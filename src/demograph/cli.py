@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -22,10 +23,11 @@ from .labelprop import (PropagationConfig, propagate, read_node_vectors,
                         write_node_vectors)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, check_hidden,
                     evaluate, join_features, split)
-from .pipeline import (ExperimentGrid, PipelineConfig, _check_sensitivity,
-                       fit_and_score, float_list, format_metrics_table,
-                       format_pivot, int_list, read_labels, run_pipeline,
-                       run_sensitivity, task_classes, write_sensitivity_csv)
+from .pipeline import (_CONFIG_DEFAULTS, ExperimentGrid, PipelineConfig,
+                       _check_sensitivity, fit_and_score, float_list,
+                       format_metrics_table, format_pivot, int_list,
+                       read_labels, run_pipeline, run_sensitivity,
+                       task_classes, write_sensitivity_csv)
 
 
 class _UsageError(ConfigError):
@@ -45,6 +47,9 @@ def _add_version(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Every stage flag defaults to its config class's field, and every
+    flag shared with the pipeline to the pipeline's run default."""
+    emb, spec, run = embed.TrainConfig, synth.PlantedGraphSpec, _CONFIG_DEFAULTS
     parser = _Parser(prog="demograph",
                      description="Demographic inference over following graphs")
     _add_version(parser)
@@ -72,11 +77,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--seeds", required=True)
     p.add_argument("--strategy", choices=("alpha", "beta", "gamma"),
-                   default="alpha")
-    p.add_argument("--alpha", type=float, default=0.3)
-    p.add_argument("--beta", type=float, default=0.8)
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--iters", type=int, default=3)
+                   default=PropagationConfig.strategy)
+    p.add_argument("--alpha", type=float, default=PropagationConfig.alpha)
+    p.add_argument("--beta", type=float, default=PropagationConfig.beta)
+    p.add_argument("--gamma", type=float, default=PropagationConfig.gamma)
+    p.add_argument("--iters", type=int, default=PropagationConfig.iterations)
     p.add_argument("--classes", type=int, choices=(1, 7), default=1)
     p.add_argument("--ages", action="store_true",
                    help="seed file holds raw ages, not bucket indices")
@@ -88,10 +93,10 @@ def build_parser() -> argparse.ArgumentParser:
                 "ensemble propagation features over seed partitions")
     p.add_argument("--graph", required=True)
     p.add_argument("--seeds", required=True)
-    p.add_argument("--splits", type=int, default=3)
+    p.add_argument("--splits", type=int, default=run["lp_splits"])
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=3)
-    p.add_argument("--alpha", type=float, default=0.3)
+    p.add_argument("--iters", type=int, default=PropagationConfig.iterations)
+    p.add_argument("--alpha", type=float, default=PropagationConfig.alpha)
     p.add_argument("--classes", type=int, choices=(1, 7), default=1)
     p.add_argument("--ages", action="store_true")
     p.add_argument("--min-degree", type=int, default=0)
@@ -110,15 +115,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("embed", _cmd_embed,
                 "train word2vec vectors on a sentence corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=("skipgram", "cbow"), default="skipgram")
-    p.add_argument("--dim", type=int, default=50)
-    p.add_argument("--window", type=int, default=None)
-    p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--epochs", type=int, default=5)
-    p.add_argument("--negatives", type=int, default=5)
-    p.add_argument("--rate", type=float, default=0.025)
-    p.add_argument("--subsample", type=float, default=0.0)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--mode", choices=("skipgram", "cbow"), default=emb.mode)
+    p.add_argument("--dim", type=int, default=emb.dim)
+    p.add_argument("--window", type=int, default=emb.window)
+    p.add_argument("--min-count", type=int, default=emb.min_count)
+    p.add_argument("--epochs", type=int, default=emb.epochs)
+    p.add_argument("--negatives", type=int, default=emb.negatives)
+    p.add_argument("--rate", type=float, default=emb.rate)
+    p.add_argument("--subsample", type=float, default=emb.subsample)
+    p.add_argument("--rng-seed", type=int, default=emb.rng_seed)
     p.add_argument("--out", required=True)
 
     p = command("coldstart", _cmd_coldstart,
@@ -129,14 +134,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("synth", _cmd_synth, "generate a planted-partition dataset")
-    p.add_argument("--classes", type=int, choices=(2, 7), default=2)
+    p.add_argument("--classes", type=int, choices=(2, 7), default=spec.classes)
     p.add_argument("--per-class", type=int, required=True)
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--q", type=float, required=True)
-    p.add_argument("--reveal", type=float, default=0.2)
-    p.add_argument("--noise", type=float, default=0.0)
+    p.add_argument("--reveal", type=float, default=spec.reveal)
+    p.add_argument("--noise", type=float, default=spec.noise)
     p.add_argument("--allow-antihomophily", action="store_true")
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=int, default=spec.rng_seed)
     p.add_argument("--out-dir", required=True)
 
     p = command("train", _cmd_train,
@@ -144,18 +149,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True,
                    help="comma-separated feature CSV paths")
     p.add_argument("--labels", required=True)
-    p.add_argument("--task", choices=("gender", "age"), default="gender")
+    p.add_argument("--task", choices=("gender", "age"), default=run["task"])
     p.add_argument("--ages", action="store_true")
-    p.add_argument("--model", choices=("lr", "mlp"), default="lr")
-    p.add_argument("--hidden", type=int_list, default="256,256,256")
-    p.add_argument("--epochs", type=int, default=4)
-    p.add_argument("--minibatch", type=int, default=3000)
-    p.add_argument("--rate", type=float, default=0.1)
-    p.add_argument("--l2", type=float, default=0.0)
+    p.add_argument("--model", choices=("lr", "mlp"), default=run["model"])
+    p.add_argument("--hidden", type=int_list, default=run["hidden"])
+    p.add_argument("--epochs", type=int, default=TrainHyper.epochs)
+    p.add_argument("--minibatch", type=int, default=TrainHyper.minibatch)
+    p.add_argument("--rate", type=float, default=TrainHyper.rate)
+    p.add_argument("--l2", type=float, default=TrainHyper.l2)
     p.add_argument("--balance", action="store_true")
-    p.add_argument("--split", choices=("hash", "random"), default="hash")
-    p.add_argument("--train-frac", type=float, default=None)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--split", choices=("hash", "random"),
+                   default=SplitSpec.mode)
+    p.add_argument("--train-frac", type=float,
+                   default=SplitSpec.train_fraction)
+    p.add_argument("--rng-seed", type=int, default=TrainHyper.rng_seed)
     p.add_argument("--predictions-out",
                    help="write test-side predictions as <name>\\t<p0,..>")
     p.add_argument("--metrics-out")
@@ -164,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True,
                    help="<name>\\t<v0[,v1..]> rows, e.g. propagate output")
     p.add_argument("--labels", required=True)
-    p.add_argument("--task", choices=("gender", "age"), default="gender")
+    p.add_argument("--task", choices=("gender", "age"), default=run["task"])
     p.add_argument("--ages", action="store_true")
     p.add_argument("--metrics-out")
 
@@ -181,16 +188,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="fixed revealed labels")
     p.add_argument("--reveal", type=float,
                    help="sample this seed fraction per repetition instead")
-    p.add_argument("--strategies", default="alpha")
-    p.add_argument("--alphas", type=float_list, default="0.2,0.5,0.8")
-    p.add_argument("--betas", type=float_list, default="0.8")
-    p.add_argument("--gammas", type=float_list, default="0.9")
-    p.add_argument("--ks", type=int_list, default="1,2,3,4,5,6,7,8,9,10")
-    p.add_argument("--reps", type=int, default=1)
+    p.add_argument("--strategies", default=",".join(ExperimentGrid.strategies))
+    p.add_argument("--alphas", type=float_list, default=ExperimentGrid.alphas)
+    p.add_argument("--betas", type=float_list, default=ExperimentGrid.betas)
+    p.add_argument("--gammas", type=float_list, default=ExperimentGrid.gammas)
+    p.add_argument("--ks", type=int_list, default=ExperimentGrid.ks)
+    p.add_argument("--reps", type=int, default=ExperimentGrid.repetitions)
     p.add_argument("--workers", type=int, default=1,
                    help="run grid cells in this many threads")
     p.add_argument("--min-degree", type=int, default=0)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=int, default=ExperimentGrid.rng_seed)
     p.add_argument("--out", required=True)
     return parser
 
@@ -198,6 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 # Command bodies
 # ---------------------------------------------------------------------------
+
+def _config(cls, args, **renamed):
+    """A ``cls`` config of the flags named after its fields, and of the
+    ``renamed`` fields, whose flags go by other names."""
+    flags = vars(args)
+    return cls(**{f.name: flags[f.name] for f in fields(cls)
+                  if f.name in flags} | renamed)
+
 
 def _cmd_ingest(args):
     g = load_edge_list(args.edges, min_degree=args.min_degree,
@@ -211,10 +226,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_propagate(args):
-    cfg = PropagationConfig(strategy=args.strategy, alpha=args.alpha,
-                            beta=args.beta, gamma=args.gamma,
-                            iterations=args.iters)
-    cfg.validate()
+    cfg = _config(PropagationConfig, args, iterations=args.iters)
     g = load_edge_list(args.graph, min_degree=args.min_degree)
     seeds = read_seed_labels(args.seeds, g, num_classes=args.classes,
                              ages=args.ages)
@@ -227,8 +239,7 @@ def _cmd_propagate(args):
 def _cmd_lp_features(args):
     if args.splits < 2:
         raise ConfigError(f"--splits must be >= 2, got {args.splits}")
-    cfg = PropagationConfig(alpha=args.alpha, iterations=args.iters)
-    cfg.validate()
+    cfg = _config(PropagationConfig, args, iterations=args.iters)
     g = load_edge_list(args.graph, min_degree=args.min_degree)
     seeds = read_seed_labels(args.seeds, g, num_classes=args.classes,
                              ages=args.ages)
@@ -248,11 +259,7 @@ def _cmd_sentences(args):
 
 
 def _cmd_embed(args):
-    cfg = embed.TrainConfig(mode=args.mode, dim=args.dim, window=args.window,
-                            negatives=args.negatives, rate=args.rate,
-                            epochs=args.epochs, min_count=args.min_count,
-                            subsample=args.subsample, rng_seed=args.rng_seed)
-    cfg.validate()
+    cfg = _config(embed.TrainConfig, args)
     corpus = embed.read_corpus(args.corpus)
     table = embed.train_embeddings(corpus, cfg)
     table.save(args.out)
@@ -268,11 +275,7 @@ def _cmd_coldstart(args):
 
 
 def _cmd_synth(args):
-    spec = synth.PlantedGraphSpec(
-        per_class=args.per_class, classes=args.classes, p=args.p, q=args.q,
-        reveal=args.reveal, noise=args.noise, rng_seed=args.rng_seed,
-        allow_antihomophily=args.allow_antihomophily)
-    data = synth.generate(spec)
+    data = synth.generate(_config(synth.PlantedGraphSpec, args))
     paths = synth.write_outputs(data, args.out_dir)
     print(f"nodes={data.node_count} edges={len(data.edges)} "
           f"seeds={len(data.seed_indices)} -> {args.out_dir}")
@@ -280,13 +283,9 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    spec = SplitSpec(mode=args.split, train_fraction=args.train_frac,
-                     rng_seed=args.rng_seed)
-    hyper = TrainHyper(rate=args.rate, epochs=args.epochs,
-                       minibatch=args.minibatch, l2=args.l2,
-                       rng_seed=args.rng_seed)
-    spec.validate()
-    hyper.validate()
+    spec = _config(SplitSpec, args, mode=args.split,
+                   train_fraction=args.train_frac)
+    hyper = _config(TrainHyper, args)
     if args.model == "mlp":
         check_hidden(args.hidden)
     paths = [p for p in args.features.split(",") if p]
@@ -354,11 +353,8 @@ def _cmd_pipeline(args):
 
 
 def _cmd_sensitivity(args):
-    grid = ExperimentGrid(
-        strategies=[s for s in args.strategies.split(",") if s],
-        alphas=args.alphas, betas=args.betas, gammas=args.gammas, ks=args.ks,
-        repetitions=args.reps, rng_seed=args.rng_seed)
-    grid.validate()
+    grid = _config(ExperimentGrid, args, repetitions=args.reps,
+                   strategies=[s for s in args.strategies.split(",") if s])
     _check_sensitivity(bool(args.seeds), args.reveal, args.workers)
     g = load_edge_list(args.edges, min_degree=args.min_degree)
     truth_map = read_labels(args.truth, "gender", False)

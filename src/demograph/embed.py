@@ -44,7 +44,7 @@ logger = logging.getLogger(__name__)
 BATCH = 256
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     """Word2vec hyperparameters.
 
@@ -65,7 +65,7 @@ class TrainConfig:
     subsample: float = 0.0
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in ("skipgram", "cbow"):
             raise ConfigError(f"unknown embedding mode {self.mode!r}")
         if self.dim < 1:
@@ -300,7 +300,6 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
     per example).  Negatives that hit the positive target are skipped,
     not redrawn.
     """
-    cfg.validate()
     if not sentences:
         raise ValidationError("empty sentence corpus")
     vocab = _Vocabulary(sentences, cfg.min_count)

@@ -26,6 +26,7 @@ Three blending strategies are supported:
 from __future__ import annotations
 
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Iterable, Iterator, Mapping
 
@@ -56,17 +57,14 @@ logger = logging.getLogger(__name__)
 
 # Inclusive upper bound of age buckets 0..5; bucket 6 is open-ended (65+).
 AGE_BUCKET_UPPER_BOUNDS = (17, 24, 34, 44, 54, 64)
-NUM_AGE_BUCKETS = 7
+NUM_AGE_BUCKETS = len(AGE_BUCKET_UPPER_BOUNDS) + 1
 
 
 def age_bucket(age: int) -> int:
     """Map an age in years to one of the 7 bucket indices."""
     if age < 0:
         raise ValidationError(f"age must be non-negative, got {age}")
-    for bucket, upper in enumerate(AGE_BUCKET_UPPER_BOUNDS):
-        if age <= upper:
-            return bucket
-    return NUM_AGE_BUCKETS - 1
+    return bisect_left(AGE_BUCKET_UPPER_BOUNDS, age)
 
 
 def class_label(raw: str, num_classes: int, ages: bool = False) -> int:
@@ -88,13 +86,13 @@ def class_label(raw: str, num_classes: int, ages: bool = False) -> int:
     return value
 
 
-@dataclass
+@dataclass(frozen=True)
 class PropagationConfig:
     """Strategy choice plus its parameter and the superstep count.
 
-    Only the parameter matching ``strategy`` is read; the others are
-    ignored.  Defaults follow the production configuration (constant
-    blend, 3 supersteps, own-value weight 0.3).
+    Only the parameter matching ``strategy`` is read and checked; the
+    others are ignored.  Defaults follow the production configuration
+    (constant blend, 3 supersteps, own-value weight 0.3).
     """
 
     strategy: str = "alpha"
@@ -103,7 +101,7 @@ class PropagationConfig:
     gamma: float = 0.9
     iterations: int = 3
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.strategy not in ("alpha", "beta", "gamma"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
         if self.iterations < 1:
@@ -266,7 +264,6 @@ def _states(g: Graph, seeds: LabelState, cfg: PropagationConfig,
             keep: set[int]) -> Iterator[tuple[int, LabelState]]:
     """Check one run's inputs, then yield its states at the supersteps in
     ``keep``.  Scalar gamma seeds run as (male, female) accumulators."""
-    cfg.validate()
     if seeds.node_count != g.node_count:
         raise ValidationError(
             f"seed state covers {seeds.node_count} nodes, graph has {g.node_count}")

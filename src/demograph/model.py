@@ -231,7 +231,7 @@ def _fnv1a64_all(names: list[str]) -> np.ndarray:
     return h
 
 
-@dataclass
+@dataclass(frozen=True)
 class SplitSpec:
     """How to carve labeled nodes into train and test sides.
 
@@ -251,7 +251,7 @@ class SplitSpec:
             return self.train_fraction
         return 0.75 if self.mode == "hash" else 0.70
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.mode not in ("hash", "random"):
             raise ConfigError(f"unknown split mode {self.mode!r}")
         if not 0.0 < self.resolved_fraction() < 1.0:
@@ -260,7 +260,6 @@ class SplitSpec:
 
 def split(nodes: list[str], spec: SplitSpec) -> tuple[list[str], list[str]]:
     """Partition ``nodes`` into (train, test), preserving input order."""
-    spec.validate()
     if not nodes:
         raise ValidationError("cannot split an empty node list")
     fraction = spec.resolved_fraction()
@@ -280,7 +279,7 @@ def split(nodes: list[str], spec: SplitSpec) -> tuple[list[str], list[str]]:
 # Networks
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class TrainHyper:
     rate: float = 0.1
     epochs: int = 4
@@ -288,7 +287,7 @@ class TrainHyper:
     l2: float = 0.0
     rng_seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 0 < self.rate < math.inf:  # NaN fails too
             raise ConfigError(f"rate must be positive and finite, got {self.rate}")
         if self.epochs < 1:
@@ -445,7 +444,6 @@ def _train(features, labels, hidden: list[int], n_classes: int, output: str,
            hyper: TrainHyper | None) -> ModelParams:
     """The one trainer body: checks, init, then minibatch SGD."""
     hyper = hyper or TrainHyper()
-    hyper.validate()
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
     _check_training_inputs(x, y, n_classes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress
 from pathlib import Path
 
@@ -59,16 +59,17 @@ def task_classes(task: str) -> int:
 # Sensitivity grids
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentGrid:
     """Cross-product of strategies, their parameter values, and superstep
-    counts, with optional repetitions over re-sampled seed reveals."""
+    counts, with optional repetitions over re-sampled seed reveals.  The
+    value lists are kept as tuples; every cell is checked when built."""
 
-    strategies: list[str] = field(default_factory=lambda: ["alpha"])
-    alphas: list[float] = field(default_factory=lambda: [0.2, 0.5, 0.8])
-    betas: list[float] = field(default_factory=lambda: [0.8])
-    gammas: list[float] = field(default_factory=lambda: [0.9])
-    ks: list[int] = field(default_factory=lambda: list(range(1, 11)))
+    strategies: tuple[str, ...] = ("alpha",)
+    alphas: tuple[float, ...] = (0.2, 0.5, 0.8)
+    betas: tuple[float, ...] = (0.8,)
+    gammas: tuple[float, ...] = (0.9,)
+    ks: tuple[int, ...] = tuple(range(1, 11))
     repetitions: int = 1
     rng_seed: int = 0
 
@@ -77,11 +78,13 @@ class ExperimentGrid:
         return PropagationConfig(strategy=strategy, alpha=param, beta=param,
                                  gamma=param, iterations=max(self.ks))
 
-    def params_for(self, strategy: str) -> list[float]:
+    def params_for(self, strategy: str) -> tuple[float, ...]:
         return {"alpha": self.alphas, "beta": self.betas,
                 "gamma": self.gammas}[strategy]
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
+        for name in ("strategies", "alphas", "betas", "gammas", "ks"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         if not self.strategies:
             raise ConfigError("grid needs at least one strategy")
         for s in self.strategies:
@@ -95,7 +98,7 @@ class ExperimentGrid:
             raise ConfigError("repetitions must be >= 1")
         for s, p in self.cells():
             try:
-                self.cell_config(s, p).validate()
+                self.cell_config(s, p)
             except ConfigError as exc:
                 raise ConfigError(f"grid {s} value {p!r}: {exc}") from None
 
@@ -173,7 +176,6 @@ def run_sensitivity(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
     thread pool, and rows always come out in canonical order (strategy,
     parameter, repetition, iterations) regardless of completion order.
     """
-    grid.validate()
     _check_sensitivity(seeds is not None, reveal, workers)
     truth = np.asarray(truth, dtype=np.int64)
     if len(truth) != g.node_count:
@@ -233,16 +235,12 @@ def format_pivot(rows: list[dict]) -> str:
 # Full pipeline
 # ---------------------------------------------------------------------------
 
+# Run keys and their defaults; a key whose default is None names a file.
 _CONFIG_DEFAULTS = {
     "edges": None, "labels": None, "cumf": None, "out": None,
-    "task": "gender", "ages": "0", "regimes": "all",
-    "model": "lr", "hidden": "256,256,256", "epochs": "4",
-    "minibatch": "3000", "rate": "0.1", "l2": "0.0", "balance": "0",
-    "split": "hash", "train_frac": "", "root_seed": "0", "min_degree": "0",
-    "lp_splits": "3", "lp_alpha": "0.3", "lp_iters": "3",
-    "emb_mode": "skipgram", "emb_dim": "50", "emb_window": "",
-    "emb_epochs": "5", "emb_negatives": "5", "emb_min_count": "5",
-    "emb_rate": "0.025", "emb_bidirectional": "0",
+    "task": "gender", "ages": "0", "regimes": "all", "model": "lr",
+    "hidden": "256,256,256", "balance": "0", "root_seed": "0",
+    "min_degree": "0", "lp_splits": "3", "emb_bidirectional": "0",
 }
 
 
@@ -256,22 +254,44 @@ def float_list(text: str) -> list[float]:
     return [float(x) for x in text.split(",") if x]
 
 
-# How ``PipelineConfig.value`` converts each numeric key.  A key whose
-# default is empty is optional, and its empty value reads as None.
+def _flag(text: str) -> bool:
+    """An on/off key: ``1 true yes on`` or ``0 false no off``."""
+    if text not in ("1", "true", "yes", "on", "0", "false", "no", "off"):
+        raise ValueError(text)
+    return text in ("1", "true", "yes", "on")
+
+
+# How ``PipelineConfig.value`` converts each typed run key.
 _CONFIG_TYPES = {
-    "hidden": int_list, "epochs": int, "minibatch": int, "rate": float,
-    "l2": float, "train_frac": float, "root_seed": int, "min_degree": int,
-    "lp_splits": int, "lp_alpha": float, "lp_iters": int, "emb_dim": int,
-    "emb_window": int, "emb_epochs": int, "emb_negatives": int,
-    "emb_min_count": int, "emb_rate": float,
+    "ages": _flag, "balance": _flag, "emb_bidirectional": _flag,
+    "hidden": int_list, "root_seed": int, "min_degree": int, "lp_splits": int,
 }
+
+# The stage keys of each stage config: key -> (field, type).  A stage key
+# the config leaves unset reads as the field's class default, and an empty
+# value reads as None where that default is None.
+_STAGE_FIELDS = {
+    SplitSpec: {"split": ("mode", str), "train_frac": ("train_fraction", float)},
+    TrainHyper: {"epochs": ("epochs", int), "minibatch": ("minibatch", int),
+                 "rate": ("rate", float), "l2": ("l2", float)},
+    PropagationConfig: {"lp_alpha": ("alpha", float),
+                        "lp_iters": ("iterations", int)},
+    embed.TrainConfig: {"emb_mode": ("mode", str), "emb_dim": ("dim", int),
+        "emb_window": ("window", int), "emb_epochs": ("epochs", int),
+        "emb_negatives": ("negatives", int), "emb_rate": ("rate", float),
+        "emb_min_count": ("min_count", int)},
+}
+_STAGE_KEYS = {key: (cls, name, convert) for cls, keys in _STAGE_FIELDS.items()
+               for key, (name, convert) in keys.items()}
+_KEYS = _CONFIG_DEFAULTS.keys() | _STAGE_KEYS.keys()
 
 _KNOWN_BLOCKS = ("cumf", "lp", "emb")
 
 
 @dataclass
 class PipelineConfig:
-    """Flat key=value run configuration; see ``_CONFIG_DEFAULTS`` for keys."""
+    """Flat key=value run configuration: the run keys of
+    ``_CONFIG_DEFAULTS`` and the stage keys of ``_STAGE_FIELDS``."""
 
     settings: dict[str, str]
 
@@ -288,11 +308,11 @@ class PipelineConfig:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
                 key, _, value = stripped.partition("=")
                 key, value = key.strip(), value.strip()
-                if key not in settings:
+                if key not in _KEYS:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 settings[key] = value
         for key, value in (overrides or {}).items():
-            if key not in settings:
+            if key not in _KEYS:
                 raise ConfigError(f"override names unknown key {key!r}")
             settings[key] = value
         return cls(settings)
@@ -301,7 +321,7 @@ class PipelineConfig:
     def from_settings(cls, **kwargs: str) -> "PipelineConfig":
         settings = dict(_CONFIG_DEFAULTS)
         for key, value in kwargs.items():
-            if key not in settings:
+            if key not in _KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
             settings[key] = str(value)
         return cls(settings)
@@ -310,18 +330,26 @@ class PipelineConfig:
         return self.settings[key]
 
     def value(self, key: str):
-        """The setting of a numeric key, converted by ``_CONFIG_TYPES``;
-        a malformed value raises ``ConfigError`` naming the key."""
-        raw = self.settings[key]
-        if raw == "" and _CONFIG_DEFAULTS[key] == "":
-            return None
+        """The setting of a typed key, converted as ``_CONFIG_TYPES`` or
+        ``_STAGE_FIELDS`` says; a bad value raises ``ConfigError`` naming it."""
+        raw = self.settings.get(key)
+        if key in _STAGE_KEYS:
+            cls, name, convert = _STAGE_KEYS[key]
+            default = getattr(cls, name)
+            if raw is None or (raw == "" and default is None):
+                return default
+        else:
+            convert = _CONFIG_TYPES[key]
         try:
-            return _CONFIG_TYPES[key](raw)
+            return convert(raw)
         except ValueError:
             raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
 
-    def flag(self, key: str) -> bool:
-        return self.settings[key] in ("1", "true", "yes", "on")
+    def stage_config(self, cls: type, **fixed):
+        """The ``cls`` stage config of these settings, with the ``fixed``
+        fields (such as a derived seed) on top."""
+        return cls(**{name: self.value(key)
+                      for key, (name, _) in _STAGE_FIELDS[cls].items()}, **fixed)
 
     def regimes(self) -> list[str]:
         return [r.strip() for r in self["regimes"].split(",") if r.strip()]
@@ -339,16 +367,18 @@ class PipelineConfig:
     def check_inputs(self) -> None:
         """Check every setting a run uses and its input files, so that a
         bad config fails before any stage runs."""
-        for key in _CONFIG_TYPES:
+        for key in (*_CONFIG_TYPES, *_STAGE_KEYS):
             self.value(key)
         for key, known in (("task", ("gender", "age")), ("model", ("lr", "mlp"))):
             if self[key] not in known:
                 raise ConfigError(f"unknown {key} {self[key]!r}")
         if self.value("min_degree") < 0:
             raise ConfigError("config key 'min_degree' must be >= 0")
-        root = self.value("root_seed")
-        _split_spec(self, root).validate()
-        _train_hyper(self).validate()
+        if not self.regimes():
+            raise ConfigError(f"config key 'regimes' names no regime: "
+                              f"{self['regimes']!r}")
+        for cls in (SplitSpec, TrainHyper):
+            self.stage_config(cls)
         if self["model"] == "mlp":
             check_hidden(self.value("hidden"))
         needed = {b for r in self.regimes() for b in self.regime_blocks(r)}
@@ -356,12 +386,12 @@ class PipelineConfig:
             if self.value("lp_splits") < 2:
                 raise ConfigError("config key 'lp_splits' must be >= 2")
             try:
-                _lp_config(self).validate()
+                self.stage_config(PropagationConfig)
             except ConfigError as exc:
                 raise ConfigError(f"config lp_alpha/lp_iters: {exc}") from None
         if "emb" in needed:
             try:
-                _embed_config(self, root).validate()
+                self.stage_config(embed.TrainConfig)
             except ConfigError as exc:
                 raise ConfigError(f"config emb_* keys: {exc}") from None
         required = {"edges": self["edges"], "labels": self["labels"]}
@@ -374,30 +404,6 @@ class PipelineConfig:
                   if value and not Path(value).exists()]
         if absent:
             raise ConfigError(f"input files do not exist: {absent}")
-
-
-def _split_spec(cfg: PipelineConfig, root: int) -> SplitSpec:
-    return SplitSpec(mode=cfg["split"], train_fraction=cfg.value("train_frac"),
-                     rng_seed=derive_seed(root, "split"))
-
-
-def _train_hyper(cfg: PipelineConfig) -> TrainHyper:
-    return TrainHyper(rate=cfg.value("rate"), epochs=cfg.value("epochs"),
-                      minibatch=cfg.value("minibatch"), l2=cfg.value("l2"))
-
-
-def _lp_config(cfg: PipelineConfig) -> PropagationConfig:
-    return PropagationConfig(alpha=cfg.value("lp_alpha"),
-                             iterations=cfg.value("lp_iters"))
-
-
-def _embed_config(cfg: PipelineConfig, root: int) -> embed.TrainConfig:
-    return embed.TrainConfig(
-        mode=cfg["emb_mode"], dim=cfg.value("emb_dim"),
-        window=cfg.value("emb_window"), negatives=cfg.value("emb_negatives"),
-        rate=cfg.value("emb_rate"), epochs=cfg.value("emb_epochs"),
-        min_count=cfg.value("emb_min_count"),
-        rng_seed=derive_seed(root, "embed"))
 
 
 def _array_labels(path, num_classes: int, ages: bool):
@@ -463,15 +469,18 @@ def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
                                              num_classes=n_classes)
     plan = lpfeatures.make_partitions(idx, cfg.value("lp_splits"),
                                       derive_seed(root, "lp-partitions"))
-    return lpfeatures.lp_features(g, seeds, plan, _lp_config(cfg)).table(g.names)
+    block = lpfeatures.lp_features(g, seeds, plan,
+                                   cfg.stage_config(PropagationConfig))
+    return block.table(g.names)
 
 
 def _emb_block(cfg: PipelineConfig, g: Graph, edges_path,
                root: int) -> FeatureMatrix:
     directed = load_directed_edges(edges_path)
     sentences = embed.build_sentences(directed, derive_seed(root, "sentences"),
-                                      bidirectional=cfg.flag("emb_bidirectional"))
-    table = embed.train_embeddings(sentences, _embed_config(cfg, root))
+                                      bidirectional=cfg.value("emb_bidirectional"))
+    table = embed.train_embeddings(sentences, cfg.stage_config(
+        embed.TrainConfig, rng_seed=derive_seed(root, "embed")))
     table = embed.fill_missing_embeddings(g, table)
     nodes = [t for t in table.tokens if t in g]
     rows = np.stack([table.get(t) for t in nodes]) if nodes else np.zeros((0, table.dim))
@@ -540,9 +549,10 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
     task = cfg["task"]
     n_classes = task_classes(task)
     g = load_edge_list(cfg["edges"], min_degree=cfg.value("min_degree"))
-    labels = read_labels(cfg["labels"], task, cfg.flag("ages"))
+    labels = read_labels(cfg["labels"], task, cfg.value("ages"))
 
-    train_names, test_names = split(list(labels), _split_spec(cfg, root))
+    train_names, test_names = split(list(labels), cfg.stage_config(
+        SplitSpec, rng_seed=derive_seed(root, "split")))
 
     regimes = [(r, cfg.regime_blocks(r)) for r in cfg.regimes()]
     needed = {b for _, names in regimes for b in names}
@@ -558,7 +568,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
         logger.info("block %r: %d rows x %d columns, %.1f MB", b,
                     *blocks[b].values.shape, blocks[b].values.nbytes / 2 ** 20)
 
-    hyper = _train_hyper(cfg)
+    hyper = cfg.stage_config(TrainHyper)
     records = []
     for i, (regime, names) in enumerate(regimes):
         features = join_features({b: blocks[b] for b in names})
@@ -570,7 +580,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
                 features, labels, train_names, test_names, n_classes,
                 cfg["model"], cfg.value("hidden"),
                 replace(hyper, rng_seed=derive_seed(root, f"train:{regime}")),
-                cfg.flag("balance"))
+                cfg.value("balance"))
         except ConfigError as exc:
             raise ConfigError(f"regime {regime!r}: {exc}") from None
         del features  # free this join before the next regime joins

@@ -21,7 +21,7 @@ from .model import FeatureMatrix
 __all__ = ["PlantedGraphSpec", "SynthData", "generate", "write_outputs"]
 
 
-@dataclass
+@dataclass(frozen=True)
 class PlantedGraphSpec:
     per_class: int
     classes: int = 2
@@ -32,7 +32,7 @@ class PlantedGraphSpec:
     rng_seed: int = 0
     allow_antihomophily: bool = False
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.classes not in (2, 7):
             raise ValidationError(f"classes must be 2 or 7, got {self.classes}")
         if self.per_class < 1:
@@ -71,7 +71,6 @@ def _block_pairs(rng: np.random.Generator, rows: np.ndarray, cols: np.ndarray,
 
 def generate(spec: PlantedGraphSpec) -> SynthData:
     """Sample a planted graph, a label reveal, and noisy one-hot features."""
-    spec.validate()
     rng = np.random.default_rng(spec.rng_seed)
     per, k = spec.per_class, spec.classes
     n = per * k

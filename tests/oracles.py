@@ -453,7 +453,6 @@ def reference_lp_features(g, labels, plan, cfg) -> ReferenceLPBlock:
     ``masked`` and ``values`` copies; partitions come from
     ``plan.assignment``."""
     from demograph.labelprop import LabelState, propagate
-    cfg.validate()
     seed_idx = np.flatnonzero(labels.is_seed)
     if set(plan.assignment) != set(int(v) for v in seed_idx):
         raise ValueError("partition plan must cover exactly the seed set")

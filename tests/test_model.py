@@ -403,7 +403,7 @@ class TestSoftmaxAndMLP:
         assert exc.value.epoch == 1 and math.isnan(exc.value.loss)
 
     def test_nan_l2_diverges(self, rng):
-        # A NaN l2 passes TrainHyper.validate; it must still poison the
+        # A NaN l2 passes TrainHyper's checks; it must still poison the
         # loss rather than switch the penalty off.
         x = rng.normal(size=(20, 2))
         y = np.arange(20) % 2

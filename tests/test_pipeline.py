@@ -265,9 +265,8 @@ class TestSensitivity:
         ("gamma", {"gammas": [1.0]},
          r"grid gamma value 1.0: gamma must lie in \[0, 1\)")])
     def test_grid_checks_every_cell(self, strategy, values, message):
-        grid = ExperimentGrid(strategies=[strategy], ks=[1, 2], **values)
         with pytest.raises(ConfigError, match=message):
-            grid.validate()
+            ExperimentGrid(strategies=[strategy], ks=[1, 2], **values)
 
     def test_reveal_resampling_differs_per_rep(self, tmp_path):
         _, g, truth, _ = planted_fixture(tmp_path, per_class=80, p=0.08,
@@ -381,7 +380,12 @@ class TestPipelineConfig:
         ("lp_iters", "0", "lp_iters.*iterations must be >= 1"),
         ("hidden", "0", "bad hidden layer sizes"),
         ("hidden", "", "bad hidden layer sizes"),
-        ("min_degree", "-1", "'min_degree' must be >= 0")])
+        ("min_degree", "-1", "'min_degree' must be >= 0"),
+        ("balance", "ture", "config key 'balance': bad value 'ture'"),
+        ("ages", "TRUE", "config key 'ages': bad value 'TRUE'"),
+        ("emb_bidirectional", "y", "config key 'emb_bidirectional'"),
+        ("regimes", "", "config key 'regimes' names no regime"),
+        ("regimes", ",", "config key 'regimes' names no regime")])
     def test_bad_setting_fails_before_ingest(self, tmp_path, monkeypatch,
                                              key, raw, message):
         edges = tmp_path / "e.tsv"
