@@ -23,11 +23,10 @@ from .labelprop import (PropagationConfig, propagate, read_node_vectors,
                         write_node_vectors)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, check_hidden,
                     evaluate, join_features, split)
-from .pipeline import (_CONFIG_DEFAULTS, ExperimentGrid, PipelineConfig,
-                       _check_sensitivity, fit_and_score, float_list,
-                       format_metrics_table, format_pivot, int_list,
-                       read_labels, run_pipeline, run_sensitivity,
-                       task_classes, write_sensitivity_csv)
+from .pipeline import (ExperimentGrid, PipelineConfig, _check_sensitivity,
+                       fit_and_score, float_list, format_metrics_table,
+                       format_pivot, int_list, read_labels, run_pipeline,
+                       run_sensitivity, task_classes, write_sensitivity_csv)
 
 
 class _UsageError(ConfigError):
@@ -48,8 +47,8 @@ def _add_version(parser):
 
 def build_parser() -> argparse.ArgumentParser:
     """Every stage flag defaults to its config class's field, and every
-    flag shared with the pipeline to the pipeline's run default."""
-    emb, spec, run = embed.TrainConfig, synth.PlantedGraphSpec, _CONFIG_DEFAULTS
+    flag shared with the pipeline to the pipeline config's field."""
+    emb, spec, run = embed.TrainConfig, synth.PlantedGraphSpec, PipelineConfig
     parser = _Parser(prog="demograph",
                      description="Demographic inference over following graphs")
     _add_version(parser)
@@ -93,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "ensemble propagation features over seed partitions")
     p.add_argument("--graph", required=True)
     p.add_argument("--seeds", required=True)
-    p.add_argument("--splits", type=int, default=run["lp_splits"])
+    p.add_argument("--splits", type=int, default=run.lp_splits)
     p.add_argument("--rng-seed", type=int, default=0)
     p.add_argument("--iters", type=int, default=PropagationConfig.iterations)
     p.add_argument("--alpha", type=float, default=PropagationConfig.alpha)
@@ -149,10 +148,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True,
                    help="comma-separated feature CSV paths")
     p.add_argument("--labels", required=True)
-    p.add_argument("--task", choices=("gender", "age"), default=run["task"])
+    p.add_argument("--task", choices=("gender", "age"), default=run.task)
     p.add_argument("--ages", action="store_true")
-    p.add_argument("--model", choices=("lr", "mlp"), default=run["model"])
-    p.add_argument("--hidden", type=int_list, default=run["hidden"])
+    p.add_argument("--model", choices=("lr", "mlp"), default=run.model)
+    p.add_argument("--hidden", type=int_list, default=run.hidden)
     p.add_argument("--epochs", type=int, default=TrainHyper.epochs)
     p.add_argument("--minibatch", type=int, default=TrainHyper.minibatch)
     p.add_argument("--rate", type=float, default=TrainHyper.rate)
@@ -171,7 +170,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True,
                    help="<name>\\t<v0[,v1..]> rows, e.g. propagate output")
     p.add_argument("--labels", required=True)
-    p.add_argument("--task", choices=("gender", "age"), default=run["task"])
+    p.add_argument("--task", choices=("gender", "age"), default=run.task)
     p.add_argument("--ages", action="store_true")
     p.add_argument("--metrics-out")
 
@@ -345,8 +344,7 @@ def _cmd_pipeline(args):
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    cfg = PipelineConfig.from_file(args.config, overrides)
-    records = run_pipeline(cfg)
+    records = run_pipeline(PipelineConfig.from_file(args.config, overrides))
     for record in records:
         print(json.dumps(record, sort_keys=True))
     print(format_metrics_table(records))

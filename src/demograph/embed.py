@@ -80,6 +80,9 @@ class TrainConfig:
             raise ConfigError(f"rate must be positive and finite, got {self.rate}")
         if self.min_count < 1:
             raise ConfigError("min_count must be >= 1")
+        if not 0 <= self.subsample < math.inf:  # NaN fails too
+            raise ConfigError(f"subsample must be >= 0 and finite, got "
+                              f"{self.subsample}")
 
     @property
     def effective_window(self) -> int:

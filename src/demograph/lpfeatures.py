@@ -33,6 +33,7 @@ logger = logging.getLogger(__name__)
 # Imputation value for masked entries in emitted feature rows: the
 # maximum-entropy label, paired with a 0/1 presence indicator column.
 MASKED_FILL = 0.5
+PREFIX = "lp"  # of the emitted column names
 
 
 @dataclass
@@ -87,14 +88,14 @@ class LPFeatureBlock:
     def node_count(self) -> int:
         return self.data.shape[0]
 
-    def column_names(self, prefix: str = "lp") -> list[str]:
+    def column_names(self) -> list[str]:
         if self.n_classes == 1:
-            return [f"{prefix}_{i}" for i in range(self.n_partitions)]
-        return [f"{prefix}_{i}_{c}" for i in range(self.n_partitions)
+            return [f"{PREFIX}_{i}" for i in range(self.n_partitions)]
+        return [f"{PREFIX}_{i}_{c}" for i in range(self.n_partitions)
                 for c in range(self.n_classes)]
 
-    def presence_names(self, prefix: str = "lp") -> list[str]:
-        return [f"{prefix}_present_{i}" for i in range(self.n_partitions)]
+    def presence_names(self) -> list[str]:
+        return [f"{PREFIX}_present_{i}" for i in range(self.n_partitions)]
 
     def imputed(self) -> np.ndarray:
         """Fixed-width rows with masked entries filled with 0.5 (a view)."""

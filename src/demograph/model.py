@@ -475,10 +475,10 @@ def train_mlp(features, labels, hidden: list[int], n_classes: int = 2,
     return _train(features, labels, hidden, n_classes, "softmax", hyper)
 
 
-def check_hidden(hidden: list[int]) -> None:
+def check_hidden(hidden: list[int] | tuple[int, ...]) -> None:
     """Reject an empty list of MLP layer widths or a width below 1."""
     if not hidden or any(h < 1 for h in hidden):
-        raise ConfigError(f"bad hidden layer sizes {hidden!r}")
+        raise ConfigError(f"bad hidden layer sizes {list(hidden)!r}")
 
 
 def predict(params: ModelParams, features) -> np.ndarray:

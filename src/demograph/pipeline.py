@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import Field, dataclass, fields, replace
 from itertools import compress
 from pathlib import Path
 
@@ -182,8 +182,10 @@ def run_sensitivity(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
         raise ValidationError("truth array does not match the graph")
     if seeds is not None and not seeds.is_seed.any():
         raise ConfigError("seed state has no seeds")
+    # Only a reveal resamples the seeds per repetition; fixed seeds run
+    # each cell once, and its rows serve every repetition.
     cells = [(strategy, param, rep) for strategy, param in grid.cells()
-             for rep in range(grid.repetitions)]
+             for rep in range(grid.repetitions if seeds is None else 1)]
     if workers > 1:
         from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -193,6 +195,9 @@ def run_sensitivity(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
     else:
         results = [_run_cell(g, truth, grid, seeds, reveal, *cell)
                    for cell in cells]
+    if seeds is not None:
+        results = [[{**row, "rep": rep} for rep in range(grid.repetitions)
+                    for row in rows] for rows in results]
     return [row for cell_rows in results for row in cell_rows]
 
 
@@ -235,18 +240,9 @@ def format_pivot(rows: list[dict]) -> str:
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-# Run keys and their defaults; a key whose default is None names a file.
-_CONFIG_DEFAULTS = {
-    "edges": None, "labels": None, "cumf": None, "out": None,
-    "task": "gender", "ages": "0", "regimes": "all", "model": "lr",
-    "hidden": "256,256,256", "balance": "0", "root_seed": "0",
-    "min_degree": "0", "lp_splits": "3", "emb_bidirectional": "0",
-}
-
-
-def int_list(text: str) -> list[int]:
+def int_list(text: str) -> tuple[int, ...]:
     """Parse comma-separated integers such as layer widths ``"64,64"``."""
-    return [int(h) for h in text.split(",") if h]
+    return tuple(int(h) for h in text.split(",") if h)
 
 
 def float_list(text: str) -> list[float]:
@@ -261,53 +257,109 @@ def _flag(text: str) -> bool:
     return text in ("1", "true", "yes", "on")
 
 
-# How ``PipelineConfig.value`` converts each typed run key.
-_CONFIG_TYPES = {
-    "ages": _flag, "balance": _flag, "emb_bidirectional": _flag,
-    "hidden": int_list, "root_seed": int, "min_degree": int, "lp_splits": int,
-}
-
-# The stage keys of each stage config: key -> (field, type).  A stage key
-# the config leaves unset reads as the field's class default, and an empty
-# value reads as None where that default is None.
-_STAGE_FIELDS = {
-    SplitSpec: {"split": ("mode", str), "train_frac": ("train_fraction", float)},
-    TrainHyper: {"epochs": ("epochs", int), "minibatch": ("minibatch", int),
-                 "rate": ("rate", float), "l2": ("l2", float)},
-    PropagationConfig: {"lp_alpha": ("alpha", float),
-                        "lp_iters": ("iterations", int)},
-    embed.TrainConfig: {"emb_mode": ("mode", str), "emb_dim": ("dim", int),
-        "emb_window": ("window", int), "emb_epochs": ("epochs", int),
-        "emb_negatives": ("negatives", int), "emb_rate": ("rate", float),
-        "emb_min_count": ("min_count", int)},
-}
-_STAGE_KEYS = {key: (cls, name, convert) for cls, keys in _STAGE_FIELDS.items()
-               for key, (name, convert) in keys.items()}
-_KEYS = _CONFIG_DEFAULTS.keys() | _STAGE_KEYS.keys()
-
 _KNOWN_BLOCKS = ("cumf", "lp", "emb")
+_Regimes = tuple[tuple[str, tuple[str, ...]], ...]  # (regime, blocks) pairs
 
 
-@dataclass
+def _regimes(text: str) -> _Regimes:
+    """Comma-separated regimes, each ``all`` or blocks joined by ``+``."""
+    regimes = tuple((r, _KNOWN_BLOCKS if r == "all" else tuple(r.split("+")))
+                    for r in map(str.strip, text.split(",")) if r)
+    if not regimes:
+        raise ConfigError(f"config key 'regimes' names no regime: {text!r}")
+    for regime, blocks in regimes:
+        for b in blocks:
+            if b not in _KNOWN_BLOCKS:
+                raise ConfigError(f"unknown feature block {b!r} in regime {regime!r}")
+    return regimes
+
+
+# How a setting's text converts, by the annotation of the field it sets.
+_PARSE = {"str": str, "str | None": str, "bool": _flag, "int": int,
+          "int | None": int, "float": float, "float | None": float,
+          "tuple[int, ...]": int_list, "_Regimes": _regimes}
+
+
+def _convert(key: str, raw: str, f: Field):
+    """Convert ``raw`` for field ``f``: to None if empty and ``f`` defaults
+    to None, else by the field's annotation."""
+    if raw == "" and f.default is None:
+        return None
+    try:
+        return _PARSE[f.type](raw)
+    except ValueError:
+        raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
+
+
+# The stage configs of a run, by field: the stage class, the prefix of its
+# range errors, and the class field that each of its keys sets.
+_STAGES = {
+    "split_spec": (SplitSpec, "", {"split": "mode", "train_frac": "train_fraction"}),
+    "hyper": (TrainHyper, "", {k: k for k in ("epochs", "minibatch", "rate", "l2")}),
+    "lp": (PropagationConfig, "config lp_alpha/lp_iters: ",
+           {"lp_alpha": "alpha", "lp_iters": "iterations"}),
+    "emb": (embed.TrainConfig, "config emb_* keys: ", {f"emb_{k}": k for k in (
+        "mode", "dim", "window", "epochs", "negatives", "rate", "min_count")}),
+}
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
-    """Flat key=value run configuration: the run keys of
-    ``_CONFIG_DEFAULTS`` and the stage keys of ``_STAGE_FIELDS``."""
+    """A run's settings, converted and checked when built.
 
-    settings: dict[str, str]
+    The fields up to ``emb_bidirectional`` are the run keys; a key whose
+    default is None names a file.  The keys of ``_STAGES`` set the stage
+    configs; ``lp`` and ``emb`` are None unless a regime reads that block.
+    """
+
+    edges: str | None = None
+    labels: str | None = None
+    cumf: str | None = None
+    out: str | None = None
+    task: str = "gender"
+    ages: bool = False
+    regimes: _Regimes = _regimes("all")
+    model: str = "lr"
+    hidden: tuple[int, ...] = (256, 256, 256)
+    balance: bool = False
+    root_seed: int = 0
+    min_degree: int = 0
+    lp_splits: int = 3
+    emb_bidirectional: bool = False
+    split_spec: SplitSpec = SplitSpec()
+    hyper: TrainHyper = TrainHyper()
+    lp: PropagationConfig | None = None
+    emb: embed.TrainConfig | None = None
+
+    def __post_init__(self) -> None:
+        for key, known in (("task", ("gender", "age")), ("model", ("lr", "mlp"))):
+            if getattr(self, key) not in known:
+                raise ConfigError(f"unknown {key} {getattr(self, key)!r}")
+        if self.min_degree < 0:
+            raise ConfigError("config key 'min_degree' must be >= 0")
+        if self.model == "mlp":
+            check_hidden(self.hidden)
+        needed = self.blocks()
+        if "lp" in needed and self.lp_splits < 2:
+            raise ConfigError("config key 'lp_splits' must be >= 2")
+        for b in ("lp", "emb"):  # the stage default if a regime reads it
+            stage = getattr(self, b) or _STAGES[b][0]()
+            object.__setattr__(self, b, stage if b in needed else None)
+
+    def blocks(self) -> set[str]:
+        """The feature blocks that some regime reads."""
+        return {b for _, blocks in self.regimes for b in blocks}
 
     @classmethod
-    def from_file(cls, path, overrides: dict[str, str] | None = None
-                  ) -> "PipelineConfig":
-        settings = dict(_CONFIG_DEFAULTS)
+    def from_file(cls, path, overrides: dict[str, str] | None = None) -> PipelineConfig:
+        settings = {}
         with _open_text(path) as fh:
             for line_no, line in enumerate(fh, start=1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
+                key, eq, value = (part.strip() for part in line.partition("="))
+                if not (key or eq) or key.startswith("#"):
                     continue
-                if "=" not in stripped:
+                if not eq:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
-                key, _, value = stripped.partition("=")
-                key, value = key.strip(), value.strip()
                 if key not in _KEYS:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
                 settings[key] = value
@@ -315,95 +367,36 @@ class PipelineConfig:
             if key not in _KEYS:
                 raise ConfigError(f"override names unknown key {key!r}")
             settings[key] = value
-        return cls(settings)
+        return cls.from_settings(**settings)
 
     @classmethod
-    def from_settings(cls, **kwargs: str) -> "PipelineConfig":
-        settings = dict(_CONFIG_DEFAULTS)
-        for key, value in kwargs.items():
+    def from_settings(cls, **kwargs) -> PipelineConfig:
+        """Build from key=value settings, each value read as ``str(value)``.
+        Every key is converted once; the lp and emb stage configs, and so
+        their range checks, are built only when a regime reads their block."""
+        settings = {key: str(value) for key, value in kwargs.items()}
+        for key in settings:
             if key not in _KEYS:
                 raise ConfigError(f"unknown config key {key!r}")
-            settings[key] = str(value)
-        return cls(settings)
+        run = {f.name: _convert(f.name, settings[f.name], f)
+               for f in fields(cls) if f.name in settings}
+        values = {}
+        for name, (stage, _, keys) in _STAGES.items():
+            of = {f.name: f for f in fields(stage)}
+            values[name] = {attr: _convert(key, settings[key], of[attr])
+                            for key, attr in keys.items() if key in settings}
+        needed = {b for _, blocks in run.get("regimes", cls.regimes) for b in blocks}
+        for name, (stage, context, _) in _STAGES.items():
+            if name in needed or name not in _KNOWN_BLOCKS:
+                try:
+                    run[name] = stage(**values[name])
+                except ConfigError as exc:
+                    raise ConfigError(f"{context}{exc}") from None
+        return cls(**run)
 
-    def __getitem__(self, key: str) -> str:
-        return self.settings[key]
 
-    def value(self, key: str):
-        """The setting of a typed key, converted as ``_CONFIG_TYPES`` or
-        ``_STAGE_FIELDS`` says; a bad value raises ``ConfigError`` naming it."""
-        raw = self.settings.get(key)
-        if key in _STAGE_KEYS:
-            cls, name, convert = _STAGE_KEYS[key]
-            default = getattr(cls, name)
-            if raw is None or (raw == "" and default is None):
-                return default
-        else:
-            convert = _CONFIG_TYPES[key]
-        try:
-            return convert(raw)
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
-
-    def stage_config(self, cls: type, **fixed):
-        """The ``cls`` stage config of these settings, with the ``fixed``
-        fields (such as a derived seed) on top."""
-        return cls(**{name: self.value(key)
-                      for key, (name, _) in _STAGE_FIELDS[cls].items()}, **fixed)
-
-    def regimes(self) -> list[str]:
-        return [r.strip() for r in self["regimes"].split(",") if r.strip()]
-
-    def regime_blocks(self, regime: str) -> list[str]:
-        if regime == "all":
-            return list(_KNOWN_BLOCKS)
-        blocks = regime.split("+")
-        for b in blocks:
-            if b not in _KNOWN_BLOCKS:
-                raise ConfigError(f"unknown feature block {b!r} in regime "
-                                  f"{regime!r}")
-        return blocks
-
-    def check_inputs(self) -> None:
-        """Check every setting a run uses and its input files, so that a
-        bad config fails before any stage runs."""
-        for key in (*_CONFIG_TYPES, *_STAGE_KEYS):
-            self.value(key)
-        for key, known in (("task", ("gender", "age")), ("model", ("lr", "mlp"))):
-            if self[key] not in known:
-                raise ConfigError(f"unknown {key} {self[key]!r}")
-        if self.value("min_degree") < 0:
-            raise ConfigError("config key 'min_degree' must be >= 0")
-        if not self.regimes():
-            raise ConfigError(f"config key 'regimes' names no regime: "
-                              f"{self['regimes']!r}")
-        for cls in (SplitSpec, TrainHyper):
-            self.stage_config(cls)
-        if self["model"] == "mlp":
-            check_hidden(self.value("hidden"))
-        needed = {b for r in self.regimes() for b in self.regime_blocks(r)}
-        if "lp" in needed:
-            if self.value("lp_splits") < 2:
-                raise ConfigError("config key 'lp_splits' must be >= 2")
-            try:
-                self.stage_config(PropagationConfig)
-            except ConfigError as exc:
-                raise ConfigError(f"config lp_alpha/lp_iters: {exc}") from None
-        if "emb" in needed:
-            try:
-                self.stage_config(embed.TrainConfig)
-            except ConfigError as exc:
-                raise ConfigError(f"config emb_* keys: {exc}") from None
-        required = {"edges": self["edges"], "labels": self["labels"]}
-        if "cumf" in needed:
-            required["cumf"] = self["cumf"]
-        missing = [key for key, value in required.items() if not value]
-        if missing:
-            raise ConfigError(f"config is missing required keys: {missing}")
-        absent = [value for value in required.values()
-                  if value and not Path(value).exists()]
-        if absent:
-            raise ConfigError(f"input files do not exist: {absent}")
+_KEYS = ({f.name for f in fields(PipelineConfig)} - _STAGES.keys()
+         | {key for _, _, keys in _STAGES.values() for key in keys})
 
 
 def _array_labels(path, num_classes: int, ages: bool):
@@ -467,20 +460,18 @@ def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
     else:
         seeds = LabelState.from_seed_classes(g.node_count, idx, classes,
                                              num_classes=n_classes)
-    plan = lpfeatures.make_partitions(idx, cfg.value("lp_splits"),
+    plan = lpfeatures.make_partitions(idx, cfg.lp_splits,
                                       derive_seed(root, "lp-partitions"))
-    block = lpfeatures.lp_features(g, seeds, plan,
-                                   cfg.stage_config(PropagationConfig))
+    block = lpfeatures.lp_features(g, seeds, plan, cfg.lp)
     return block.table(g.names)
 
 
-def _emb_block(cfg: PipelineConfig, g: Graph, edges_path,
-               root: int) -> FeatureMatrix:
-    directed = load_directed_edges(edges_path)
+def _emb_block(cfg: PipelineConfig, g: Graph, root: int) -> FeatureMatrix:
+    directed = load_directed_edges(cfg.edges)
     sentences = embed.build_sentences(directed, derive_seed(root, "sentences"),
-                                      bidirectional=cfg.value("emb_bidirectional"))
-    table = embed.train_embeddings(sentences, cfg.stage_config(
-        embed.TrainConfig, rng_seed=derive_seed(root, "embed")))
+                                      bidirectional=cfg.emb_bidirectional)
+    table = embed.train_embeddings(sentences, replace(
+        cfg.emb, rng_seed=derive_seed(root, "embed")))
     table = embed.fill_missing_embeddings(g, table)
     nodes = [t for t in table.tokens if t in g]
     rows = np.stack([table.get(t) for t in nodes]) if nodes else np.zeros((0, table.dim))
@@ -490,7 +481,7 @@ def _emb_block(cfg: PipelineConfig, g: Graph, edges_path,
 
 def fit_and_score(features: FeatureMatrix, labels: dict[str, int],
                   train_names: list[str], test_names: list[str],
-                  n_classes: int, model: str, hidden: list[int],
+                  n_classes: int, model: str, hidden: tuple[int, ...],
                   hyper: TrainHyper, balance: bool = False
                   ) -> tuple[list[str], np.ndarray, dict]:
     """Train on the train names that have feature rows, score the test
@@ -542,52 +533,57 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
 
     Returns one metrics record per regime; writes them as JSON lines when
     the config names an ``out`` path.  Identical config and root seed give
-    byte-identical reports.
+    byte-identical reports.  The config checked its settings when built;
+    this checks only that the input files are named and exist.
     """
-    cfg.check_inputs()
-    root = cfg.value("root_seed")
-    task = cfg["task"]
-    n_classes = task_classes(task)
-    g = load_edge_list(cfg["edges"], min_degree=cfg.value("min_degree"))
-    labels = read_labels(cfg["labels"], task, cfg.value("ages"))
+    needed = cfg.blocks()
+    required = ["edges", "labels", "cumf"] if "cumf" in needed else ["edges", "labels"]
+    missing = [key for key in required if not getattr(cfg, key)]
+    if missing:
+        raise ConfigError(f"config is missing required keys: {missing}")
+    absent = [getattr(cfg, key) for key in required
+              if not Path(getattr(cfg, key)).exists()]
+    if absent:
+        raise ConfigError(f"input files do not exist: {absent}")
 
-    train_names, test_names = split(list(labels), cfg.stage_config(
-        SplitSpec, rng_seed=derive_seed(root, "split")))
+    root, n_classes = cfg.root_seed, task_classes(cfg.task)
+    g = load_edge_list(cfg.edges, min_degree=cfg.min_degree)
+    labels = read_labels(cfg.labels, cfg.task, cfg.ages)
 
-    regimes = [(r, cfg.regime_blocks(r)) for r in cfg.regimes()]
-    needed = {b for _, names in regimes for b in names}
+    train_names, test_names = split(list(labels), replace(
+        cfg.split_spec, rng_seed=derive_seed(root, "split")))
+
     blocks: dict[str, FeatureMatrix] = {}
     if "cumf" in needed:
-        blocks["cumf"] = FeatureMatrix.from_csv(cfg["cumf"])
+        blocks["cumf"] = FeatureMatrix.from_csv(cfg.cumf)
     if "lp" in needed:
         blocks["lp"] = _lp_block(cfg, g, labels, train_names, n_classes, root)
     if "emb" in needed:
-        blocks["emb"] = _emb_block(cfg, g, cfg["edges"], root)
+        blocks["emb"] = _emb_block(cfg, g, root)
     del g  # no later stage reads the graph
     for b in blocks:
         logger.info("block %r: %d rows x %d columns, %.1f MB", b,
                     *blocks[b].values.shape, blocks[b].values.nbytes / 2 ** 20)
 
-    hyper = cfg.stage_config(TrainHyper)
     records = []
-    for i, (regime, names) in enumerate(regimes):
+    for i, (regime, names) in enumerate(cfg.regimes):
         features = join_features({b: blocks[b] for b in names})
         # Free each block that no later regime reads before this one trains.
-        for b in set(names).difference(*(later for _, later in regimes[i + 1:])):
+        for b in set(names).difference(*(later for _, later in cfg.regimes[i + 1:])):
             del blocks[b]
         try:
             _, _, scores = fit_and_score(
                 features, labels, train_names, test_names, n_classes,
-                cfg["model"], cfg.value("hidden"),
-                replace(hyper, rng_seed=derive_seed(root, f"train:{regime}")),
-                cfg.value("balance"))
+                cfg.model, cfg.hidden, replace(
+                    cfg.hyper, rng_seed=derive_seed(root, f"train:{regime}")),
+                cfg.balance)
         except ConfigError as exc:
             raise ConfigError(f"regime {regime!r}: {exc}") from None
         del features  # free this join before the next regime joins
         records.append({"regime": regime, **scores})
 
-    if cfg["out"]:
-        with open(cfg["out"], "w", encoding="utf-8") as fh:
+    if cfg.out:
+        with open(cfg.out, "w", encoding="utf-8") as fh:
             for record in records:
                 fh.write(json.dumps(record, sort_keys=True) + "\n")
     return records

@@ -620,6 +620,10 @@ class TestSettingsBeforeInput:
           "--out", "OUT"], "--splits must be >= 2, got 1"),
         (["embed", "--corpus", "M", "--dim", "0", "--out", "OUT"],
          "dim must be >= 1"),
+        (["embed", "--corpus", "M", "--subsample", "-1", "--out", "OUT"],
+         "subsample must be >= 0 and finite, got -1.0"),
+        (["embed", "--corpus", "M", "--subsample", "nan", "--out", "OUT"],
+         "subsample must be >= 0 and finite, got nan"),
         (["train", "--features", "M", "--labels", "M", "--epochs", "0"],
          "epochs must be >= 1"),
         (["train", "--features", ",", "--labels", "M"],
@@ -628,7 +632,8 @@ class TestSettingsBeforeInput:
          "--features needs files with distinct names"),
     ], ids=["sensitivity-alphas", "sensitivity-reveal", "sensitivity-workers-0",
             "sensitivity-workers-negative", "propagate-alpha",
-            "lp-features-splits", "embed-dim", "train-epochs",
+            "lp-features-splits", "embed-dim", "embed-subsample-negative",
+            "embed-subsample-nan", "train-epochs",
             "train-no-features", "train-same-stem"])
     def test_bad_setting_named_despite_missing_input(self, tmp_path, capsys,
                                                     argv, message):

@@ -1,5 +1,5 @@
-"""Stage configs: each checks itself when built, is frozen, and holds the
-one default of every stage setting that the CLI and the pipeline read."""
+"""Stage and run configs: each checks itself when built, is frozen, and
+holds the one default of every setting that the CLI and the pipeline read."""
 
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from demograph.pipeline import ExperimentGrid, PipelineConfig
 from demograph.synth import PlantedGraphSpec
 
 CONFIGS = [PropagationConfig(), TrainHyper(), SplitSpec(), embed.TrainConfig(),
-           PlantedGraphSpec(per_class=1), ExperimentGrid()]
+           PlantedGraphSpec(per_class=1), ExperimentGrid(),
+           PipelineConfig.from_settings()]
 
 
 def built_configs(monkeypatch, argv, *classes) -> list:
@@ -56,10 +57,8 @@ class TestOneSource:
 
     def test_pipeline_defaults(self):
         cfg = PipelineConfig.from_settings(edges="e.tsv", labels="l.tsv")
-        for cls in (PropagationConfig, TrainHyper, embed.TrainConfig):
-            assert cfg.stage_config(cls) == cls()
-        # The split's seed is derived from the run's root seed.
-        assert cfg.stage_config(SplitSpec, rng_seed=7) == SplitSpec(rng_seed=7)
+        assert (cfg.split_spec, cfg.hyper, cfg.lp, cfg.emb) == \
+            (SplitSpec(), TrainHyper(), PropagationConfig(), embed.TrainConfig())
 
     def test_cli_and_pipeline_share_run_defaults(self):
         parser = build_parser()
@@ -67,9 +66,9 @@ class TestOneSource:
         lp = parser.parse_args(["lp-features", "--graph", "g", "--seeds", "s",
                                 "--out", "o"])
         cfg = PipelineConfig.from_settings()
-        assert train.hidden == cfg.value("hidden") == [256, 256, 256]
-        assert lp.splits == cfg.value("lp_splits") == 3
-        assert (train.model, train.task) == (cfg["model"], cfg["task"])
+        assert train.hidden == cfg.hidden == (256, 256, 256)
+        assert lp.splits == cfg.lp_splits == 3
+        assert (train.model, train.task) == (cfg.model, cfg.task)
 
 
 class TestFrozenAndChecked:
@@ -81,6 +80,8 @@ class TestFrozenAndChecked:
     def test_replace_checks_again(self):
         with pytest.raises(ConfigError, match="alpha must lie in"):
             replace(PropagationConfig(), alpha=2)
+        with pytest.raises(ConfigError, match="'min_degree' must be >= 0"):
+            replace(PipelineConfig.from_settings(), min_degree=-1)
 
     def test_grid_keeps_tuples(self):
         grid = ExperimentGrid(alphas=[0.3], ks=range(1, 3))

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import weakref
+from dataclasses import replace
+from operator import attrgetter
 from unittest import mock
 
 import numpy as np
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 from demograph import pipeline as pipeline_module
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph, load_edge_list
-from demograph.labelprop import LabelState, PropagationConfig, propagate
+from demograph.labelprop import (LabelState, PropagationConfig, propagate,
+                                  propagate_trace)
 from demograph.model import FeatureMatrix, auc_rank
 from demograph.pipeline import (ExperimentGrid, PipelineConfig, derive_seed,
                                 format_metrics_table, format_pivot,
@@ -268,6 +271,29 @@ class TestSensitivity:
         with pytest.raises(ConfigError, match=message):
             ExperimentGrid(strategies=[strategy], ks=[1, 2], **values)
 
+    def test_fixed_seeds_run_each_cell_once(self, tmp_path, monkeypatch):
+        _, g, truth, seeds = planted_fixture(tmp_path, per_class=60, p=0.1,
+                                             q=0.01, reveal=0.2)
+        grid = ExperimentGrid(strategies=["alpha", "beta"], alphas=[0.2, 0.8],
+                              betas=[0.8], ks=[1, 2], repetitions=3)
+        once = run_sensitivity(g, truth, replace(grid, repetitions=1),
+                               seeds=seeds)
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return propagate_trace(*args)
+
+        monkeypatch.setattr(pipeline_module, "propagate_trace", counted)
+        rows = run_sensitivity(g, truth, grid, seeds=seeds)
+        assert len(calls) == 3
+        # Each repetition repeats its cell's rows, in canonical order.
+        assert rows == [{**row, "rep": rep} for i in range(0, 6, 2)
+                        for rep in range(3) for row in once[i:i + 2]]
+        calls.clear()
+        run_sensitivity(g, truth, grid, reveal=0.2)
+        assert len(calls) == 9
+
     def test_reveal_resampling_differs_per_rep(self, tmp_path):
         _, g, truth, _ = planted_fixture(tmp_path, per_class=80, p=0.08,
                                          q=0.01, reveal=0.2)
@@ -307,9 +333,28 @@ class TestPipelineConfig:
         cfg_file.write_text("# comment\nedges=e.tsv\nlabels=l.tsv\n"
                             "regimes=cumf\nmodel=mlp\n")
         cfg = PipelineConfig.from_file(cfg_file, {"model": "lr"})
-        assert cfg["edges"] == "e.tsv"
-        assert cfg["model"] == "lr"
-        assert cfg.regimes() == ["cumf"]
+        assert cfg.edges == "e.tsv"
+        assert cfg.model == "lr"
+        assert cfg.regimes == (("cumf", ("cumf",)),)
+
+    def test_file_and_settings_build_equal_configs(self, tmp_path):
+        # Every key, each set away from its default.
+        settings = dict(edges="e.tsv", labels="l.tsv", cumf="c.csv",
+                        out="", task="age", ages="yes", regimes="cumf,lp+emb",
+                        model="mlp", hidden="8,4", balance="on", root_seed="5",
+                        min_degree="2", lp_splits="4", emb_bidirectional="1",
+                        split="random", train_frac="0.6", epochs="3",
+                        minibatch="16", rate="0.2", l2="0.01", lp_alpha="0.5",
+                        lp_iters="2", emb_mode="cbow", emb_dim="12",
+                        emb_window="", emb_epochs="2", emb_negatives="3",
+                        emb_rate="0.05", emb_min_count="1")
+        assert set(settings) == pipeline_module._KEYS
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("".join(f"{k}={v}\n" for k, v in settings.items()))
+        cfg = PipelineConfig.from_file(cfg_file)
+        assert cfg == PipelineConfig.from_settings(**settings)
+        assert (cfg.out, cfg.hidden, cfg.ages, cfg.lp.iterations,
+                cfg.emb.negatives, cfg.hyper.l2) == (None, (8, 4), True, 2, 3, 0.01)
 
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -322,28 +367,41 @@ class TestPipelineConfig:
                                            labels=str(tmp_path / "gone.tsv"),
                                            regimes="lp")
         with pytest.raises(ConfigError, match="absent.tsv"):
-            cfg.check_inputs()
+            run_pipeline(cfg)
 
-    def test_cumf_required_only_when_used(self, tmp_path):
+    def test_cumf_required_only_when_used(self, tmp_path, monkeypatch):
         edges = tmp_path / "e.tsv"
         edges.write_text("a\tb\n")
         labels = tmp_path / "l.tsv"
         labels.write_text("a\t1\n")
+
+        class Ingested(Exception):
+            pass
+
+        def ingest(*args, **kwargs):
+            raise Ingested
+
+        monkeypatch.setattr(pipeline_module, "load_edge_list", ingest)
         cfg = PipelineConfig.from_settings(edges=str(edges), labels=str(labels),
                                            regimes="lp")
-        cfg.check_inputs()
+        with pytest.raises(Ingested):  # the inputs pass their check
+            run_pipeline(cfg)
         cfg2 = PipelineConfig.from_settings(edges=str(edges),
                                             labels=str(labels),
                                             regimes="cumf")
         with pytest.raises(ConfigError):
-            cfg2.check_inputs()
+            run_pipeline(cfg2)
 
     @pytest.mark.parametrize("key,raw,expected", [
         ("epochs", "7", 7), ("lp_alpha", "0.25", 0.25),
-        ("hidden", "64,32", [64, 32]), ("train_frac", "", None),
+        ("hidden", "64,32", (64, 32)), ("train_frac", "", None),
         ("train_frac", "0.5", 0.5), ("emb_window", "", None)])
     def test_value_conversion(self, key, raw, expected):
-        assert PipelineConfig.from_settings(**{key: raw}).value(key) == expected
+        field = {"epochs": "hyper.epochs", "lp_alpha": "lp.alpha",
+                 "hidden": "hidden", "train_frac": "split_spec.train_fraction",
+                 "emb_window": "emb.window"}[key]
+        cfg = PipelineConfig.from_settings(**{key: raw})
+        assert attrgetter(field)(cfg) == expected
 
     @pytest.mark.parametrize("key,raw", [
         ("epochs", "abc"), ("hidden", "8,x"), ("lp_alpha", "x"),
@@ -353,13 +411,9 @@ class TestPipelineConfig:
         edges.write_text("a\tb\n")
         labels = tmp_path / "l.tsv"
         labels.write_text("a\t1\n")
-        cfg = PipelineConfig.from_settings(edges=str(edges), labels=str(labels),
-                                           regimes="lp", **{key: raw})
         with pytest.raises(ConfigError, match=repr(key)):
-            cfg.value(key)
-        # Checked with the inputs, before any stage runs.
-        with pytest.raises(ConfigError, match=repr(key)):
-            cfg.check_inputs()
+            PipelineConfig.from_settings(edges=str(edges), labels=str(labels),
+                                         regimes="lp", **{key: raw})
 
     @pytest.mark.parametrize("key,raw,message", [
         ("model", "foo", "unknown model 'foo'"),
@@ -397,16 +451,24 @@ class TestPipelineConfig:
                             lambda *a, **k: loads.append(a))
         # Every setting applies: lp and emb both run, with an MLP.
         settings = {"regimes": "emb+lp", "model": "mlp", key: raw}
-        cfg = PipelineConfig.from_settings(edges=str(edges), labels=str(labels),
-                                           **settings)
         with pytest.raises(ConfigError, match=message):
-            run_pipeline(cfg)
+            run_pipeline(PipelineConfig.from_settings(
+                edges=str(edges), labels=str(labels), **settings))
         assert loads == []
 
     def test_unknown_regime_block(self):
-        cfg = PipelineConfig.from_settings(regimes="cumf+magic")
         with pytest.raises(ConfigError):
-            cfg.regime_blocks("cumf+magic")
+            PipelineConfig.from_settings(regimes="cumf+magic")
+
+    def test_block_settings_range_checked_only_when_read(self):
+        # Every key is converted, but lp_alpha's range applies only when a
+        # regime reads the lp block.
+        cfg = PipelineConfig.from_settings(regimes="cumf", lp_alpha="2")
+        assert (cfg.lp, cfg.emb) == (None, None)
+        with pytest.raises(ConfigError, match="config key 'emb_dim'"):
+            PipelineConfig.from_settings(regimes="cumf", emb_dim="abc")
+        with pytest.raises(ConfigError, match="lp_alpha.*alpha must lie in"):
+            PipelineConfig.from_settings(regimes="cumf+lp", lp_alpha="2")
 
 
 class TestRunPipeline:
@@ -469,9 +531,9 @@ class TestRunPipeline:
         assert records[0]["auc"] > 0.5
 
     def test_lp_block_logs_labels_outside_the_graph(self, tmp_path, caplog):
-        cfg = self.base_config(tmp_path, lp_splits="2")
-        g = load_edge_list(cfg["edges"])
-        labels = read_labels(cfg["labels"])
+        cfg = self.base_config(tmp_path, regimes="lp", lp_splits="2")
+        g = load_edge_list(cfg.edges)
+        labels = read_labels(cfg.labels)
         train = list(labels)[:40]
         ghosts = {"ghost0": 1, "ghost1": 0}
         with caplog.at_level("INFO", logger="demograph.pipeline"):
@@ -544,8 +606,8 @@ class TestRunPipeline:
 
     def test_logs_each_block(self, tmp_path, caplog):
         cfg = self.base_config(tmp_path, regimes="cumf+lp")
-        cumf = FeatureMatrix.from_csv(cfg["cumf"])
-        g = load_edge_list(cfg["edges"])
+        cumf = FeatureMatrix.from_csv(cfg.cumf)
+        g = load_edge_list(cfg.edges)
         with caplog.at_level("INFO", logger="demograph.pipeline"):
             run_pipeline(cfg)
         rows, cols = cumf.values.shape
