@@ -37,18 +37,19 @@ logger = logging.getLogger(__name__)
 
 def _csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray):
     """Deduplicate directed arcs by sorting their keys (faster than the hash
-    path ``np.unique`` takes in numpy 2.x) and pack them into CSR arrays."""
-    if len(src) == 0:
-        return np.zeros(n + 1, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    path ``np.unique`` takes in numpy 2.x) and pack them into CSR arrays,
+    both int32 when every node index and arc offset fits, else int64."""
     keys = src * np.int64(n)
     keys += dst
     keys.sort()
     fresh = np.ones(len(keys), dtype=bool)
     fresh[1:] = keys[1:] != keys[:-1]
     keys = keys[fresh]
+    dtype = np.int32 if max(n, len(keys)) < 2**31 else np.int64
     # Row v holds the keys in [v*n, (v+1)*n).
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
-    return indptr, keys % n
+    np.remainder(keys, n, out=keys)
+    return indptr.astype(dtype), keys.astype(dtype, copy=False)
 
 
 @dataclass
@@ -57,8 +58,11 @@ class Graph:
 
     ``names[i]`` is the external name of dense index ``i``; ``indices``
     holds every directed arc (each undirected edge appears twice), grouped
-    by source via ``indptr`` and sorted within each group.  Instances are
-    immutable after construction and safe to share across workers.
+    by source via ``indptr`` and sorted within each group.  Both arrays are
+    int32 when the node count and the arc count are below 2**31, else
+    int64, and the ``adjacency`` operator holds these same arrays.
+    Instances are immutable after construction and safe to share across
+    workers.
     """
 
     names: list[str]

@@ -8,7 +8,9 @@ Seed nodes keep their initial values forever; an unlabeled node activates
 the first time it has at least one active neighbor, taking the plain mean
 of those neighbors' values, and from then on blends its own value with the
 active-neighbor mean.  Inactive neighbors never contribute to sums or
-denominators.
+denominators.  A node's count of active neighbors changes only when a
+neighbor activates, so the counts are recomputed only after a superstep
+that activates a node; every other superstep makes one sparse product.
 
 Three blending strategies are supported:
 
@@ -180,22 +182,21 @@ class LabelState:
                                     np.eye(num_classes)[cls_idx], num_classes)
 
 
-def _neighbor_means(g: Graph, values: np.ndarray, active: np.ndarray):
-    """Mean of active neighbors' values per node.
+def _neighbor_means(g: Graph, values: np.ndarray, counts: np.ndarray,
+                    has: np.ndarray) -> np.ndarray:
+    """Mean of active neighbors' values per node where ``has``, given each
+    node's active-neighbor ``counts`` (``has`` is ``counts > 0``).
 
-    Returns ``(means, has_active_neighbor)``; rows without an active
-    neighbor are zero.  The engine keeps the rows of inactive nodes at
-    exactly 0.0, so multiplying by the full adjacency matrix adds only
-    +0.0 for inactive neighbors, and the sums equal those over active
-    neighbors alone.  Each row is summed in CSR order, so the result is
+    The engine keeps the rows of inactive nodes at exactly 0.0, so
+    multiplying by the full adjacency matrix adds only +0.0 for inactive
+    neighbors, and the sums equal those over active neighbors alone; rows
+    without an active neighbor are therefore +0.0 too.  The product is
+    divided in place.  Each row is summed in CSR order, so the result is
     bit-identical across runs.
     """
-    counts = g.adjacency @ active.astype(np.float64)
-    has = counts > 0
-    means = np.zeros_like(values)
-    np.divide(g.adjacency @ values, counts[:, None], out=means,
-              where=has[:, None])
-    return means, has
+    means = g.adjacency @ values
+    np.divide(means, counts[:, None], out=means, where=has[:, None])
+    return means
 
 
 def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,
@@ -203,9 +204,9 @@ def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,
     """Normalize accumulator rows into distributions; seeds pass through."""
     out = np.zeros_like(acc)
     mass = acc.sum(axis=1)
-    rows = active & (mass > 0)
-    out[rows] = acc[rows] / mass[rows, None]
-    out[seeds.is_seed] = seeds.values[seeds.is_seed]
+    np.divide(acc, mass[:, None], out=out,
+              where=(active & (mass > 0))[:, None])
+    np.copyto(out, seeds.values, where=seeds.is_seed[:, None])
     return LabelState(out, seeds.is_seed.copy(), active.copy())
 
 
@@ -219,32 +220,55 @@ def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
     mean; gamma adds ``gamma * mean`` to every channel and activates a node
     once it holds mass.  After each superstep ``k`` in ``keep`` it yields
     ``(k, state)``: the raw state, or for gamma the normalized accumulators.
+
+    The active-neighbor counts change only when a node activates, so they
+    are computed at the first superstep and again only after a superstep
+    that activated a node.  Each superstep writes its values into the
+    buffer of two supersteps back unless that state was yielded.
     """
     values = np.where(seeds.is_active[:, None], seeds.values, 0.0)
     active = seeds.is_active.copy()
     is_seed = seeds.is_seed.copy()
     gamma = cfg.strategy == "gamma"
+    counts, spare = None, None
     for k in range(1, cfg.iterations + 1):
-        means, has = _neighbor_means(g, values, active)
-        grow = (has & ~is_seed)[:, None]
+        if counts is None:
+            # Counts of 0/1 entries are integers, exact in float64.
+            counts = g.adjacency @ active.astype(np.float64)
+            has = counts > 0
+            grow = has & ~is_seed
+            stay = np.flatnonzero(~grow)
+            first = np.flatnonzero(grow & ~active)
+        means = _neighbor_means(g, values, counts, has)
+        new = np.empty_like(values) if spare is None else spare
+        # Every row is computed whole-array; the rows that must not take
+        # the result (``stay``, and ``first`` under alpha and beta) are
+        # then set from index lists, which beats masked ufunc loops.
         if gamma:
-            new = np.where(grow, values + cfg.gamma * means, values)
-            new_active = active | (new.sum(axis=1) > 0)
+            np.multiply(means, cfg.gamma, out=means)
+            np.add(values, means, out=new)
         else:
             w = 1.0 - cfg.alpha if cfg.strategy == "alpha" else cfg.beta ** k
-            new = np.where(grow, np.where(active[:, None],
-                                          (1.0 - w) * values + w * means,
-                                          means), values)
-            new_active = active | has
+            taken = means[first]
+            np.multiply(values, 1.0 - w, out=new)
+            np.multiply(means, w, out=means)
+            np.add(new, means, out=new)
+            new[first] = taken
+        new[stay] = values[stay]
+        new_active = active | (new.sum(axis=1) > 0 if gamma else has)
+        fresh = int((new_active & ~active).sum())
         if logger.isEnabledFor(logging.DEBUG):
-            moved = grow[:, 0] & active
+            moved = grow & active
             delta = np.abs(new - values)[moved].max() if moved.any() else 0.0
             logger.debug("superstep %d: max delta %.3e, %d newly active",
-                         k, delta, int((new_active & ~active).sum()))
+                         k, delta, fresh)
+        if fresh:
+            counts = None
+        # A yielded state's arrays are never written again, so a caller may
+        # keep them without a copy; gamma yields normalized copies.
+        spare = values if gamma or k - 1 not in keep else None
         values, active = new, new_active
         if k in keep:
-            # values and active are new arrays every superstep and are
-            # never written again, so a caller may keep them without a copy.
             yield k, (_finalize_accumulators(values, active, seeds) if gamma
                       else LabelState(values, is_seed, active))
 

@@ -124,14 +124,16 @@ def lp_features(g: Graph, labels: LabelState, plan: PartitionPlan,
                           np.flatnonzero(labels.is_seed)):
         raise ValidationError("partition plan must cover exactly the seed set")
     n, width = g.node_count, n_parts * n_classes
-    data = np.empty((n, width + n_parts))
+    data = np.zeros((n, width + n_parts))
     present = np.empty((n, n_parts), dtype=bool)
     cols = [slice(i * n_classes, (i + 1) * n_classes) for i in range(n_parts)]
     for i, part in enumerate(parts):
         run = propagate(g, LabelState.from_seed_values(
             n, part, labels.values[part], num_classes=n_classes), cfg)
         present[:, i] = run.is_active
-        data[:, cols[i]] = np.where(run.is_active[:, None], run.values, 0.0)
+        np.copyto(data[:, cols[i]], run.values, where=run.is_active[:, None])
+        # Free this run before the next one builds its states.
+        del run
     # Partitions are disjoint, so the rows one partition's leave-out reads
     # are never the rows another's writes.
     for i, part in enumerate(parts):

@@ -7,14 +7,15 @@ line-by-line edge-list loader, and a per-pair word2vec trainer.  The
 exceptions are checked against bit for bit, so they keep the arithmetic of
 the code they judge:
 
-- the masked-assignment engines ``reference_blended`` and
-  ``reference_additive`` call the package's ``_neighbor_means``;
-- ``reference_filter_min_degree``, ``reference_lp_features`` (with
+- ``reference_neighbor_means``, the masked-assignment engines
+  ``reference_blended`` and ``reference_additive`` that call it,
+  ``reference_filter_min_degree``, ``reference_lp_features`` (with
   ``ReferenceLPBlock.table``), ``reference_join_features`` and
   ``reference_loss_and_gradients`` are the package's earlier
-  implementations: renumbering by a sort of all arc ends, three
-  ``(n, N, C)`` copies plus an imputed copy and a stack, joins and
-  gathers by name lists, and a step that builds a one-hot target.
+  implementations: two sparse products per superstep (active-neighbor
+  counts and sums) into fresh arrays, renumbering by a sort of all arc
+  ends, three ``(n, N, C)`` copies plus an imputed copy and a stack, joins
+  and gathers by name lists, and a step that builds a one-hot target.
 
 The per-line file writers at the end are the package's earlier writers,
 one ``write`` or ``csv.writer.writerow`` call per line; the bulk writers
@@ -112,23 +113,39 @@ def dense_propagate_gamma(adj: list[set[int]], seed_labels: dict[int, int],
     return out, flags
 
 
+def reference_neighbor_means(g, values: np.ndarray, active: np.ndarray):
+    """Mean of active neighbors' values per node.
+
+    Returns ``(means, has_active_neighbor)``; rows without an active
+    neighbor are zero.  The engine keeps the rows of inactive nodes at
+    exactly 0.0, so multiplying by the full adjacency matrix adds only
+    +0.0 for inactive neighbors, and the sums equal those over active
+    neighbors alone.  Each row is summed in CSR order, so the result is
+    bit-identical across runs.
+    """
+    counts = g.adjacency @ active.astype(np.float64)
+    has = counts > 0
+    means = np.zeros_like(values)
+    np.divide(g.adjacency @ values, counts[:, None], out=means,
+              where=has[:, None])
+    return means, has
+
+
 def reference_blended(g, seeds, weights: list[float], on_superstep=None):
     """Alpha/beta engine with per-superstep masked assignments.
 
     ``weights[k-1]`` is the neighbor-mean weight at superstep ``k``; the
     node keeps ``1 - w`` of its own value and first activation takes the
-    plain neighbor mean.  Calls the package's ``_neighbor_means``, so its
-    results are comparable with the package engine byte for byte.
+    plain neighbor mean.  Takes its means from ``reference_neighbor_means``,
+    so its results are comparable with the package engine byte for byte.
     Returns ``(values, is_active)`` and calls ``on_superstep(k, values,
     is_active)`` after every superstep.
     """
-    from demograph.labelprop import _neighbor_means
-
     values = np.where(seeds.is_active[:, None], seeds.values, 0.0)
     active = seeds.is_active.copy()
     movable = ~seeds.is_seed
     for k, w in enumerate(weights, start=1):
-        means, has = _neighbor_means(g, values, active)
+        means, has = reference_neighbor_means(g, values, active)
         blend = movable & active & has
         first = movable & ~active & has
         new_values = values.copy()
@@ -155,18 +172,16 @@ def reference_additive(g, seeds, gamma: float, iterations: int,
     """Gamma accumulator engine (any channel count) with per-superstep
     masked assignments.
 
-    Calls the package's ``_neighbor_means``, so its results are comparable
-    with the package engine byte for byte.  Returns the normalized
+    Takes its means from ``reference_neighbor_means``, so its results are
+    comparable with the package engine byte for byte.  Returns the normalized
     ``(values, is_active)`` (seed rows pass through) and calls
     ``on_superstep(k, values, is_active)`` with them after every superstep.
     """
-    from demograph.labelprop import _neighbor_means
-
     acc = np.where(seeds.is_active[:, None], seeds.values, 0.0)
     active = seeds.is_active.copy()
     movable = ~seeds.is_seed
     for k in range(1, iterations + 1):
-        means, has = _neighbor_means(g, acc, active)
+        means, has = reference_neighbor_means(g, acc, active)
         grow = movable & has
         acc = acc.copy()
         acc[grow] += gamma * means[grow]

@@ -322,6 +322,25 @@ class TestInvariants:
             dense[u, sorted(nbrs)] = 1.0
         assert np.array_equal(a.toarray(), dense)
 
+    def test_csr_arrays_are_int32_and_shared(self, tmp_path):
+        path = write_edges(tmp_path / "e.tsv",
+                           ["a\tb", "b\tc", "c\ta", "a\tc", "d\ta"])
+        graphs = [Graph.build(["a", "b", "c"], [(0, 1), (1, 2)]),
+                  load_edge_list(path), load_edge_list(path, min_degree=1)]
+        for g in graphs:
+            assert g.indptr.dtype == g.indices.dtype == np.int32
+            # The operator holds the graph's own arrays, not copies.
+            assert np.shares_memory(g.adjacency.indices, g.indices)
+            assert np.shares_memory(g.adjacency.indptr, g.indptr)
+        edges = load_directed_edges(path)
+        for arr in (edges.out_indptr, edges.out_indices, edges.in_indptr,
+                    edges.in_indices):
+            assert arr.dtype == np.int32
+        empty = Graph.build(["a", "b"], [])
+        assert empty.indptr.dtype == empty.indices.dtype
+        assert np.array_equal(empty.indptr, [0, 0, 0])
+        assert len(empty.indices) == 0
+
 
 class TestDirectedEdges:
     def test_out_and_in_neighbors(self, tmp_path):

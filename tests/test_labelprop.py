@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from demograph.errors import ConfigError, EdgeListParseError, ValidationError
 from demograph.graph import Graph
 from demograph.labelprop import (LabelState, PropagationConfig,
-                                 _neighbor_means, age_bucket, class_label,
+                                 _neighbor_means, _states, age_bucket,
+                                 class_label,
                                  propagate, propagate_beta, propagate_gamma,
                                  propagate_multiclass, propagate_trace,
                                  read_seed_labels, read_node_vectors,
@@ -385,7 +387,9 @@ class TestNeighborMeans:
                 -6, 7, size=(160, channels))
             # The engine keeps the rows of inactive nodes at exactly 0.0.
             values = np.where(active[:, None], raw, 0.0)
-            means, has = _neighbor_means(g, values, active)
+            counts = g.adjacency @ active.astype(np.float64)
+            has = counts > 0
+            means = _neighbor_means(g, values, counts, has)
             ref_means, ref_has = self.masked_bincount_means(g, values, active)
             assert np.array_equal(has, ref_has)
             assert np.array_equal(means, ref_means)
@@ -488,6 +492,62 @@ class TestEngineAgainstReference:
             self.assert_same(
                 propagate_multiclass(g, per_node, cfg, num_classes=channels),
                 values, active)
+
+
+class TestSuperstepBuffers:
+    """The superstep loop recycles its value buffers and caches the active
+    counts; neither may show in what a caller sees."""
+
+    @pytest.mark.parametrize("strategy", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("channels", [1, 2, 7])
+    def test_kept_states_are_never_overwritten(self, rng, strategy, channels):
+        g, _ = random_graph(rng, 60, 0.05)
+        idx = rng.choice(60, size=6, replace=False)
+        if channels == 1:
+            seeds = LabelState.from_seed_values(
+                60, idx, rng.integers(0, 2, size=6).astype(float))
+        else:
+            seeds = LabelState.from_seed_classes(
+                60, idx, rng.integers(0, channels, size=6), channels)
+        k_max = 8
+        cfg = PropagationConfig(strategy=strategy, alpha=0.4, beta=0.7,
+                                gamma=0.8, iterations=k_max)
+        kept, copies = {}, {}
+        for k, state in _states(g, seeds, cfg, set(range(1, k_max + 1))):
+            kept[k] = state
+            copies[k] = (state.values.copy(), state.is_active.copy())
+        assert sorted(kept) == list(range(1, k_max + 1))
+        for k, state in kept.items():
+            values, active = copies[k]
+            assert state.values.tobytes() == values.tobytes()
+            assert np.array_equal(state.is_active, active)
+            solo = propagate(g, seeds, replace(cfg, iterations=k))
+            assert solo.values.tobytes() == values.tobytes()
+            assert np.array_equal(solo.is_active, active)
+
+    class CountingOperator:
+        """Delegates ``@`` to the graph's adjacency and counts the calls."""
+
+        def __init__(self, adjacency):
+            self.adjacency = adjacency
+            self.products = 0
+
+        def __matmul__(self, other):
+            self.products += 1
+            return self.adjacency @ other
+
+    @pytest.mark.parametrize("strategy", ["alpha", "beta", "gamma"])
+    def test_counts_are_recomputed_only_after_an_activation(self, strategy):
+        # A path of 5 nodes seeded at one end: node d activates at
+        # superstep d, so supersteps 1..5 start from a new active set and
+        # supersteps 6..10 from the full one.
+        g = path_graph([f"n{i}" for i in range(5)])
+        operator = self.CountingOperator(g.adjacency)
+        g._adjacency = operator
+        cfg = PropagationConfig(strategy=strategy, iterations=10)
+        state = propagate(g, binary_seeds(5, {0: 1.0}), cfg)
+        assert state.is_active.all()
+        assert operator.products == 5 + 10
 
 
 class TestSuperstepLog:
