@@ -9,8 +9,10 @@ count threshold can still get a vector afterwards by averaging their
 embedded graph neighbors (one round, no transitive fill).
 
 Training is single-threaded and fully seeded: a fixed seed gives a
-bit-identical table.  It updates the weights once per ``BATCH`` examples,
-with the negatives of a batch drawn in one call.
+bit-identical table.  It updates the weights once per ``BATCH`` examples
+and prepares the examples, rates and negatives of ``BLOCK`` batches at a
+time, with the block's negatives drawn in one call; ``BLOCK`` changes no
+vector, and ``BATCH = 1`` is per-example SGD.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ValidationError
-from .graph import DirectedEdges, Graph, _float_rows, _open_text
+from .graph import (DirectedEdges, Graph, _csr_from_arcs, _float_rows,
+                    _open_text)
 
 __all__ = [
     "EmbeddingTable",
@@ -42,6 +45,9 @@ logger = logging.getLogger(__name__)
 
 # Examples per SGD step of ``train_embeddings``.
 BATCH = 256
+# Batches whose examples, negatives and rates ``train_embeddings`` prepares
+# together; any value gives the same vectors.
+BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -169,16 +175,18 @@ def build_sentences(edges: DirectedEdges, rng_seed: int,
     production corpus construction); a node then needs any neighbor at
     all to produce a sentence.
     """
+    indptr, nbrs = edges.out_indptr, edges.out_indices
+    if bidirectional:
+        n = edges.node_count
+        src = np.repeat(np.arange(n), np.diff(indptr))
+        indptr, nbrs = _csr_from_arcs(n, np.concatenate([src, nbrs]),
+                                      np.concatenate([nbrs, src]))
+    names = np.array(edges.names, dtype=object)
     rng = np.random.default_rng(rng_seed)
     sentences: list[list[str]] = []
-    for v in range(edges.node_count):
-        nbrs = edges.out_neighbors(v)
-        if bidirectional:
-            nbrs = np.union1d(nbrs, edges.in_neighbors(v))
-        if len(nbrs) == 0:
-            continue
-        tokens = np.concatenate([[v], nbrs])
-        sentences.append([edges.names[i] for i in rng.permutation(tokens)])
+    for v in np.flatnonzero(np.diff(indptr)):
+        tokens = np.concatenate([[v], nbrs[indptr[v]:indptr[v + 1]]])
+        sentences.append(names[rng.permutation(tokens)].tolist())
     return sentences
 
 
@@ -262,26 +270,43 @@ def _by_width(widths: np.ndarray):
         yield sel, starts[sel, None] + np.arange(width), width
 
 
-def _update(w_in, w_out, inputs, counts, targets, rates, negatives):
+def _noise_ids(noise_cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``searchsorted(noise_cdf, draws, side="right")`` clipped to the last
+    id, looked up in sorted order: the same ids, found faster, since each
+    search starts where the previous one ended."""
+    order = np.argsort(draws)
+    ids = np.empty(len(draws), dtype=np.intp)
+    ids[order] = np.searchsorted(noise_cdf, draws[order], side="right")
+    return np.minimum(len(noise_cdf) - 1, ids)
+
+
+def _flat_rows(rows: np.ndarray, dim: int) -> np.ndarray:
+    """Positions of the elements of ``rows`` in a flattened ``(n, dim)``
+    array, row by row."""
+    return (rows[:, None] * dim + np.arange(dim)).reshape(-1)
+
+
+def _update(w_in, w_out, inputs, counts, outputs, widths, rates):
     """One SGD step over a batch of examples (see ``train_embeddings``).
+    Example ``e`` averages the next ``counts[e]`` rows of ``inputs`` and
+    scores the next ``widths[e]`` rows of ``outputs``, its target first.
     Grouping examples by row count, not padding them, keeps each stacked
     sum and product equal to the per-example one bit for bit."""
-    outputs = np.column_stack([targets, negatives])
-    used = outputs != targets[:, None]
-    used[:, 0] = True
-    widths = used.sum(axis=1)
-    outputs = outputs[used]
-    h = np.empty((len(targets), w_in.shape[1]))
+    dim = w_in.shape[1]
+    h = np.empty((len(counts), dim))
     for sel, rows, width in _by_width(counts):
         h[sel] = w_in[inputs[rows]].sum(axis=1) / width
-    grad_h, grad_out = np.empty_like(h), np.empty((len(outputs), h.shape[1]))
+    grad_h, grad_out = np.empty_like(h), np.empty((len(outputs), dim))
     for sel, rows, width in _by_width(widths):
         grad_h[sel], grad_out[rows] = pair_gradients(
             h[sel], w_out[outputs[rows]], np.arange(width) == 0)
-    # np.add.at adds repeated ids one after another.
-    np.add.at(w_out, outputs, np.repeat(rates, widths)[:, None] * grad_out)
-    np.add.at(w_in, inputs, np.repeat(rates[:, None] * grad_h / counts[:, None],
-                                      counts, axis=0))
+    # np.add.at adds repeated ids one after another; on the flat weights
+    # each element still takes its additions in example order.
+    np.add.at(w_out.reshape(-1), _flat_rows(outputs, dim),
+              (np.repeat(rates, widths)[:, None] * grad_out).reshape(-1))
+    np.add.at(w_in.reshape(-1), _flat_rows(inputs, dim),
+              np.repeat(rates[:, None] * grad_h / counts[:, None], counts,
+                        axis=0).reshape(-1))
 
 
 def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingTable:
@@ -299,9 +324,11 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
 
     RNG consumption order: one uniform draw initializes the input matrix,
     then come the subsampling draws if enabled, then ``cfg.negatives``
-    draws per example, in one call per batch (the same stream as one call
-    per example).  Negatives that hit the positive target are skipped,
-    not redrawn.
+    draws per example, in one call per block of ``BLOCK`` batches (the
+    same stream as one call per batch or per example).  Each block's
+    examples, rates and negatives are built before its first batch, as
+    none of them reads the weights.  Negatives that hit the positive
+    target are skipped, not redrawn.
     """
     if not sentences:
         raise ValidationError("empty sentence corpus")
@@ -315,8 +342,8 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
     if cfg.subsample > 0:
         tokens, lengths = _subsample(tokens, lengths, vocab, cfg.subsample, rng)
     # O(corpus tokens) arrays per position: first context position, context
-    # size, pairs before it.  A batch of examples [e0, e1) holds pairs
-    # [e0, e1) for skip-gram and the pairs of positions [e0, e1) for CBOW.
+    # size, pairs before it.  A block of examples [b0, b1) holds pairs
+    # [b0, b1) for skip-gram and the pairs of positions [b0, b1) for CBOW.
     end = np.repeat(np.cumsum(lengths), lengths)
     position, window = np.arange(len(tokens)), cfg.effective_window
     lo = np.maximum(end - np.repeat(lengths, lengths), position - window)
@@ -327,23 +354,40 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
     cbow = cfg.mode == "cbow"
     examples = len(tokens) if cbow else per_epoch
     for epoch in range(cfg.epochs):
-        for e0 in range(0, examples, BATCH):
-            e1 = min(e0 + BATCH, examples)
-            pair = np.arange(*(first_pair[[e0, e1]] if cbow else (e0, e1)))
-            center = np.searchsorted(first_pair, pair, side="right") - 1
+        for b0 in range(0, examples, BATCH * BLOCK):
+            b1 = min(b0 + BATCH * BLOCK, examples)
+            # Every position has context, so first_pair rises strictly and
+            # the pairs [p0, p1) belong to positions [c0, c1).
+            p0, p1 = first_pair[[b0, b1]] if cbow else (b0, b1)
+            c0 = np.searchsorted(first_pair, p0, side="right") - 1
+            c1 = np.searchsorted(first_pair, p1)
+            center = np.repeat(np.arange(c0, c1), np.diff(
+                np.clip(first_pair[c0:c1 + 1], p0, p1)))
+            pair = np.arange(p0, p1)
             other = lo[center] + pair - first_pair[center]
             other += other >= center
             inputs, targets, counts, first = (
                 tokens[center], tokens[other], np.ones_like(pair), pair)
             if cbow:
-                inputs, targets = targets, tokens[e0:e1]
-                counts, first = context[e0:e1], first_pair[e0:e1]
+                inputs, targets = targets, tokens[b0:b1]
+                counts, first = context[b0:b1], first_pair[b0:b1]
             rates = np.maximum(cfg.rate * 1e-4, cfg.rate * (
                 1.0 - (epoch * per_epoch + first) / total_pairs))
-            draws = rng.random((len(targets), cfg.negatives))
-            negatives = np.minimum(size - 1, np.searchsorted(
-                vocab.noise_cdf, draws, side="right"))
-            _update(w_in, w_out, inputs, counts, targets, rates, negatives)
+            negatives = _noise_ids(vocab.noise_cdf,
+                                   rng.random(len(targets) * cfg.negatives))
+            outputs = np.column_stack(
+                [targets, negatives.reshape(-1, cfg.negatives)])
+            used = outputs != targets[:, None]
+            used[:, 0] = True
+            widths = used.sum(axis=1)
+            outputs = outputs[used]
+            in_at, out_at = (np.concatenate([[0], np.cumsum(x)])
+                             for x in (counts, widths))
+            for e0 in range(0, b1 - b0, BATCH):
+                e1 = min(e0 + BATCH, b1 - b0)
+                _update(w_in, w_out, inputs[in_at[e0]:in_at[e1]],
+                        counts[e0:e1], outputs[out_at[e0]:out_at[e1]],
+                        widths[e0:e1], rates[e0:e1])
     logger.info("trained %d vectors (dim %d) over %d pairs",
                 size, cfg.dim, cfg.epochs * per_epoch)
     return EmbeddingTable(list(vocab.tokens), w_in)

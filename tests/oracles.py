@@ -15,7 +15,10 @@ the code they judge:
   implementations: two sparse products per superstep (active-neighbor
   counts and sums) into fresh arrays, renumbering by a sort of all arc
   ends, three ``(n, N, C)`` copies plus an imputed copy and a stack, joins
-  and gathers by name lists, and a step that builds a one-hot target.
+  and gathers by name lists, and a step that builds a one-hot target;
+- ``reference_build_sentences`` is the package's earlier per-node sentence
+  builder (a ``union1d`` of each node's out- and in-neighbors), which
+  fixes the RNG stream the bulk builder must keep.
 
 The per-line file writers at the end are the package's earlier writers,
 one ``write`` or ``csv.writer.writerow`` call per line; the bulk writers
@@ -312,6 +315,22 @@ def reference_directed_edges(lines: list[str]):
             out[u].add(v)
             into[v].add(u)
     return names, [sorted(s) for s in out], [sorted(s) for s in into]
+
+
+def reference_build_sentences(edges, rng_seed: int,
+                              bidirectional: bool = False) -> list[list[str]]:
+    """``embed.build_sentences`` as one neighbor lookup per node."""
+    rng = np.random.default_rng(rng_seed)
+    sentences: list[list[str]] = []
+    for v in range(edges.node_count):
+        nbrs = edges.out_neighbors(v)
+        if bidirectional:
+            nbrs = np.union1d(nbrs, edges.in_neighbors(v))
+        if len(nbrs) == 0:
+            continue
+        tokens = np.concatenate([[v], nbrs])
+        sentences.append([edges.names[i] for i in rng.permutation(tokens)])
+    return sentences
 
 
 def two_branch_sigmoid(x) -> np.ndarray:

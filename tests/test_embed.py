@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,8 +18,8 @@ from demograph.embed import (EmbeddingTable, TrainConfig, build_sentences,
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph, load_directed_edges
 
-from oracles import (central_difference, reference_word2vec, relative_error,
-                     two_branch_sigmoid)
+from oracles import (central_difference, reference_build_sentences,
+                     reference_word2vec, relative_error, two_branch_sigmoid)
 
 
 def directed(tmp_path, lines):
@@ -88,6 +89,41 @@ class TestSentences:
         assert len(both) == 2             # B now sees its follower
         assert sorted(sorted(s) for s in both) == [["A", "B"], ["A", "B"]]
 
+    @staticmethod
+    def random_lines(rng, n, arcs):
+        """Random arcs over nodes ``0..n-1``, a third of them reciprocated,
+        plus self-loop lines (dropped on load) on a few of them and on node
+        ``n``, which is left isolated.  Nodes without out-arcs are sinks."""
+        src, dst = rng.integers(0, n, arcs), rng.integers(0, n, arcs)
+        back = rng.random(arcs) < 1 / 3
+        loops = np.append(rng.choice(n, size=n // 20, replace=False), n)
+        pairs = np.concatenate([np.stack([src, dst], axis=1),
+                                np.stack([dst[back], src[back]], axis=1),
+                                np.stack([loops, loops], axis=1)])
+        return [f"u{u}\tu{v}" for u, v in rng.permutation(pairs)]
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_matches_per_node_reference(self, tmp_path, rng, bidirectional):
+        for n, arcs in ((2, 1), (5, 3), (30, 40), (200, 500)):
+            d = directed(tmp_path, self.random_lines(rng, n, arcs))
+            seed = int(rng.integers(1000))
+            assert build_sentences(d, seed, bidirectional) == \
+                reference_build_sentences(d, seed, bidirectional)
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_matches_reference_when_node_keys_pass_int32(self, tmp_path,
+                                                         bidirectional):
+        """n * n > 2**31: (node, neighbor) keys overflow int32 indices."""
+        rng = np.random.default_rng(7)
+        n = 46_400
+        d = directed(tmp_path, [f"u{2 * i}\tu{2 * i + 1}"
+                                for i in range(n // 2)]
+                     + self.random_lines(rng, n, 2_000))
+        assert d.node_count == n + 1 and n * n > 2**31
+        assert d.out_indices.dtype == np.int32
+        assert build_sentences(d, 3, bidirectional) == \
+            reference_build_sentences(d, 3, bidirectional)
+
 
 class TestVocabulary:
     def test_min_count_excludes_rare_tokens(self):
@@ -110,6 +146,19 @@ class TestVocabulary:
         with pytest.raises(ConfigError):
             train_embeddings([["a", "b"]], TrainConfig(mode="glove",
                                                        min_count=1))
+
+    def test_sorted_noise_lookup_matches_direct_search(self, rng):
+        sentences = [[f"t{i}"] * (i * i + 1) for i in range(8)]
+        cdf = embed._Vocabulary(sentences, min_count=1).noise_cdf
+        draws = np.concatenate([
+            cdf, cdf, np.nextafter(cdf, 0.0), [0.0, 0.0],
+            [np.nextafter(1.0, 0.0)] * 3, rng.random(100)])
+        rng.shuffle(draws)
+        direct = np.searchsorted(cdf, draws, side="right")
+        assert (direct == len(cdf)).any()  # the clamp is exercised
+        found = embed._noise_ids(cdf, draws)
+        assert found.dtype == direct.dtype
+        assert (found == np.minimum(len(cdf) - 1, direct)).all()
 
 
 class TestGradients:
@@ -184,9 +233,12 @@ class TestAgainstReference:
     def test_matches_per_pair_trainer_bit_for_bit(self, mode, caplog,
                                                   monkeypatch):
         """At batch 1 the reference is the per-example trainer; above it,
-        every example reads the weights of its batch start."""
+        every example reads the weights of its batch start.  Small blocks
+        put block boundaries inside sentences and at the end of an epoch;
+        the vectors must not depend on them."""
         caplog.set_level(logging.INFO, logger="demograph.embed")
-        checked = 0
+        checked = Counter()
+        blocks = (1, 3, embed.BLOCK)
         for batch, seed, window, subsample, negatives, min_count in (
                 itertools.product((1, 2, 7, 64), range(5), (None, 1, 3),
                                   (0.0, 0.05), (1, 5), (1, 2))):
@@ -196,19 +248,25 @@ class TestAgainstReference:
                               negatives=negatives, epochs=2,
                               min_count=min_count, subsample=subsample,
                               rng_seed=seed)
-            caplog.clear()
-            try:
-                table = train_embeddings(sentences, cfg)
-            except ValidationError:  # no token reaches min_count
+            if max(Counter(itertools.chain(*sentences)).values()) < min_count:
+                with pytest.raises(ValidationError):
+                    train_embeddings(sentences, cfg)
                 continue
             tokens, vectors, seen = reference_word2vec(
                 sentences, mode, cfg.dim, cfg.effective_window, negatives,
                 cfg.rate, cfg.epochs, min_count, subsample, seed, batch)
-            assert table.tokens == tokens
-            assert np.array_equal(table.vectors, vectors), (batch, cfg)
-            assert caplog.records[-1].args[-1] == seen
-            checked += 1
-        assert checked >= 400
+            for block in blocks:
+                monkeypatch.setattr(embed, "BLOCK", block)
+                caplog.clear()
+                table = train_embeddings(sentences, cfg)
+                assert table.tokens == tokens
+                assert np.array_equal(table.vectors, vectors), (batch, block,
+                                                                cfg)
+                assert caplog.records[-1].msg == (
+                    "trained %d vectors (dim %d) over %d pairs")
+                assert caplog.records[-1].args[-1] == seen
+                checked[block] += 1
+        assert all(checked[block] >= 400 for block in blocks), checked
 
 
 def test_sigmoid_matches_two_branch_formula(rng):
