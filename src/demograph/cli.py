@@ -388,6 +388,9 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: missing input: {exc.filename}", file=sys.stderr)
         return 1
+    except (IsADirectoryError, NotADirectoryError) as exc:
+        print(f"error: {exc.strerror.lower()}: {exc.filename}", file=sys.stderr)
+        return 1
     except BrokenPipeError:
         return 2
     except Exception as exc:  # runtime failures

@@ -175,12 +175,11 @@ def build_sentences(edges: DirectedEdges, rng_seed: int,
     production corpus construction); a node then needs any neighbor at
     all to produce a sentence.
     """
-    indptr, nbrs = edges.out_indptr, edges.out_indices
+    src, dst = edges.arcs[:, 0], edges.arcs[:, 1]
     if bidirectional:
-        n = edges.node_count
-        src = np.repeat(np.arange(n), np.diff(indptr))
-        indptr, nbrs = _csr_from_arcs(n, np.concatenate([src, nbrs]),
-                                      np.concatenate([nbrs, src]))
+        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
+    # The one CSR of the corpus; it drops repeated arcs.
+    indptr, nbrs = _csr_from_arcs(edges.node_count, src, dst)
     names = np.array(edges.names, dtype=object)
     rng = np.random.default_rng(rng_seed)
     sentences: list[list[str]] = []

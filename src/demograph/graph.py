@@ -7,9 +7,9 @@ adjacency is stored in compressed sparse row form: an offset array plus one
 flat neighbor array sorted within each row.  A loaded graph is therefore
 fully determined by the input file.
 
-``DirectedEdges`` keeps the raw follow direction; it feeds sentence
-generation and the out-degree activity filter, both of which need the
-directed view that the undirected ``Graph`` deliberately discards.
+``DirectedEdges`` keeps the raw follow direction as a plain arc list
+that the undirected ``Graph`` discards; sentence generation builds the
+one CSR view it reads from those arcs.
 """
 
 from __future__ import annotations
@@ -161,23 +161,16 @@ class Graph:
 
 @dataclass
 class DirectedEdges:
-    """Raw directed follow relation, deduplicated, self-loops dropped."""
+    """Raw directed follow relation: ``arcs`` is the ``(m, 2)`` array of
+    (follower, followed) index pairs in file order, self-loops dropped and
+    repeats kept, int32 when every node index fits, else int64."""
 
     names: list[str]
-    out_indptr: np.ndarray
-    out_indices: np.ndarray
-    in_indptr: np.ndarray
-    in_indices: np.ndarray
+    arcs: np.ndarray
 
     @property
     def node_count(self) -> int:
         return len(self.names)
-
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
 
 
 @contextmanager
@@ -418,9 +411,8 @@ def load_directed_edges(path) -> DirectedEdges:
     """Load the raw directed follow relation from an edge-list file."""
     names, arcs = _read_arcs(path)
     arcs = arcs[arcs[:, 0] != arcs[:, 1]]
-    out_ptr, out_idx = _csr_from_arcs(len(names), arcs[:, 0], arcs[:, 1])
-    in_ptr, in_idx = _csr_from_arcs(len(names), arcs[:, 1], arcs[:, 0])
-    return DirectedEdges(names, out_ptr, out_idx, in_ptr, in_idx)
+    return DirectedEdges(names, arcs.astype(np.int32) if len(names) < 2**31
+                         else arcs)
 
 
 def write_edge_list(g: Graph, path) -> None:

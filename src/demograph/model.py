@@ -418,6 +418,9 @@ def _sgd(params: ModelParams, x: np.ndarray, y: np.ndarray,
 
 def _check_training_inputs(x: np.ndarray, y: np.ndarray,
                            n_classes: int) -> None:
+    if x.ndim != 2 or not x.shape[1]:
+        raise ValidationError(
+            f"training matrix has no feature columns (shape {x.shape})")
     if len(x) != len(y):
         raise ValidationError(f"{len(x)} feature rows vs {len(y)} labels")
     if len(x) < 2:

@@ -467,16 +467,16 @@ def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
 
 
 def _emb_block(cfg: PipelineConfig, g: Graph, root: int) -> FeatureMatrix:
-    directed = load_directed_edges(cfg.edges)
-    sentences = embed.build_sentences(directed, derive_seed(root, "sentences"),
+    sentences = embed.build_sentences(load_directed_edges(cfg.edges),
+                                      derive_seed(root, "sentences"),
                                       bidirectional=cfg.emb_bidirectional)
     table = embed.train_embeddings(sentences, replace(
         cfg.emb, rng_seed=derive_seed(root, "embed")))
     table = embed.fill_missing_embeddings(g, table)
-    nodes = [t for t in table.tokens if t in g]
-    rows = np.stack([table.get(t) for t in nodes]) if nodes else np.zeros((0, table.dim))
+    keep = np.flatnonzero([t in g for t in table.tokens])
     columns = [f"emb_{i}" for i in range(table.dim)]
-    return FeatureMatrix(nodes, columns, rows)
+    return FeatureMatrix([table.tokens[i] for i in keep], columns,
+                         table.vectors[keep])
 
 
 def fit_and_score(features: FeatureMatrix, labels: dict[str, int],

@@ -16,9 +16,10 @@ the code they judge:
   counts and sums) into fresh arrays, renumbering by a sort of all arc
   ends, three ``(n, N, C)`` copies plus an imputed copy and a stack, joins
   and gathers by name lists, and a step that builds a one-hot target;
-- ``reference_build_sentences`` is the package's earlier per-node sentence
-  builder (a ``union1d`` of each node's out- and in-neighbors), which
-  fixes the RNG stream the bulk builder must keep.
+- ``reference_build_sentences`` keeps the package's earlier per-node
+  ``rng.permutation`` of the node and its sorted neighbors, which fixes
+  the RNG stream the bulk builder must keep; it gathers the neighbor sets
+  from the arc list with plain loops.
 
 The per-line file writers at the end are the package's earlier writers,
 one ``write`` or ``csv.writer.writerow`` call per line; the bulk writers
@@ -302,34 +303,31 @@ def reference_edge_list(lines: list[str], min_degree: int = 0):
 
 
 def reference_directed_edges(lines: list[str]):
-    """Reference of ``load_directed_edges``: ``(names, sorted out-neighbor
-    lists, sorted in-neighbor lists)``, or ``None`` without edge lines."""
+    """Reference of ``load_directed_edges``: ``(names, arcs)`` with the
+    arcs in file order, self-loops dropped and repeats kept, or ``None``
+    without edge lines."""
     pairs = _edge_pairs(lines)
     if not pairs:
         return None
     names, arcs = _intern_pairs(pairs)
-    out: list[set[int]] = [set() for _ in names]
-    into: list[set[int]] = [set() for _ in names]
-    for u, v in arcs:
-        if u != v:
-            out[u].add(v)
-            into[v].add(u)
-    return names, [sorted(s) for s in out], [sorted(s) for s in into]
+    return names, [(u, v) for u, v in arcs if u != v]
 
 
 def reference_build_sentences(edges, rng_seed: int,
                               bidirectional: bool = False) -> list[list[str]]:
-    """``embed.build_sentences`` as one neighbor lookup per node."""
+    """``embed.build_sentences`` with each node's neighbor set gathered
+    from ``edges.arcs`` by a plain loop."""
+    nbrs: list[set[int]] = [set() for _ in edges.names]
+    for u, v in edges.arcs.tolist():
+        nbrs[u].add(v)
+        if bidirectional:
+            nbrs[v].add(u)
     rng = np.random.default_rng(rng_seed)
     sentences: list[list[str]] = []
-    for v in range(edges.node_count):
-        nbrs = edges.out_neighbors(v)
-        if bidirectional:
-            nbrs = np.union1d(nbrs, edges.in_neighbors(v))
-        if len(nbrs) == 0:
-            continue
-        tokens = np.concatenate([[v], nbrs])
-        sentences.append([edges.names[i] for i in rng.permutation(tokens)])
+    for v, near in enumerate(nbrs):
+        if near:
+            tokens = np.array([v, *sorted(near)])
+            sentences.append([edges.names[i] for i in rng.permutation(tokens)])
     return sentences
 
 

@@ -80,6 +80,30 @@ class TestIngest(object):
         assert run(["ingest", "--edges", "/nonexistent/e.tsv"]) == 1
 
 
+class TestInputNotAFile:
+    @pytest.mark.parametrize("argv", [
+        ["propagate", "--graph", "DIR", "--seeds", "seeds.tsv", "--out", "OUT"],
+        ["eval", "--predictions", "DIR", "--labels", "truth.tsv"],
+        ["pipeline", "--config", "DIR"],
+        ["sensitivity", "--edges", "edges.tsv", "--truth", "DIR",
+         "--reveal", "0.2", "--out", "OUT"],
+        ["train", "--features", "DIR", "--labels", "truth.tsv"],
+        ["embed", "--corpus", "DIR", "--out", "OUT"],
+        ["propagate", "--graph", "FILE/x", "--seeds", "seeds.tsv",
+         "--out", "OUT"],
+    ], ids=["propagate", "eval", "pipeline", "sensitivity", "train", "embed",
+            "propagate-not-a-directory"])
+    def test_exits_1_naming_the_path(self, dataset, tmp_path, capsys, argv):
+        paths = {"DIR": str(tmp_path), "OUT": str(tmp_path / "out"),
+                 "FILE/x": str(dataset / "edges.tsv" / "x")}
+        bad = paths["FILE/x" if "FILE/x" in argv else "DIR"]
+        assert run([paths.get(arg) or (str(dataset / arg)
+                                       if arg.endswith(".tsv") else arg)
+                    for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.endswith(f": {bad}\n")
+
+
 class TestPropagateAndEval:
     def test_propagate_then_eval(self, dataset, tmp_path, capsys):
         preds = tmp_path / "preds.tsv"
@@ -354,6 +378,16 @@ class TestTrain:
         rows = read_node_vectors(preds)
         some = next(iter(rows.values()))
         assert len(some) == 2 and abs(some.sum() - 1.0) < 1e-9
+
+    def test_feature_csv_without_columns_exits_1(self, dataset, tmp_path,
+                                                 capsys):
+        names = list(read_labels(dataset / "truth.tsv"))
+        path = tmp_path / "nocol.csv"
+        FeatureMatrix(names, [], np.zeros((len(names), 0))).to_csv(path)
+        assert path.read_text().startswith("node\n")
+        assert run(["train", "--features", str(path),
+                    "--labels", str(dataset / "truth.tsv")]) == 1
+        assert "no feature columns" in capsys.readouterr().err
 
     def test_train_joined_blocks(self, dataset, tmp_path):
         lp = tmp_path / "lp.csv"

@@ -2,21 +2,25 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import logging
 import math
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from demograph import embed
+from demograph import embed, graph, synth
 from demograph.embed import (EmbeddingTable, TrainConfig, build_sentences,
                              fill_missing_embeddings, pair_gradients,
                              pair_objective, read_corpus, sigmoid,
                              train_embeddings, write_corpus)
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph, load_directed_edges
+from demograph.pipeline import derive_seed
 
 from oracles import (central_difference, reference_build_sentences,
                      reference_word2vec, relative_error, two_branch_sigmoid)
@@ -26,6 +30,29 @@ def directed(tmp_path, lines):
     p = tmp_path / "edges.tsv"
     p.write_text("".join(line + "\n" for line in lines))
     return load_directed_edges(p)
+
+
+def spy_csr(monkeypatch):
+    """Record the arrays that every ``graph._csr_from_arcs`` call in the
+    package returns, whichever module calls it."""
+    real, calls = graph._csr_from_arcs, []
+
+    def spy(*args):
+        calls.append(real(*args))
+        return calls[-1]
+    for name, module in list(sys.modules.items()):
+        if name.startswith("demograph") and hasattr(module, "_csr_from_arcs"):
+            monkeypatch.setattr(module, "_csr_from_arcs", spy)
+    return calls
+
+
+# sha256 of the corpus file of the pipeline-emb graph
+# (perfbench/worker.py's EMB_GRAPH at seed 1) with the pipeline's
+# sentence seed, by ``bidirectional``.
+CORPUS_SHA256 = {
+    False: "40102fba9bc583c2c018b3b2d2bd42bb5063a8a1bbe9a2b1096bbacb6d8eff09",
+    True: "7b9a7d969461de5c1cd76bdcfb8366e2f02b84af11704ea9664058fec5b53647",
+}
 
 
 def cosine(a, b):
@@ -77,8 +104,8 @@ class TestSentences:
             lines = ["u0\tu1"]
         d = directed(tmp_path, lines)
         sentences = build_sentences(d, rng_seed=1)
-        out_degree = np.diff(d.out_indptr)
-        expected = int((out_degree[out_degree >= 1] + 1).sum())
+        out_degree = Counter(u for u, _ in set(map(tuple, d.arcs.tolist())))
+        expected = sum(k + 1 for k in out_degree.values())
         assert sum(len(s) for s in sentences) == expected
 
     def test_bidirectional_includes_followers(self, tmp_path):
@@ -120,9 +147,32 @@ class TestSentences:
                                 for i in range(n // 2)]
                      + self.random_lines(rng, n, 2_000))
         assert d.node_count == n + 1 and n * n > 2**31
-        assert d.out_indices.dtype == np.int32
+        assert d.arcs.dtype == np.int32
         assert build_sentences(d, 3, bidirectional) == \
             reference_build_sentences(d, 3, bidirectional)
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_one_csr_per_corpus(self, tmp_path, monkeypatch, bidirectional):
+        """Loading the follow arcs and building the corpus sort them once,
+        into int32 CSR arrays."""
+        calls = spy_csr(monkeypatch)
+        d = directed(tmp_path, ["A\tB", "B\tC", "C\tA", "A\tB", "C\tC"])
+        build_sentences(d, 0, bidirectional)
+        assert len(calls) == 1
+        assert all(arr.dtype == np.int32 for arr in calls[0])
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_corpus_bytes_pinned(self, tmp_path, monkeypatch, bidirectional):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from worker import EMB_GRAPH
+        paths = synth.write_outputs(synth.generate(
+            synth.PlantedGraphSpec(**EMB_GRAPH, rng_seed=1)), tmp_path)
+        d = load_directed_edges(paths["edges"])
+        write_corpus(build_sentences(d, derive_seed(1, "sentences"),
+                                     bidirectional), tmp_path / "corpus.txt")
+        digest = hashlib.sha256((tmp_path / "corpus.txt").read_bytes())
+        assert digest.hexdigest() == CORPUS_SHA256[bidirectional]
 
 
 class TestVocabulary:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from demograph.errors import (EdgeListParseError, EmptyGraphError,
                               ValidationError)
 from demograph import graph
+from demograph.embed import build_sentences
 from demograph.graph import (Graph, load_directed_edges, load_edge_list,
                              write_edge_list, write_node_map)
 
@@ -180,13 +181,9 @@ class TestLoaderAgainstReference:
                 load_directed_edges(path)
             return
         d = load_directed_edges(path)
-        names, out, into = expected
+        names, arcs = expected
         assert d.names == names
-        for (indptr, indices), ref in (((d.out_indptr, d.out_indices), out),
-                                       ((d.in_indptr, d.in_indices), into)):
-            ref_ptr, ref_idx = csr_of(ref)
-            assert np.array_equal(indptr, ref_ptr)
-            assert np.array_equal(indices, ref_idx)
+        assert list(map(tuple, d.arcs.tolist())) == arcs
 
 
 # Arc arrays over a small id range, so that self-loops, repeated arcs and
@@ -332,10 +329,7 @@ class TestInvariants:
             # The operator holds the graph's own arrays, not copies.
             assert np.shares_memory(g.adjacency.indices, g.indices)
             assert np.shares_memory(g.adjacency.indptr, g.indptr)
-        edges = load_directed_edges(path)
-        for arr in (edges.out_indptr, edges.out_indices, edges.in_indptr,
-                    edges.in_indices):
-            assert arr.dtype == np.int32
+        assert load_directed_edges(path).arcs.dtype == np.int32
         empty = Graph.build(["a", "b"], [])
         assert empty.indptr.dtype == empty.indices.dtype
         assert np.array_equal(empty.indptr, [0, 0, 0])
@@ -343,19 +337,22 @@ class TestInvariants:
 
 
 class TestDirectedEdges:
-    def test_out_and_in_neighbors(self, tmp_path):
+    def test_self_loops_dropped(self, tmp_path):
         p = write_edges(tmp_path / "e.tsv", ["A\tB", "A\tC", "C\tA", "B\tB"])
         d = load_directed_edges(p)
-        a = d.names.index("A")
-        assert [d.names[i] for i in d.out_neighbors(a)] == ["B", "C"]
-        assert [d.names[i] for i in d.in_neighbors(a)] == ["C"]
-        # Self-loop dropped.
-        assert np.diff(d.out_indptr)[d.names.index("B")] == 0
+        assert d.names == ["A", "B", "C"]
+        assert d.arcs.tolist() == [[0, 1], [0, 2], [2, 0]]
+        # B follows only itself, so it gets no sentence.
+        assert sorted(sorted(s) for s in build_sentences(d, 0)) == \
+            [["A", "B", "C"], ["A", "C"]]
 
     def test_duplicates_collapse(self, tmp_path):
         p = write_edges(tmp_path / "e.tsv", ["A\tB", "A\tB"])
         d = load_directed_edges(p)
-        assert np.diff(d.out_indptr)[d.names.index("A")] == 1
+        assert d.arcs.tolist() == [[0, 1], [0, 1]]
+        for bidirectional in (False, True):
+            assert all(sorted(s) == ["A", "B"]
+                       for s in build_sentences(d, 0, bidirectional))
 
 
 # Raw edge files for the array parse: lines of clean ASCII names (some

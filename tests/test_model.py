@@ -441,6 +441,13 @@ class TestSoftmaxAndMLP:
             train_mlp(np.ones((4, 2)), np.array([0, 1, 0, 1]), [],
                       n_classes=2)
 
+    @pytest.mark.parametrize("train", [
+        train_logistic, lambda x, y: train_mlp(x, y, [4])],
+        ids=["logistic", "mlp"])
+    def test_zero_width_matrix_rejected(self, train):
+        with pytest.raises(ValidationError, match="no feature columns"):
+            train(np.zeros((4, 0)), np.array([0, 1, 0, 1]))
+
     def test_balance_downsamples_majority(self, rng):
         y = np.array([0] * 10 + [1] * 3)
         keep = balance_classes(y, rng)
