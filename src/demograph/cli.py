@@ -23,10 +23,11 @@ from .labelprop import (PropagationConfig, propagate, read_node_vectors,
                         write_node_vectors)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, check_hidden,
                     evaluate, join_features, split)
-from .pipeline import (ExperimentGrid, PipelineConfig, _check_sensitivity,
-                       fit_and_score, float_list, format_metrics_table,
-                       format_pivot, int_list, read_labels, run_pipeline,
-                       run_sensitivity, task_classes, write_sensitivity_csv)
+from .pipeline import (ExperimentGrid, PipelineConfig, _check_out_dir,
+                       _check_sensitivity, fit_and_score, float_list,
+                       format_metrics_table, format_pivot, int_list,
+                       read_labels, run_pipeline, run_sensitivity,
+                       task_classes, write_sensitivity_csv)
 
 
 class _UsageError(ConfigError):
@@ -376,6 +377,9 @@ def main(argv=None) -> int:
         if not getattr(args, "func", None):
             parser.print_help()
             return 1
+        for flag in ("out", "out_edges", "out_nodes", "predictions_out",
+                     "metrics_out"):  # the pipeline checks its out key
+            _check_out_dir(getattr(args, flag, None))
         args.func(args)
         return 0
     except _UsageError as exc:

@@ -9,10 +9,12 @@ count threshold can still get a vector afterwards by averaging their
 embedded graph neighbors (one round, no transitive fill).
 
 Training is single-threaded and fully seeded: a fixed seed gives a
-bit-identical table.  It updates the weights once per ``BATCH`` examples
-and prepares the examples, rates and negatives of ``BLOCK`` batches at a
-time, with the block's negatives drawn in one call; ``BLOCK`` changes no
-vector, and ``BATCH = 1`` is per-example SGD.
+bit-identical table.  It updates the weights once per ``BATCH`` examples,
+whose examples share one draw of ``negatives`` noise tokens (Ji et al.,
+"Parallelizing Word2Vec in Shared and Distributed Memory", 2016), so the
+step is two small matrix products.  It prepares the examples, rates and
+negatives of ``BLOCK`` batches at a time; ``BLOCK`` changes no vector,
+and ``BATCH = 1`` is per-example SGD.
 """
 
 from __future__ import annotations
@@ -260,52 +262,44 @@ class _Vocabulary:
                 np.array([len(ids) for ids in encoded], dtype=np.int64))
 
 
-def _by_width(widths: np.ndarray):
-    """For examples that own ``widths[e]`` consecutive rows of a flat
-    array: (examples, ``(n, width)`` row positions, width) per width."""
-    starts = np.cumsum(widths) - widths
-    for width in np.unique(widths):
-        sel = np.flatnonzero(widths == width)
-        yield sel, starts[sel, None] + np.arange(width), width
-
-
 def _noise_ids(noise_cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """``searchsorted(noise_cdf, draws, side="right")`` clipped to the last
-    id, looked up in sorted order: the same ids, found faster, since each
-    search starts where the previous one ended."""
-    order = np.argsort(draws)
-    ids = np.empty(len(draws), dtype=np.intp)
-    ids[order] = np.searchsorted(noise_cdf, draws[order], side="right")
-    return np.minimum(len(noise_cdf) - 1, ids)
+    """The noise ids of uniform ``draws``: ``searchsorted(noise_cdf, draws,
+    side="right")`` clipped to the last id."""
+    return np.minimum(len(noise_cdf) - 1,
+                      np.searchsorted(noise_cdf, draws, side="right"))
 
 
 def _flat_rows(rows: np.ndarray, dim: int) -> np.ndarray:
-    """Positions of the elements of ``rows`` in a flattened ``(n, dim)``
-    array, row by row."""
+    """Flat positions of the elements of ``rows`` of an ``(n, dim)`` array."""
     return (rows[:, None] * dim + np.arange(dim)).reshape(-1)
 
 
-def _update(w_in, w_out, inputs, counts, outputs, widths, rates):
+def _update(w_in, w_out, in_flat, counts, targets, rates, negs):
     """One SGD step over a batch of examples (see ``train_embeddings``).
-    Example ``e`` averages the next ``counts[e]`` rows of ``inputs`` and
-    scores the next ``widths[e]`` rows of ``outputs``, its target first.
-    Grouping examples by row count, not padding them, keeps each stacked
-    sum and product equal to the per-example one bit for bit."""
+    Example ``e`` averages the next ``counts[e]`` input rows, whose
+    elements sit at ``in_flat`` in the flattened ``w_in``, and scores its
+    target and the batch's shared negatives ``negs``; a negative equal to
+    its target gets coefficient 0.  The negatives' scores and gradients
+    are ``(B, dim) x (dim, K)`` products."""
     dim = w_in.shape[1]
-    h = np.empty((len(counts), dim))
-    for sel, rows, width in _by_width(counts):
-        h[sel] = w_in[inputs[rows]].sum(axis=1) / width
-    grad_h, grad_out = np.empty_like(h), np.empty((len(outputs), dim))
-    for sel, rows, width in _by_width(widths):
-        grad_h[sel], grad_out[rows] = pair_gradients(
-            h[sel], w_out[outputs[rows]], np.arange(width) == 0)
-    # np.add.at adds repeated ids one after another; on the flat weights
-    # each element still takes its additions in example order.
-    np.add.at(w_out.reshape(-1), _flat_rows(outputs, dim),
-              (np.repeat(rates, widths)[:, None] * grad_out).reshape(-1))
-    np.add.at(w_in.reshape(-1), _flat_rows(inputs, dim),
-              np.repeat(rates[:, None] * grad_h / counts[:, None], counts,
-                        axis=0).reshape(-1))
+    h = w_in.reshape(-1)[in_flat].reshape(-1, dim)
+    several = len(h) > len(targets)  # some example averages several rows
+    if several:
+        h = np.add.reduceat(h, np.cumsum(counts) - counts) / counts[:, None]
+    u_pos, u_neg = w_out[targets], w_out[negs]
+    sig = sigmoid(np.column_stack([np.einsum("ij,ij->i", h, u_pos),
+                                   h @ u_neg.T]))
+    coef_pos = 1.0 - sig[:, :1]
+    coef_neg = np.where(targets[:, None] == negs, 0.0, -sig[:, 1:])
+    grad_h = coef_pos * u_pos + coef_neg @ u_neg
+    step = rates[:, None] * h
+    # np.add.at adds the terms of a repeated position one after another.
+    np.add.at(w_out.reshape(-1), _flat_rows(np.append(targets, negs), dim),
+              np.concatenate([coef_pos * step, coef_neg.T @ step]).ravel())
+    grad_in = rates[:, None] * grad_h
+    if several:
+        grad_in = np.repeat(grad_in / counts[:, None], counts, axis=0)
+    np.add.at(w_in.reshape(-1), in_flat, grad_in.ravel())
 
 
 def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingTable:
@@ -318,16 +312,16 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
     position, context position) in batches of ``BATCH`` that cross
     sentence boundaries.  Every example of a batch reads the weights as
     they stood at the batch start, and the batch's updates are then added
-    in example order, so ``BATCH = 1`` is per-example SGD.  The learning
-    rate decays with the (center, context) pairs seen before the example.
+    to them, so ``BATCH = 1`` is per-example SGD.  The learning rate
+    decays with the (center, context) pairs seen before the example.
 
     RNG consumption order: one uniform draw initializes the input matrix,
     then come the subsampling draws if enabled, then ``cfg.negatives``
-    draws per example, in one call per block of ``BLOCK`` batches (the
-    same stream as one call per batch or per example).  Each block's
-    examples, rates and negatives are built before its first batch, as
-    none of them reads the weights.  Negatives that hit the positive
-    target are skipped, not redrawn.
+    draws per batch, shared by every example of the batch, in one call per
+    block of ``BLOCK`` batches (the same stream as one call per batch).
+    Each block's examples, rates and negatives are built before its first
+    batch, as none of them reads the weights.  A negative that hits an
+    example's positive target is skipped for that example, not redrawn.
     """
     if not sentences:
         raise ValidationError("empty sentence corpus")
@@ -372,21 +366,14 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
                 counts, first = context[b0:b1], first_pair[b0:b1]
             rates = np.maximum(cfg.rate * 1e-4, cfg.rate * (
                 1.0 - (epoch * per_epoch + first) / total_pairs))
-            negatives = _noise_ids(vocab.noise_cdf,
-                                   rng.random(len(targets) * cfg.negatives))
-            outputs = np.column_stack(
-                [targets, negatives.reshape(-1, cfg.negatives)])
-            used = outputs != targets[:, None]
-            used[:, 0] = True
-            widths = used.sum(axis=1)
-            outputs = outputs[used]
-            in_at, out_at = (np.concatenate([[0], np.cumsum(x)])
-                             for x in (counts, widths))
-            for e0 in range(0, b1 - b0, BATCH):
-                e1 = min(e0 + BATCH, b1 - b0)
-                _update(w_in, w_out, inputs[in_at[e0]:in_at[e1]],
-                        counts[e0:e1], outputs[out_at[e0]:out_at[e1]],
-                        widths[e0:e1], rates[e0:e1])
+            cut = np.arange(BATCH, len(targets), BATCH)  # later batch starts
+            negs = _noise_ids(vocab.noise_cdf, rng.random(
+                (len(cut) + 1) * cfg.negatives)).reshape(-1, cfg.negatives)
+            in_flat = np.split(_flat_rows(inputs, cfg.dim),
+                               np.cumsum(counts)[cut - 1] * cfg.dim)
+            for batch in zip(in_flat, *(np.split(x, cut) for x in (
+                    counts, targets, rates)), negs):
+                _update(w_in, w_out, *batch)
     logger.info("trained %d vectors (dim %d) over %d pairs",
                 size, cfg.dim, cfg.epochs * per_epoch)
     return EmbeddingTable(list(vocab.tokens), w_in)

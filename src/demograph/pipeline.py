@@ -528,14 +528,23 @@ def _rows_and_labels(row_of: dict[str, int], labels: dict[str, int],
     return rows[inside], y
 
 
+def _check_out_dir(path) -> None:
+    """Fails before any work is done when an output file has no directory."""
+    if path and not Path(path).parent.is_dir():
+        raise ConfigError(
+            f"output directory does not exist: {Path(path).parent}")
+
+
 def run_pipeline(cfg: PipelineConfig) -> list[dict]:
     """Ingest, feature generation, training, and evaluation per regime.
 
     Returns one metrics record per regime; writes them as JSON lines when
     the config names an ``out`` path.  Identical config and root seed give
     byte-identical reports.  The config checked its settings when built;
-    this checks only that the input files are named and exist.
+    this checks only that the input files are named and exist, and that
+    the ``out`` directory exists.
     """
+    _check_out_dir(cfg.out)
     needed = cfg.blocks()
     required = ["edges", "labels", "cumf"] if "cumf" in needed else ["edges", "labels"]
     missing = [key for key in required if not getattr(cfg, key)]

@@ -347,12 +347,15 @@ def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
                        min_count: int, subsample: float, rng_seed: int,
                        batch: int = 1):
     """Per-pair SGNS trainer: one update per skip-gram pair or CBOW
-    position, ``negatives`` draws each, in the package's RNG order.
+    position, in the package's RNG order.
 
-    With ``batch > 1`` every example reads copies of the weights taken at
-    the start of its batch of ``batch`` consecutive examples (batches
-    restart each epoch), while its updates still go to the live weights
-    in example order.
+    Examples come in batches of ``batch`` consecutive examples (batches
+    restart each epoch).  ``negatives`` draws are taken at the start of
+    each batch and shared by its examples; a draw equal to an example's
+    target is skipped for that example.  With ``batch > 1`` every example
+    also reads copies of the weights taken at the start of its batch, while
+    its updates still go to the live weights in example order.  At
+    ``batch == 1`` this is per-example SGD with per-example draws.
 
     Returns (tokens, input vectors, pairs seen).
     """
@@ -379,22 +382,26 @@ def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
         trimmed = [s[rng.random(len(s)) < keep[s]] for s in encoded]
         encoded = [s for s in trimmed if len(s) >= 2]
 
-    read_in, read_out = w_in, w_out
+    read_in, read_out, draws = w_in, w_out, []
 
     def start_example():
-        """Takes the batch-start copies before the first example of a
-        batch; at ``batch == 1`` examples read the live weights."""
-        nonlocal read_in, read_out, examples
-        if batch > 1 and examples % batch == 0:
-            read_in, read_out = w_in.copy(), w_out.copy()
+        """Draws the batch's negatives before its first example, and takes
+        the batch-start copies too; at ``batch == 1`` examples read the
+        live weights."""
+        nonlocal read_in, read_out, draws, examples
+        if examples % batch == 0:
+            found = np.searchsorted(noise_cdf, rng.random(negatives),
+                                    side="right")
+            draws = [int(x) for x in np.minimum(found, len(tokens) - 1)]
+            if batch > 1:
+                read_in, read_out = w_in.copy(), w_out.copy()
         examples += 1
 
     def step(h: np.ndarray, target: int, lr: float) -> np.ndarray:
-        """Draws the negatives, updates their output rows and the target's,
-        and returns the scaled ascent step for ``h``."""
-        draws = np.searchsorted(noise_cdf, rng.random(negatives), side="right")
-        negs = [int(x) for x in np.minimum(draws, len(tokens) - 1)
-                if int(x) != target]
+        """Updates the output rows of the target and of the batch's draws
+        other than the target, and returns the scaled ascent step for
+        ``h``."""
+        negs = [x for x in draws if x != target]
         ids = np.array([target] + negs, dtype=np.int64)
         labels = np.zeros(len(ids))
         labels[0] = 1.0

@@ -104,6 +104,48 @@ class TestInputNotAFile:
         assert err.startswith("error: ") and err.endswith(f": {bad}\n")
 
 
+class TestOutputDirectory:
+    """An output file in a missing directory exits 1 before any input is
+    read: the inputs here are missing too, and are never named."""
+
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--edges", "M", "--out-edges", "BAD"],
+        ["ingest", "--edges", "M", "--out-nodes", "BAD"],
+        ["propagate", "--graph", "M", "--seeds", "M", "--out", "BAD"],
+        ["lp-features", "--graph", "M", "--seeds", "M", "--out", "BAD"],
+        ["sentences", "--edges", "M", "--out", "BAD"],
+        ["embed", "--corpus", "M", "--out", "BAD"],
+        ["coldstart", "--graph", "M", "--embeddings", "M", "--out", "BAD"],
+        ["train", "--features", "M", "--labels", "M", "--predictions-out",
+         "BAD"],
+        ["train", "--features", "M", "--labels", "M", "--metrics-out", "BAD"],
+        ["eval", "--predictions", "M", "--labels", "M", "--metrics-out",
+         "BAD"],
+        ["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "0.2",
+         "--out", "BAD"],
+        ["pipeline", "--config", "CONFIG"],
+    ], ids=["ingest-edges", "ingest-nodes", "propagate", "lp-features",
+            "sentences", "embed", "coldstart", "train-predictions",
+            "train-metrics", "eval", "sensitivity", "pipeline"])
+    def test_missing_output_directory_exits_1(self, tmp_path, capsys, argv):
+        missing, nowhere = tmp_path / "missing.tsv", tmp_path / "nowhere"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"edges={missing}\nlabels={missing}\n"
+                          f"regimes=lp\nout={nowhere / 'records.jsonl'}\n")
+        names = {"M": str(missing), "BAD": str(nowhere / "out.tsv"),
+                 "CONFIG": str(config)}
+        assert run([names.get(arg, arg) for arg in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: output directory does not exist: {nowhere}\n")
+        assert not nowhere.exists()
+
+    def test_missing_input_still_named_as_input(self, tmp_path, capsys):
+        missing = tmp_path / "missing.tsv"
+        assert run(["embed", "--corpus", str(missing),
+                    "--out", str(tmp_path / "emb.txt")]) == 1
+        assert capsys.readouterr().err == f"error: missing input: {missing}\n"
+
+
 class TestPropagateAndEval:
     def test_propagate_then_eval(self, dataset, tmp_path, capsys):
         preds = tmp_path / "preds.tsv"
