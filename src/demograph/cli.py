@@ -1,5 +1,9 @@
 """Command-line entry points.
 
+A flag that sets a config field is built from the field, and the class is
+its one check.  The flag is the setting's name with dashes, and its pipeline
+key the stage prefix plus that name (``--min-count``, ``emb_min_count``).
+
 Exit codes: 0 on success, 1 on validation/config errors (including bad
 flags), 2 on runtime failures.
 """
@@ -9,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +25,11 @@ from .graph import (load_directed_edges, load_edge_list, write_edge_list,
 from .labelprop import (PropagationConfig, propagate, read_node_vectors,
                         read_seed_labels, write_label_state,
                         write_node_vectors)
-from .model import (FeatureMatrix, SplitSpec, TrainHyper, check_hidden,
-                    evaluate, join_features, split)
-from .pipeline import (ExperimentGrid, PipelineConfig, _check_out_dir,
-                       _check_sensitivity, fit_and_score, float_list,
-                       format_metrics_table, format_pivot, int_list,
+from .model import (FeatureMatrix, SplitSpec, TrainHyper, evaluate,
+                    join_features, split)
+from .pipeline import (_PARSE, _RENAMED, _STAGES, ExperimentGrid,
+                       PipelineConfig, _check_out_dir, _check_sensitivity,
+                       fit_and_score, format_metrics_table, format_pivot,
                        read_labels, run_pipeline, run_sensitivity,
                        task_classes, write_sensitivity_csv)
 
@@ -46,10 +50,21 @@ def _add_version(parser):
                         version=f"demograph {__version__}")
 
 
+def _add_fields(p, cls, *names):
+    """A flag for each field of ``cls`` (or each in ``names``), stored under
+    the field's name, named and converted as its pipeline key: it defaults to
+    the field's default, is required without one, and is a switch for a
+    ``bool`` field."""
+    for f in [f for f in fields(cls) if f.name in names or not names]:
+        name = _RENAMED.get((cls, f.name), f.name)
+        kind = ({"action": "store_true"} if f.type == "bool" else
+                {"type": _PARSE[f.type], "metavar": name.upper()})
+        p.add_argument("--" + name.replace("_", "-"), dest=f.name,
+                       default=f.default, required=f.default is MISSING, **kind)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """Every stage flag defaults to its config class's field, and every
-    flag shared with the pipeline to the pipeline config's field."""
-    emb, spec, run = embed.TrainConfig, synth.PlantedGraphSpec, PipelineConfig
+    """Every flag that sets a config field is built by ``_add_fields``."""
     parser = _Parser(prog="demograph",
                      description="Demographic inference over following graphs")
     _add_version(parser)
@@ -76,12 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "run label propagation and write node scores")
     p.add_argument("--graph", required=True, help="edge-list file")
     p.add_argument("--seeds", required=True)
-    p.add_argument("--strategy", choices=("alpha", "beta", "gamma"),
-                   default=PropagationConfig.strategy)
-    p.add_argument("--alpha", type=float, default=PropagationConfig.alpha)
-    p.add_argument("--beta", type=float, default=PropagationConfig.beta)
-    p.add_argument("--gamma", type=float, default=PropagationConfig.gamma)
-    p.add_argument("--iters", type=int, default=PropagationConfig.iterations)
+    _add_fields(p, PropagationConfig)
     p.add_argument("--classes", type=int, choices=(1, 7), default=1)
     p.add_argument("--ages", action="store_true",
                    help="seed file holds raw ages, not bucket indices")
@@ -93,10 +103,9 @@ def build_parser() -> argparse.ArgumentParser:
                 "ensemble propagation features over seed partitions")
     p.add_argument("--graph", required=True)
     p.add_argument("--seeds", required=True)
-    p.add_argument("--splits", type=int, default=run.lp_splits)
+    p.add_argument("--splits", type=int, default=PipelineConfig.lp_splits)
     p.add_argument("--rng-seed", type=int, default=0)
-    p.add_argument("--iters", type=int, default=PropagationConfig.iterations)
-    p.add_argument("--alpha", type=float, default=PropagationConfig.alpha)
+    _add_fields(p, PropagationConfig, *_STAGES["lp"][2].values())
     p.add_argument("--classes", type=int, choices=(1, 7), default=1)
     p.add_argument("--ages", action="store_true")
     p.add_argument("--min-degree", type=int, default=0)
@@ -115,15 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("embed", _cmd_embed,
                 "train word2vec vectors on a sentence corpus")
     p.add_argument("--corpus", required=True)
-    p.add_argument("--mode", choices=("skipgram", "cbow"), default=emb.mode)
-    p.add_argument("--dim", type=int, default=emb.dim)
-    p.add_argument("--window", type=int, default=emb.window)
-    p.add_argument("--min-count", type=int, default=emb.min_count)
-    p.add_argument("--epochs", type=int, default=emb.epochs)
-    p.add_argument("--negatives", type=int, default=emb.negatives)
-    p.add_argument("--rate", type=float, default=emb.rate)
-    p.add_argument("--subsample", type=float, default=emb.subsample)
-    p.add_argument("--rng-seed", type=int, default=emb.rng_seed)
+    _add_fields(p, embed.TrainConfig)
     p.add_argument("--out", required=True)
 
     p = command("coldstart", _cmd_coldstart,
@@ -134,14 +135,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
 
     p = command("synth", _cmd_synth, "generate a planted-partition dataset")
-    p.add_argument("--classes", type=int, choices=(2, 7), default=spec.classes)
-    p.add_argument("--per-class", type=int, required=True)
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--reveal", type=float, default=spec.reveal)
-    p.add_argument("--noise", type=float, default=spec.noise)
-    p.add_argument("--allow-antihomophily", action="store_true")
-    p.add_argument("--rng-seed", type=int, default=spec.rng_seed)
+    _add_fields(p, synth.PlantedGraphSpec)
     p.add_argument("--out-dir", required=True)
 
     p = command("train", _cmd_train,
@@ -149,20 +143,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", required=True,
                    help="comma-separated feature CSV paths")
     p.add_argument("--labels", required=True)
-    p.add_argument("--task", choices=("gender", "age"), default=run.task)
-    p.add_argument("--ages", action="store_true")
-    p.add_argument("--model", choices=("lr", "mlp"), default=run.model)
-    p.add_argument("--hidden", type=int_list, default=run.hidden)
-    p.add_argument("--epochs", type=int, default=TrainHyper.epochs)
-    p.add_argument("--minibatch", type=int, default=TrainHyper.minibatch)
-    p.add_argument("--rate", type=float, default=TrainHyper.rate)
-    p.add_argument("--l2", type=float, default=TrainHyper.l2)
-    p.add_argument("--balance", action="store_true")
-    p.add_argument("--split", choices=("hash", "random"),
-                   default=SplitSpec.mode)
-    p.add_argument("--train-frac", type=float,
-                   default=SplitSpec.train_fraction)
-    p.add_argument("--rng-seed", type=int, default=TrainHyper.rng_seed)
+    _add_fields(p, PipelineConfig, "task", "ages", "model", "hidden", "balance")
+    _add_fields(p, TrainHyper)
+    _add_fields(p, SplitSpec, *_STAGES["split_spec"][2].values())
     p.add_argument("--predictions-out",
                    help="write test-side predictions as <name>\\t<p0,..>")
     p.add_argument("--metrics-out")
@@ -171,8 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--predictions", required=True,
                    help="<name>\\t<v0[,v1..]> rows, e.g. propagate output")
     p.add_argument("--labels", required=True)
-    p.add_argument("--task", choices=("gender", "age"), default=run.task)
-    p.add_argument("--ages", action="store_true")
+    _add_fields(p, PipelineConfig, "task", "ages")
     p.add_argument("--metrics-out")
 
     p = command("pipeline", _cmd_pipeline,
@@ -188,16 +170,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", help="fixed revealed labels")
     p.add_argument("--reveal", type=float,
                    help="sample this seed fraction per repetition instead")
-    p.add_argument("--strategies", default=",".join(ExperimentGrid.strategies))
-    p.add_argument("--alphas", type=float_list, default=ExperimentGrid.alphas)
-    p.add_argument("--betas", type=float_list, default=ExperimentGrid.betas)
-    p.add_argument("--gammas", type=float_list, default=ExperimentGrid.gammas)
-    p.add_argument("--ks", type=int_list, default=ExperimentGrid.ks)
-    p.add_argument("--reps", type=int, default=ExperimentGrid.repetitions)
+    _add_fields(p, ExperimentGrid)
     p.add_argument("--workers", type=int, default=1,
                    help="run grid cells in this many threads")
     p.add_argument("--min-degree", type=int, default=0)
-    p.add_argument("--rng-seed", type=int, default=ExperimentGrid.rng_seed)
     p.add_argument("--out", required=True)
     return parser
 
@@ -206,12 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
 # Command bodies
 # ---------------------------------------------------------------------------
 
-def _config(cls, args, **renamed):
-    """A ``cls`` config of the flags named after its fields, and of the
-    ``renamed`` fields, whose flags go by other names."""
+def _config(cls, args):
+    """A ``cls`` config of the flags stored under its field names."""
     flags = vars(args)
     return cls(**{f.name: flags[f.name] for f in fields(cls)
-                  if f.name in flags} | renamed)
+                  if f.name in flags})
 
 
 def _cmd_ingest(args):
@@ -226,7 +201,7 @@ def _cmd_ingest(args):
 
 
 def _cmd_propagate(args):
-    cfg = _config(PropagationConfig, args, iterations=args.iters)
+    cfg = _config(PropagationConfig, args)
     g = load_edge_list(args.graph, min_degree=args.min_degree)
     seeds = read_seed_labels(args.seeds, g, num_classes=args.classes,
                              ages=args.ages)
@@ -239,7 +214,7 @@ def _cmd_propagate(args):
 def _cmd_lp_features(args):
     if args.splits < 2:
         raise ConfigError(f"--splits must be >= 2, got {args.splits}")
-    cfg = _config(PropagationConfig, args, iterations=args.iters)
+    cfg = _config(PropagationConfig, args)
     g = load_edge_list(args.graph, min_degree=args.min_degree)
     seeds = read_seed_labels(args.seeds, g, num_classes=args.classes,
                              ages=args.ages)
@@ -283,11 +258,9 @@ def _cmd_synth(args):
 
 
 def _cmd_train(args):
-    spec = _config(SplitSpec, args, mode=args.split,
-                   train_fraction=args.train_frac)
+    spec = _config(SplitSpec, args)
     hyper = _config(TrainHyper, args)
-    if args.model == "mlp":
-        check_hidden(args.hidden)
+    run = _config(PipelineConfig, args)
     paths = [p for p in args.features.split(",") if p]
     names = [Path(p).stem for p in paths]
     if not paths or len(set(names)) < len(names):
@@ -295,32 +268,33 @@ def _cmd_train(args):
                           f"{args.features!r}")
     blocks = {name: FeatureMatrix.from_csv(p) for name, p in zip(names, paths)}
     features = join_features(blocks) if len(blocks) > 1 else next(iter(blocks.values()))
-    labels = read_labels(args.labels, args.task, args.ages)
+    labels = read_labels(args.labels, run.task, run.ages)
     labeled = [n for n in labels if n in features]
     if not labeled:
         raise ConfigError("no labeled node has features")
     # The random split depends on this list: only labeled nodes with features.
     train_names, test_names = split(labeled, spec)
     test_rows, probs, record = fit_and_score(
-        features, labels, train_names, test_names, task_classes(args.task),
-        args.model, args.hidden, hyper, args.balance)
+        features, labels, train_names, test_names, task_classes(run.task),
+        run.model, run.hidden, hyper, run.balance)
     if args.predictions_out:
         write_node_vectors(args.predictions_out, test_rows, probs)
     _emit_metrics(record, args.metrics_out)
 
 
 def _cmd_eval(args):
+    run = _config(PipelineConfig, args)
     predictions = read_node_vectors(args.predictions)
-    labels = read_labels(args.labels, args.task, args.ages)
+    labels = read_labels(args.labels, run.task, run.ages)
     common = [n for n in labels if n in predictions]
     if not common:
         raise ConfigError("no prediction matches a labeled node")
     probs = np.stack([predictions[n] for n in common])
-    classes = task_classes(args.task)
+    classes = task_classes(run.task)
     if probs.shape[1] not in (1, classes):
         raise ValidationError(
             f"{args.predictions}: {probs.shape[1]} columns per prediction, "
-            f"but task {args.task} takes 1 or {classes}")
+            f"but task {run.task} takes 1 or {classes}")
     truth = np.array([labels[n] for n in common])
     _emit_metrics({**evaluate(probs, truth), "n_eval": len(common)},
                   args.metrics_out)
@@ -352,8 +326,7 @@ def _cmd_pipeline(args):
 
 
 def _cmd_sensitivity(args):
-    grid = _config(ExperimentGrid, args, repetitions=args.reps,
-                   strategies=[s for s in args.strategies.split(",") if s])
+    grid = _config(ExperimentGrid, args)
     _check_sensitivity(bool(args.seeds), args.reveal, args.workers)
     g = load_edge_list(args.edges, min_degree=args.min_degree)
     truth_map = read_labels(args.truth, "gender", False)

@@ -91,6 +91,8 @@ class TrainConfig:
         if not 0 <= self.subsample < math.inf:  # NaN fails too
             raise ConfigError(f"subsample must be >= 0 and finite, got "
                               f"{self.subsample}")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
     @property
     def effective_window(self) -> int:
@@ -177,6 +179,8 @@ def build_sentences(edges: DirectedEdges, rng_seed: int,
     production corpus construction); a node then needs any neighbor at
     all to produce a sentence.
     """
+    if rng_seed < 0:
+        raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
     src, dst = edges.arcs[:, 0], edges.arcs[:, 1]
     if bidirectional:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])

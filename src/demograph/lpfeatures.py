@@ -58,6 +58,8 @@ def make_partitions(labeled, n_partitions: int, rng_seed: int) -> PartitionPlan:
     irrelevant); partition sizes differ by at most one.
     """
     nodes = np.unique(np.fromiter(labeled, dtype=np.int64))
+    if rng_seed < 0:
+        raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
     if n_partitions < 2:
         raise ConfigError(f"need at least 2 partitions, got {n_partitions}")
     if n_partitions > len(nodes):

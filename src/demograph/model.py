@@ -256,6 +256,8 @@ class SplitSpec:
             raise ConfigError(f"unknown split mode {self.mode!r}")
         if not 0.0 < self.resolved_fraction() < 1.0:
             raise ConfigError("train fraction must lie in (0, 1)")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 def split(nodes: list[str], spec: SplitSpec) -> tuple[list[str], list[str]]:
@@ -296,6 +298,8 @@ class TrainHyper:
             raise ConfigError("minibatch must be >= 1")
         if self.l2 < 0:
             raise ConfigError("l2 must be >= 0")
+        if self.rng_seed < 0:
+            raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

@@ -240,14 +240,12 @@ def format_pivot(rows: list[dict]) -> str:
 # Full pipeline
 # ---------------------------------------------------------------------------
 
-def int_list(text: str) -> tuple[int, ...]:
-    """Parse comma-separated integers such as layer widths ``"64,64"``."""
-    return tuple(int(h) for h in text.split(",") if h)
-
-
-def float_list(text: str) -> list[float]:
-    """Parse comma-separated numbers such as grid values ``"0.2,0.5"``."""
-    return [float(x) for x in text.split(",") if x]
+def _list_of(convert):
+    """A parser of comma-separated values such as ``"64,64"`` into a tuple."""
+    def parse(text: str) -> tuple:
+        return tuple(convert(x) for x in text.split(",") if x)
+    parse.__name__ = f"{convert.__name__} list"  # argparse names it
+    return parse
 
 
 def _flag(text: str) -> bool:
@@ -277,7 +275,8 @@ def _regimes(text: str) -> _Regimes:
 # How a setting's text converts, by the annotation of the field it sets.
 _PARSE = {"str": str, "str | None": str, "bool": _flag, "int": int,
           "int | None": int, "float": float, "float | None": float,
-          "tuple[int, ...]": int_list, "_Regimes": _regimes}
+          "tuple[int, ...]": _list_of(int), "tuple[float, ...]": _list_of(float),
+          "tuple[str, ...]": _list_of(str), "_Regimes": _regimes}
 
 
 def _convert(key: str, raw: str, f: Field):
@@ -291,15 +290,27 @@ def _convert(key: str, raw: str, f: Field):
         raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
 
 
+# The settings named otherwise than their field.  A setting's name is its
+# field's but for these; a stage key is the stage prefix plus the name
+# (``lp_iters``, ``emb_min_count``), and a CLI flag is the name with dashes.
+_RENAMED = {(PropagationConfig, "iterations"): "iters", (SplitSpec, "mode"): "split",
+            (SplitSpec, "train_fraction"): "train_frac",
+            (ExperimentGrid, "repetitions"): "reps"}
+
+
+def _stage(cls, prefix: str, context: str, *names: str):
+    return cls, context, {prefix + _RENAMED.get((cls, n), n): n for n in names}
+
+
 # The stage configs of a run, by field: the stage class, the prefix of its
 # range errors, and the class field that each of its keys sets.
 _STAGES = {
-    "split_spec": (SplitSpec, "", {"split": "mode", "train_frac": "train_fraction"}),
-    "hyper": (TrainHyper, "", {k: k for k in ("epochs", "minibatch", "rate", "l2")}),
-    "lp": (PropagationConfig, "config lp_alpha/lp_iters: ",
-           {"lp_alpha": "alpha", "lp_iters": "iterations"}),
-    "emb": (embed.TrainConfig, "config emb_* keys: ", {f"emb_{k}": k for k in (
-        "mode", "dim", "window", "epochs", "negatives", "rate", "min_count")}),
+    "split_spec": _stage(SplitSpec, "", "", "mode", "train_fraction"),
+    "hyper": _stage(TrainHyper, "", "", "epochs", "minibatch", "rate", "l2"),
+    "lp": _stage(PropagationConfig, "lp_", "config lp_alpha/lp_iters: ",
+                 "alpha", "iterations"),
+    "emb": _stage(embed.TrainConfig, "emb_", "config emb_* keys: ", "mode",
+                  "dim", "window", "epochs", "negatives", "rate", "min_count"),
 }
 
 

@@ -46,8 +46,11 @@ class PlantedGraphSpec:
                 "if that is intended")
         if not 0.0 < self.reveal < 1.0:
             raise ValidationError("reveal fraction must lie in (0, 1)")
-        if self.noise < 0.0:
-            raise ValidationError("noise must be >= 0")
+        if not 0.0 <= self.noise < np.inf:  # NaN fails too
+            raise ValidationError(f"noise must be >= 0 and finite, got "
+                                  f"{self.noise}")
+        if self.rng_seed < 0:
+            raise ValidationError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
 @dataclass

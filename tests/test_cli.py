@@ -706,11 +706,37 @@ class TestSettingsBeforeInput:
          "--features needs files with distinct names, got ','"),
         (["train", "--features", "a/x.csv,b/x.csv", "--labels", "M"],
          "--features needs files with distinct names"),
+        (["train", "--features", "M", "--labels", "M", "--task", "foo"],
+         "unknown task 'foo'"),
+        (["train", "--features", "M", "--labels", "M", "--model", "foo"],
+         "unknown model 'foo'"),
+        (["train", "--features", "M", "--labels", "M", "--split", "foo"],
+         "unknown split mode 'foo'"),
+        (["train", "--features", "M", "--labels", "M", "--model", "mlp",
+          "--hidden", "8,0"], "bad hidden layer sizes [8, 0]"),
+        (["eval", "--predictions", "M", "--labels", "M", "--task", "foo"],
+         "unknown task 'foo'"),
+        (["propagate", "--graph", "M", "--seeds", "M", "--strategy", "foo",
+          "--out", "OUT"], "unknown strategy 'foo'"),
+        (["embed", "--corpus", "M", "--mode", "foo", "--out", "OUT"],
+         "unknown embedding mode 'foo'"),
+        (["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "0.2",
+          "--strategies", "alpha,foo", "--out", "OUT"],
+         "unknown strategy 'foo'"),
+        (["synth", "--per-class", "3", "--classes", "3", "--out-dir", "OUT"],
+         "classes must be 2 or 7, got 3"),
+        (["synth", "--per-class", "3", "--noise", "nan", "--out-dir", "OUT"],
+         "noise must be >= 0 and finite, got nan"),
+        (["synth", "--per-class", "3", "--noise", "inf", "--out-dir", "OUT"],
+         "noise must be >= 0 and finite, got inf"),
     ], ids=["sensitivity-alphas", "sensitivity-reveal", "sensitivity-workers-0",
             "sensitivity-workers-negative", "propagate-alpha",
             "lp-features-splits", "embed-dim", "embed-subsample-negative",
             "embed-subsample-nan", "train-epochs",
-            "train-no-features", "train-same-stem"])
+            "train-no-features", "train-same-stem", "train-task",
+            "train-model", "train-split", "train-hidden", "eval-task",
+            "propagate-strategy", "embed-mode", "sensitivity-strategies",
+            "synth-classes", "synth-noise-nan", "synth-noise-inf"])
     def test_bad_setting_named_despite_missing_input(self, tmp_path, capsys,
                                                     argv, message):
         out = tmp_path / "out"
@@ -721,7 +747,43 @@ class TestSettingsBeforeInput:
         assert not out.exists()
 
 
+class TestNegativeSeed:
+    """A negative --rng-seed exits 1 naming the seed, and writes nothing."""
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "--per-class", "5", "--out-dir", "OUT"],
+        ["sentences", "--edges", "edges.tsv", "--out", "OUT"],
+        ["lp-features", "--graph", "edges.tsv", "--seeds", "seeds.tsv",
+         "--out", "OUT"],
+        ["embed", "--corpus", "edges.tsv", "--out", "OUT"],
+        ["train", "--features", "cumf.csv", "--labels", "truth.tsv",
+         "--predictions-out", "OUT", "--metrics-out", "OUT2"],
+        ["train", "--features", "cumf.csv", "--labels", "truth.tsv",
+         "--split", "random", "--predictions-out", "OUT",
+         "--metrics-out", "OUT2"],
+    ], ids=["synth", "sentences", "lp-features", "embed", "train-hash",
+            "train-random"])
+    def test_exits_1(self, dataset, tmp_path, capsys, argv):
+        outs = {"OUT": tmp_path / "out", "OUT2": tmp_path / "out2"}
+        argv = [str(outs[arg]) if arg in outs else
+                str(dataset / arg) if "." in arg else arg for arg in argv]
+        assert run([*argv, "--rng-seed", "-1"]) == 1
+        assert capsys.readouterr().err == \
+            "error: rng_seed must be >= 0, got -1\n"
+        assert not any(out.exists() for out in outs.values())
+
+
 class TestSynthCommand:
+    def test_p_and_q_default_to_the_spec(self, tmp_path):
+        assert run(["synth", "--per-class", "30", "--rng-seed", "2",
+                    "--out-dir", str(tmp_path / "a")]) == 0
+        assert run(["synth", "--per-class", "30", "--rng-seed", "2",
+                    "--p", "0.05", "--q", "0.005",
+                    "--out-dir", str(tmp_path / "b")]) == 0
+        for name in ("edges.tsv", "truth.tsv", "seeds.tsv", "cumf.csv"):
+            assert (tmp_path / "a" / name).read_bytes() == \
+                (tmp_path / "b" / name).read_bytes()
+
     def test_rejects_antihomophily_without_flag(self, tmp_path):
         assert run(["synth", "--per-class", "10", "--p", "0.01", "--q", "0.5",
                     "--out-dir", str(tmp_path)]) == 1
