@@ -63,6 +63,13 @@ def _add_fields(p, cls, *names):
                        default=f.default, required=f.default is MISSING, **kind)
 
 
+def _seed(text: str) -> int:
+    """An ``--rng-seed`` that no config class checks, before any input."""
+    if int(text) < 0:
+        raise ConfigError(f"rng_seed must be >= 0, got {int(text)}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Every flag that sets a config field is built by ``_add_fields``."""
     parser = _Parser(prog="demograph",
@@ -104,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graph", required=True)
     p.add_argument("--seeds", required=True)
     p.add_argument("--splits", type=int, default=PipelineConfig.lp_splits)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=_seed, default=0)
     _add_fields(p, PropagationConfig, *_STAGES["lp"][2].values())
     p.add_argument("--classes", type=int, choices=(1, 7), default=1)
     p.add_argument("--ages", action="store_true")
@@ -116,7 +123,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("sentences", _cmd_sentences,
                 "emit one neighbor sentence per node")
     p.add_argument("--edges", required=True)
-    p.add_argument("--rng-seed", type=int, default=0)
+    p.add_argument("--rng-seed", type=_seed, default=0)
     p.add_argument("--bidirectional", action="store_true",
                    help="include followers as well as followed nodes")
     p.add_argument("--out", required=True)

@@ -8,6 +8,10 @@ same neighborhoods close together.  Nodes that fall below the vocabulary
 count threshold can still get a vector afterwards by averaging their
 embedded graph neighbors (one round, no transitive fill).
 
+The vocabulary is the tokens of count >= ``min_count``, by descending count
+and then token; a sentence keeping fewer than 2 of them is dropped, and a
+corpus left with no training pair raises ``ValidationError``.
+
 Training is single-threaded and fully seeded: a fixed seed gives a
 bit-identical table.  It updates the weights once per ``BATCH`` examples,
 whose examples share one draw of ``negatives`` noise tokens (Ji et al.,
@@ -21,8 +25,8 @@ from __future__ import annotations
 
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -239,31 +243,30 @@ def pair_gradients(center: np.ndarray, outputs: np.ndarray,
     return grad_center, grad_outputs
 
 
-class _Vocabulary:
-    """Count-filtered vocabulary with a cumulative noise distribution."""
+def _vocabulary(sentences: list[list[str]], min_count: int):
+    """The vocabulary (see the module notes), its counts, and the token ids
+    of the sentences that keep >= 2 of its tokens, as (flat ids, lengths)."""
+    first: dict[str, int] = {}  # token -> first-seen id
+    seen = np.fromiter((first.setdefault(t, len(first))
+                        for t in chain.from_iterable(sentences)), np.int64)
+    counts = np.bincount(seen, minlength=len(first))
+    tally, names = counts.tolist(), list(first)
+    order = sorted(np.flatnonzero(counts >= min_count).tolist(),
+                   key=lambda i: (-tally[i], names[i]))
+    rank = np.full(len(first), -1)
+    rank[order] = np.arange(len(order))
+    lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
+    ids = rank[seen]
+    return ([names[i] for i in order], counts[order],
+            *_drop_short(ids, lengths, ids >= 0))
 
-    def __init__(self, sentences: list[list[str]], min_count: int):
-        counts = Counter(t for s in sentences for t in s)
-        kept = [(t, c) for t, c in counts.items() if c >= min_count]
-        # Descending count, ties by token, so the ordering is stable.
-        kept.sort(key=lambda item: (-item[1], item[0]))
-        if not kept:
-            raise ValidationError(
-                f"no token reaches min_count={min_count}; nothing to train")
-        self.tokens = [t for t, _ in kept]
-        self.counts = np.array([c for _, c in kept], dtype=np.float64)
-        self.index = {t: i for i, t in enumerate(self.tokens)}
-        noise = self.counts ** 0.75
-        self.noise_cdf = np.cumsum(noise / noise.sum())
 
-    def encode(self, sentences: list[list[str]]):
-        """Token ids of the sentences that keep >= 2 vocabulary tokens, as
-        (flat ids, sentence lengths)."""
-        encoded = [[self.index[t] for t in s if t in self.index]
-                   for s in sentences]
-        encoded = [ids for ids in encoded if len(ids) >= 2]
-        return (np.array([t for ids in encoded for t in ids], dtype=np.int64),
-                np.array([len(ids) for ids in encoded], dtype=np.int64))
+def _drop_short(ids: np.ndarray, lengths: np.ndarray, mask: np.ndarray):
+    """The ``mask``ed ids of the sentences keeping >= 2: (flat ids, lengths)."""
+    sentence = np.repeat(np.arange(len(lengths)), lengths)
+    kept = np.bincount(sentence[mask], minlength=len(lengths))
+    mask &= (kept >= 2)[sentence]
+    return ids[mask], kept[kept >= 2]
 
 
 def _noise_ids(noise_cdf: np.ndarray, draws: np.ndarray) -> np.ndarray:
@@ -327,17 +330,16 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
     batch, as none of them reads the weights.  A negative that hits an
     example's positive target is skipped for that example, not redrawn.
     """
-    if not sentences:
-        raise ValidationError("empty sentence corpus")
-    vocab = _Vocabulary(sentences, cfg.min_count)
+    vocab, tally, tokens, lengths = _vocabulary(sentences, cfg.min_count)
+    noise_cdf = np.cumsum(tally ** 0.75 / np.sum(tally ** 0.75))
     rng = np.random.default_rng(cfg.rng_seed)
-    size = len(vocab.tokens)
-    w_in = (rng.random((size, cfg.dim)) - 0.5) / cfg.dim
-    w_out = np.zeros((size, cfg.dim))
-
-    tokens, lengths = vocab.encode(sentences)
-    if cfg.subsample > 0:
-        tokens, lengths = _subsample(tokens, lengths, vocab, cfg.subsample, rng)
+    w_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
+    w_out = np.zeros_like(w_in)
+    if cfg.subsample > 0:  # frequent tokens dropped, one draw each
+        freq, t = tally / tally.sum(), cfg.subsample
+        keep = np.minimum(1.0, np.sqrt(t / freq) + t / freq)
+        tokens, lengths = _drop_short(
+            tokens, lengths, rng.random(len(tokens)) < keep[tokens])
     # O(corpus tokens) arrays per position: first context position, context
     # size, pairs before it.  A block of examples [b0, b1) holds pairs
     # [b0, b1) for skip-gram and the pairs of positions [b0, b1) for CBOW.
@@ -347,7 +349,10 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
     context = np.minimum(end, position + window + 1) - lo - 1
     first_pair = np.concatenate([[0], np.cumsum(context)])
     per_epoch = int(first_pair[-1])
-    total_pairs = max(1, cfg.epochs * per_epoch)
+    if not per_epoch:
+        raise ValidationError(f"nothing to train: no sentence keeps 2 tokens at "
+                              f"min_count={cfg.min_count}, subsample={cfg.subsample}")
+    total_pairs = cfg.epochs * per_epoch
     cbow = cfg.mode == "cbow"
     examples = len(tokens) if cbow else per_epoch
     for epoch in range(cfg.epochs):
@@ -371,7 +376,7 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
             rates = np.maximum(cfg.rate * 1e-4, cfg.rate * (
                 1.0 - (epoch * per_epoch + first) / total_pairs))
             cut = np.arange(BATCH, len(targets), BATCH)  # later batch starts
-            negs = _noise_ids(vocab.noise_cdf, rng.random(
+            negs = _noise_ids(noise_cdf, rng.random(
                 (len(cut) + 1) * cfg.negatives)).reshape(-1, cfg.negatives)
             in_flat = np.split(_flat_rows(inputs, cfg.dim),
                                np.cumsum(counts)[cut - 1] * cfg.dim)
@@ -379,20 +384,8 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
                     counts, targets, rates)), negs):
                 _update(w_in, w_out, *batch)
     logger.info("trained %d vectors (dim %d) over %d pairs",
-                size, cfg.dim, cfg.epochs * per_epoch)
-    return EmbeddingTable(list(vocab.tokens), w_in)
-
-
-def _subsample(tokens: np.ndarray, lengths: np.ndarray, vocab: _Vocabulary,
-               threshold: float, rng: np.random.Generator):
-    """Drops frequent tokens, one draw each, then sentences left short."""
-    freq = vocab.counts / vocab.counts.sum()
-    keep = np.minimum(1.0, np.sqrt(threshold / freq) + threshold / freq)
-    mask = rng.random(len(tokens)) < keep[tokens]
-    sentence = np.repeat(np.arange(len(lengths)), lengths)
-    kept = np.bincount(sentence[mask], minlength=len(lengths))
-    mask &= (kept >= 2)[sentence]
-    return tokens[mask], kept[kept >= 2]
+                len(vocab), cfg.dim, total_pairs)
+    return EmbeddingTable(vocab, w_in)
 
 
 def fill_missing_embeddings(g: Graph, table: EmbeddingTable) -> EmbeddingTable:

@@ -3,7 +3,8 @@
 Everything here is deliberately written with plain python loops over dense
 structures so it shares no code path with the package: dict-of-set graphs,
 per-node propagation, pairwise AUC, central finite differences, a
-line-by-line edge-list loader, and a per-pair word2vec trainer.  The
+line-by-line edge-list loader, a ``Counter``-and-sort word2vec vocabulary,
+and a per-pair word2vec trainer.  The
 exceptions are checked against bit for bit, so they keep the arithmetic of
 the code they judge:
 
@@ -342,6 +343,25 @@ def two_branch_sigmoid(x) -> np.ndarray:
     return out
 
 
+def reference_vocabulary(sentences: list[list[str]], min_count: int):
+    """The word2vec vocabulary by plain loops: the tokens that occur >=
+    ``min_count`` times, by descending count with ties by token, their
+    counts, and the id lists of the sentences that keep >= 2 of them.
+
+    Returns (tokens, counts, encoded sentences).
+    """
+    counts = Counter(t for s in sentences for t in s)
+    kept = sorted(((t, c) for t, c in counts.items() if c >= min_count),
+                  key=lambda item: (-item[1], item[0]))
+    index = {t: i for i, (t, _) in enumerate(kept)}
+    encoded = []
+    for s in sentences:
+        ids = [index[t] for t in s if t in index]
+        if len(ids) >= 2:
+            encoded.append(ids)
+    return [t for t, _ in kept], [c for _, c in kept], encoded
+
+
 def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
                        window: int, negatives: int, rate: float, epochs: int,
                        min_count: int, subsample: float, rng_seed: int,
@@ -359,23 +379,15 @@ def reference_word2vec(sentences: list[list[str]], mode: str, dim: int,
 
     Returns (tokens, input vectors, pairs seen).
     """
-    counts = Counter(t for s in sentences for t in s)
-    kept = sorted(((t, c) for t, c in counts.items() if c >= min_count),
-                  key=lambda item: (-item[1], item[0]))
-    tokens = [t for t, _ in kept]
-    freq = np.array([c for _, c in kept], dtype=np.float64)
-    index = {t: i for i, t in enumerate(tokens)}
+    tokens, counts, encoded = reference_vocabulary(sentences, min_count)
+    freq = np.array(counts, dtype=np.float64)
     noise = freq ** 0.75
     noise_cdf = np.cumsum(noise / noise.sum())
 
     rng = np.random.default_rng(rng_seed)
     w_in = (rng.random((len(tokens), dim)) - 0.5) / dim
     w_out = np.zeros((len(tokens), dim))
-    encoded = []
-    for s in sentences:
-        ids = [index[t] for t in s if t in index]
-        if len(ids) >= 2:
-            encoded.append(np.asarray(ids, dtype=np.int64))
+    encoded = [np.asarray(ids, dtype=np.int64) for ids in encoded]
     if subsample > 0:
         share = freq / freq.sum()
         keep = np.minimum(1.0, np.sqrt(subsample / share) + subsample / share)

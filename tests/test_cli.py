@@ -400,6 +400,14 @@ class TestFeatureCommands:
         assert run(["embed", "--corpus", str(corpus), "--min-count", "5",
                     "--out", str(tmp_path / "e.txt")]) == 1
 
+    def test_embed_without_a_training_pair_exits_1(self, tmp_path, capsys):
+        """Ten one-token lines give a vocabulary but no pair to train."""
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "e.txt"
+        corpus.write_text("a\n" * 5 + "b\n" * 5)
+        assert run(["embed", "--corpus", str(corpus), "--out", str(out)]) == 1
+        assert "nothing to train" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_train_on_cumf_with_predictions(self, dataset, tmp_path, capsys):
@@ -729,6 +737,10 @@ class TestSettingsBeforeInput:
          "noise must be >= 0 and finite, got nan"),
         (["synth", "--per-class", "3", "--noise", "inf", "--out-dir", "OUT"],
          "noise must be >= 0 and finite, got inf"),
+        (["lp-features", "--graph", "M", "--seeds", "M", "--rng-seed", "-1",
+          "--out", "OUT"], "rng_seed must be >= 0, got -1"),
+        (["sentences", "--edges", "M", "--rng-seed", "-1", "--out", "OUT"],
+         "rng_seed must be >= 0, got -1"),
     ], ids=["sensitivity-alphas", "sensitivity-reveal", "sensitivity-workers-0",
             "sensitivity-workers-negative", "propagate-alpha",
             "lp-features-splits", "embed-dim", "embed-subsample-negative",
@@ -736,7 +748,8 @@ class TestSettingsBeforeInput:
             "train-no-features", "train-same-stem", "train-task",
             "train-model", "train-split", "train-hidden", "eval-task",
             "propagate-strategy", "embed-mode", "sensitivity-strategies",
-            "synth-classes", "synth-noise-nan", "synth-noise-inf"])
+            "synth-classes", "synth-noise-nan", "synth-noise-inf",
+            "lp-features-rng-seed", "sentences-rng-seed"])
     def test_bad_setting_named_despite_missing_input(self, tmp_path, capsys,
                                                     argv, message):
         out = tmp_path / "out"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import itertools
 import logging
@@ -12,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from demograph import embed, graph, synth
 from demograph.embed import (EmbeddingTable, TrainConfig, build_sentences,
@@ -20,10 +23,11 @@ from demograph.embed import (EmbeddingTable, TrainConfig, build_sentences,
                              train_embeddings, write_corpus)
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph, load_directed_edges
-from demograph.pipeline import derive_seed
+from demograph.pipeline import PipelineConfig, derive_seed
 
 from oracles import (central_difference, reference_build_sentences,
-                     reference_word2vec, relative_error, two_branch_sigmoid)
+                     reference_vocabulary, reference_word2vec,
+                     relative_error, two_branch_sigmoid)
 
 
 def directed(tmp_path, lines):
@@ -53,6 +57,17 @@ CORPUS_SHA256 = {
     False: "40102fba9bc583c2c018b3b2d2bd42bb5063a8a1bbe9a2b1096bbacb6d8eff09",
     True: "7b9a7d969461de5c1cd76bdcfb8366e2f02b84af11704ea9664058fec5b53647",
 }
+
+# sha256 of the vectors that ``train_embeddings`` gives on the pipeline-emb
+# corpus (bidirectional) with the pipeline's seeds and the emb_* settings
+# of perfbench/worker.py's EMB_SETTINGS, by mode.
+VECTORS_SHA256 = {
+    "skipgram": "f3e86997ab5972050af54e0ff6df945a6729950a7f6ecea7263900ce87f3cf88",
+    "cbow": "ee195a58f9d11751217a6cd7575cf40d160564b1c535bf517673241c55b58e86",
+}
+
+# Tokens that sort and count apart: ties, non-ASCII, a trailing NUL.
+_token = st.sampled_from(["a", "a\x00", "b", "B", "é", "e\u0301", "日", "\x00"])
 
 
 # Largest difference allowed between a vector of the trainer and the same
@@ -179,19 +194,59 @@ class TestSentences:
         digest = hashlib.sha256((tmp_path / "corpus.txt").read_bytes())
         assert digest.hexdigest() == CORPUS_SHA256[bidirectional]
 
+    @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
+    def test_vectors_pinned(self, tmp_path, monkeypatch, mode):
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from worker import EMB_GRAPH, EMB_SETTINGS
+        paths = synth.write_outputs(synth.generate(
+            synth.PlantedGraphSpec(**EMB_GRAPH, rng_seed=1)), tmp_path)
+        cfg = PipelineConfig.from_settings(**EMB_SETTINGS, root_seed=1)
+        sentences = build_sentences(load_directed_edges(paths["edges"]),
+                                    derive_seed(1, "sentences"),
+                                    cfg.emb_bidirectional)
+        table = train_embeddings(sentences, dataclasses.replace(
+            cfg.emb, mode=mode, rng_seed=derive_seed(1, "embed")))
+        digest = hashlib.sha256(table.vectors.tobytes()).hexdigest()
+        assert digest == VECTORS_SHA256[mode]
+
 
 class TestVocabulary:
     def test_min_count_excludes_rare_tokens(self):
-        sentences = [["a", "b"]] * 4 + [["b", "c"]]
+        sentences = [["a", "b"]] * 4 + [["b", "c", "b"]]
         cfg = TrainConfig(dim=4, min_count=5, epochs=1, rng_seed=0)
         table = train_embeddings(sentences, cfg)
-        # "b" occurs 5 times, "a" 4, "c" 1.
+        # "b" occurs 6 times, "a" 4, "c" 1; only ["b", "b"] is left to train.
         assert "b" in table
         assert "a" not in table and "c" not in table
 
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValidationError):
             train_embeddings([["a", "b"]], TrainConfig(min_count=5))
+
+    @pytest.mark.parametrize("sentences,cfg", [
+        ([["a"]] * 5 + [["b"]] * 5, TrainConfig()),
+        ([["a", "b"]] * 4 + [["b", "c"]], TrainConfig(min_count=5)),
+        ([["a", "b"]] * 50, TrainConfig(min_count=1, subsample=1e-9)),
+    ], ids=["one-token-sentences", "min-count-leaves-one", "subsample-all"])
+    def test_no_training_pair_rejected(self, sentences, cfg):
+        with pytest.raises(ValidationError, match="nothing to train"):
+            train_embeddings(sentences, cfg)
+
+    @given(st.lists(st.lists(_token, max_size=6), max_size=12),
+           st.integers(1, 5))
+    @example([["a", "a\x00", "a"], ["a\x00", "b"], ["b"]], 2)
+    # Tokens at exactly min_count; the last sentence keeps one of them.
+    @example([["x", "y"], ["x", "z"], ["y", "z", "w"], ["w", "v"]], 2)
+    @settings(max_examples=300, deadline=None)
+    def test_matches_reference(self, sentences, min_count):
+        tokens, counts, ids, lengths = embed._vocabulary(sentences, min_count)
+        want, want_counts, encoded = reference_vocabulary(sentences, min_count)
+        assert tokens == want
+        assert counts.tolist() == want_counts
+        assert lengths.tolist() == [len(row) for row in encoded]
+        assert ids.tolist() == [i for row in encoded for i in row]
+        assert ids.dtype == lengths.dtype == np.int64
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
@@ -204,7 +259,8 @@ class TestVocabulary:
 
     def test_noise_lookup_matches_clipped_search(self, rng):
         sentences = [[f"t{i}"] * (i * i + 1) for i in range(8)]
-        cdf = embed._Vocabulary(sentences, min_count=1).noise_cdf
+        noise = embed._vocabulary(sentences, min_count=1)[1] ** 0.75
+        cdf = np.cumsum(noise / noise.sum())  # as train_embeddings builds it
         draws = np.concatenate([
             cdf, cdf, np.nextafter(cdf, 0.0), [0.0, 0.0],
             [np.nextafter(1.0, 0.0)] * 3, rng.random(100)])
@@ -377,16 +433,18 @@ class TestAgainstReference:
                               negatives=negatives, epochs=2,
                               min_count=min_count, subsample=subsample,
                               rng_seed=seed)
-            if max(Counter(itertools.chain(*sentences)).values()) < min_count:
-                with pytest.raises(ValidationError):
-                    train_embeddings(sentences, cfg)
-                continue
             tokens, vectors, seen = reference_word2vec(
                 sentences, mode, cfg.dim, cfg.effective_window, negatives,
                 cfg.rate, cfg.epochs, min_count, subsample, seed, batch)
             first = None
             for block in blocks:
                 monkeypatch.setattr(embed, "BLOCK", block)
+                if not seen:  # the corpus leaves no pair to train
+                    with pytest.raises(ValidationError,
+                                       match="nothing to train"):
+                        train_embeddings(sentences, cfg)
+                    checked[block] += 1
+                    continue
                 caplog.clear()
                 table = train_embeddings(sentences, cfg)
                 assert table.tokens == tokens
