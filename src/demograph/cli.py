@@ -1,8 +1,8 @@
 """Command-line entry points.
 
 A flag that sets a config field is built from the field, and the class is
-its one check.  The flag is the setting's name with dashes, and its pipeline
-key the stage prefix plus that name (``--min-count``, ``emb_min_count``).
+its one check.  The flag is the setting's name (``pipeline._RENAMED``) with
+dashes, its key the stage prefix plus the name: ``--splits``, ``lp_splits``.
 
 Exit codes: 0 on success, 1 on validation/config errors (including bad
 flags), 2 on runtime failures.
@@ -52,15 +52,16 @@ def _add_version(parser):
 
 def _add_fields(p, cls, *names):
     """A flag for each field of ``cls`` (or each in ``names``), stored under
-    the field's name, named and converted as its pipeline key: it defaults to
-    the field's default, is required without one, and is a switch for a
-    ``bool`` field."""
+    the field's name, named as its setting and converted as its pipeline key:
+    it defaults to the field's default, is required without one, is a switch
+    for a ``bool`` field, and takes its help from the field's metadata."""
     for f in [f for f in fields(cls) if f.name in names or not names]:
         name = _RENAMED.get((cls, f.name), f.name)
         kind = ({"action": "store_true"} if f.type == "bool" else
                 {"type": _PARSE[f.type], "metavar": name.upper()})
         p.add_argument("--" + name.replace("_", "-"), dest=f.name,
-                       default=f.default, required=f.default is MISSING, **kind)
+                       default=f.default, required=f.default is MISSING,
+                       help=f.metadata.get("help"), **kind)
 
 
 def _seed(text: str) -> int:
@@ -87,8 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("ingest", _cmd_ingest,
                 "load, filter, and canonicalize an edge list")
     p.add_argument("--edges", required=True)
-    p.add_argument("--min-degree", type=int, default=0,
-                   help="drop nodes following fewer than this many others")
+    _add_fields(p, PipelineConfig, "min_degree")
     p.add_argument("--no-symmetrize", action="store_true",
                    help="require the file to already list both directions")
     p.add_argument("--out-edges")
@@ -100,9 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seeds", required=True)
     _add_fields(p, PropagationConfig)
     p.add_argument("--classes", type=int, choices=(1, 7), default=1)
-    p.add_argument("--ages", action="store_true",
-                   help="seed file holds raw ages, not bucket indices")
-    p.add_argument("--min-degree", type=int, default=0)
+    _add_fields(p, PipelineConfig, "ages", "min_degree")
     p.add_argument("--emit-inactive", action="store_true")
     p.add_argument("--out", required=True)
 
@@ -110,12 +108,11 @@ def build_parser() -> argparse.ArgumentParser:
                 "ensemble propagation features over seed partitions")
     p.add_argument("--graph", required=True)
     p.add_argument("--seeds", required=True)
-    p.add_argument("--splits", type=int, default=PipelineConfig.lp_splits)
+    _add_fields(p, PipelineConfig, "lp_splits")
     p.add_argument("--rng-seed", type=_seed, default=0)
     _add_fields(p, PropagationConfig, *_STAGES["lp"][2].values())
     p.add_argument("--classes", type=int, choices=(1, 7), default=1)
-    p.add_argument("--ages", action="store_true")
-    p.add_argument("--min-degree", type=int, default=0)
+    _add_fields(p, PipelineConfig, "ages", "min_degree")
     p.add_argument("--no-presence", action="store_true",
                    help="omit the presence indicator columns")
     p.add_argument("--out", required=True)
@@ -124,8 +121,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "emit one neighbor sentence per node")
     p.add_argument("--edges", required=True)
     p.add_argument("--rng-seed", type=_seed, default=0)
-    p.add_argument("--bidirectional", action="store_true",
-                   help="include followers as well as followed nodes")
+    _add_fields(p, PipelineConfig, "emb_bidirectional")
     p.add_argument("--out", required=True)
 
     p = command("embed", _cmd_embed,
@@ -138,7 +134,7 @@ def build_parser() -> argparse.ArgumentParser:
                 "fill missing embeddings by neighbor averaging")
     p.add_argument("--graph", required=True)
     p.add_argument("--embeddings", required=True)
-    p.add_argument("--min-degree", type=int, default=0)
+    _add_fields(p, PipelineConfig, "min_degree")
     p.add_argument("--out", required=True)
 
     p = command("synth", _cmd_synth, "generate a planted-partition dataset")
@@ -180,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fields(p, ExperimentGrid)
     p.add_argument("--workers", type=int, default=1,
                    help="run grid cells in this many threads")
-    p.add_argument("--min-degree", type=int, default=0)
+    _add_fields(p, PipelineConfig, "min_degree")
     p.add_argument("--out", required=True)
     return parser
 
@@ -219,23 +215,23 @@ def _cmd_propagate(args):
 
 
 def _cmd_lp_features(args):
-    if args.splits < 2:
-        raise ConfigError(f"--splits must be >= 2, got {args.splits}")
+    if args.lp_splits < 2:
+        raise ConfigError(f"--splits must be >= 2, got {args.lp_splits}")
     cfg = _config(PropagationConfig, args)
     g = load_edge_list(args.graph, min_degree=args.min_degree)
     seeds = read_seed_labels(args.seeds, g, num_classes=args.classes,
                              ages=args.ages)
     plan = lpfeatures.make_partitions(np.flatnonzero(seeds.is_seed),
-                                      args.splits, args.rng_seed)
+                                      args.lp_splits, args.rng_seed)
     block = lpfeatures.lp_features(g, seeds, plan, cfg)
     block.table(g.names, presence=not args.no_presence).to_csv(args.out)
-    print(f"wrote {block.node_count} rows x {args.splits} runs to {args.out}")
+    print(f"wrote {block.node_count} rows x {args.lp_splits} runs to {args.out}")
 
 
 def _cmd_sentences(args):
     directed = load_directed_edges(args.edges)
     sentences = embed.build_sentences(directed, args.rng_seed,
-                                      bidirectional=args.bidirectional)
+                                      bidirectional=args.emb_bidirectional)
     embed.write_corpus(sentences, args.out)
     print(f"wrote {len(sentences)} sentences to {args.out}")
 
@@ -258,10 +254,9 @@ def _cmd_coldstart(args):
 
 def _cmd_synth(args):
     data = synth.generate(_config(synth.PlantedGraphSpec, args))
-    paths = synth.write_outputs(data, args.out_dir)
+    synth.write_outputs(data, args.out_dir)
     print(f"nodes={data.node_count} edges={len(data.edges)} "
           f"seeds={len(data.seed_indices)} -> {args.out_dir}")
-    return paths
 
 
 def _cmd_train(args):

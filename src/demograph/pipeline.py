@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
-from dataclasses import Field, dataclass, fields, replace
+from dataclasses import Field, dataclass, field, fields, replace
 from itertools import compress
 from pathlib import Path
 
@@ -84,7 +84,10 @@ class ExperimentGrid:
 
     def __post_init__(self) -> None:
         for name in ("strategies", "alphas", "betas", "gammas", "ks"):
-            object.__setattr__(self, name, tuple(getattr(self, name)))
+            values = tuple(getattr(self, name))
+            if len(set(values)) < len(values):
+                raise ConfigError(f"{name} repeats a value: {values}")
+            object.__setattr__(self, name, values)
         if not self.strategies:
             raise ConfigError("grid needs at least one strategy")
         for s in self.strategies:
@@ -265,10 +268,15 @@ def _regimes(text: str) -> _Regimes:
                     for r in map(str.strip, text.split(",")) if r)
     if not regimes:
         raise ConfigError(f"config key 'regimes' names no regime: {text!r}")
+    names = [regime for regime, _ in regimes]
     for regime, blocks in regimes:
         for b in blocks:
             if b not in _KNOWN_BLOCKS:
                 raise ConfigError(f"unknown feature block {b!r} in regime {regime!r}")
+        if len(set(blocks)) < len(blocks):
+            raise ConfigError(f"config key 'regimes': {regime!r} repeats a block")
+        if names.count(regime) > 1:
+            raise ConfigError(f"config key 'regimes' names regime {regime!r} twice")
     return regimes
 
 
@@ -290,9 +298,9 @@ def _convert(key: str, raw: str, f: Field):
         raise ConfigError(f"config key {key!r}: bad value {raw!r}") from None
 
 
-# The settings named otherwise than their field.  A setting's name is its
-# field's but for these; a stage key is the stage prefix plus the name
-# (``lp_iters``, ``emb_min_count``), and a CLI flag is the name with dashes.
+# The settings named otherwise than their field (and the run keys ``lp_splits``
+# and ``emb_bidirectional``, added below); a stage key is the stage prefix plus
+# the name (``lp_iters``, ``lp_splits``), and a CLI flag the name with dashes.
 _RENAMED = {(PropagationConfig, "iterations"): "iters", (SplitSpec, "mode"): "split",
             (SplitSpec, "train_fraction"): "train_frac",
             (ExperimentGrid, "repetitions"): "reps"}
@@ -328,15 +336,18 @@ class PipelineConfig:
     cumf: str | None = None
     out: str | None = None
     task: str = "gender"
-    ages: bool = False
+    ages: bool = field(default=False, metadata={
+        "help": "labels hold raw ages, not bucket indices"})
     regimes: _Regimes = _regimes("all")
     model: str = "lr"
     hidden: tuple[int, ...] = (256, 256, 256)
     balance: bool = False
     root_seed: int = 0
-    min_degree: int = 0
+    min_degree: int = field(default=0, metadata={
+        "help": "drop nodes following fewer than this many others"})
     lp_splits: int = 3
-    emb_bidirectional: bool = False
+    emb_bidirectional: bool = field(default=False, metadata={
+        "help": "include followers as well as followed nodes"})
     split_spec: SplitSpec = SplitSpec()
     hyper: TrainHyper = TrainHyper()
     lp: PropagationConfig | None = None
@@ -373,6 +384,8 @@ class PipelineConfig:
                     raise ConfigError(f"{path}:{line_no}: expected key=value")
                 if key not in _KEYS:
                     raise ConfigError(f"{path}:{line_no}: unknown key {key!r}")
+                if key in settings:
+                    raise ConfigError(f"{path}:{line_no}: repeated key {key!r}")
                 settings[key] = value
         for key, value in (overrides or {}).items():
             if key not in _KEYS:
@@ -406,6 +419,8 @@ class PipelineConfig:
         return cls(**run)
 
 
+_RENAMED.update({(PipelineConfig, "lp_splits"): "splits",
+                 (PipelineConfig, "emb_bidirectional"): "bidirectional"})
 _KEYS = ({f.name for f in fields(PipelineConfig)} - _STAGES.keys()
          | {key for _, _, keys in _STAGES.values() for key in keys})
 

@@ -596,6 +596,14 @@ class TestPipelineCommand:
         cfg.write_text("edges=/no/such/file\nlabels=/none\nregimes=lp\n")
         assert run(["pipeline", "--config", str(cfg)]) == 1
 
+    def test_key_set_twice_in_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("edges=/no/such/file\nlabels=/none\nmodel=lr\n"
+                       "model=mlp\n")
+        assert run(["pipeline", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cfg}:4: repeated key 'model'\n")
+
 
 class TestSensitivityCommand:
     def test_grid_csv_and_pivot(self, dataset, tmp_path, capsys):
@@ -741,6 +749,26 @@ class TestSettingsBeforeInput:
           "--out", "OUT"], "rng_seed must be >= 0, got -1"),
         (["sentences", "--edges", "M", "--rng-seed", "-1", "--out", "OUT"],
          "rng_seed must be >= 0, got -1"),
+        (["ingest", "--edges", "M", "--min-degree", "-1"],
+         "min_degree must be >= 0, got -1"),
+        (["propagate", "--graph", "M", "--seeds", "M", "--min-degree", "-1",
+          "--out", "OUT"], "min_degree must be >= 0, got -1"),
+        (["lp-features", "--graph", "M", "--seeds", "M", "--min-degree", "-1",
+          "--out", "OUT"], "min_degree must be >= 0, got -1"),
+        (["coldstart", "--graph", "M", "--embeddings", "M", "--min-degree",
+          "-1", "--out", "OUT"], "min_degree must be >= 0, got -1"),
+        (["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "0.2",
+          "--min-degree", "-1", "--out", "OUT"],
+         "min_degree must be >= 0, got -1"),
+        (["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "0.2",
+          "--alphas", "0.5,0.5", "--ks", "2,2", "--out", "OUT"],
+         "alphas repeats a value: (0.5, 0.5)"),
+        (["sensitivity", "--edges", "M", "--truth", "M", "--reveal", "0.2",
+          "--ks", "2,2", "--out", "OUT"], "ks repeats a value: (2, 2)"),
+        (["pipeline", "--config", "CONFIG", "--set", "regimes=cumf+cumf,cumf"],
+         "config key 'regimes': 'cumf+cumf' repeats a block"),
+        (["pipeline", "--config", "CONFIG", "--set", "regimes=lp,cumf,lp"],
+         "config key 'regimes' names regime 'lp' twice"),
     ], ids=["sensitivity-alphas", "sensitivity-reveal", "sensitivity-workers-0",
             "sensitivity-workers-negative", "propagate-alpha",
             "lp-features-splits", "embed-dim", "embed-subsample-negative",
@@ -749,11 +777,18 @@ class TestSettingsBeforeInput:
             "train-model", "train-split", "train-hidden", "eval-task",
             "propagate-strategy", "embed-mode", "sensitivity-strategies",
             "synth-classes", "synth-noise-nan", "synth-noise-inf",
-            "lp-features-rng-seed", "sentences-rng-seed"])
+            "lp-features-rng-seed", "sentences-rng-seed",
+            "ingest-min-degree", "propagate-min-degree",
+            "lp-features-min-degree", "coldstart-min-degree",
+            "sensitivity-min-degree", "sensitivity-repeated-alphas",
+            "sensitivity-repeated-ks", "pipeline-repeated-block",
+            "pipeline-repeated-regime"])
     def test_bad_setting_named_despite_missing_input(self, tmp_path, capsys,
                                                     argv, message):
-        out = tmp_path / "out"
-        names = {"M": str(tmp_path / "missing.tsv"), "OUT": str(out)}
+        out, missing = tmp_path / "out", tmp_path / "missing.tsv"
+        config = tmp_path / "run.cfg"
+        config.write_text(f"edges={missing}\nlabels={missing}\nout={out}\n")
+        names = {"M": str(missing), "OUT": str(out), "CONFIG": str(config)}
         assert run([names.get(arg, arg) for arg in argv]) == 1
         err = capsys.readouterr().err
         assert message in err and "missing input" not in err

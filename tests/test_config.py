@@ -3,6 +3,7 @@ holds the one default of every setting that the CLI and the pipeline read."""
 
 from __future__ import annotations
 
+import argparse
 import math
 from dataclasses import MISSING, FrozenInstanceError, fields, replace
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 from demograph import embed
-from demograph.cli import build_parser, main
+from demograph.cli import _add_fields, build_parser, main
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import DirectedEdges
 from demograph.labelprop import PropagationConfig
@@ -63,9 +64,12 @@ FLAGS = {
 # The required flags of each command, with a missing input ("M") and an
 # output that must not appear ("OUT").
 REQUIRED = {
+    "ingest": ["--edges", "M"],
     "propagate": ["--graph", "M", "--seeds", "M", "--out", "OUT"],
     "lp-features": ["--graph", "M", "--seeds", "M", "--out", "OUT"],
+    "sentences": ["--edges", "M", "--out", "OUT"],
     "embed": ["--corpus", "M", "--out", "OUT"],
+    "coldstart": ["--graph", "M", "--embeddings", "M", "--out", "OUT"],
     "synth": ["--per-class", "3", "--out-dir", "OUT"],
     "train": ["--features", "M", "--labels", "M"],
     "eval": ["--predictions", "M", "--labels", "M"],
@@ -76,8 +80,13 @@ REQUIRED = {
 # The config fields that each command takes as flags: every field of the
 # class, or the fields listed.
 FIELD_FLAGS = [
+    ("ingest", PipelineConfig, ("min_degree",)),
     ("propagate", PropagationConfig, ()),
+    ("propagate", PipelineConfig, ("ages", "min_degree")),
     ("lp-features", PropagationConfig, ("alpha", "iterations")),
+    ("lp-features", PipelineConfig, ("lp_splits", "ages", "min_degree")),
+    ("sentences", PipelineConfig, ("emb_bidirectional",)),
+    ("coldstart", PipelineConfig, ("min_degree",)),
     ("embed", embed.TrainConfig, ()),
     ("synth", PlantedGraphSpec, ()),
     ("train", TrainHyper, ()),
@@ -85,7 +94,12 @@ FIELD_FLAGS = [
     ("train", PipelineConfig, ("task", "ages", "model", "hidden", "balance")),
     ("eval", PipelineConfig, ("task", "ages")),
     ("sensitivity", ExperimentGrid, ()),
+    ("sensitivity", PipelineConfig, ("min_degree",)),
 ]
+
+# The commands that build a PipelineConfig of their flags; the others read
+# its settings from the parsed flags.
+BUILDS_RUN = {"train", "eval"}
 
 # A valid value other than the default, as text: by field where a value of
 # its type would not do, else by type.
@@ -156,9 +170,40 @@ class TestGeneratedFlags:
             text = other_value(cls, f)
             extra, want = [flag_of(cls, f), text], _PARSE[f.type](text)
         assert want != f.default
-        configs = built_configs(monkeypatch, argv_for(tmp_path, cmd, *extra),
-                                cls)
+        argv = argv_for(tmp_path, cmd, *extra)
+        configs = built_configs(monkeypatch, argv, cls)
+        if cls is PipelineConfig and cmd not in BUILDS_RUN:
+            assert configs == []
+            configs = [build_parser().parse_args(argv)]
         assert [getattr(c, f.name) for c in configs] == [want]
+
+    def test_setting_flags_are_built_from_field(self):
+        """A flag named as a run setting (``--min-degree``, ``--splits``) is
+        the one ``_add_fields`` builds: stored under the field, with its
+        default, converter, metavar and help.  The file keys, which default
+        to None, are not settings: ``--out`` names a command's own output."""
+        def built(f):
+            p = argparse.ArgumentParser()
+            _add_fields(p, PipelineConfig, f.name)
+            return p._actions[-1]
+
+        def spec(a):
+            return (type(a), a.option_strings, a.dest, a.default, a.type,
+                    a.metavar, a.help, a.required)
+
+        of_flag = {flag_of(PipelineConfig, f): f for f in fields(PipelineConfig)
+                   if f.default is not None}
+        parser = build_parser()
+        commands = next(a for a in parser._actions if a.dest == "command")
+        seen = set()
+        for cmd, sub in commands.choices.items():
+            for a in sub._actions:
+                for flag in set(a.option_strings) & of_flag.keys():
+                    f = of_flag[flag]
+                    assert spec(a) == spec(built(f)), (cmd, flag)
+                    assert a.help == f.metadata.get("help"), (cmd, flag)
+                    seen.add(flag)
+        assert {"--min-degree", "--ages", "--splits", "--bidirectional"} <= seen
 
     @pytest.mark.parametrize("cmd,cls,f", field_cases(
         lambda f: f.default is MISSING))
@@ -203,7 +248,7 @@ class TestOneSource:
                                 "--out", "o"])
         cfg = PipelineConfig.from_settings()
         assert train.hidden == cfg.hidden == (256, 256, 256)
-        assert lp.splits == cfg.lp_splits == 3
+        assert lp.lp_splits == cfg.lp_splits == 3
         assert (train.model, train.task) == (cfg.model, cfg.task)
 
     @pytest.mark.parametrize("stage,key", [

@@ -271,6 +271,13 @@ class TestSensitivity:
         with pytest.raises(ConfigError, match=message):
             ExperimentGrid(strategies=[strategy], ks=[1, 2], **values)
 
+    @pytest.mark.parametrize("name,values", [
+        ("strategies", ["alpha", "beta", "alpha"]), ("alphas", [0.5, 0.5]),
+        ("betas", [0.8, 0.8]), ("gammas", [0.9, 0.9]), ("ks", [2, 1, 2])])
+    def test_grid_rejects_a_repeated_value(self, name, values):
+        with pytest.raises(ConfigError, match=f"{name} repeats a value"):
+            ExperimentGrid(**{name: values})
+
     def test_fixed_seeds_run_each_cell_once(self, tmp_path, monkeypatch):
         _, g, truth, seeds = planted_fixture(tmp_path, per_class=60, p=0.1,
                                              q=0.01, reveal=0.2)
@@ -356,6 +363,13 @@ class TestPipelineConfig:
         assert (cfg.out, cfg.hidden, cfg.ages, cfg.lp.iterations,
                 cfg.emb.negatives, cfg.hyper.l2) == (None, (8, 4), True, 2, 3, 0.01)
 
+    def test_key_set_twice_rejected(self, tmp_path):
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("model=lr\n# comment\nmodel=mlp\n")
+        with pytest.raises(ConfigError,
+                           match=f"{cfg_file}:3: repeated key 'model'"):
+            PipelineConfig.from_file(cfg_file)
+
     def test_unknown_key_rejected(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
         cfg_file.write_text("edgez=e.tsv\n")
@@ -439,7 +453,9 @@ class TestPipelineConfig:
         ("ages", "TRUE", "config key 'ages': bad value 'TRUE'"),
         ("emb_bidirectional", "y", "config key 'emb_bidirectional'"),
         ("regimes", "", "config key 'regimes' names no regime"),
-        ("regimes", ",", "config key 'regimes' names no regime")])
+        ("regimes", ",", "config key 'regimes' names no regime"),
+        ("regimes", "cumf+cumf,cumf", "'cumf\\+cumf' repeats a block"),
+        ("regimes", "all,lp,all", "names regime 'all' twice")])
     def test_bad_setting_fails_before_ingest(self, tmp_path, monkeypatch,
                                              key, raw, message):
         edges = tmp_path / "e.tsv"
@@ -455,6 +471,9 @@ class TestPipelineConfig:
             run_pipeline(PipelineConfig.from_settings(
                 edges=str(edges), labels=str(labels), **settings))
         assert loads == []
+
+    def test_hidden_may_repeat_a_width(self):
+        assert PipelineConfig.from_settings(hidden="64,64").hidden == (64, 64)
 
     def test_unknown_regime_block(self):
         with pytest.raises(ConfigError):
