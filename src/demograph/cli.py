@@ -232,14 +232,13 @@ def _cmd_sentences(args):
     directed = load_directed_edges(args.edges)
     sentences = embed.build_sentences(directed, args.rng_seed,
                                       bidirectional=args.emb_bidirectional)
-    embed.write_corpus(sentences, args.out)
+    embed.write_corpus(directed.names, sentences, args.out)
     print(f"wrote {len(sentences)} sentences to {args.out}")
 
 
 def _cmd_embed(args):
     cfg = _config(embed.TrainConfig, args)
-    corpus = embed.read_corpus(args.corpus)
-    table = embed.train_embeddings(corpus, cfg)
+    table = embed.train_embeddings(*embed.read_corpus(args.corpus), cfg)
     table.save(args.out)
     print(f"trained {len(table)} vectors of dim {table.dim}")
 
@@ -319,8 +318,10 @@ def _cmd_pipeline(args):
     for item in args.set:
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
-        key, _, value = item.partition("=")
-        overrides[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key in overrides:
+            raise ConfigError(f"--set: repeated key {key!r}")
+        overrides[key] = value
     records = run_pipeline(PipelineConfig.from_file(args.config, overrides))
     for record in records:
         print(json.dumps(record, sort_keys=True))

@@ -1,7 +1,8 @@
 """Neighbor-sentence embeddings.
 
 Each node with at least one followed neighbor yields one "sentence": the
-node plus everything it follows, in a seeded random permutation.  The
+node plus everything it follows, in a seeded random permutation, as ids
+into the node names (``read_corpus`` alone interns text tokens).  The
 sentences feed a from-scratch word2vec trainer (skip-gram or CBOW, both
 with negative sampling) whose vectors place nodes that co-occur with the
 same neighborhoods close together.  Nodes that fall below the vocabulary
@@ -9,7 +10,7 @@ count threshold can still get a vector afterwards by averaging their
 embedded graph neighbors (one round, no transitive fill).
 
 The vocabulary is the tokens of count >= ``min_count``, by descending count
-and then token; a sentence keeping fewer than 2 of them is dropped, and a
+and then name; a sentence keeping fewer than 2 of them is dropped, and a
 corpus left with no training pair raises ``ValidationError``.
 
 Training is single-threaded and fully seeded: a fixed seed gives a
@@ -26,11 +27,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
-from .errors import ConfigError, ValidationError
+from .errors import ConfigError, DivergenceError, ValidationError
 from .graph import (DirectedEdges, Graph, _csr_from_arcs, _float_rows,
                     _open_text)
 
@@ -175,9 +175,9 @@ class EmbeddingTable:
 
 
 def build_sentences(edges: DirectedEdges, rng_seed: int,
-                    bidirectional: bool = False) -> list[list[str]]:
-    """One sentence per node with out-degree >= 1: the node plus all the
-    nodes it follows, in a seeded random permutation.
+                    bidirectional: bool = False) -> list[np.ndarray]:
+    """One sentence of ``edges.names`` ids per node with out-degree >= 1:
+    the node plus all the nodes it follows, in a seeded random permutation.
 
     ``bidirectional`` widens the neighbor set to followers as well (the
     production corpus construction); a node then needs any neighbor at
@@ -189,25 +189,31 @@ def build_sentences(edges: DirectedEdges, rng_seed: int,
     if bidirectional:
         src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     # The one CSR of the corpus; it drops repeated arcs.
-    indptr, nbrs = _csr_from_arcs(edges.node_count, src, dst)
-    names = np.array(edges.names, dtype=object)
+    indptr, nbrs = _csr_from_arcs(len(edges.names), src, dst)
+    nodes = np.flatnonzero(np.diff(indptr))
+    # Each sentence is its node and then its CSR row, shuffled in place.
+    flat = np.insert(nbrs, indptr[nodes], nodes)
+    ends = (indptr[nodes + 1] + np.arange(1, len(nodes) + 1)).tolist()
+    sentences = [flat[a:b] for a, b in zip([0] + ends, ends)]
     rng = np.random.default_rng(rng_seed)
-    sentences: list[list[str]] = []
-    for v in np.flatnonzero(np.diff(indptr)):
-        tokens = np.concatenate([[v], nbrs[indptr[v]:indptr[v + 1]]])
-        sentences.append(names[rng.permutation(tokens)].tolist())
+    for sentence in sentences:
+        rng.shuffle(sentence)
     return sentences
 
 
-def write_corpus(sentences: list[list[str]], path) -> None:
+def write_corpus(names: list[str], sentences: list[np.ndarray], path) -> None:
+    names = np.array(names, dtype=object)
     with open(path, "w", encoding="utf-8") as fh:
-        for sentence in sentences:
-            fh.write(" ".join(sentence) + "\n")
+        fh.writelines(" ".join(names[s].tolist()) + "\n" for s in sentences)
 
 
-def read_corpus(path) -> list[list[str]]:
+def read_corpus(path) -> tuple[list[str], list[np.ndarray]]:
+    """A corpus file as (names in order of first use, id sentences)."""
+    index: dict[str, int] = {}
     with _open_text(path) as fh:
-        return [tokens for tokens in map(str.split, fh) if tokens]
+        sentences = [np.array([index.setdefault(t, len(index)) for t in tokens])
+                     for tokens in map(str.split, fh) if tokens]
+    return list(index), sentences
 
 
 def sigmoid(x):
@@ -243,17 +249,15 @@ def pair_gradients(center: np.ndarray, outputs: np.ndarray,
     return grad_center, grad_outputs
 
 
-def _vocabulary(sentences: list[list[str]], min_count: int):
-    """The vocabulary (see the module notes), its counts, and the token ids
-    of the sentences that keep >= 2 of its tokens, as (flat ids, lengths)."""
-    first: dict[str, int] = {}  # token -> first-seen id
-    seen = np.fromiter((first.setdefault(t, len(first))
-                        for t in chain.from_iterable(sentences)), np.int64)
-    counts = np.bincount(seen, minlength=len(first))
-    tally, names = counts.tolist(), list(first)
+def _vocabulary(names: list[str], sentences: list[np.ndarray], min_count: int):
+    """The vocabulary (see the module notes), its counts, and the vocabulary
+    ids of the sentences keeping >= 2 of its tokens: (flat ids, lengths)."""
+    seen = np.concatenate([np.empty(0, np.int64), *sentences])
+    counts = np.bincount(seen, minlength=len(names))
     order = sorted(np.flatnonzero(counts >= min_count).tolist(),
-                   key=lambda i: (-tally[i], names[i]))
-    rank = np.full(len(first), -1)
+                   key=names.__getitem__)
+    order.sort(key=counts.tolist().__getitem__, reverse=True)  # ties by name
+    rank = np.full(len(names), -1)
     rank[order] = np.arange(len(order))
     lengths = np.fromiter(map(len, sentences), np.int64, len(sentences))
     ids = rank[seen]
@@ -309,7 +313,9 @@ def _update(w_in, w_out, in_flat, counts, targets, rates, negs):
     np.add.at(w_in.reshape(-1), in_flat, grad_in.ravel())
 
 
-def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingTable:
+@np.errstate(over="ignore", invalid="ignore")  # the epoch check raises
+def train_embeddings(names: list[str], sentences: list[np.ndarray],
+                     cfg: TrainConfig) -> EmbeddingTable:
     """Train input-side vectors with minibatched stochastic gradient ascent.
 
     An example is a (center, context token) pair for skip-gram, or a
@@ -329,8 +335,9 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
     Each block's examples, rates and negatives are built before its first
     batch, as none of them reads the weights.  A negative that hits an
     example's positive target is skipped for that example, not redrawn.
+    Weights no longer finite after an epoch raise ``DivergenceError``.
     """
-    vocab, tally, tokens, lengths = _vocabulary(sentences, cfg.min_count)
+    vocab, tally, tokens, lengths = _vocabulary(names, sentences, cfg.min_count)
     noise_cdf = np.cumsum(tally ** 0.75 / np.sum(tally ** 0.75))
     rng = np.random.default_rng(cfg.rng_seed)
     w_in = (rng.random((len(vocab), cfg.dim)) - 0.5) / cfg.dim
@@ -383,6 +390,8 @@ def train_embeddings(sentences: list[list[str]], cfg: TrainConfig) -> EmbeddingT
             for batch in zip(in_flat, *(np.split(x, cut) for x in (
                     counts, targets, rates)), negs):
                 _update(w_in, w_out, *batch)
+        if not (np.isfinite(w_in).all() and np.isfinite(w_out).all()):
+            raise DivergenceError(epoch, math.nan)
     logger.info("trained %d vectors (dim %d) over %d pairs",
                 len(vocab), cfg.dim, total_pairs)
     return EmbeddingTable(vocab, w_in)

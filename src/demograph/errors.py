@@ -27,7 +27,7 @@ class EmptyGraphError(ValidationError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or non-finite weights."""
 
     def __init__(self, epoch: int, loss: float):
         super().__init__(f"training diverged at epoch {epoch} (loss={loss!r})")

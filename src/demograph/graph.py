@@ -168,10 +168,6 @@ class DirectedEdges:
     names: list[str]
     arcs: np.ndarray
 
-    @property
-    def node_count(self) -> int:
-        return len(self.names)
-
 
 @contextmanager
 def _open_text(path, newline=None):

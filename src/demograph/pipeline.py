@@ -493,10 +493,10 @@ def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
 
 
 def _emb_block(cfg: PipelineConfig, g: Graph, root: int) -> FeatureMatrix:
-    sentences = embed.build_sentences(load_directed_edges(cfg.edges),
-                                      derive_seed(root, "sentences"),
+    edges = load_directed_edges(cfg.edges)
+    sentences = embed.build_sentences(edges, derive_seed(root, "sentences"),
                                       bidirectional=cfg.emb_bidirectional)
-    table = embed.train_embeddings(sentences, replace(
+    table = embed.train_embeddings(edges.names, sentences, replace(
         cfg.emb, rng_seed=derive_seed(root, "embed")))
     table = embed.fill_missing_embeddings(g, table)
     keep = np.flatnonzero([t in g for t in table.tokens])

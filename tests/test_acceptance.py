@@ -354,15 +354,18 @@ def test_c08_embedding_quality(tmp_path):
     assert worst <= 1e-6
 
     # Two-clique corpus: intra-cosine beats inter-cosine by >= 0.2.
+    # Node 20 * c + i is named c{c}_{i}.
+    names = [f"c{c}_{i}" for c in range(2) for i in range(20)]
     sentences = []
     for c in range(2):
-        members = [f"c{c}_{i}" for i in range(20)]
+        members = list(range(20 * c, 20 * c + 20))
         for i, focus in enumerate(members):
             rest = members[:i] + members[i + 1:]
             rng.shuffle(rest)
-            sentences.append([focus] + rest)
+            sentences.append(np.array([focus] + rest))
     table = embed.train_embeddings(
-        sentences, embed.TrainConfig(dim=8, min_count=1, epochs=5, rng_seed=3))
+        names, sentences,
+        embed.TrainConfig(dim=8, min_count=1, epochs=5, rng_seed=3))
     unit = table.vectors / np.linalg.norm(table.vectors, axis=1, keepdims=True)
     sims = unit @ unit.T
     same = np.array([[a[:2] == b[:2] for b in table.tokens]
@@ -379,8 +382,9 @@ def test_c08_embedding_quality(tmp_path):
     g = load_edge_list(paths["edges"])
     corpus = embed.build_sentences(directed, 1, bidirectional=True)
     table = embed.train_embeddings(
-        corpus, embed.TrainConfig(dim=16, window=5, min_count=1, epochs=8,
-                                  rate=0.05, rng_seed=2))
+        directed.names, corpus,
+        embed.TrainConfig(dim=16, window=5, min_count=1, epochs=8, rate=0.05,
+                          rng_seed=2))
     table = embed.fill_missing_embeddings(g, table)
     truth = read_labels(paths["truth"])
     nodes = [name for name in truth if name in table]

@@ -408,6 +408,19 @@ class TestFeatureCommands:
         assert "nothing to train" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_embed_divergence_exits_2(self, tmp_path, capsys):
+        """Two 20-node cliques at rate 1.0 and window 10: the weights
+        overflow to NaN, so ``embed`` exits 2 and writes no vectors."""
+        corpus, out = tmp_path / "corpus.txt", tmp_path / "e.txt"
+        members = [[f"c{c}_{i}" for i in range(20)] for c in range(2)]
+        corpus.write_text("".join(" ".join(m[i:] + m[:i]) + "\n"
+                                  for m in members for i in range(20)))
+        assert run(["embed", "--corpus", str(corpus), "--dim", "8",
+                    "--min-count", "1", "--epochs", "20", "--rate", "1.0",
+                    "--window", "10", "--out", str(out)]) == 2
+        assert "training diverged" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_train_on_cumf_with_predictions(self, dataset, tmp_path, capsys):
@@ -769,6 +782,8 @@ class TestSettingsBeforeInput:
          "config key 'regimes': 'cumf+cumf' repeats a block"),
         (["pipeline", "--config", "CONFIG", "--set", "regimes=lp,cumf,lp"],
          "config key 'regimes' names regime 'lp' twice"),
+        (["pipeline", "--config", "CONFIG", "--set", "model=lr", "--set",
+          "model=mlp"], "repeated key 'model'"),
     ], ids=["sensitivity-alphas", "sensitivity-reveal", "sensitivity-workers-0",
             "sensitivity-workers-negative", "propagate-alpha",
             "lp-features-splits", "embed-dim", "embed-subsample-negative",
@@ -782,7 +797,7 @@ class TestSettingsBeforeInput:
             "lp-features-min-degree", "coldstart-min-degree",
             "sensitivity-min-degree", "sensitivity-repeated-alphas",
             "sensitivity-repeated-ks", "pipeline-repeated-block",
-            "pipeline-repeated-regime"])
+            "pipeline-repeated-regime", "pipeline-repeated-set-key"])
     def test_bad_setting_named_despite_missing_input(self, tmp_path, capsys,
                                                     argv, message):
         out, missing = tmp_path / "out", tmp_path / "missing.tsv"

@@ -16,12 +16,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from demograph import embed, graph, synth
+from demograph import cli, embed, graph, synth
 from demograph.embed import (EmbeddingTable, TrainConfig, build_sentences,
                              fill_missing_embeddings, pair_gradients,
                              pair_objective, read_corpus, sigmoid,
                              train_embeddings, write_corpus)
-from demograph.errors import ConfigError, ValidationError
+from demograph.errors import ConfigError, DivergenceError, ValidationError
 from demograph.graph import Graph, load_directed_edges
 from demograph.pipeline import PipelineConfig, derive_seed
 
@@ -34,6 +34,20 @@ def directed(tmp_path, lines):
     p = tmp_path / "edges.tsv"
     p.write_text("".join(line + "\n" for line in lines))
     return load_directed_edges(p)
+
+
+def interned(sentences):
+    """Token-list sentences as (names, id arrays), each name at its first
+    use, as ``read_corpus`` interns a corpus file."""
+    index: dict[str, int] = {}
+    ids = [np.array([index.setdefault(t, len(index)) for t in s],
+                    dtype=np.int64) for s in sentences]
+    return list(index), ids
+
+
+def named(names, sentences):
+    """Id sentences as token lists, for the oracles that judge names."""
+    return [[names[i] for i in s] for s in sentences]
 
 
 def spy_csr(monkeypatch):
@@ -70,6 +84,15 @@ VECTORS_SHA256 = {
 _token = st.sampled_from(["a", "a\x00", "b", "B", "é", "e\u0301", "日", "\x00"])
 
 
+@st.composite
+def id_corpora(draw):
+    """Distinct names, some never used, and id sentences over them."""
+    names = draw(st.lists(_token, unique=True, max_size=8))
+    sentence = st.lists(st.integers(0, max(len(names) - 1, 0)),
+                        max_size=6 if names else 0)
+    return names, draw(st.lists(sentence, max_size=12))
+
+
 # Largest difference allowed between a vector of the trainer and the same
 # vector of an oracle that sums the batch's terms in another order.
 TOLERANCE = 1e-12
@@ -94,24 +117,25 @@ def clique_corpus(rng, size=20, cliques=2):
 class TestSentences:
     def test_fixed_seed_permutation(self, tmp_path):
         d = directed(tmp_path, ["X\tA", "X\tB"])
-        sentences = build_sentences(d, rng_seed=11)
+        sentences = named(d.names, build_sentences(d, rng_seed=11))
         assert len(sentences) == 1
         assert sorted(sentences[0]) == ["A", "B", "X"]
-        again = build_sentences(d, rng_seed=11)
+        again = named(d.names, build_sentences(d, rng_seed=11))
         assert sentences == again
 
     def test_no_sentence_for_sinks(self, tmp_path):
         d = directed(tmp_path, ["X\tA"])
-        sentences = build_sentences(d, rng_seed=0)
+        sentences = named(d.names, build_sentences(d, rng_seed=0))
         assert [sorted(s) for s in sentences] == [["A", "X"]]
 
     def test_corpus_round_trip_bytes(self, tmp_path):
         d = directed(tmp_path, ["X\tA", "X\tB", "B\tA", "A\tC"])
         out1, out2 = tmp_path / "c1.txt", tmp_path / "c2.txt"
-        write_corpus(build_sentences(d, rng_seed=5), out1)
-        write_corpus(build_sentences(d, rng_seed=5), out2)
+        write_corpus(d.names, build_sentences(d, rng_seed=5), out1)
+        write_corpus(d.names, build_sentences(d, rng_seed=5), out2)
         assert out1.read_bytes() == out2.read_bytes()
-        assert read_corpus(out1) == build_sentences(d, rng_seed=5)
+        assert named(*read_corpus(out1)) == \
+            named(d.names, build_sentences(d, rng_seed=5))
 
     def test_sentence_lengths_sum(self, tmp_path, rng):
         lines = []
@@ -130,8 +154,9 @@ class TestSentences:
 
     def test_bidirectional_includes_followers(self, tmp_path):
         d = directed(tmp_path, ["A\tB"])
-        plain = build_sentences(d, rng_seed=0)
-        both = build_sentences(d, rng_seed=0, bidirectional=True)
+        plain = named(d.names, build_sentences(d, rng_seed=0))
+        both = named(d.names, build_sentences(d, rng_seed=0,
+                                              bidirectional=True))
         assert len(plain) == 1            # only A has out-edges
         assert len(both) == 2             # B now sees its follower
         assert sorted(sorted(s) for s in both) == [["A", "B"], ["A", "B"]]
@@ -154,8 +179,8 @@ class TestSentences:
         for n, arcs in ((2, 1), (5, 3), (30, 40), (200, 500)):
             d = directed(tmp_path, self.random_lines(rng, n, arcs))
             seed = int(rng.integers(1000))
-            assert build_sentences(d, seed, bidirectional) == \
-                reference_build_sentences(d, seed, bidirectional)
+            assert named(d.names, build_sentences(d, seed, bidirectional)) \
+                == reference_build_sentences(d, seed, bidirectional)
 
     @pytest.mark.parametrize("bidirectional", [False, True])
     def test_matches_reference_when_node_keys_pass_int32(self, tmp_path,
@@ -166,9 +191,9 @@ class TestSentences:
         d = directed(tmp_path, [f"u{2 * i}\tu{2 * i + 1}"
                                 for i in range(n // 2)]
                      + self.random_lines(rng, n, 2_000))
-        assert d.node_count == n + 1 and n * n > 2**31
+        assert len(d.names) == n + 1 and n * n > 2**31
         assert d.arcs.dtype == np.int32
-        assert build_sentences(d, 3, bidirectional) == \
+        assert named(d.names, build_sentences(d, 3, bidirectional)) == \
             reference_build_sentences(d, 3, bidirectional)
 
     @pytest.mark.parametrize("bidirectional", [False, True])
@@ -189,8 +214,9 @@ class TestSentences:
         paths = synth.write_outputs(synth.generate(
             synth.PlantedGraphSpec(**EMB_GRAPH, rng_seed=1)), tmp_path)
         d = load_directed_edges(paths["edges"])
-        write_corpus(build_sentences(d, derive_seed(1, "sentences"),
-                                     bidirectional), tmp_path / "corpus.txt")
+        write_corpus(d.names, build_sentences(d, derive_seed(1, "sentences"),
+                                              bidirectional),
+                     tmp_path / "corpus.txt")
         digest = hashlib.sha256((tmp_path / "corpus.txt").read_bytes())
         assert digest.hexdigest() == CORPUS_SHA256[bidirectional]
 
@@ -202,27 +228,57 @@ class TestSentences:
         paths = synth.write_outputs(synth.generate(
             synth.PlantedGraphSpec(**EMB_GRAPH, rng_seed=1)), tmp_path)
         cfg = PipelineConfig.from_settings(**EMB_SETTINGS, root_seed=1)
-        sentences = build_sentences(load_directed_edges(paths["edges"]),
-                                    derive_seed(1, "sentences"),
+        d = load_directed_edges(paths["edges"])
+        sentences = build_sentences(d, derive_seed(1, "sentences"),
                                     cfg.emb_bidirectional)
-        table = train_embeddings(sentences, dataclasses.replace(
+        table = train_embeddings(d.names, sentences, dataclasses.replace(
             cfg.emb, mode=mode, rng_seed=derive_seed(1, "embed")))
         digest = hashlib.sha256(table.vectors.tobytes()).hexdigest()
         assert digest == VECTORS_SHA256[mode]
+
+    def test_text_path_trains_the_same_vectors(self, tmp_path, monkeypatch):
+        """``sentences``, the corpus file, ``embed`` and ``load`` give the
+        vectors of ``build_sentences`` straight into ``train_embeddings``,
+        bit for bit: ``read_corpus`` numbers the names by first use, not
+        as the node ids, and that must change no vector."""
+        monkeypatch.syspath_prepend(
+            str(Path(__file__).resolve().parents[1] / "perfbench"))
+        from worker import EMB_GRAPH, EMB_SETTINGS
+        paths = synth.write_outputs(synth.generate(
+            synth.PlantedGraphSpec(**EMB_GRAPH, rng_seed=1)), tmp_path)
+        cfg = dataclasses.replace(
+            PipelineConfig.from_settings(**EMB_SETTINGS, root_seed=1).emb,
+            rng_seed=derive_seed(1, "embed"))
+        seed, corpus = derive_seed(1, "sentences"), tmp_path / "corpus.txt"
+        assert cli.main(["sentences", "--edges", str(paths["edges"]),
+                         "--rng-seed", str(seed), "--bidirectional",
+                         "--out", str(corpus)]) == 0
+        assert cli.main(["embed", "--corpus", str(corpus), "--dim",
+                         str(cfg.dim), "--window", str(cfg.window),
+                         "--epochs", str(cfg.epochs), "--rate", str(cfg.rate),
+                         "--min-count", str(cfg.min_count), "--rng-seed",
+                         str(cfg.rng_seed), "--out", str(tmp_path / "e")]) == 0
+        loaded = EmbeddingTable.load(tmp_path / "e")
+        d = load_directed_edges(paths["edges"])
+        table = train_embeddings(d.names, build_sentences(d, seed, True), cfg)
+        first_use = read_corpus(corpus)[0]
+        assert first_use != [name for name in d.names if name in first_use]
+        assert loaded.tokens == table.tokens
+        assert np.array_equal(loaded.vectors, table.vectors)
 
 
 class TestVocabulary:
     def test_min_count_excludes_rare_tokens(self):
         sentences = [["a", "b"]] * 4 + [["b", "c", "b"]]
         cfg = TrainConfig(dim=4, min_count=5, epochs=1, rng_seed=0)
-        table = train_embeddings(sentences, cfg)
+        table = train_embeddings(*interned(sentences), cfg)
         # "b" occurs 6 times, "a" 4, "c" 1; only ["b", "b"] is left to train.
         assert "b" in table
         assert "a" not in table and "c" not in table
 
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValidationError):
-            train_embeddings([["a", "b"]], TrainConfig(min_count=5))
+            train_embeddings(*interned([["a", "b"]]), TrainConfig(min_count=5))
 
     @pytest.mark.parametrize("sentences,cfg", [
         ([["a"]] * 5 + [["b"]] * 5, TrainConfig()),
@@ -231,17 +287,20 @@ class TestVocabulary:
     ], ids=["one-token-sentences", "min-count-leaves-one", "subsample-all"])
     def test_no_training_pair_rejected(self, sentences, cfg):
         with pytest.raises(ValidationError, match="nothing to train"):
-            train_embeddings(sentences, cfg)
+            train_embeddings(*interned(sentences), cfg)
 
-    @given(st.lists(st.lists(_token, max_size=6), max_size=12),
-           st.integers(1, 5))
-    @example([["a", "a\x00", "a"], ["a\x00", "b"], ["b"]], 2)
+    @given(id_corpora(), st.integers(1, 5))
+    @example((["a", "a\x00", "b"], [[0, 1, 0], [1, 2], [2]]), 2)
     # Tokens at exactly min_count; the last sentence keeps one of them.
-    @example([["x", "y"], ["x", "z"], ["y", "z", "w"], ["w", "v"]], 2)
+    @example((["x", "y", "z", "w", "v"], [[0, 1], [0, 2], [1, 2, 3], [3, 4]]),
+             2)
     @settings(max_examples=300, deadline=None)
-    def test_matches_reference(self, sentences, min_count):
-        tokens, counts, ids, lengths = embed._vocabulary(sentences, min_count)
-        want, want_counts, encoded = reference_vocabulary(sentences, min_count)
+    def test_matches_reference(self, corpus, min_count):
+        names, sentences = corpus
+        tokens, counts, ids, lengths = embed._vocabulary(
+            names, [np.array(s, dtype=np.int64) for s in sentences], min_count)
+        want, want_counts, encoded = reference_vocabulary(
+            named(names, sentences), min_count)
         assert tokens == want
         assert counts.tolist() == want_counts
         assert lengths.tolist() == [len(row) for row in encoded]
@@ -250,16 +309,16 @@ class TestVocabulary:
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValidationError):
-            train_embeddings([], TrainConfig(min_count=1))
+            train_embeddings([], [], TrainConfig(min_count=1))
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ConfigError):
-            train_embeddings([["a", "b"]], TrainConfig(mode="glove",
-                                                       min_count=1))
+            train_embeddings(*interned([["a", "b"]]),
+                             TrainConfig(mode="glove", min_count=1))
 
     def test_noise_lookup_matches_clipped_search(self, rng):
         sentences = [[f"t{i}"] * (i * i + 1) for i in range(8)]
-        noise = embed._vocabulary(sentences, min_count=1)[1] ** 0.75
+        noise = embed._vocabulary(*interned(sentences), min_count=1)[1] ** 0.75
         cdf = np.cumsum(noise / noise.sum())  # as train_embeddings builds it
         draws = np.concatenate([
             cdf, cdf, np.nextafter(cdf, 0.0), [0.0, 0.0],
@@ -295,7 +354,7 @@ class TestGradients:
         seed, dim, rate = 123, 4, 0.025
         cfg = TrainConfig(dim=dim, negatives=1, epochs=1, min_count=1,
                           rate=rate, rng_seed=seed)
-        table = train_embeddings([["A", "B"]], cfg)
+        table = train_embeddings(*interned([["A", "B"]]), cfg)
 
         rng = np.random.default_rng(seed)
         w_in = (rng.random((2, dim)) - 0.5) / dim
@@ -332,7 +391,7 @@ class TestGradients:
         for seed in range(6):
             cfg = TrainConfig(dim=dim, negatives=1, epochs=epochs,
                               min_count=1, rate=rate, rng_seed=seed)
-            table = train_embeddings([["A", "B"]], cfg)
+            table = train_embeddings(*interned([["A", "B"]]), cfg)
 
             rng = np.random.default_rng(seed)
             w_in = (rng.random((2, dim)) - 0.5) / dim
@@ -396,8 +455,8 @@ class TestGradients:
     def test_fixed_seed_training_is_bit_identical(self, rng):
         corpus = clique_corpus(rng, size=6)
         cfg = TrainConfig(dim=8, min_count=1, epochs=2, rng_seed=9)
-        a = train_embeddings(corpus, cfg)
-        b = train_embeddings(corpus, cfg)
+        a = train_embeddings(*interned(corpus), cfg)
+        b = train_embeddings(*interned(corpus), cfg)
         assert a.tokens == b.tokens
         assert np.array_equal(a.vectors, b.vectors)
 
@@ -442,11 +501,11 @@ class TestAgainstReference:
                 if not seen:  # the corpus leaves no pair to train
                     with pytest.raises(ValidationError,
                                        match="nothing to train"):
-                        train_embeddings(sentences, cfg)
+                        train_embeddings(*interned(sentences), cfg)
                     checked[block] += 1
                     continue
                 caplog.clear()
-                table = train_embeddings(sentences, cfg)
+                table = train_embeddings(*interned(sentences), cfg)
                 assert table.tokens == tokens
                 assert np.abs(table.vectors - vectors).max() <= TOLERANCE, (
                     batch, block, cfg)
@@ -473,7 +532,7 @@ class TestSeparation:
     def test_two_cliques_separate(self, rng, mode):
         corpus = clique_corpus(rng, size=20)
         cfg = TrainConfig(mode=mode, dim=8, min_count=1, epochs=5, rng_seed=3)
-        table = train_embeddings(corpus, cfg)
+        table = train_embeddings(*interned(corpus), cfg)
         intra, inter = [], []
         names = table.tokens
         for i, a in enumerate(names):
@@ -481,6 +540,15 @@ class TestSeparation:
                 value = cosine(table.get(a), table.get(b))
                 (intra if a[:2] == b[:2] else inter).append(value)
         assert np.mean(intra) > np.mean(inter)
+
+
+def test_non_finite_weights_raise_divergence(rng):
+    """The two-clique corpus at rate 1.0 and window 10 overflows to NaN
+    within a few epochs.  The trainer raises, and no overflow warning comes
+    first (the test suite turns warnings into errors)."""
+    cfg = TrainConfig(dim=8, min_count=1, epochs=20, rate=1.0, window=10)
+    with pytest.raises(DivergenceError, match="training diverged"):
+        train_embeddings(*interned(clique_corpus(rng, size=20)), cfg)
 
 
 def coldstart_reference(g: Graph, table: EmbeddingTable) -> EmbeddingTable:

@@ -17,6 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
 import inspect
+import numpy as np
 from spans import TARGETS, Recorder
 from demograph import embed, graph, lpfeatures, model
 
@@ -33,11 +34,19 @@ for fn, names in [(graph.load_edge_list, {"path", "min_degree", "symmetrize"}),
     params = set(inspect.signature(fn.__wrapped__).parameters)
     assert names <= params, (fn.__wrapped__.__name__, names - params)
 
+# The token count of the corpus: a triangle both ways gives each of the
+# 3 nodes a sentence of itself and its 2 neighbors.
+edges = graph.DirectedEdges(["a", "b", "c"], np.array([[0, 1], [1, 2], [2, 0]]))
+sentences = embed.build_sentences(edges, 0, bidirectional=True)
+assert [s.name for s in recorder.spans] == ["embed.build_sentences"]
+assert recorder.spans[0].counts == {"tokens": 9}
+assert sum(map(len, sentences)) == 9
+
 # The pair count comes from the trainer's log line.
-embed.train_embeddings([["a", "b", "c", "d"]] * 5,
+embed.train_embeddings(edges.names, sentences,
                        embed.TrainConfig(dim=2, min_count=1, epochs=1))
 assert recorder.pairs > 0, "no 'trained ... pairs' log line seen"
-assert len(recorder.spans) == 1
+assert len(recorder.spans) == 2
 print(len(TARGETS))
 """
 
