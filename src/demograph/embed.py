@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ValidationError
-from .graph import (DirectedEdges, Graph, _csr_from_arcs, _float_rows,
-                    _open_text)
+from .graph import (DirectedEdges, Graph, _arc_keys, _csr_from_keys,
+                    _float_rows, _open_text)
 
 __all__ = [
     "EmbeddingTable",
@@ -185,11 +185,9 @@ def build_sentences(edges: DirectedEdges, rng_seed: int,
     """
     if rng_seed < 0:
         raise ConfigError(f"rng_seed must be >= 0, got {rng_seed}")
-    src, dst = edges.arcs[:, 0], edges.arcs[:, 1]
-    if bidirectional:
-        src, dst = np.concatenate([src, dst]), np.concatenate([dst, src])
     # The one CSR of the corpus; it drops repeated arcs.
-    indptr, nbrs = _csr_from_arcs(len(edges.names), src, dst)
+    n = len(edges.names)
+    indptr, nbrs = _csr_from_keys(n, _arc_keys(n, edges.arcs, bidirectional))
     nodes = np.flatnonzero(np.diff(indptr))
     # Each sentence is its node and then its CSR row, shuffled in place.
     flat = np.insert(nbrs, indptr[nodes], nodes)

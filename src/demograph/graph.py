@@ -7,6 +7,11 @@ adjacency is stored in compressed sparse row form: an offset array plus one
 flat neighbor array sorted within each row.  A loaded graph is therefore
 fully determined by the input file.
 
+Every CSR is packed from one int64 buffer of ``src * n + dst`` arc keys,
+sorted in place, and no copy of the pair array is made.  A traced ingest
+peaks in the parse's renumbering, at about 54 bytes per file arc on a
+100k-node graph of 800k arcs, whose int32 CSR keeps 8.5.
+
 ``DirectedEdges`` keeps the raw follow direction as a plain arc list
 that the undirected ``Graph`` discards; sentence generation builds the
 one CSR view it reads from those arcs.
@@ -35,14 +40,27 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
-def _csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray):
-    """Deduplicate directed arcs by sorting their keys (faster than the hash
-    path ``np.unique`` takes in numpy 2.x) and pack them into CSR arrays,
-    both int32 when every node index and arc offset fits, else int64."""
-    keys = src * np.int64(n)
-    keys += dst
+def _arc_keys(n: int, arcs: np.ndarray, mirror: bool = False) -> np.ndarray:
+    """The int64 key ``src * n + dst`` of each row of the ``(m, 2)``
+    ``arcs`` and, with ``mirror``, of each reversed row after them, in one
+    buffer and with no copy of the pairs; a self-loop's keys are -1."""
+    keys = np.empty((1 + mirror, len(arcs)), dtype=np.int64)
+    loop = arcs[:, 0] == arcs[:, 1]
+    for half, (a, b) in zip(keys, [(0, 1), (1, 0)]):
+        np.multiply(arcs[:, a], np.int64(n), out=half)
+        half += arcs[:, b]
+        half[loop] = -1
+    return keys.ravel()
+
+
+def _csr_from_keys(n: int, keys: np.ndarray):
+    """Sort the ``_arc_keys`` in place (faster than the hash path
+    ``np.unique`` takes in numpy 2.x), drop repeats and self-loops, and
+    pack the rest into CSR arrays, both int32 when every node index and
+    arc offset fits, else int64."""
     keys.sort()
-    fresh = np.ones(len(keys), dtype=bool)
+    fresh = np.empty(len(keys), dtype=bool)
+    fresh[:1] = keys[:1] >= 0  # the -1 keys of self-loops sort first
     fresh[1:] = keys[1:] != keys[:-1]
     keys = keys[fresh]
     dtype = np.int32 if max(n, len(keys)) < 2**31 else np.int64
@@ -69,7 +87,6 @@ class Graph:
     indptr: np.ndarray
     indices: np.ndarray
     _index: dict[str, int] = field(init=False, repr=False)
-    _arc_sources: np.ndarray | None = field(default=None, init=False, repr=False)
     _adjacency: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
@@ -89,19 +106,22 @@ class Graph:
         of every pair is added; otherwise the pair set must already be
         symmetric and a ``ValidationError`` is raised if it is not.
         """
-        n = len(names)
         arr = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-        if arr.size and (arr.min() < 0 or arr.max() >= n):
+        if arr.size and (arr.min() < 0 or arr.max() >= len(names)):
             raise ValidationError("edge endpoint out of range")
-        arr = arr[arr[:, 0] != arr[:, 1]]
-        if mirror:
-            arr = np.concatenate([arr, arr[:, ::-1]]) if arr.size else arr
-        indptr, indices = _csr_from_arcs(n, arr[:, 0], arr[:, 1])
-        g = cls(list(names), indptr, indices)
+        return cls._from_keys(names, _arc_keys(len(names), arr, mirror), mirror)
+
+    @classmethod
+    def _from_keys(cls, names: Sequence[str], keys: np.ndarray,
+                   mirror: bool) -> "Graph":
+        """``build`` from the ``_arc_keys`` of its pairs, sorted in place."""
+        n = len(names)
+        g = cls(list(names), *_csr_from_keys(n, keys))
         if not mirror:
-            rev_ptr, rev_idx = _csr_from_arcs(n, arr[:, 1], arr[:, 0])
-            if not (np.array_equal(indptr, rev_ptr)
-                    and np.array_equal(indices, rev_idx)):
+            rev_ptr, rev_idx = _csr_from_keys(
+                n, g.indices * np.int64(n) + g.arc_sources)
+            if not (np.array_equal(g.indptr, rev_ptr)
+                    and np.array_equal(g.indices, rev_idx)):
                 raise ValidationError(
                     "edge list is not symmetric; load with symmetrize=True")
         return g
@@ -121,12 +141,10 @@ class Graph:
 
     @property
     def arc_sources(self) -> np.ndarray:
-        """Source index of every stored arc, aligned with ``indices``."""
-        if self._arc_sources is None:
-            src = np.repeat(np.arange(self.node_count, dtype=np.int64), self.degrees)
-            src.setflags(write=False)
-            self._arc_sources = src
-        return self._arc_sources
+        """Source index of every stored arc, aligned with ``indices`` and of
+        its dtype; built on each call, not kept with the graph."""
+        return np.repeat(np.arange(self.node_count, dtype=self.indices.dtype),
+                         self.degrees)
 
     @property
     def adjacency(self):
@@ -360,8 +378,7 @@ def _filter_min_degree(names: list[str], arcs: np.ndarray, min_degree: int):
     """Keep the arcs between nodes with at least ``min_degree`` distinct
     non-self follow targets; the kept nodes are numbered again in order of
     first appearance in the kept arcs."""
-    loop = arcs[:, 0] == arcs[:, 1]
-    out_ptr, _ = _csr_from_arcs(len(names), arcs[~loop, 0], arcs[~loop, 1])
+    out_ptr, _ = _csr_from_keys(len(names), _arc_keys(len(names), arcs))
     kept = np.diff(out_ptr) >= min_degree
     arcs = arcs[kept[arcs[:, 0]] & kept[arcs[:, 1]]]
     # A kept node's first arc may be one the filter dropped, so the first
@@ -400,7 +417,9 @@ def load_edge_list(path, min_degree: int = 0, symmetrize: bool = True) -> Graph:
         if not len(arcs):
             raise EmptyGraphError(
                 f"min_degree={min_degree} filter removed every edge of {path}")
-    return Graph.build(names, arcs, mirror=symmetrize)
+    keys = _arc_keys(len(names), arcs, symmetrize)
+    del arcs  # not alive while the keys sort
+    return Graph._from_keys(names, keys, symmetrize)
 
 
 def load_directed_edges(path) -> DirectedEdges:
@@ -413,8 +432,9 @@ def load_directed_edges(path) -> DirectedEdges:
 
 def write_edge_list(g: Graph, path) -> None:
     """Write each undirected edge once, ordered by dense index pair."""
-    upper = g.indices > g.arc_sources
-    pairs = np.stack([g.arc_sources[upper], g.indices[upper]], axis=1)
+    src = g.arc_sources
+    upper = g.indices > src
+    pairs = np.stack([src[upper], g.indices[upper]], axis=1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(_pair_rows(pairs, _suffixed(g.names, "\t"),
                                  _suffixed(g.names, "\n")))

@@ -458,10 +458,8 @@ def reference_filter_min_degree(names: list[str], arcs: np.ndarray,
                                 min_degree: int):
     """``graph._filter_min_degree`` as it renumbered by ``np.unique`` with
     ``return_index`` and ``return_inverse``, a sort of all arc ends."""
-    from demograph.graph import _csr_from_arcs
-    loop = arcs[:, 0] == arcs[:, 1]
-    out_ptr, _ = _csr_from_arcs(len(names), arcs[~loop, 0], arcs[~loop, 1])
-    kept = np.diff(out_ptr) >= min_degree
+    follows = np.unique(arcs[arcs[:, 0] != arcs[:, 1]], axis=0)
+    kept = np.bincount(follows[:, 0], minlength=len(names)) >= min_degree
     arcs = arcs[kept[arcs[:, 0]] & kept[arcs[:, 1]]]
     nodes, first, inverse = np.unique(arcs, return_index=True,
                                       return_inverse=True)

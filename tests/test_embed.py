@@ -51,16 +51,16 @@ def named(names, sentences):
 
 
 def spy_csr(monkeypatch):
-    """Record the arrays that every ``graph._csr_from_arcs`` call in the
+    """Record the arrays that every ``graph._csr_from_keys`` call in the
     package returns, whichever module calls it."""
-    real, calls = graph._csr_from_arcs, []
+    real, calls = graph._csr_from_keys, []
 
     def spy(*args):
         calls.append(real(*args))
         return calls[-1]
     for name, module in list(sys.modules.items()):
-        if name.startswith("demograph") and hasattr(module, "_csr_from_arcs"):
-            monkeypatch.setattr(module, "_csr_from_arcs", spy)
+        if name.startswith("demograph") and hasattr(module, "_csr_from_keys"):
+            monkeypatch.setattr(module, "_csr_from_keys", spy)
     return calls
 
 

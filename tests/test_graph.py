@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from demograph.errors import (EdgeListParseError, EmptyGraphError,
                               ValidationError)
-from demograph import graph
+from demograph import graph, synth
 from demograph.embed import build_sentences
 from demograph.graph import (Graph, load_directed_edges, load_edge_list,
                              write_edge_list, write_node_map)
@@ -229,6 +230,66 @@ class TestFilterMinDegree:
             g = load_edge_list(p, min_degree=2)
         assert g.names == ["A", "B", "C"]
         assert "min_degree=2 drops 1 of 4 nodes and 2 of 7 arcs" in caplog.text
+
+
+class TestBuildAgainstReference:
+    """``Graph.build`` against the set of its pairs' non-self arcs."""
+
+    @given(_arc_array, st.booleans(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, case, mirror, symmetric):
+        k, pairs = case
+        if symmetric:
+            pairs = pairs + [(v, u) for u, v in pairs]
+        names = [f"v{i}" for i in range(k)]
+        arcs = {(u, v) for u, v in pairs if u != v}
+        if mirror:
+            arcs |= {(v, u) for u, v in arcs}
+        elif any((v, u) not in arcs for u, v in arcs):
+            with pytest.raises(ValidationError, match="not symmetric"):
+                Graph.build(names, pairs, mirror=False)
+            return
+        g = Graph.build(names, pairs, mirror=mirror)
+        indptr, indices = csr_of([sorted(v for u, v in arcs if u == w)
+                                  for w in range(k)])
+        assert g.names == names
+        assert np.array_equal(g.indptr, indptr)
+        assert np.array_equal(g.indices, indices)
+
+    def test_unmirrored_cycle_raises(self):
+        # Every node has one out-arc either way, so only the targets differ.
+        with pytest.raises(ValidationError, match="not symmetric"):
+            Graph.build(["a", "b", "c"], [(0, 1), (1, 2), (2, 0), (1, 1)],
+                        mirror=False)
+
+
+class TestIngestMemory:
+    """The traced peak of ``load_edge_list`` per arc of its file."""
+
+    # The key-buffer build peaks at about 58 bytes per arc on this graph,
+    # in the parse's renumbering; a build that copies the pair array (a
+    # self-loop filter, the mirrored concatenation, then the keys) peaks
+    # at about 82.
+    BYTES_PER_ARC = 64
+
+    @pytest.fixture(scope="class")
+    def edges(self, tmp_path_factory):
+        data = synth.generate(synth.PlantedGraphSpec(
+            per_class=1000, p=0.3, q=0.05, rng_seed=1))
+        paths = synth.write_outputs(data, tmp_path_factory.mktemp("g"))
+        return paths["edges"], len(data.edges)
+
+    @pytest.mark.parametrize("min_degree", [0, 2])
+    def test_peak_bytes_per_arc(self, edges, min_degree):
+        path, arcs = edges
+        assert arcs >= 200_000
+        tracemalloc.start()
+        try:
+            load_edge_list(path, min_degree=min_degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / arcs <= self.BYTES_PER_ARC
 
 
 class TestNeighbors:
