@@ -221,8 +221,8 @@ def _read_rows(path, width: int, sep: str | None = None):
             yield line_no, tokens
 
 
-# Rows per chunk of the bulk writers: a file is written at most a few MB
-# of text at a time and never held whole.  65536 rows were no faster and
+# Rows per chunk of the bulk writers and of the feature join: a file is
+# written at most a few MB of text at a time and never held whole.  65536 rows were no faster and
 # lifted the sweep set-up's high-water mark from 93 to 105 MB, close to
 # the 116 MB peak of its ingest.
 _CHUNK = 1 << 14
@@ -304,6 +304,19 @@ def _token_words(block: np.ndarray):
     return cols
 
 
+def _line_blocks(data: bytes, start: int = 0):
+    """Yield ``(begin, end)`` of each run of whole lines of ``data`` from
+    ``start`` on: about ``_BLOCK`` bytes each, ending just past a newline
+    (a line longer than ``_BLOCK`` is a run of its own) or at the end."""
+    while start < len(data):
+        end = (len(data) if start + _BLOCK >= len(data)
+               else data.rfind(b"\n", start, start + _BLOCK) + 1)
+        if end <= start:
+            end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+        yield start, end
+        start = end
+
+
 def _array_arcs(path):
     """``_read_arcs`` by array operations, or ``None`` for a file with a
     byte other than tab, space, newline and printable ASCII but ``#``, or
@@ -312,18 +325,13 @@ def _array_arcs(path):
     one integer key through dense ranks."""
     with open(path, "rb") as fh:
         data = fh.read()
-    blocks, start = [], 0
-    while start < len(data):
-        end = (len(data) if start + _BLOCK >= len(data)
-               else data.rfind(b"\n", start, start + _BLOCK) + 1)
-        if end <= start:
-            end = data.find(b"\n", start + _BLOCK) + 1 or len(data)
+    blocks = []
+    for start, end in _line_blocks(data):
         cols = _token_words(np.frombuffer(data, np.uint8, end - start, start))
         if cols is None:
             return None
         if cols:
             blocks.append(cols)
-        start = end
     del data
     if not blocks:
         return None

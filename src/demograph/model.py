@@ -19,7 +19,7 @@ import numpy as np
 
 from .embed import sigmoid
 from .errors import ConfigError, DivergenceError, ValidationError
-from .graph import _float_rows, _open_text
+from .graph import _CHUNK, _float_rows, _line_blocks, _open_text
 
 __all__ = [
     "FeatureMatrix",
@@ -106,31 +106,48 @@ def _array_csv(path):
     """``from_csv`` by ``np.loadtxt``, or ``None`` to leave the file to the
     line reader: a byte outside ``_CSV_PLAIN``, a lone carriage return, a
     byte that is not UTF-8, a row of other than the header's comma count,
-    a value ``loadtxt`` rejects, a repeated node or a non-finite value."""
+    a value ``loadtxt`` rejects, a repeated node or a non-finite value.
+    The rows are decoded, checked and parsed one ``graph._line_blocks``
+    run of whole lines at a time, so that only the nodes and the values
+    outlive each run."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if (raw.translate(None, _CSV_PLAIN)
             or raw.count(b"\r") != raw.count(b"\r\n")):
         return None
+    cut = raw.find(b"\n") + 1 or len(raw)
     try:
-        header, *lines = raw.replace(b"\r", b"").decode("utf-8").split("\n")
+        header = raw[:cut].replace(b"\r", b"").decode("utf-8")
     except UnicodeDecodeError:
         return None
-    header = header.split(",")
-    lines = [line for line in lines if line]
+    header = header.removesuffix("\n").split(",")
     width = len(header)
-    if (header[0] != "node" or width < 2 or not lines
-            or any(line.count(",") != width - 1 for line in lines)):
+    if header[0] != "node" or width < 2:
         return None
-    nodes = [line.partition(",")[0] for line in lines]
-    try:
-        values = np.loadtxt(lines, delimiter=",", usecols=range(1, width),
-                            comments=None, ndmin=2)
-    except ValueError:
+    nodes, values = [], []
+    for start, end in _line_blocks(raw, cut):
+        try:
+            text = raw[start:end].replace(b"\r", b"").decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+        lines = [line for line in text.split("\n") if line]
+        if not lines:
+            continue
+        if any(line.count(",") != width - 1 for line in lines):
+            return None
+        try:
+            block = np.loadtxt(lines, delimiter=",", usecols=range(1, width),
+                               comments=None, ndmin=2)
+        except ValueError:
+            return None
+        if not np.isfinite(block).all():
+            return None
+        nodes += [line.partition(",")[0] for line in lines]
+        values.append(block)
+    del raw
+    if not nodes or len(set(nodes)) != len(nodes):
         return None
-    if len(set(nodes)) != len(nodes) or not np.isfinite(values).all():
-        return None
-    return nodes, header[1:], values
+    return nodes, header[1:], np.concatenate(values)
 
 
 def _read_csv_rows(path):
@@ -195,7 +212,17 @@ def join_features(blocks: dict[str, FeatureMatrix]) -> FeatureMatrix:
             logger.info("join: block %r loses %d of %d rows", b, dropped,
                         len(blocks[b].nodes))
     columns = [f"{b}.{c}" for b in names for c in blocks[b].columns]
-    values = np.hstack([blocks[b].values[r[mask]] for b, r in zip(names, rows)])
+    # Each block's kept rows are copied into its columns of the one joined
+    # table _CHUNK rows at a time, so no gathered copy of a whole block
+    # lives beside the table.
+    values = np.empty((len(keep), len(columns)))
+    col = 0
+    for b, r in zip(names, rows):
+        block, r = blocks[b].values, r[mask]
+        for start in range(0, len(r), _CHUNK):
+            values[start:start + _CHUNK, col:col + block.shape[1]] = \
+                block[r[start:start + _CHUNK]]
+        col += block.shape[1]
     return FeatureMatrix(keep, columns, values)
 
 

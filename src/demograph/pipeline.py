@@ -588,14 +588,16 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
     train_names, test_names = split(list(labels), replace(
         cfg.split_spec, rng_seed=derive_seed(root, "split")))
 
+    # The blocks that read the graph come first, so that the graph is
+    # freed before the feature CSV is read.
     blocks: dict[str, FeatureMatrix] = {}
-    if "cumf" in needed:
-        blocks["cumf"] = FeatureMatrix.from_csv(cfg.cumf)
     if "lp" in needed:
         blocks["lp"] = _lp_block(cfg, g, labels, train_names, n_classes, root)
     if "emb" in needed:
         blocks["emb"] = _emb_block(cfg, g, root)
     del g  # no later stage reads the graph
+    if "cumf" in needed:
+        blocks["cumf"] = FeatureMatrix.from_csv(cfg.cumf)
     for b in blocks:
         logger.info("block %r: %d rows x %d columns, %.1f MB", b,
                     *blocks[b].values.shape, blocks[b].values.nbytes / 2 ** 20)

@@ -604,6 +604,28 @@ class TestPipelineCommand:
         assert run(["pipeline", "--config", str(cfg), "--set", override]) == 1
         assert f"{key} must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value,message", [("nan", "non-finite value"),
+                                               ("abc", "bad number")])
+    def test_bad_feature_row_exits_1_naming_it(self, dataset, tmp_path,
+                                               capsys, value, message):
+        # The CSV is read after the lp block is built; a bad row in it
+        # still exits 1 with the line reader's message.
+        rows = (dataset / "cumf.csv").read_bytes().split(b"\r\n")
+        rows[5] = rows[5].split(b",")[0] + b"," + value.encode() \
+            + b"".join(b"," + x for x in rows[5].split(b",")[2:])
+        cumf = tmp_path / "cumf.csv"
+        cumf.write_bytes(b"\r\n".join(rows))
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            f"edges={dataset / 'edges.tsv'}\n"
+            f"labels={dataset / 'truth.tsv'}\n"
+            f"cumf={cumf}\n"
+            "regimes=cumf+lp\nmodel=lr\n"
+            f"out={tmp_path / 'metrics.jsonl'}\n")
+        assert run(["pipeline", "--config", str(cfg)]) == 1
+        assert capsys.readouterr().err == f"error: {cumf}:6: {message}\n"
+        assert not (tmp_path / "metrics.jsonl").exists()
+
     def test_missing_config_inputs_exit_1(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("edges=/no/such/file\nlabels=/none\nregimes=lp\n")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from demograph import model
+from demograph import graph, model
 from demograph.errors import ConfigError, DivergenceError, ValidationError
 from demograph.model import (FeatureMatrix, ModelParams, SplitSpec, TrainHyper,
                              _init_params, auc_rank, balance_classes, evaluate,
@@ -57,6 +58,36 @@ _raw_csv = st.builds(
     st.booleans())
 
 
+def _multi_block_csv(rows, eol, blanks, odd, at):
+    """The bytes of a feature CSV of ``rows`` with blank lines inserted
+    before the rows numbered in ``blanks`` and the raw row ``odd`` (a
+    repeat of the first node for ``b"repeat"``) ``at`` lines past the
+    middle, and whether the array read must decline it."""
+    lines = [f"{name},{x!r},{y!r}".encode() for name, x, y in rows]
+    for i in sorted(blanks, reverse=True):
+        lines.insert(min(i, len(lines)), b"")
+    if odd == b"repeat":
+        odd = f"{rows[0][0]},1,2".encode()
+    if odd:
+        lines.insert(min(len(lines) // 2 + at, len(lines)), odd)
+    return eol.join([b"node,x,y", *lines, b""]), bool(odd)
+
+
+# Rows of distinct names with 2- and 3-byte UTF-8 characters, and at most
+# one row in the later half that the array read must decline: a repeated
+# node, a bad value or a non-finite one.
+_multi_block_raw = st.builds(
+    _multi_block_csv,
+    st.lists(st.tuples(st.text("ab\u00e9\u00fc\u540d\u20ac", min_size=1,
+                               max_size=5), _finite, _finite),
+             min_size=12, max_size=24, unique_by=lambda row: row[0]),
+    st.sampled_from([b"\n", b"\r\n"]),
+    st.lists(st.integers(0, 24), max_size=4),
+    st.sampled_from([b"", b"repeat", b"z,abc,1", b"z,1,nan", b"z,-inf,1",
+                     b"z,1e400,1", b"z,1"]),
+    st.integers(0, 12))
+
+
 def _csv_outcome(path):
     try:
         fm = FeatureMatrix.from_csv(path)
@@ -92,14 +123,49 @@ class TestFeatureMatrix:
         with pytest.raises(ValidationError, match=message):
             FeatureMatrix.from_csv(path)
 
-    @given(_raw_csv)
+    @given(_raw_csv, st.sampled_from([5, 16, 1 << 20]))
     @settings(max_examples=300, deadline=None)
-    def test_array_read_matches_line_reader(self, tmp_path_factory, data):
+    def test_array_read_matches_line_reader(self, tmp_path_factory, data,
+                                            block):
         path = tmp_path_factory.mktemp("f") / "f.csv"
         path.write_bytes(data)
-        fast = _csv_outcome(path)
+        with mock.patch.object(graph, "_BLOCK", block):
+            fast = _csv_outcome(path)
         with mock.patch.object(model, "_array_csv", return_value=None):
             assert fast == _csv_outcome(path)
+
+    @given(_multi_block_raw, st.sampled_from([8, 16, 24, 32]))
+    @settings(max_examples=200, deadline=None)
+    def test_read_in_many_blocks_matches_line_reader(self, tmp_path_factory,
+                                                     case, block):
+        data, declined = case
+        path = tmp_path_factory.mktemp("f") / "f.csv"
+        path.write_bytes(data)
+        assert len(data) > 3 * block
+        with mock.patch.object(graph, "_BLOCK", block):
+            fast = _csv_outcome(path)
+            assert (model._array_csv(path) is None) == declined
+        with mock.patch.object(model, "_array_csv", return_value=None):
+            assert fast == _csv_outcome(path)
+
+    def test_array_read_peak_per_file_byte(self, tmp_path, rng):
+        # Only the nodes, the values and one block of lines live beside
+        # the file's bytes; a read of the whole text at once peaked at
+        # 3.5 times the file size here.
+        fm = FeatureMatrix([f"node{i}" for i in range(15_000)],
+                           [f"c{i}" for i in range(7)],
+                           rng.normal(size=(15_000, 7)))
+        path = tmp_path / "f.csv"
+        fm.to_csv(path)
+        with mock.patch.object(graph, "_BLOCK", 1 << 16):
+            tracemalloc.start()
+            try:
+                nodes, _, values = model._array_csv(path)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert nodes == fm.nodes and values.tobytes() == fm.values.tobytes()
+        assert peak < 2.5 * path.stat().st_size
 
     @pytest.mark.parametrize("odd", _ODD_CSV_ROWS)
     def test_odd_row_matches_line_reader(self, tmp_path, odd):
@@ -140,6 +206,23 @@ class TestFeatureMatrix:
     def test_join_preserves_first_block_order(self):
         fm = join_features({"l": matrix(["z", "a", "m"]), "r": matrix("amz")})
         assert fm.nodes == ["z", "a", "m"]
+
+    def test_join_peak_is_one_table(self, rng):
+        # The joined table is the one large allocation; gathering each
+        # block whole before stacking peaked at 2.1 tables here.
+        names = [f"n{i}" for i in range(40_000)]
+        blocks = {"a": FeatureMatrix(names, [f"a{i}" for i in range(8)],
+                                     rng.normal(size=(40_000, 8))),
+                  "b": FeatureMatrix(names[::-1], [f"b{i}" for i in range(24)],
+                                     rng.normal(size=(40_000, 24)))}
+        tracemalloc.start()
+        try:
+            joined = join_features(blocks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(joined.values[::-1, 8:], blocks["b"].values)
+        assert peak < 1.7 * joined.values.nbytes
 
     def test_repeated_node_rejected(self):
         with pytest.raises(ValidationError, match="'b'"):

@@ -567,7 +567,7 @@ class TestRunPipeline:
     def run_watched(self, monkeypatch, cfg):
         """Run ``cfg`` holding weak references to the graph, each block,
         each join and each train matrix; return the names still alive at
-        each join, fit and predict."""
+        the feature CSV read and at each join, fit and predict."""
         refs: dict[str, weakref.ref] = {}
         events = []
 
@@ -594,6 +594,9 @@ class TestRunPipeline:
 
         watch("load_edge_list", pipeline_module.load_edge_list,
               after=lambda g, *_: refs.update(graph=weakref.ref(g)))
+        from_csv = FeatureMatrix.from_csv
+        monkeypatch.setattr(FeatureMatrix, "from_csv", staticmethod(
+            lambda path: events.append(("csv", alive())) or from_csv(path)))
         watch("join_features", pipeline_module.join_features,
               before=lambda *_: events.append(("join", alive())), after=joined)
         watch("train_mlp", pipeline_module.train_mlp, before=fit)
@@ -609,7 +612,10 @@ class TestRunPipeline:
                                model="mlp", hidden="8", epochs="2",
                                balance=balance)
         records, events = self.run_watched(monkeypatch, cfg)
-        assert [event for event, _ in events] == ["join", "fit", "predict"] * 3
+        assert [event for event, _ in events] == \
+            ["csv"] + ["join", "fit", "predict"] * 3
+        # The graph is freed before the feature CSV is read.
+        assert "graph" not in events[0][1]
         joins, fits, predicts = ([alive for event, alive in events
                                   if event == name]
                                  for name in ("join", "fit", "predict"))
