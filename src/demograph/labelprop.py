@@ -162,11 +162,19 @@ class LabelState:
     def from_seed_values(cls, node_count: int, indices: Iterable[int],
                          values: Iterable[float] | np.ndarray,
                          num_classes: int = 1) -> "LabelState":
-        """State with the given nodes seeded; everyone else inactive."""
-        idx = np.asarray(list(indices), dtype=np.int64)
+        """State with the given nodes seeded; everyone else inactive.  An
+        index array is taken as it is; an index outside ``[0, node_count)``
+        or a repeated one raises ``ValidationError``."""
+        idx = np.asarray(indices if isinstance(indices, np.ndarray)
+                         else list(indices), dtype=np.int64)
+        if idx.size and (idx.min() < 0 or idx.max() >= node_count):
+            raise ValidationError(
+                f"seed index out of range [0, {node_count})")
         vals = np.zeros((node_count, num_classes))
         seed = np.zeros(node_count, dtype=bool)
         seed[idx] = True
+        if np.count_nonzero(seed) != len(idx):
+            raise ValidationError("seed indices repeat a node")
         vals[idx] = np.asarray(values, dtype=np.float64).reshape(len(idx), -1)
         return cls(vals, seed, seed.copy())
 
@@ -175,7 +183,8 @@ class LabelState:
                           classes: Iterable[int],
                           num_classes: int = NUM_AGE_BUCKETS) -> "LabelState":
         """One-hot state for class-indexed seeds."""
-        cls_idx = np.asarray(list(classes), dtype=np.int64)
+        cls_idx = np.asarray(classes if isinstance(classes, np.ndarray)
+                             else list(classes), dtype=np.int64)
         if ((cls_idx < 0) | (cls_idx >= num_classes)).any():
             raise ValidationError(f"class index out of range [0, {num_classes})")
         return cls.from_seed_values(node_count, indices,
@@ -210,6 +219,12 @@ def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,
     return LabelState(out, seeds.is_seed.copy(), active.copy())
 
 
+class _HandedState(LabelState):
+    """A seed state handed over to the one run it seeds, which computes in
+    its values buffer instead of a copy: its inactive rows are zero, as
+    ``from_seed_values`` builds them, and no one reads it after the run."""
+
+
 def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
          keep: set[int]) -> Iterator[tuple[int, LabelState]]:
     """The superstep loop of every strategy at any channel count.
@@ -224,9 +239,12 @@ def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
     The active-neighbor counts change only when a node activates, so they
     are computed at the first superstep and again only after a superstep
     that activated a node.  Each superstep writes its values into the
-    buffer of two supersteps back unless that state was yielded.
+    buffer of two supersteps back unless that state was yielded.  The
+    values of a ``_HandedState`` are the first buffer, and are overwritten
+    but in the seed rows, which never change.
     """
-    values = np.where(seeds.is_active[:, None], seeds.values, 0.0)
+    values = (seeds.values if isinstance(seeds, _HandedState)
+              else np.where(seeds.is_active[:, None], seeds.values, 0.0))
     active = seeds.is_active.copy()
     is_seed = seeds.is_seed.copy()
     gamma = cfg.strategy == "gamma"
@@ -298,7 +316,7 @@ def _states(g: Graph, seeds: LabelState, cfg: PropagationConfig,
     if not np.isin(seeds.values[seeds.is_seed, 0], (0.0, 1.0)).all():
         raise ValidationError("gamma strategy needs seed values in {0, 1}")
     female = seeds.values[:, 0]
-    two_channel = LabelState(
+    two_channel = _HandedState(
         np.stack([np.where(seeds.is_active, 1.0 - female, 0.0),
                   np.where(seeds.is_active, female, 0.0)], axis=1),
         seeds.is_seed, seeds.is_active)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .graph import Graph
-from .labelprop import LabelState, PropagationConfig, propagate
+from .labelprop import LabelState, PropagationConfig, _HandedState, propagate
 from .model import FeatureMatrix
 
 __all__ = [
@@ -38,17 +38,23 @@ PREFIX = "lp"  # of the emitted column names
 
 @dataclass
 class PartitionPlan:
-    """Assignment of every labeled node to exactly one partition."""
+    """Assignment of every labeled node to exactly one partition: node
+    ``order[j]`` goes to partition ``j % n_partitions``."""
 
     n_partitions: int
-    assignment: dict[int, int]
+    order: np.ndarray
     rng_seed: int
+
+    @property
+    def assignment(self) -> dict[int, int]:
+        """Node -> partition, built on each call."""
+        part = np.arange(len(self.order)) % self.n_partitions
+        return dict(zip(self.order.tolist(), part.tolist()))
 
     def partitions(self) -> list[np.ndarray]:
         """Each partition's nodes in increasing order."""
-        nodes = np.fromiter(self.assignment, np.int64, len(self.assignment))
-        part = np.fromiter(self.assignment.values(), np.int64, len(nodes))
-        return [np.sort(nodes[part == i]) for i in range(self.n_partitions)]
+        return [np.sort(self.order[i::self.n_partitions])
+                for i in range(self.n_partitions)]
 
 
 def make_partitions(labeled, n_partitions: int, rng_seed: int) -> PartitionPlan:
@@ -66,9 +72,7 @@ def make_partitions(labeled, n_partitions: int, rng_seed: int) -> PartitionPlan:
         raise ConfigError(
             f"{n_partitions} partitions for only {len(nodes)} labeled nodes")
     perm = np.random.default_rng(rng_seed).permutation(nodes)
-    assignment = dict(zip(perm.tolist(),
-                          (np.arange(len(perm)) % n_partitions).tolist()))
-    return PartitionPlan(n_partitions, assignment, rng_seed)
+    return PartitionPlan(n_partitions, perm, rng_seed)
 
 
 @dataclass
@@ -111,27 +115,54 @@ class LPFeatureBlock:
                              self.data if presence else self.imputed())
 
 
-def lp_features(g: Graph, labels: LabelState, plan: PartitionPlan,
+def _partition_seeds(n: int, labels: LabelState | tuple):
+    """The seeded nodes of ``labels`` in increasing order, the channel
+    count, and a function that builds the seed state of a sorted part of
+    those nodes, handed to the part's run, so that only one part's
+    ``(n, C)`` state is built at a time.  ``labels`` is as
+    ``lp_features`` takes it."""
+    if isinstance(labels, LabelState):
+        def state(part):
+            return _HandedState.from_seed_values(
+                n, part, labels.values[part], labels.num_classes)
+        return np.flatnonzero(labels.is_seed), labels.num_classes, state
+    indices, classes, n_classes = labels
+    order = np.argsort(indices)
+    seeded, classes = np.asarray(indices)[order], np.asarray(classes)[order]
+
+    def state(part):
+        picked = classes[np.searchsorted(seeded, part)]
+        if n_classes == 1:
+            return _HandedState.from_seed_values(n, part,
+                                                 picked.astype(np.float64))
+        return _HandedState.from_seed_classes(n, part, picked, n_classes)
+    return seeded, n_classes, state
+
+
+def lp_features(g: Graph, labels: LabelState | tuple, plan: PartitionPlan,
                 cfg: PropagationConfig) -> LPFeatureBlock:
     """Run one propagation per partition and assemble feature rows.
 
-    ``plan`` must cover exactly the seed set of ``labels``.  For node u
-    labeled in partition i, entry i is replaced by the mean of the other
-    runs' unmasked values at u; if every other run missed u the entry
-    stays masked (that is data sparsity, not an error).
+    ``labels`` is the seed ``LabelState``, or the seeds as a triple
+    ``(indices, classes, num_classes)`` of node indices, their class
+    indices and the channel count: one-hot channels, or with one channel
+    the class itself as the value (the binary positive-class share).
+    ``plan`` must cover exactly the seeded nodes.  For node u labeled in
+    partition i, entry i is replaced by the mean of the other runs'
+    unmasked values at u; if every other run missed u the entry stays
+    masked (that is data sparsity, not an error).
     """
-    n_parts, n_classes = plan.n_partitions, labels.num_classes
+    n, n_parts = g.node_count, plan.n_partitions
     parts = plan.partitions()
-    if not np.array_equal(np.sort(np.concatenate(parts)),
-                          np.flatnonzero(labels.is_seed)):
+    seeded, n_classes, seed_state = _partition_seeds(n, labels)
+    if not np.array_equal(np.sort(np.concatenate(parts)), seeded):
         raise ValidationError("partition plan must cover exactly the seed set")
-    n, width = g.node_count, n_parts * n_classes
+    width = n_parts * n_classes
     data = np.zeros((n, width + n_parts))
     present = np.empty((n, n_parts), dtype=bool)
     cols = [slice(i * n_classes, (i + 1) * n_classes) for i in range(n_parts)]
     for i, part in enumerate(parts):
-        run = propagate(g, LabelState.from_seed_values(
-            n, part, labels.values[part], num_classes=n_classes), cfg)
+        run = propagate(g, seed_state(part), cfg)
         present[:, i] = run.is_active
         np.copyto(data[:, cols[i]], run.values, where=run.is_active[:, None])
         # Free this run before the next one builds its states.

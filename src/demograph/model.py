@@ -19,7 +19,7 @@ import numpy as np
 
 from .embed import sigmoid
 from .errors import ConfigError, DivergenceError, ValidationError
-from .graph import _CHUNK, _float_rows, _line_blocks, _open_text
+from .graph import _CHUNK, _float_rows, _line_runs, _open_text
 
 __all__ = [
     "FeatureMatrix",
@@ -50,12 +50,16 @@ PROB_CLAMP = 1e-12
 
 @dataclass
 class FeatureMatrix:
-    """Row-aligned feature rows keyed by node name."""
+    """Row-aligned feature rows keyed by node name.
+
+    No name -> row dict is kept: ``row_indices`` maps names through one
+    that lives for the call, and ``in`` builds one on first use.
+    """
 
     nodes: list[str]
     columns: list[str]
     values: np.ndarray
-    _row: dict[str, int] = field(init=False, repr=False)
+    _row: dict[str, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -63,12 +67,14 @@ class FeatureMatrix:
             raise ValidationError(
                 f"feature matrix shape {self.values.shape} does not match "
                 f"{len(self.nodes)} nodes x {len(self.columns)} columns")
-        self._row = {name: i for i, name in enumerate(self.nodes)}
-        if len(self._row) != len(self.nodes):
-            dup = next(n for i, n in enumerate(self.nodes) if self._row[n] != i)
+        if len(set(self.nodes)) != len(self.nodes):
+            last = {name: i for i, name in enumerate(self.nodes)}
+            dup = next(n for i, n in enumerate(self.nodes) if last[n] != i)
             raise ValidationError(f"feature matrix repeats node {dup!r}")
 
     def __contains__(self, node: str) -> bool:
+        if self._row is None:
+            self._row = {name: i for i, name in enumerate(self.nodes)}
         return node in self._row
 
     def to_csv(self, path) -> None:
@@ -107,44 +113,42 @@ def _array_csv(path):
     line reader: a byte outside ``_CSV_PLAIN``, a lone carriage return, a
     byte that is not UTF-8, a row of other than the header's comma count,
     a value ``loadtxt`` rejects, a repeated node or a non-finite value.
-    The rows are decoded, checked and parsed one ``graph._line_blocks``
-    run of whole lines at a time, so that only the nodes and the values
-    outlive each run."""
+    The file is read, checked and parsed one ``graph._line_runs`` run of
+    whole lines at a time, so that only the nodes and the values outlive
+    each run.  A run ends just past a newline, so it splits no UTF-8
+    character and no CRLF, and the byte checks of each run add up to
+    those of the whole file."""
+    header, nodes, values = None, [], []
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if (raw.translate(None, _CSV_PLAIN)
-            or raw.count(b"\r") != raw.count(b"\r\n")):
-        return None
-    cut = raw.find(b"\n") + 1 or len(raw)
-    try:
-        header = raw[:cut].replace(b"\r", b"").decode("utf-8")
-    except UnicodeDecodeError:
-        return None
-    header = header.removesuffix("\n").split(",")
-    width = len(header)
-    if header[0] != "node" or width < 2:
-        return None
-    nodes, values = [], []
-    for start, end in _line_blocks(raw, cut):
-        try:
-            text = raw[start:end].replace(b"\r", b"").decode("utf-8")
-        except UnicodeDecodeError:
-            return None
-        lines = [line for line in text.split("\n") if line]
-        if not lines:
-            continue
-        if any(line.count(",") != width - 1 for line in lines):
-            return None
-        try:
-            block = np.loadtxt(lines, delimiter=",", usecols=range(1, width),
-                               comments=None, ndmin=2)
-        except ValueError:
-            return None
-        if not np.isfinite(block).all():
-            return None
-        nodes += [line.partition(",")[0] for line in lines]
-        values.append(block)
-    del raw
+        for run in _line_runs(fh):
+            if (run.translate(None, _CSV_PLAIN)
+                    or run.count(b"\r") != run.count(b"\r\n")):
+                return None
+            try:
+                lines = run.replace(b"\r", b"").decode("utf-8").split("\n")
+            except UnicodeDecodeError:
+                return None
+            del run
+            if header is None:
+                header = lines.pop(0).split(",")
+                width = len(header)
+                if header[0] != "node" or width < 2:
+                    return None
+            lines = [line for line in lines if line]
+            if not lines:
+                continue
+            if any(line.count(",") != width - 1 for line in lines):
+                return None
+            try:
+                block = np.loadtxt(lines, delimiter=",",
+                                   usecols=range(1, width), comments=None,
+                                   ndmin=2)
+            except ValueError:
+                return None
+            if not np.isfinite(block).all():
+                return None
+            nodes += [line.partition(",")[0] for line in lines]
+            values.append(block)
     if not nodes or len(set(nodes)) != len(nodes):
         return None
     return nodes, header[1:], np.concatenate(values)
@@ -182,8 +186,11 @@ def _read_csv_rows(path):
     return nodes, columns, values
 
 
-def row_indices(row_of: dict[str, int], names: list[str]) -> np.ndarray:
-    """The row in ``row_of`` of each of ``names``, -1 where it has none."""
+def row_indices(nodes: list[str], names: list[str]) -> np.ndarray:
+    """The position in ``nodes`` (names without repeats) of each of
+    ``names``, -1 where it has none.  The name -> position dict lives only
+    for this call."""
+    row_of = {name: i for i, name in enumerate(nodes)}
     return np.fromiter((row_of.get(n, -1) for n in names), dtype=np.int64,
                        count=len(names))
 
@@ -200,7 +207,7 @@ def join_features(blocks: dict[str, FeatureMatrix]) -> FeatureMatrix:
     first = blocks[names[0]]
     # Each block's row of each of the first block's nodes, -1 where absent.
     rows = [np.arange(len(first.nodes))] + [
-        row_indices(blocks[b]._row, first.nodes) for b in names[1:]]
+        row_indices(blocks[b].nodes, first.nodes) for b in names[1:]]
     mask = np.min(rows, axis=0) >= 0
     keep = list(compress(first.nodes, mask))
     if not keep:
@@ -423,16 +430,19 @@ def loss_and_gradients(params: ModelParams, x: np.ndarray, y: np.ndarray,
     return loss, grads_w, grads_b
 
 
-def _sgd(params: ModelParams, x: np.ndarray, y: np.ndarray,
+def _sgd(params: ModelParams, x: np.ndarray, rows: np.ndarray, y: np.ndarray,
          hyper: TrainHyper, rng: np.random.Generator) -> ModelParams:
-    n = len(x)
+    """Minibatch SGD on the rows ``rows`` of ``x``, labelled ``y``: each
+    batch gathers its rows as ``x[rows[batch]]``, which equals ``x[rows]
+    [batch]`` bit for bit, so the training rows are never copied whole."""
+    n = len(rows)
     for epoch in range(1, hyper.epochs + 1):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, hyper.minibatch):
             batch = order[start:start + hyper.minibatch]
             loss, grads_w, grads_b = loss_and_gradients(
-                params, x[batch], y[batch], hyper.l2)
+                params, x[rows[batch]], y[batch], hyper.l2)
             if not np.isfinite(loss):
                 raise DivergenceError(epoch, loss)
             total += loss * len(batch)
@@ -447,14 +457,17 @@ def _sgd(params: ModelParams, x: np.ndarray, y: np.ndarray,
     return params
 
 
-def _check_training_inputs(x: np.ndarray, y: np.ndarray,
+def _check_training_inputs(x: np.ndarray, rows: np.ndarray, y: np.ndarray,
                            n_classes: int) -> None:
     if x.ndim != 2 or not x.shape[1]:
         raise ValidationError(
             f"training matrix has no feature columns (shape {x.shape})")
-    if len(x) != len(y):
-        raise ValidationError(f"{len(x)} feature rows vs {len(y)} labels")
-    if len(x) < 2:
+    if rows.ndim != 1 or (rows.size
+                          and (rows.min() < 0 or rows.max() >= len(x))):
+        raise ValidationError(f"training rows must lie in [0, {len(x)})")
+    if len(rows) != len(y):
+        raise ValidationError(f"{len(rows)} feature rows vs {len(y)} labels")
+    if len(rows) < 2:
         raise ValidationError("need at least 2 training rows")
     present = np.unique(y)
     if len(present) < 2:
@@ -475,38 +488,46 @@ def balance_classes(y: np.ndarray, rng: np.random.Generator) -> np.ndarray:
 
 
 def _train(features, labels, hidden: list[int], n_classes: int, output: str,
-           hyper: TrainHyper | None) -> ModelParams:
+           hyper: TrainHyper | None, rows) -> ModelParams:
     """The one trainer body: checks, init, then minibatch SGD."""
     hyper = hyper or TrainHyper()
     x = np.asarray(features, dtype=np.float64)
     y = np.asarray(labels, dtype=np.int64)
-    _check_training_inputs(x, y, n_classes)
+    if rows is None:  # every row; a 0-d x fails the checks below
+        rows = np.arange(x.shape[0] if x.ndim else 0)
+    rows = np.asarray(rows, dtype=np.int64)
+    _check_training_inputs(x, rows, y, n_classes)
     rng = np.random.default_rng(hyper.rng_seed)
     out_units = 1 if output == "sigmoid" else n_classes
     params = _init_params([x.shape[1], *hidden, out_units], output, rng)
-    return _sgd(params, x, y, hyper, rng)
+    return _sgd(params, x, rows, y, hyper, rng)
 
 
-def train_logistic(features, labels, hyper: TrainHyper | None = None) -> ModelParams:
+# Each trainer fits ``labels`` to the rows ``rows`` of ``features`` (every
+# row by default); training on rows of a larger table gives the same
+# weights as training on a copy of those rows, without the copy.
+
+def train_logistic(features, labels, hyper: TrainHyper | None = None,
+                   rows=None) -> ModelParams:
     """Binary logistic regression by minibatch SGD on cross-entropy."""
-    return _train(features, labels, [], 2, "sigmoid", hyper)
+    return _train(features, labels, [], 2, "sigmoid", hyper, rows)
 
 
 def train_softmax(features, labels, n_classes: int,
-                  hyper: TrainHyper | None = None) -> ModelParams:
+                  hyper: TrainHyper | None = None, rows=None) -> ModelParams:
     """Multiclass generalization of the logistic baseline."""
-    return _train(features, labels, [], n_classes, "softmax", hyper)
+    return _train(features, labels, [], n_classes, "softmax", hyper, rows)
 
 
 def train_mlp(features, labels, hidden: list[int], n_classes: int = 2,
-              hyper: TrainHyper | None = None) -> ModelParams:
+              hyper: TrainHyper | None = None, rows=None) -> ModelParams:
     """ReLU feed-forward net with a softmax head.
 
     Default architecture is three hidden layers of 256 units; pass
     ``hidden`` explicitly for anything else.
     """
     check_hidden(hidden)
-    return _train(features, labels, hidden, n_classes, "softmax", hyper)
+    return _train(features, labels, hidden, n_classes, "softmax", hyper, rows)
 
 
 def check_hidden(hidden: list[int] | tuple[int, ...]) -> None:

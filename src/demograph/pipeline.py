@@ -474,20 +474,15 @@ def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int
 def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
               train_names: list[str], n_classes: int,
               root: int) -> FeatureMatrix:
-    idx, classes = _rows_and_labels(g._index, labels, train_names)
+    idx, classes = _rows_and_labels(g.names, labels, train_names)
     if not len(idx):
         raise ConfigError("no training labels fall inside the graph")
     logger.info("lp: %d of %d training labels fall outside the graph",
                 len(train_names) - len(idx), len(train_names))
-    # Binary labels propagate as one channel, the positive-class share.
-    if n_classes == 2:
-        seeds = LabelState.from_seed_values(g.node_count, idx,
-                                            classes.astype(np.float64))
-    else:
-        seeds = LabelState.from_seed_classes(g.node_count, idx, classes,
-                                             num_classes=n_classes)
     plan = lpfeatures.make_partitions(idx, cfg.lp_splits,
                                       derive_seed(root, "lp-partitions"))
+    # Binary labels propagate as one channel, the positive-class share.
+    seeds = (idx, classes, 1 if n_classes == 2 else n_classes)
     block = lpfeatures.lp_features(g, seeds, plan, cfg.lp)
     return block.table(g.names)
 
@@ -499,7 +494,7 @@ def _emb_block(cfg: PipelineConfig, g: Graph, root: int) -> FeatureMatrix:
     table = embed.train_embeddings(edges.names, sentences, replace(
         cfg.emb, rng_seed=derive_seed(root, "embed")))
     table = embed.fill_missing_embeddings(g, table)
-    keep = np.flatnonzero([t in g for t in table.tokens])
+    keep = np.flatnonzero(row_indices(g.names, table.tokens) >= 0)
     columns = [f"emb_{i}" for i in range(table.dim)]
     return FeatureMatrix([table.tokens[i] for i in keep], columns,
                          table.vectors[keep])
@@ -517,37 +512,47 @@ def fit_and_score(features: FeatureMatrix, labels: dict[str, int],
     otherwise) or ``"mlp"`` with ``hidden`` layer widths.  With
     ``balance`` the rows are first class-balanced by an RNG seeded from
     ``derive_seed(hyper.rng_seed, "balance")``.  The record holds
-    ``n_train``, ``n_test`` and the ``evaluate`` metrics.
+    ``n_train``, ``n_test`` and the ``evaluate`` metrics.  The model trains
+    on the rows of ``features`` in place, and only the test rows are kept
+    for ``predict``, so a table that the caller passes and does not keep
+    is freed before ``predict`` runs.
     """
-    train_rows, y = _rows_and_labels(features._row, labels, train_names)
-    test_rows, y_test = _rows_and_labels(features._row, labels, test_names)
+    train_rows, y = _rows_and_labels(features.nodes, labels, train_names)
+    test_rows, y_test = _rows_and_labels(features.nodes, labels, test_names)
     if not len(train_rows) or not len(test_rows):
         raise ConfigError("empty train or test side after joining features")
-    x = features.values[train_rows]
+    rows = train_rows
     if balance:
         keep = balance_classes(y, np.random.default_rng(
             derive_seed(hyper.rng_seed, "balance")))
-        x, y = x[keep], y[keep]
+        rows, y = rows[keep], y[keep]
+    # The trainers read the table by row, so no train matrix is copied.
+    x = features.values
     if model == "mlp":
-        params = train_mlp(x, y, hidden, n_classes=n_classes, hyper=hyper)
+        params = train_mlp(x, y, hidden, n_classes=n_classes, hyper=hyper,
+                           rows=rows)
     elif model == "lr" and n_classes == 2:
-        params = train_logistic(x, y, hyper)
+        params = train_logistic(x, y, hyper, rows=rows)
     elif model == "lr":
-        params = train_softmax(x, y, n_classes, hyper)
+        params = train_softmax(x, y, n_classes, hyper, rows=rows)
     else:
         raise ConfigError(f"unknown model {model!r}")
-    del x  # free the train matrix before predict allocates its activations
-    probs = predict(params, features.values[test_rows])
+    # Keep only the test rows, so that the table is freed before predict
+    # allocates its activations when the caller holds no other reference.
+    test_nodes = [features.nodes[i] for i in test_rows.tolist()]
+    x = x[test_rows]
+    del features
+    probs = predict(params, x)
     metrics = evaluate(probs, y_test)
-    return ([features.nodes[i] for i in test_rows.tolist()], probs,
+    return (test_nodes, probs,
             {"n_train": len(train_rows), "n_test": len(test_rows), **metrics})
 
 
-def _rows_and_labels(row_of: dict[str, int], labels: dict[str, int],
+def _rows_and_labels(nodes: list[str], labels: dict[str, int],
                      names: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The rows in ``row_of`` and the labels of those ``names`` that have
-    a row, in name order."""
-    rows = row_indices(row_of, names)
+    """The positions in ``nodes`` and the labels of those ``names`` that
+    are in ``nodes``, in name order."""
+    rows = row_indices(nodes, names)
     inside = rows >= 0
     y = np.fromiter((labels[n] for n in compress(names, inside)),
                     dtype=np.int64, count=int(inside.sum()))
@@ -604,19 +609,21 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
 
     records = []
     for i, (regime, names) in enumerate(cfg.regimes):
-        features = join_features({b: blocks[b] for b in names})
-        # Free each block that no later regime reads before this one trains.
-        for b in set(names).difference(*(later for _, later in cfg.regimes[i + 1:])):
-            del blocks[b]
+        later = {b for _, read in cfg.regimes[i + 1:] for b in read}
         try:
+            # A block that no later regime reads leaves ``blocks`` for its
+            # last join, and no name is bound to the joined table, so each
+            # is freed once its last reader is done with it: the block
+            # before the fit, the table before predict.
             _, _, scores = fit_and_score(
-                features, labels, train_names, test_names, n_classes,
+                join_features({b: blocks[b] if b in later else blocks.pop(b)
+                               for b in names}),
+                labels, train_names, test_names, n_classes,
                 cfg.model, cfg.hidden, replace(
                     cfg.hyper, rng_seed=derive_seed(root, f"train:{regime}")),
                 cfg.balance)
         except ConfigError as exc:
             raise ConfigError(f"regime {regime!r}: {exc}") from None
-        del features  # free this join before the next regime joins
         records.append({"regime": regime, **scores})
 
     if cfg.out:

@@ -11,7 +11,8 @@ import pytest
 from demograph.errors import ConfigError, EdgeListParseError, ValidationError
 from demograph.graph import Graph
 from demograph.labelprop import (LabelState, PropagationConfig,
-                                 _neighbor_means, _states, age_bucket,
+                                 _HandedState, _neighbor_means, _states,
+                                 age_bucket,
                                  class_label,
                                  propagate, propagate_beta, propagate_gamma,
                                  propagate_multiclass, propagate_trace,
@@ -288,6 +289,34 @@ class TestMulticlass:
             propagate_multiclass(g, {0: 7}, PropagationConfig(iterations=1))
 
 
+class TestSeedState:
+    class NoIteration(np.ndarray):
+        def __iter__(self):
+            raise AssertionError("index array iterated in Python")
+
+    def test_index_array_taken_as_it_is(self):
+        idx = np.array([3, 0, 2]).view(self.NoIteration)
+        state = LabelState.from_seed_values(5, idx, [0.5, 1.0, 0.0])
+        assert state.is_seed.tolist() == [True, False, True, True, False]
+        assert state.values[:, 0].tolist() == [1.0, 0.0, 0.0, 0.5, 0.0]
+        onehot = LabelState.from_seed_classes(
+            5, idx, np.array([1, 0, 2]).view(self.NoIteration), 3)
+        assert onehot.values[3].tolist() == [0.0, 1.0, 0.0]
+
+    @pytest.mark.parametrize("indices", [[-1], [0, -5], [4], [1, 9]])
+    def test_index_out_of_range_rejected(self, indices):
+        with pytest.raises(ValidationError, match=r"out of range \[0, 4\)"):
+            LabelState.from_seed_values(4, indices, [1.0] * len(indices))
+
+    @pytest.mark.parametrize("indices", [[1, 1], [0, 2, 0]])
+    def test_repeated_index_rejected(self, indices):
+        with pytest.raises(ValidationError, match="repeat"):
+            LabelState.from_seed_values(4, np.array(indices),
+                                        np.arange(len(indices)) / 4)
+        with pytest.raises(ValidationError, match="repeat"):
+            LabelState.from_seed_classes(4, indices, [0] * len(indices), 2)
+
+
 class TestInvariants:
     def test_seed_immutability_every_strategy(self, rng):
         g, _ = random_graph(rng, 30, 0.2)
@@ -524,6 +553,32 @@ class TestSuperstepBuffers:
             solo = propagate(g, seeds, replace(cfg, iterations=k))
             assert solo.values.tobytes() == values.tobytes()
             assert np.array_equal(solo.is_active, active)
+
+    @pytest.mark.parametrize("strategy", ["alpha", "beta", "gamma"])
+    @pytest.mark.parametrize("channels", [1, 2, 7])
+    def test_handed_seeds_give_the_same_run(self, rng, strategy, channels):
+        # A run handed its seed state computes in the state's buffer and
+        # gives the bits of one that copies it first; the scalar gamma run
+        # hands its own two-channel state to the loop.
+        g, _ = random_graph(rng, 60, 0.05)
+        idx = rng.choice(60, size=6, replace=False)
+        if channels == 1:
+            seeds = LabelState.from_seed_values(
+                60, idx, rng.integers(0, 2, size=6).astype(float))
+        else:
+            seeds = LabelState.from_seed_classes(
+                60, idx, rng.integers(0, channels, size=6), channels)
+        cfg = PropagationConfig(strategy=strategy, alpha=0.4, beta=0.7,
+                                gamma=0.8, iterations=6)
+        want = propagate(g, seeds, cfg)
+        handed = _HandedState(seeds.values.copy(), seeds.is_seed,
+                              seeds.is_active)
+        got = propagate(g, handed, cfg)
+        assert got.values.tobytes() == want.values.tobytes()
+        assert np.array_equal(got.is_active, want.is_active)
+        if strategy != "gamma" or channels > 1:
+            # The handed buffer served as a superstep buffer.
+            assert not np.array_equal(handed.values, seeds.values)
 
     class CountingOperator:
         """Delegates ``@`` to the graph's adjacency and counts the calls."""

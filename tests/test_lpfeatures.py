@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -56,10 +57,12 @@ class TestMakePartitions:
         for i, part in enumerate(plan.partitions()):
             want = sorted(v for v, p in plan.assignment.items() if p == i)
             assert part.dtype == np.int64 and part.tolist() == want
-        # A plan copied with a new assignment follows the new assignment.
-        moved = replace(plan, assignment={v: 0 for v in plan.assignment})
-        assert moved.partitions()[0].tolist() == sorted(plan.assignment)
-        assert all(len(part) == 0 for part in moved.partitions()[1:])
+        # A plan copied with a new order follows the new order.
+        moved = replace(plan, order=np.roll(plan.order, 1))
+        for i, part in enumerate(moved.partitions()):
+            want = sorted(v for v, p in moved.assignment.items() if p == i)
+            assert part.tolist() == want
+        assert moved.assignment != plan.assignment
 
     def test_too_many_partitions_rejected(self):
         with pytest.raises(ConfigError):
@@ -156,9 +159,14 @@ class TestLPFeatures:
         cfg = PropagationConfig(alpha=0.3, iterations=2)
         block = lp_features(g, seeds, plan, cfg)
         perm = [2, 0, 1]
-        from demograph.lpfeatures import PartitionPlan
-        permuted_plan = PartitionPlan(
-            3, {u: perm[i] for u, i in plan.assignment.items()}, plan.rng_seed)
+        # Six seeds in three partitions of two: partition i's nodes move
+        # to the order slots of partition perm[i].
+        order = np.empty_like(plan.order)
+        for i in range(3):
+            order[perm[i]::3] = plan.order[i::3]
+        permuted_plan = replace(plan, order=order)
+        assert permuted_plan.assignment == {
+            u: perm[i] for u, i in plan.assignment.items()}
         permuted = lp_features(g, seeds, permuted_plan, cfg)
         values, permuted_values = masked_values(block), masked_values(permuted)
         for old, new in enumerate(perm):
@@ -212,6 +220,64 @@ class TestLPFeatures:
             if others:
                 got = values[u, i * 7:(i + 1) * 7]
                 assert np.allclose(got, np.mean(others, axis=0), atol=1e-15)
+
+
+class TestSeedArrays:
+    """``lp_features`` given the seeds as index and class arrays."""
+
+    @pytest.mark.parametrize("strategy", ["alpha", "gamma"])
+    @pytest.mark.parametrize("channels", [1, 7])
+    def test_equals_the_seed_state(self, rng, strategy, channels):
+        g, _ = random_graph(rng, 40, 0.15)
+        idx = rng.choice(40, size=12, replace=False)
+        classes = rng.integers(0, max(channels, 2), size=12)
+        state = (LabelState.from_seed_values(40, idx, classes.astype(float))
+                 if channels == 1 else
+                 LabelState.from_seed_classes(40, idx, classes, channels))
+        plan = make_partitions(idx, 3, rng_seed=6)
+        cfg = PropagationConfig(strategy=strategy, alpha=0.3, gamma=0.8,
+                                iterations=3)
+        want = lp_features(g, state, plan, cfg)
+        got = lp_features(g, (idx, classes, channels), plan, cfg)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.array_equal(got.present, want.present)
+        assert got.n_classes == channels
+
+    def test_seeds_outside_the_plan_rejected(self, rng):
+        g, _ = random_graph(rng, 20, 0.3)
+        plan = make_partitions([1, 4, 7, 9], 2, rng_seed=0)
+        for idx in ([1, 4, 7], [1, 4, 7, 9, 9], [1, 4, 7, 12]):
+            with pytest.raises(ValidationError, match="cover exactly"):
+                lp_features(g, (np.array(idx), np.zeros(len(idx), int), 2),
+                            plan, PropagationConfig(iterations=1))
+
+
+class TestLPMemory:
+    # Traced peak of lp_features per node and channel: the (n, N*C + N)
+    # table (27.4 here) and the run's buffers.  A run that copies its
+    # seed state, and a full seed state beside the runs, read 77.1.
+    BYTES_PER_NODE_CHANNEL = 73
+
+    @pytest.mark.parametrize("form", ["state", "arrays"])
+    def test_peak_per_node_channel(self, form):
+        rng = np.random.default_rng(0)
+        n = 20_000
+        g = Graph.build([f"v{i}" for i in range(n)],
+                        rng.integers(0, n, size=(120_000, 2)))
+        g.adjacency  # built once per graph, outside the trace
+        idx = np.sort(rng.choice(n, size=n // 2, replace=False))
+        classes = rng.integers(0, 7, size=len(idx))
+        labels = (LabelState.from_seed_classes(n, idx, classes, 7)
+                  if form == "state" else (idx, classes, 7))
+        plan = make_partitions(idx, 3, rng_seed=1)
+        tracemalloc.start()
+        try:
+            block = lp_features(g, labels, plan, PropagationConfig(iterations=3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert block.data.shape == (n, 24)
+        assert peak / (n * 7) <= self.BYTES_PER_NODE_CHANNEL
 
 
 class TestLeaveOutAgainstLoop:

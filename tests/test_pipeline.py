@@ -13,12 +13,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demograph import lpfeatures as lpfeatures_module
 from demograph import pipeline as pipeline_module
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph, load_edge_list
 from demograph.labelprop import (LabelState, PropagationConfig, propagate,
                                   propagate_trace)
-from demograph.model import FeatureMatrix, auc_rank
+from demograph.model import (FeatureMatrix, TrainHyper, auc_rank,
+                             balance_classes, predict, train_logistic,
+                             train_mlp, train_softmax)
 from demograph.pipeline import (ExperimentGrid, PipelineConfig, derive_seed,
                                 format_metrics_table, format_pivot,
                                 read_labels, run_pipeline, run_sensitivity,
@@ -567,12 +570,27 @@ class TestRunPipeline:
     def run_watched(self, monkeypatch, cfg):
         """Run ``cfg`` holding weak references to the graph, each block,
         each join and each train matrix; return the names still alive at
-        the feature CSV read and at each join, fit and predict."""
+        the feature CSV read and at each join, fit and predict, and the
+        kinds of the graphs and feature matrices made in the run that hold
+        a built name dict when ``lp_features``, the CSV read and each
+        predict start."""
         refs: dict[str, weakref.ref] = {}
-        events = []
+        events, made, held = [], [], []
 
         def alive():
             return {name for name, ref in refs.items() if ref() is not None}
+
+        for cls in (FeatureMatrix, Graph):
+            def recorded(self, init=cls.__post_init__):
+                init(self)
+                made.append(weakref.ref(self))
+            monkeypatch.setattr(cls, "__post_init__", recorded)
+
+        def note_dicts(event):
+            objects = [ref() for ref in made]
+            held.append((event, {type(o).__name__ for o in objects
+                                 if getattr(o, "_row", None) is not None
+                                 or getattr(o, "_index", None) is not None}))
 
         def watch(name, fn, before=None, after=None):
             def hooked(*args, **kwargs):
@@ -594,16 +612,21 @@ class TestRunPipeline:
 
         watch("load_edge_list", pipeline_module.load_edge_list,
               after=lambda g, *_: refs.update(graph=weakref.ref(g)))
+        lp_features = lpfeatures_module.lp_features
+        monkeypatch.setattr(lpfeatures_module, "lp_features", lambda *args: (
+            note_dicts("lp"), lp_features(*args))[1])
         from_csv = FeatureMatrix.from_csv
         monkeypatch.setattr(FeatureMatrix, "from_csv", staticmethod(
-            lambda path: events.append(("csv", alive())) or from_csv(path)))
+            lambda path: events.append(("csv", alive())) or note_dicts("csv")
+            or from_csv(path)))
         watch("join_features", pipeline_module.join_features,
               before=lambda *_: events.append(("join", alive())), after=joined)
         watch("train_mlp", pipeline_module.train_mlp, before=fit)
         watch("predict", pipeline_module.predict,
-              before=lambda *_: events.append(("predict", alive())))
+              before=lambda *_: events.append(("predict", alive()))
+              or note_dicts("predict"))
         records = run_pipeline(cfg)
-        return records, events
+        return records, events, held
 
     @pytest.mark.parametrize("balance", ["0", "1"])
     def test_tables_die_after_their_last_reader(self, tmp_path, monkeypatch,
@@ -611,9 +634,12 @@ class TestRunPipeline:
         cfg = self.base_config(tmp_path, regimes="cumf,cumf+lp,lp",
                                model="mlp", hidden="8", epochs="2",
                                balance=balance)
-        records, events = self.run_watched(monkeypatch, cfg)
+        records, events, held = self.run_watched(monkeypatch, cfg)
         assert [event for event, _ in events] == \
             ["csv"] + ["join", "fit", "predict"] * 3
+        # No graph or feature matrix keeps a name -> row dict into the
+        # lp block, the CSV read or a predict.
+        assert held == [("lp", set()), ("csv", set())] + [("predict", set())] * 3
         # The graph is freed before the feature CSV is read.
         assert "graph" not in events[0][1]
         joins, fits, predicts = ([alive for event, alive in events
@@ -625,9 +651,54 @@ class TestRunPipeline:
         # Only the blocks that a later regime reads outlive their last join.
         assert [{n for n in alive if n.startswith("block")} for alive in fits] \
             == [{"block cumf"}, {"block lp"}, set()]
-        # No train matrix outlives its fit.
-        assert not any(n.startswith("x") for alive in predicts for n in alive)
+        # No train matrix outlives its fit, and no joined table reaches
+        # predict: the fit keeps only the test rows.
+        assert not any(n.startswith(("x", "join"))
+                       for alive in predicts for n in alive)
         assert records == run_pipeline(cfg)
+
+    @pytest.mark.parametrize("balance", [False, True])
+    @pytest.mark.parametrize("model,n_classes,trainer", [
+        ("mlp", 3, "train_mlp"), ("lr", 2, "train_logistic"),
+        ("lr", 3, "train_softmax")])
+    def test_row_indexed_fit_equals_fit_on_copied_rows(
+            self, monkeypatch, rng, model, n_classes, trainer, balance):
+        names = [f"n{i}" for i in range(500)]
+        features = FeatureMatrix(names, ["a", "b", "c", "d"],
+                                 rng.normal(size=(500, 4)))
+        # Labels for most nodes and for some without a feature row.
+        labelled = [n for n in names if rng.random() < 0.9] + ["x0", "x1"]
+        labels = {n: int(rng.integers(0, n_classes)) for n in labelled}
+        order = rng.permutation(len(labelled))
+        train_names = [labelled[i] for i in order[:300]]
+        test_names = [labelled[i] for i in order[300:]]
+        hyper = TrainHyper(rate=0.3, epochs=3, minibatch=32, rng_seed=5)
+        fitted = []
+        fit = getattr(pipeline_module, trainer)
+        monkeypatch.setattr(pipeline_module, trainer, lambda *a, **k: (
+            fitted.append(fit(*a, **k)) or fitted[-1]))
+        test_rows, probs, record = pipeline_module.fit_and_score(
+            features, labels, train_names, test_names, n_classes, model,
+            (8, 8), hyper, balance)
+        # The fit as it was: a copy of the train rows, then balanced.
+        rows = [names.index(n) for n in train_names if n in features]
+        x, y = features.values[rows], np.array([labels[names[r]] for r in rows])
+        if balance:
+            keep = balance_classes(y, np.random.default_rng(
+                derive_seed(hyper.rng_seed, "balance")))
+            x, y = x[keep], y[keep]
+        want = {"train_mlp": lambda: train_mlp(x, y, [8, 8], n_classes, hyper),
+                "train_logistic": lambda: train_logistic(x, y, hyper),
+                "train_softmax": lambda: train_softmax(x, y, n_classes, hyper),
+                }[trainer]()
+        [got] = fitted
+        assert got.loss_history == want.loss_history
+        for a, b in zip(got.weights + got.biases, want.weights + want.biases):
+            assert a.tobytes() == b.tobytes()
+        assert test_rows == [n for n in test_names if n in features]
+        test_x = features.values[[names.index(n) for n in test_rows]]
+        assert probs.tobytes() == predict(want, test_x).tobytes()
+        assert record["n_train"] == len(rows)
 
     def test_logs_each_block(self, tmp_path, caplog):
         cfg = self.base_config(tmp_path, regimes="cumf+lp")
