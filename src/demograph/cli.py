@@ -14,14 +14,15 @@ import argparse
 import json
 import sys
 from dataclasses import MISSING, fields
+from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, embed, lpfeatures, synth
 from .errors import ConfigError, ValidationError
-from .graph import (load_directed_edges, load_edge_list, write_edge_list,
-                    write_node_map)
+from .graph import (load_directed_edges, load_edge_list, row_indices,
+                    write_edge_list, write_node_map)
 from .labelprop import (PropagationConfig, propagate, read_node_vectors,
                         read_seed_labels, write_label_state,
                         write_node_vectors)
@@ -223,9 +224,11 @@ def _cmd_lp_features(args):
                              ages=args.ages)
     plan = lpfeatures.make_partitions(np.flatnonzero(seeds.is_seed),
                                       args.lp_splits, args.rng_seed)
-    block = lpfeatures.lp_features(g, seeds, plan, cfg)
-    block.table(g.names, presence=not args.no_presence).to_csv(args.out)
-    print(f"wrote {block.node_count} rows x {args.lp_splits} runs to {args.out}")
+    table = lpfeatures.lp_features(g, seeds, plan, cfg)
+    keep = len(table.columns) - (args.lp_splits if args.no_presence else 0)
+    FeatureMatrix(table.nodes, table.columns[:keep],
+                  table.values[:, :keep]).to_csv(args.out)
+    print(f"wrote {len(table.nodes)} rows x {args.lp_splits} runs to {args.out}")
 
 
 def _cmd_sentences(args):
@@ -270,7 +273,8 @@ def _cmd_train(args):
     blocks = {name: FeatureMatrix.from_csv(p) for name, p in zip(names, paths)}
     features = join_features(blocks) if len(blocks) > 1 else next(iter(blocks.values()))
     labels = read_labels(args.labels, run.task, run.ages)
-    labeled = [n for n in labels if n in features]
+    names = list(labels)
+    labeled = list(compress(names, row_indices(features.nodes, names) >= 0))
     if not labeled:
         raise ConfigError("no labeled node has features")
     # The random split depends on this list: only labeled nodes with features.
@@ -333,10 +337,10 @@ def _cmd_sensitivity(args):
     _check_sensitivity(bool(args.seeds), args.reveal, args.workers)
     g = load_edge_list(args.edges, min_degree=args.min_degree)
     truth_map = read_labels(args.truth, "gender", False)
+    rows = row_indices(g.names, list(truth_map))
+    inside = rows >= 0
     truth = np.full(g.node_count, -1, dtype=np.int64)
-    for name, value in truth_map.items():
-        if name in g:
-            truth[g.index_of(name)] = value
+    truth[rows[inside]] = np.fromiter(truth_map.values(), np.int64)[inside]
     seeds = None
     if args.seeds:
         seeds = read_seed_labels(args.seeds, g, num_classes=1)

@@ -26,13 +26,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DivergenceError, ValidationError
 from .graph import (DirectedEdges, Graph, _arc_keys, _csr_from_keys,
-                    _float_rows, _open_text)
+                    _float_rows, _open_text, row_indices)
 
 __all__ = [
     "EmbeddingTable",
@@ -107,14 +107,12 @@ class TrainConfig:
 
 @dataclass
 class EmbeddingTable:
-    """Token -> d-dimensional vector, with an index for O(1) lookups."""
+    """Token -> d-dimensional vector: row ``i`` of ``vectors`` belongs to
+    ``tokens[i]``.  No token -> row dict is kept; ``graph.row_indices``
+    maps tokens to rows."""
 
     tokens: list[str]
     vectors: np.ndarray
-    _index: dict[str, int] = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._index = {t: i for i, t in enumerate(self.tokens)}
 
     @property
     def dim(self) -> int:
@@ -122,13 +120,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.tokens)
-
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
-    def get(self, token: str) -> np.ndarray | None:
-        i = self._index.get(token)
-        return None if i is None else self.vectors[i]
 
     def save(self, path) -> None:
         """Word2vec text format: a ``<vocab> <dim>`` header, then one
@@ -404,8 +395,7 @@ def fill_missing_embeddings(g: Graph, table: EmbeddingTable) -> EmbeddingTable:
     nodes are visited and never chains through other fills.  The sums start
     from +0.0, so a mean that would be exactly -0.0 comes out +0.0.
     """
-    row = np.array([table._index.get(name, -1) for name in g.names],
-                   dtype=np.int64)
+    row = row_indices(table.tokens, g.names)
     src, dst = g.arc_sources, g.indices
     wanted = (row[src] < 0) & (row[dst] >= 0)
     filled, slot, counts = np.unique(src[wanted], return_inverse=True,

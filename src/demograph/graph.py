@@ -33,6 +33,7 @@ __all__ = [
     "Graph",
     "load_directed_edges",
     "load_edge_list",
+    "row_indices",
     "write_edge_list",
     "write_node_map",
 ]
@@ -68,6 +69,15 @@ def _csr_from_keys(n: int, keys: np.ndarray):
     indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
     np.remainder(keys, n, out=keys)
     return indptr.astype(dtype), keys.astype(dtype, copy=False)
+
+
+def row_indices(nodes: Sequence[str], names: Sequence[str]) -> np.ndarray:
+    """The position in ``nodes`` of each of ``names`` (the last one of a
+    repeated name), -1 where it has none.  The name -> position dict lives
+    only for this call."""
+    row_of = {name: i for i, name in enumerate(nodes)}
+    return np.fromiter((row_of.get(n, -1) for n in names), dtype=np.int64,
+                       count=len(names))
 
 
 @dataclass

@@ -163,19 +163,24 @@ class LabelState:
                          values: Iterable[float] | np.ndarray,
                          num_classes: int = 1) -> "LabelState":
         """State with the given nodes seeded; everyone else inactive.  An
-        index array is taken as it is; an index outside ``[0, node_count)``
-        or a repeated one raises ``ValidationError``."""
+        index array is taken as it is; an index outside ``[0, node_count)``,
+        a repeated one, or other than ``num_classes`` values per index
+        raises ``ValidationError``.  No index gives an unseeded state."""
         idx = np.asarray(indices if isinstance(indices, np.ndarray)
                          else list(indices), dtype=np.int64)
         if idx.size and (idx.min() < 0 or idx.max() >= node_count):
             raise ValidationError(
                 f"seed index out of range [0, {node_count})")
+        given = np.asarray(values, dtype=np.float64)
+        if given.size != len(idx) * num_classes:
+            raise ValidationError(f"{given.size} seed values for {len(idx)} "
+                                  f"nodes x {num_classes} channels")
         vals = np.zeros((node_count, num_classes))
         seed = np.zeros(node_count, dtype=bool)
         seed[idx] = True
         if np.count_nonzero(seed) != len(idx):
             raise ValidationError("seed indices repeat a node")
-        vals[idx] = np.asarray(values, dtype=np.float64).reshape(len(idx), -1)
+        vals[idx] = given.reshape(len(idx), num_classes)
         return cls(vals, seed, seed.copy())
 
     @classmethod

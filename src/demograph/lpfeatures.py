@@ -7,6 +7,11 @@ node the entry of its own partition would leak its true label (the run was
 seeded with it), so that entry is replaced by the mean of the other runs'
 values at the node.  Entries from runs that never reached the node are
 masked; the leave-out mean uses only unmasked entries.
+
+The emitted table is a ``FeatureMatrix`` over the graph's names: the N*C
+values (``lp_<i>``, or ``lp_<i>_<c>`` with C > 1 channels) with masked
+entries filled with 0.5, then one 0.0/1.0 presence column
+``lp_present_<i>`` per run.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .labelprop import LabelState, PropagationConfig, _HandedState, propagate
 from .model import FeatureMatrix
 
 __all__ = [
-    "LPFeatureBlock",
     "PartitionPlan",
     "lp_features",
     "make_partitions",
@@ -75,46 +79,6 @@ def make_partitions(labeled, n_partitions: int, rng_seed: int) -> PartitionPlan:
     return PartitionPlan(n_partitions, perm, rng_seed)
 
 
-@dataclass
-class LPFeatureBlock:
-    """Per-node feature rows from N propagation runs.
-
-    ``data`` is the ``(n, N*C + N)`` emitted table: the N*C values, with
-    masked entries filled with 0.5, then the N presence columns as
-    0.0/1.0.  ``present`` is ``(n, N)`` and marks which run contributed a
-    real value.
-    """
-
-    data: np.ndarray
-    present: np.ndarray
-    n_partitions: int
-    n_classes: int
-
-    @property
-    def node_count(self) -> int:
-        return self.data.shape[0]
-
-    def column_names(self) -> list[str]:
-        if self.n_classes == 1:
-            return [f"{PREFIX}_{i}" for i in range(self.n_partitions)]
-        return [f"{PREFIX}_{i}_{c}" for i in range(self.n_partitions)
-                for c in range(self.n_classes)]
-
-    def presence_names(self) -> list[str]:
-        return [f"{PREFIX}_present_{i}" for i in range(self.n_partitions)]
-
-    def imputed(self) -> np.ndarray:
-        """Fixed-width rows with masked entries filled with 0.5 (a view)."""
-        return self.data[:, :self.n_partitions * self.n_classes]
-
-    def table(self, names: list[str], presence: bool = True) -> FeatureMatrix:
-        """The emitted feature rows of nodes ``names``: the imputed values,
-        then (with ``presence``) the presence columns as 0.0/1.0."""
-        columns = self.column_names() + (self.presence_names() if presence else [])
-        return FeatureMatrix(list(names), columns,
-                             self.data if presence else self.imputed())
-
-
 def _partition_seeds(n: int, labels: LabelState | tuple):
     """The seeded nodes of ``labels`` in increasing order, the channel
     count, and a function that builds the seed state of a sorted part of
@@ -140,8 +104,9 @@ def _partition_seeds(n: int, labels: LabelState | tuple):
 
 
 def lp_features(g: Graph, labels: LabelState | tuple, plan: PartitionPlan,
-                cfg: PropagationConfig) -> LPFeatureBlock:
-    """Run one propagation per partition and assemble feature rows.
+                cfg: PropagationConfig) -> FeatureMatrix:
+    """Run one propagation per partition and return the feature table of
+    every node of ``g`` (the module docstring gives its columns).
 
     ``labels`` is the seed ``LabelState``, or the seeds as a triple
     ``(indices, classes, num_classes)`` of node indices, their class
@@ -186,4 +151,7 @@ def lp_features(g: Graph, labels: LabelState | tuple, plan: PartitionPlan,
     if not present.any(axis=1).all():
         logger.info("%d nodes were reached by no run and are fully masked",
                     int((~present.any(axis=1)).sum()))
-    return LPFeatureBlock(data, present, n_parts, n_classes)
+    channels = [""] if n_classes == 1 else [f"_{c}" for c in range(n_classes)]
+    columns = [f"{PREFIX}_{i}{c}" for i in range(n_parts) for c in channels]
+    columns += [f"{PREFIX}_present_{i}" for i in range(n_parts)]
+    return FeatureMatrix(list(g.names), columns, data)

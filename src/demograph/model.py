@@ -19,7 +19,7 @@ import numpy as np
 
 from .embed import sigmoid
 from .errors import ConfigError, DivergenceError, ValidationError
-from .graph import _CHUNK, _float_rows, _line_runs, _open_text
+from .graph import _CHUNK, _float_rows, _line_runs, _open_text, row_indices
 
 __all__ = [
     "FeatureMatrix",
@@ -32,7 +32,6 @@ __all__ = [
     "fnv1a64",
     "join_features",
     "predict",
-    "row_indices",
     "split",
     "train_logistic",
     "train_mlp",
@@ -52,14 +51,13 @@ PROB_CLAMP = 1e-12
 class FeatureMatrix:
     """Row-aligned feature rows keyed by node name.
 
-    No name -> row dict is kept: ``row_indices`` maps names through one
-    that lives for the call, and ``in`` builds one on first use.
+    No name -> row dict is kept: ``graph.row_indices`` maps names to rows
+    through one that lives for the call.
     """
 
     nodes: list[str]
     columns: list[str]
     values: np.ndarray
-    _row: dict[str, int] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=np.float64)
@@ -68,14 +66,9 @@ class FeatureMatrix:
                 f"feature matrix shape {self.values.shape} does not match "
                 f"{len(self.nodes)} nodes x {len(self.columns)} columns")
         if len(set(self.nodes)) != len(self.nodes):
-            last = {name: i for i, name in enumerate(self.nodes)}
-            dup = next(n for i, n in enumerate(self.nodes) if last[n] != i)
+            last = row_indices(self.nodes, self.nodes)
+            dup = self.nodes[np.flatnonzero(last != np.arange(len(last)))[0]]
             raise ValidationError(f"feature matrix repeats node {dup!r}")
-
-    def __contains__(self, node: str) -> bool:
-        if self._row is None:
-            self._row = {name: i for i, name in enumerate(self.nodes)}
-        return node in self._row
 
     def to_csv(self, path) -> None:
         """Write ``csv.writer``'s excel dialect: CRLF line ends, and a name
@@ -184,15 +177,6 @@ def _read_csv_rows(path):
         raise ValidationError(
             f"{path}:{line_of[nodes[bad[0]]]}: non-finite value")
     return nodes, columns, values
-
-
-def row_indices(nodes: list[str], names: list[str]) -> np.ndarray:
-    """The position in ``nodes`` (names without repeats) of each of
-    ``names``, -1 where it has none.  The name -> position dict lives only
-    for this call."""
-    row_of = {name: i for i, name in enumerate(nodes)}
-    return np.fromiter((row_of.get(n, -1) for n in names), dtype=np.int64,
-                       count=len(names))
 
 
 def join_features(blocks: dict[str, FeatureMatrix]) -> FeatureMatrix:

@@ -20,13 +20,13 @@ import numpy as np
 from . import embed, lpfeatures
 from .errors import ConfigError, ValidationError
 from .graph import (Graph, _open_text, _pair_tokens, load_directed_edges,
-                    load_edge_list)
+                    load_edge_list, row_indices)
 from .labelprop import (AGE_BUCKET_UPPER_BOUNDS, NUM_AGE_BUCKETS, LabelState,
                         PropagationConfig, _label_rows, propagate_trace)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, auc_rank,
                     balance_classes, check_hidden, evaluate, fnv1a64,
-                    join_features, predict, row_indices, split, train_logistic,
-                    train_mlp, train_softmax)
+                    join_features, predict, split, train_logistic, train_mlp,
+                    train_softmax)
 
 __all__ = [
     "ExperimentGrid",
@@ -483,8 +483,7 @@ def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
                                       derive_seed(root, "lp-partitions"))
     # Binary labels propagate as one channel, the positive-class share.
     seeds = (idx, classes, 1 if n_classes == 2 else n_classes)
-    block = lpfeatures.lp_features(g, seeds, plan, cfg.lp)
-    return block.table(g.names)
+    return lpfeatures.lp_features(g, seeds, plan, cfg.lp)
 
 
 def _emb_block(cfg: PipelineConfig, g: Graph, root: int) -> FeatureMatrix:

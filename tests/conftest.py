@@ -38,6 +38,13 @@ def random_binary_seeds(rng: np.random.Generator, n: int, n_seeds: int):
     return state, {int(v): np.array([values[i]]) for i, v in enumerate(idx)}
 
 
+def lp_parts(table, n_partitions: int):
+    """An ``lp_features`` table's ``(n, N*C)`` values, masked entries at
+    0.5, and its ``(n, N)`` presence columns as booleans."""
+    width = table.values.shape[1] - n_partitions
+    return table.values[:, :width], table.values[:, width:] == 1.0
+
+
 def spiced(lines, spice, at, final_newline):
     """The bytes of a text file of ``lines`` with the raw line ``spice``
     inserted before line ``at``, with or without a final newline."""

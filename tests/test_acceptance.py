@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from demograph import cli, embed
-from demograph.graph import Graph, load_directed_edges, load_edge_list
+from demograph.graph import (Graph, load_directed_edges, load_edge_list,
+                             row_indices)
 from demograph.labelprop import (LabelState, PropagationConfig, propagate,
                                  propagate_beta, propagate_gamma,
                                  propagate_multiclass)
@@ -36,7 +37,7 @@ from demograph.pipeline import (ExperimentGrid, PipelineConfig, read_labels,
                                 run_pipeline, run_sensitivity)
 from demograph.synth import PlantedGraphSpec, generate, write_outputs
 
-from conftest import random_binary_seeds, random_graph
+from conftest import lp_parts, random_binary_seeds, random_graph
 from oracles import (brute_force_auc, central_difference, dense_propagate,
                      relative_error)
 
@@ -323,8 +324,10 @@ def test_c07_leave_out_has_no_self_leakage():
         after = lp_features(
             g, LabelState.from_seed_values(n, idx, perturbed), plan, cfg)
         i = plan.assignment[u]
-        assert after.imputed()[u, i] == base.imputed()[u, i]
-        assert after.present[u, i] == base.present[u, i]
+        after_values, after_present = lp_parts(after, plan.n_partitions)
+        base_values, base_present = lp_parts(base, plan.n_partitions)
+        assert after_values[u, i] == base_values[u, i]
+        assert after_present[u, i] == base_present[u, i]
     report(7, True, "perturbing a node's own seed never moves its "
                     "left-out feature entry (20 instances)")
 
@@ -387,12 +390,13 @@ def test_c08_embedding_quality(tmp_path):
                           rng_seed=2))
     table = embed.fill_missing_embeddings(g, table)
     truth = read_labels(paths["truth"])
-    nodes = [name for name in truth if name in table]
+    nodes = [name for name, row in zip(truth, row_indices(
+        table.tokens, list(truth))) if row >= 0]
     train_names, test_names = split(nodes, SplitSpec(mode="hash",
                                                      train_fraction=0.7))
-    x_train = np.stack([table.get(n) for n in train_names])
+    x_train = table.vectors[row_indices(table.tokens, train_names)]
     y_train = np.array([truth[n] for n in train_names])
-    x_test = np.stack([table.get(n) for n in test_names])
+    x_test = table.vectors[row_indices(table.tokens, test_names)]
     y_test = np.array([truth[n] for n in test_names])
     params = train_logistic(x_train, y_train,
                             TrainHyper(rate=0.5, epochs=80, minibatch=32,

@@ -15,7 +15,7 @@ import pytest
 import demograph
 
 from demograph.cli import main
-from demograph.graph import load_edge_list
+from demograph.graph import load_edge_list, row_indices
 from demograph.labelprop import (PropagationConfig, propagate_multiclass,
                                  read_node_vectors)
 from demograph.model import (FeatureMatrix, SplitSpec, TrainHyper,
@@ -323,6 +323,21 @@ class TestFeatureCommands:
         fm = FeatureMatrix.from_csv(out)
         assert fm.columns[:3] == ["lp_0", "lp_1", "lp_2"]
 
+    @pytest.mark.parametrize("classes", ["1", "7"])
+    def test_lp_features_no_presence_drops_the_presence_columns(
+            self, dataset, tmp_path, classes):
+        tables = []
+        for flags in ([], ["--no-presence"]):
+            out = tmp_path / f"lp{len(flags)}.csv"
+            assert run(["lp-features", "--graph", str(dataset / "edges.tsv"),
+                        "--seeds", str(dataset / "seeds.tsv"), "--splits", "3",
+                        "--classes", classes, "--out", str(out), *flags]) == 0
+            tables.append(FeatureMatrix.from_csv(out))
+        full, bare = tables
+        assert full.columns[-3:] == [f"lp_present_{i}" for i in range(3)]
+        assert bare.nodes == full.nodes and bare.columns == full.columns[:-3]
+        assert bare.values.tobytes() == full.values[:, :-3].tobytes()
+
     @pytest.mark.parametrize("raw", ["0.7", "inf"])
     def test_eval_malformed_label_exits_1(self, dataset, tmp_path, capsys,
                                           raw):
@@ -472,7 +487,8 @@ class TestTrain:
         # The same rows, balanced and trained by hand.
         features = FeatureMatrix.from_csv(dataset / "cumf.csv")
         labels = read_labels(dataset / "truth.tsv")
-        train, test = split([n for n in labels if n in features],
+        rows = row_indices(features.nodes, list(labels))
+        train, test = split([n for n, r in zip(labels, rows) if r >= 0],
                             SplitSpec(train_fraction=0.6, rng_seed=9))
         y_train = np.array([labels[n] for n in train])
         # Balancing drops rows here, so the flag is really exercised.

@@ -22,7 +22,7 @@ from demograph.embed import (EmbeddingTable, TrainConfig, build_sentences,
                              pair_objective, read_corpus, sigmoid,
                              train_embeddings, write_corpus)
 from demograph.errors import ConfigError, DivergenceError, ValidationError
-from demograph.graph import Graph, load_directed_edges
+from demograph.graph import Graph, load_directed_edges, row_indices
 from demograph.pipeline import PipelineConfig, derive_seed
 
 from oracles import (central_difference, reference_build_sentences,
@@ -273,8 +273,8 @@ class TestVocabulary:
         cfg = TrainConfig(dim=4, min_count=5, epochs=1, rng_seed=0)
         table = train_embeddings(*interned(sentences), cfg)
         # "b" occurs 6 times, "a" 4, "c" 1; only ["b", "b"] is left to train.
-        assert "b" in table
-        assert "a" not in table and "c" not in table
+        assert "b" in table.tokens
+        assert "a" not in table.tokens and "c" not in table.tokens
 
     def test_empty_vocabulary_rejected(self):
         with pytest.raises(ValidationError):
@@ -536,9 +536,9 @@ class TestSeparation:
         intra, inter = [], []
         names = table.tokens
         for i, a in enumerate(names):
-            for b in names[i + 1:]:
-                value = cosine(table.get(a), table.get(b))
-                (intra if a[:2] == b[:2] else inter).append(value)
+            for j in range(i + 1, len(names)):
+                value = cosine(table.vectors[i], table.vectors[j])
+                (intra if a[:2] == names[j][:2] else inter).append(value)
         assert np.mean(intra) > np.mean(inter)
 
 
@@ -555,15 +555,22 @@ def coldstart_reference(g: Graph, table: EmbeddingTable) -> EmbeddingTable:
     """Per-node fill: each unembedded node gets the mean of its embedded
     neighbors' vectors, in neighbor order, or none when it has none."""
     tokens, rows = list(table.tokens), [table.vectors]
+    row = {token: i for i, token in enumerate(table.tokens)}
     for v in range(g.node_count):
-        if g.names[v] in table:
+        if g.names[v] in row:
             continue
-        found = [table.get(g.names[u]) for u in g.neighbors(v)]
-        found = [vec for vec in found if vec is not None]
+        found = [table.vectors[row[g.names[u]]] for u in g.neighbors(v)
+                 if g.names[u] in row]
         if found:
             tokens.append(g.names[v])
             rows.append(np.mean(found, axis=0)[None, :])
     return EmbeddingTable(tokens, np.concatenate(rows, axis=0))
+
+
+def vector(table: EmbeddingTable, token: str) -> np.ndarray | None:
+    """The vector of ``token``, or ``None`` when the table has none."""
+    [i] = row_indices(table.tokens, [token])
+    return None if i < 0 else table.vectors[i]
 
 
 class TestColdStart:
@@ -575,18 +582,18 @@ class TestColdStart:
         g = self.make_graph()
         table = EmbeddingTable(["a"], np.array([[1.0, 2.0]]))
         filled = fill_missing_embeddings(g, table)
-        assert np.array_equal(filled.get("b"), [1.0, 2.0])
+        assert np.array_equal(vector(filled, "b"), [1.0, 2.0])
 
     def test_mean_of_two_neighbors(self):
         g = self.make_graph()
         table = EmbeddingTable(["a", "c"], np.array([[2.0, 0.0], [0.0, 4.0]]))
         filled = fill_missing_embeddings(g, table)
-        assert np.array_equal(filled.get("b"), [1.0, 2.0])
+        assert np.array_equal(vector(filled, "b"), [1.0, 2.0])
 
     def test_absent_when_no_embedded_neighbor(self):
         g = self.make_graph()
         table = EmbeddingTable(["a"], np.array([[1.0, 2.0]]))
-        assert "d" not in fill_missing_embeddings(g, table)
+        assert vector(fill_missing_embeddings(g, table), "d") is None
 
     @pytest.mark.parametrize("coverage", [0.0, 0.3, 0.8, 1.0])
     def test_matches_per_node_reference(self, rng, coverage):
@@ -609,8 +616,8 @@ class TestColdStart:
         g = self.make_graph()
         table = EmbeddingTable(["a"], np.array([[1.0, 2.0]]))
         filled = fill_missing_embeddings(g, table)
-        assert "b" in filled and np.array_equal(filled.get("b"), [1.0, 2.0])
-        assert "c" not in filled and "d" not in filled
+        assert np.array_equal(vector(filled, "b"), [1.0, 2.0])
+        assert vector(filled, "c") is None and vector(filled, "d") is None
 
 
 class TestTableIO:

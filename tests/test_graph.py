@@ -15,7 +15,7 @@ from demograph.errors import (EdgeListParseError, EmptyGraphError,
 from demograph import graph, synth
 from demograph.embed import build_sentences
 from demograph.graph import (Graph, load_directed_edges, load_edge_list,
-                             write_edge_list, write_node_map)
+                             row_indices, write_edge_list, write_node_map)
 
 from conftest import random_graph, spiced
 from oracles import (reference_directed_edges, reference_edge_list,
@@ -340,6 +340,13 @@ class TestInvariants:
         for name in ("x", "y", "z", "w"):
             assert g.names[g.index_of(name)] == name
         assert sorted(g._index.values()) == list(range(g.node_count))
+
+    def test_row_indices(self):
+        nodes = ["c", "a", "b"]
+        got = row_indices(nodes, ["a", "z", "c", "a", ""])
+        assert got.dtype == np.int64
+        assert got.tolist() == [1, -1, 0, 1, -1]
+        assert row_indices(nodes, []).tolist() == []
 
     def test_write_reload_round_trip(self, tmp_path, rng):
         g, _ = random_graph(rng, 30, 0.2)

@@ -316,6 +316,24 @@ class TestSeedState:
         with pytest.raises(ValidationError, match="repeat"):
             LabelState.from_seed_classes(4, indices, [0] * len(indices), 2)
 
+    @pytest.mark.parametrize("indices", [[], np.array([], dtype=np.int64)])
+    def test_no_index_gives_an_unseeded_state(self, indices):
+        state = LabelState.from_seed_values(3, indices, [], num_classes=2)
+        assert state.values.shape == (3, 2) and not state.values.any()
+        assert state.seed_count == 0 and not state.is_active.any()
+        g = Graph.build(["a", "b", "c"], [(0, 1), (1, 2)])
+        with pytest.raises(ConfigError, match="at least one seed"):
+            propagate(g, state, PropagationConfig(iterations=1))
+
+    @pytest.mark.parametrize("indices,values,num_classes", [
+        ([0, 2], [0.5], 1), ([0, 2], [0.5, 1.0, 0.0], 1),
+        ([1], [0.5, 0.5], 1), ([0, 2], [[1.0, 0.0], [0.0, 1.0]], 3),
+        ([], [0.5], 1)])
+    def test_value_count_not_matching_indices_rejected(
+            self, indices, values, num_classes):
+        with pytest.raises(ValidationError, match="seed values for"):
+            LabelState.from_seed_values(4, indices, values, num_classes)
+
 
 class TestInvariants:
     def test_seed_immutability_every_strategy(self, rng):

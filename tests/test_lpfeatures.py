@@ -17,7 +17,7 @@ from demograph.labelprop import LabelState, PropagationConfig, propagate
 from demograph.lpfeatures import lp_features, make_partitions
 from demograph.model import FeatureMatrix
 
-from conftest import random_binary_seeds, random_graph
+from conftest import lp_parts, random_binary_seeds, random_graph
 from oracles import reference_lp_features
 
 
@@ -25,10 +25,18 @@ def seeded_state(n, mapping):
     return LabelState.from_seed_values(n, list(mapping), list(mapping.values()))
 
 
-def masked_values(block):
-    """The block's ``(n, N*C)`` values with masked entries at 0.0."""
-    mask = np.repeat(block.present, block.n_classes, axis=1)
-    return np.where(mask, block.imputed(), 0.0)
+def masked_values(block, n_partitions):
+    """The lp table's ``(n, N*C)`` values with masked entries at 0.0, and
+    its ``(n, N)`` presence."""
+    values, present = lp_parts(block, n_partitions)
+    mask = np.repeat(present, values.shape[1] // n_partitions, axis=1)
+    return np.where(mask, values, 0.0), present
+
+
+def without_presence(block, n_partitions):
+    """The table ``demograph lp-features --no-presence`` writes."""
+    return FeatureMatrix(block.nodes, block.columns[:-n_partitions],
+                         block.values[:, :-n_partitions])
 
 
 class TestMakePartitions:
@@ -90,17 +98,17 @@ class TestLPFeatures:
         plan = make_partitions(np.flatnonzero(seeds.is_seed), 3, rng_seed=2)
         cfg = PropagationConfig(alpha=0.3, iterations=3)
         block = lp_features(g, seeds, plan, cfg)
-        values = masked_values(block)
+        values, present = masked_values(block, 3)
         runs = self.run_reference(g, seeds, plan, cfg)
         for u in range(20):
             if seeds.is_seed[u]:
                 continue
             for i, run in enumerate(runs):
                 if run.is_active[u]:
-                    assert block.present[u, i]
+                    assert present[u, i]
                     assert values[u, i] == run.values[u, 0]
                 else:
-                    assert not block.present[u, i]
+                    assert not present[u, i]
 
     def test_leave_out_mean_for_labeled_rows(self, rng):
         g, _ = random_graph(rng, 20, 0.25)
@@ -108,7 +116,7 @@ class TestLPFeatures:
         plan = make_partitions(np.flatnonzero(seeds.is_seed), 3, rng_seed=2)
         cfg = PropagationConfig(alpha=0.3, iterations=3)
         block = lp_features(g, seeds, plan, cfg)
-        values = masked_values(block)
+        values, present = masked_values(block, 3)
         runs = self.run_reference(g, seeds, plan, cfg)
         for u, i in plan.assignment.items():
             others = [runs[j].values[u, 0] for j in range(3)
@@ -117,7 +125,7 @@ class TestLPFeatures:
                 assert values[u, i] == pytest.approx(
                     float(np.mean(others)), abs=1e-15)
             else:
-                assert not block.present[u, i]
+                assert not present[u, i]
 
     def test_two_partitions_leave_out_is_single_run(self):
         # Path s0 - u - s1; two partitions of one seed each: the left-out
@@ -126,7 +134,7 @@ class TestLPFeatures:
         labels = seeded_state(3, {0: 1.0, 2: 0.0})
         plan = make_partitions([0, 2], 2, rng_seed=0)
         cfg = PropagationConfig(alpha=0.5, iterations=2)
-        values = masked_values(lp_features(g, labels, plan, cfg))
+        values, _ = masked_values(lp_features(g, labels, plan, cfg), 2)
         runs = self.run_reference(g, labels, plan, cfg)
         for u, i in plan.assignment.items():
             other = 1 - i
@@ -148,9 +156,10 @@ class TestLPFeatures:
         # Every entry of u's own row is independent of u's seed value: run
         # i never reads it for the substitution, and runs j != i never see
         # u as a seed at all.
-        assert np.array_equal(masked_values(base)[u],
-                              masked_values(perturbed)[u])
-        assert np.array_equal(base.present[u], perturbed.present[u])
+        base_values, base_present = masked_values(base, 3)
+        values, present = masked_values(perturbed, 3)
+        assert np.array_equal(base_values[u], values[u])
+        assert np.array_equal(base_present[u], present[u])
 
     def test_permuting_partition_indices_permutes_columns(self, rng):
         g, _ = random_graph(rng, 18, 0.3)
@@ -168,10 +177,11 @@ class TestLPFeatures:
         assert permuted_plan.assignment == {
             u: perm[i] for u, i in plan.assignment.items()}
         permuted = lp_features(g, seeds, permuted_plan, cfg)
-        values, permuted_values = masked_values(block), masked_values(permuted)
+        values, present = masked_values(block, 3)
+        permuted_values, permuted_present = masked_values(permuted, 3)
         for old, new in enumerate(perm):
             assert np.array_equal(values[:, old], permuted_values[:, new])
-            assert np.array_equal(block.present[:, old], permuted.present[:, new])
+            assert np.array_equal(present[:, old], permuted_present[:, new])
 
     def test_identical_seed_runs_make_equal_columns(self, rng):
         # Degenerate check: N runs from the same seed set agree exactly,
@@ -191,9 +201,10 @@ class TestLPFeatures:
         plan = make_partitions([0, 1], 2, rng_seed=0)
         block = lp_features(g, labels, plan,
                             PropagationConfig(alpha=0.3, iterations=3))
-        assert not block.present[2].any()
-        assert not block.present[3].any()
-        assert block.imputed()[2].tolist() == [0.5, 0.5]
+        imputed, present = lp_parts(block, 2)
+        assert not present[2].any()
+        assert not present[3].any()
+        assert imputed[2].tolist() == [0.5, 0.5]
 
     def test_plan_must_cover_seed_set(self, rng):
         g, _ = random_graph(rng, 10, 0.4)
@@ -210,9 +221,11 @@ class TestLPFeatures:
         plan = make_partitions(idx, 3, rng_seed=4)
         cfg = PropagationConfig(alpha=0.3, iterations=2)
         block = lp_features(g, labels, plan, cfg)
-        values = masked_values(block)
+        values, _ = masked_values(block, 3)
         assert values.shape == (16, 3 * 7)
-        assert len(block.column_names()) == 21
+        assert block.columns == [f"lp_{i}_{c}" for i in range(3)
+                                 for c in range(7)] + [
+            f"lp_present_{i}" for i in range(3)]
         runs = self.run_reference(g, labels, plan, cfg)
         for u, i in plan.assignment.items():
             others = [runs[j].values[u] for j in range(3)
@@ -239,9 +252,9 @@ class TestSeedArrays:
                                 iterations=3)
         want = lp_features(g, state, plan, cfg)
         got = lp_features(g, (idx, classes, channels), plan, cfg)
-        assert got.data.tobytes() == want.data.tobytes()
-        assert np.array_equal(got.present, want.present)
-        assert got.n_classes == channels
+        assert got.values.tobytes() == want.values.tobytes()
+        assert got.nodes == want.nodes and got.columns == want.columns
+        assert len(got.columns) == 3 * channels + 3
 
     def test_seeds_outside_the_plan_rejected(self, rng):
         g, _ = random_graph(rng, 20, 0.3)
@@ -276,7 +289,7 @@ class TestLPMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert block.data.shape == (n, 24)
+        assert block.values.shape == (n, 24)
         assert peak / (n * 7) <= self.BYTES_PER_NODE_CHANNEL
 
 
@@ -320,8 +333,9 @@ class TestLeaveOutAgainstLoop:
         block = lp_features(g, labels, plan, cfg)
         runs = TestLPFeatures().run_reference(g, labels, plan, cfg)
         values, present = self.loop_reference(runs, plan)
-        assert np.array_equal(masked_values(block), values)
-        assert np.array_equal(block.present, present)
+        got_values, got_present = masked_values(block, n_partitions)
+        assert np.array_equal(got_values, values)
+        assert np.array_equal(got_present, present)
         # Both branches of the rule are exercised.
         own = np.array([present[u, i] for u, i in plan.assignment.items()])
         assert own.any() and not own.all()
@@ -352,28 +366,30 @@ class TestTableAgainstReference:
         cfg = PropagationConfig(alpha=0.3, iterations=int(rng.integers(1, 4)))
         block = lp_features(g, labels, plan, cfg)
         ref = reference_lp_features(g, labels, plan, cfg)
-        assert np.array_equal(masked_values(block), ref.values)
-        assert np.array_equal(block.present, ref.present)
-        assert not block.present[35].any()
-        got, want = block.table(g.names, presence), ref.table(g.names, presence)
+        values, present = masked_values(block, n_partitions)
+        assert np.array_equal(values, ref.values)
+        assert np.array_equal(present, ref.present)
+        assert not present[35].any()
+        got = block if presence else without_presence(block, n_partitions)
+        want = ref.table(g.names, presence)
         assert got.nodes == want.nodes and got.columns == want.columns
         assert got.values.tobytes() == want.values.tobytes()
 
 
-def reference_lp_csv(block, g, path, include_presence=True):
-    """The dedicated lp-feature writer that ``LPFeatureBlock.table`` plus
-    ``FeatureMatrix.to_csv`` replaced, kept as the byte reference."""
-    values = block.imputed()
-    header = ["node"] + block.column_names()
+def reference_lp_csv(block, n_partitions, g, path, include_presence=True):
+    """The dedicated lp-feature writer that ``FeatureMatrix.to_csv`` of the
+    lp table replaced, kept as the byte reference."""
+    values, present = lp_parts(block, n_partitions)
+    header = ["node"] + block.columns[:values.shape[1]]
     if include_presence:
-        header += block.presence_names()
+        header += block.columns[values.shape[1]:]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for v in range(block.node_count):
+        for v in range(len(block.nodes)):
             row = [g.names[v]] + [f"{x:.17g}" for x in values[v]]
             if include_presence:
-                row += [str(int(x)) for x in block.present[v]]
+                row += [str(int(x)) for x in present[v]]
             writer.writerow(row)
 
 
@@ -385,13 +401,14 @@ class TestCSV:
         block = lp_features(g, seeds, plan,
                             PropagationConfig(alpha=0.3, iterations=3))
         out = tmp_path / "lp.csv"
-        block.table(g.names).to_csv(out)
+        block.to_csv(out)
         fm = FeatureMatrix.from_csv(out)
         assert fm.columns == ["lp_0", "lp_1", "lp_2",
                               "lp_present_0", "lp_present_1", "lp_present_2"]
         assert fm.nodes == g.names
-        assert np.array_equal(fm.values[:, :3], block.imputed())
-        assert np.array_equal(fm.values[:, 3:], block.present.astype(float))
+        values, present = lp_parts(block, 3)
+        assert np.array_equal(fm.values[:, :3], values)
+        assert np.array_equal(fm.values[:, 3:], present.astype(float))
 
     def test_presence_columns_optional(self, tmp_path, rng):
         g, _ = random_graph(rng, 10, 0.3)
@@ -400,10 +417,10 @@ class TestCSV:
         block = lp_features(g, seeds, plan,
                             PropagationConfig(alpha=0.3, iterations=2))
         out = tmp_path / "lp.csv"
-        block.table(g.names, presence=False).to_csv(out)
+        without_presence(block, 2).to_csv(out)
         fm = FeatureMatrix.from_csv(out)
         assert fm.columns == ["lp_0", "lp_1"]
-        assert np.array_equal(fm.values, block.imputed())
+        assert np.array_equal(fm.values, lp_parts(block, 2)[0])
 
     @pytest.mark.parametrize("presence", [True, False])
     @pytest.mark.parametrize("n_classes", [1, 7])
@@ -423,8 +440,8 @@ class TestCSV:
                 44, idx, rng.integers(0, 7, size=len(idx)))
         block = lp_features(g, labels, make_partitions(idx, 3, rng_seed=2),
                             PropagationConfig(alpha=0.3, iterations=2))
-        assert not block.present.all()
+        assert not lp_parts(block, 3)[1].all()
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
-        reference_lp_csv(block, g, want, include_presence=presence)
-        block.table(g.names, presence=presence).to_csv(got)
+        reference_lp_csv(block, 3, g, want, include_presence=presence)
+        (block if presence else without_presence(block, 3)).to_csv(got)
         assert got.read_bytes() == want.read_bytes()

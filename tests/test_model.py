@@ -16,8 +16,8 @@ from demograph.errors import ConfigError, DivergenceError, ValidationError
 from demograph.model import (FeatureMatrix, ModelParams, SplitSpec, TrainHyper,
                              _init_params, auc_rank, balance_classes, evaluate,
                              fnv1a64, join_features, loss_and_gradients,
-                             predict, row_indices, split, train_logistic,
-                             train_mlp, train_softmax)
+                             predict, split, train_logistic, train_mlp,
+                             train_softmax)
 
 from oracles import (brute_force_auc, central_difference,
                      reference_join_features, reference_loss_and_gradients,
@@ -97,13 +97,6 @@ def _csv_outcome(path):
 
 
 class TestFeatureMatrix:
-    def test_row_indices(self):
-        fm = matrix(["c", "a", "b"])
-        got = row_indices(fm.nodes, ["a", "z", "c", "a", ""])
-        assert got.dtype == np.int64
-        assert got.tolist() == [1, -1, 0, 1, -1]
-        assert row_indices(fm.nodes, []).tolist() == []
-
     def test_csv_round_trip(self, tmp_path, rng):
         fm = FeatureMatrix(["a", "b"], ["x", "y"], rng.normal(size=(2, 2)))
         path = tmp_path / "f.csv"

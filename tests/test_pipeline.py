@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from operator import attrgetter
 from unittest import mock
 
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from demograph import lpfeatures as lpfeatures_module
 from demograph import pipeline as pipeline_module
+from demograph.embed import EmbeddingTable
 from demograph.errors import ConfigError, ValidationError
 from demograph.graph import Graph, load_edge_list
 from demograph.labelprop import (LabelState, PropagationConfig, propagate,
@@ -570,27 +571,24 @@ class TestRunPipeline:
     def run_watched(self, monkeypatch, cfg):
         """Run ``cfg`` holding weak references to the graph, each block,
         each join and each train matrix; return the names still alive at
-        the feature CSV read and at each join, fit and predict, and the
-        kinds of the graphs and feature matrices made in the run that hold
-        a built name dict when ``lp_features``, the CSV read and each
-        predict start."""
+        the feature CSV read and at each join, fit and predict, and
+        whether a graph made in the run holds its built name dict when
+        ``lp_features``, the CSV read and each predict start."""
         refs: dict[str, weakref.ref] = {}
         events, made, held = [], [], []
 
         def alive():
             return {name for name, ref in refs.items() if ref() is not None}
 
-        for cls in (FeatureMatrix, Graph):
-            def recorded(self, init=cls.__post_init__):
-                init(self)
-                made.append(weakref.ref(self))
-            monkeypatch.setattr(cls, "__post_init__", recorded)
+        def recorded(self, init=Graph.__post_init__):
+            init(self)
+            made.append(weakref.ref(self))
+        monkeypatch.setattr(Graph, "__post_init__", recorded)
 
         def note_dicts(event):
-            objects = [ref() for ref in made]
-            held.append((event, {type(o).__name__ for o in objects
-                                 if getattr(o, "_row", None) is not None
-                                 or getattr(o, "_index", None) is not None}))
+            graphs = [ref() for ref in made]
+            held.append((event, any(g is not None and g._index is not None
+                                    for g in graphs)))
 
         def watch(name, fn, before=None, after=None):
             def hooked(*args, **kwargs):
@@ -637,9 +635,13 @@ class TestRunPipeline:
         records, events, held = self.run_watched(monkeypatch, cfg)
         assert [event for event, _ in events] == \
             ["csv"] + ["join", "fit", "predict"] * 3
-        # No graph or feature matrix keeps a name -> row dict into the
-        # lp block, the CSV read or a predict.
-        assert held == [("lp", set()), ("csv", set())] + [("predict", set())] * 3
+        # No graph keeps a name -> row dict into the lp block, the CSV
+        # read or a predict, and the tables declare no dict to keep.
+        assert held == [("lp", False), ("csv", False)] + [("predict", False)] * 3
+        for table in (FeatureMatrix(["a"], ["x"], [[1.0]]),
+                      EmbeddingTable(["a"], np.ones((1, 2)))):
+            assert not [f.name for f in fields(table) if "dict" in str(f.type)]
+            assert not [k for k, v in vars(table).items() if isinstance(v, dict)]
         # The graph is freed before the feature CSV is read.
         assert "graph" not in events[0][1]
         joins, fits, predicts = ([alive for event, alive in events
@@ -681,7 +683,7 @@ class TestRunPipeline:
             features, labels, train_names, test_names, n_classes, model,
             (8, 8), hyper, balance)
         # The fit as it was: a copy of the train rows, then balanced.
-        rows = [names.index(n) for n in train_names if n in features]
+        rows = [names.index(n) for n in train_names if n in names]
         x, y = features.values[rows], np.array([labels[names[r]] for r in rows])
         if balance:
             keep = balance_classes(y, np.random.default_rng(
@@ -695,7 +697,7 @@ class TestRunPipeline:
         assert got.loss_history == want.loss_history
         for a, b in zip(got.weights + got.biases, want.weights + want.biases):
             assert a.tobytes() == b.tobytes()
-        assert test_rows == [n for n in test_names if n in features]
+        assert test_rows == [n for n in test_names if n in names]
         test_x = features.values[[names.index(n) for n in test_rows]]
         assert probs.tobytes() == predict(want, test_x).tobytes()
         assert record["n_train"] == len(rows)
