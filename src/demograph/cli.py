@@ -23,9 +23,9 @@ from . import __version__, embed, lpfeatures, synth
 from .errors import ConfigError, ValidationError
 from .graph import (load_directed_edges, load_edge_list, row_indices,
                     write_edge_list, write_node_map)
-from .labelprop import (PropagationConfig, propagate, read_node_vectors,
-                        read_seed_labels, write_label_state,
-                        write_node_vectors)
+from .labelprop import (PropagationConfig, _seed_rows, propagate,
+                        read_node_vectors, read_seed_labels,
+                        write_label_state, write_node_vectors)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, evaluate,
                     join_features, split)
 from .pipeline import (_PARSE, _RENAMED, _STAGES, ExperimentGrid,
@@ -220,10 +220,8 @@ def _cmd_lp_features(args):
         raise ConfigError(f"--splits must be >= 2, got {args.lp_splits}")
     cfg = _config(PropagationConfig, args)
     g = load_edge_list(args.graph, min_degree=args.min_degree)
-    seeds = read_seed_labels(args.seeds, g, num_classes=args.classes,
-                             ages=args.ages)
-    plan = lpfeatures.make_partitions(np.flatnonzero(seeds.is_seed),
-                                      args.lp_splits, args.rng_seed)
+    seeds = _seed_rows(args.seeds, g, args.classes, args.ages)
+    plan = lpfeatures.make_partitions(seeds[0], args.lp_splits, args.rng_seed)
     table = lpfeatures.lp_features(g, seeds, plan, cfg)
     keep = len(table.columns) - (args.lp_splits if args.no_presence else 0)
     FeatureMatrix(table.nodes, table.columns[:keep],

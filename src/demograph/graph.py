@@ -179,18 +179,12 @@ class Graph:
             raise IndexError(f"node index {v} out of range [0, {self.node_count})")
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def _lookup(self) -> dict[str, int]:
-        """The name -> index dict, built on the first ``index_of`` or ``in``
-        and cached; a run that never asks holds no per-node dict."""
-        if self._index is None:
-            self._index = {name: i for i, name in enumerate(self.names)}
-        return self._index
-
     def index_of(self, name: str) -> int:
-        return self._lookup()[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._lookup()
+        """The index of ``name``, from a name -> index dict built on the
+        first call and cached; a run that never asks holds no such dict."""
+        if self._index is None:
+            self._index = {n: i for i, n in enumerate(self.names)}
+        return self._index[name]
 
 
 @dataclass

@@ -30,12 +30,13 @@ from __future__ import annotations
 import logging
 from bisect import bisect_left
 from dataclasses import dataclass, replace
+from itertools import islice
 from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
 from .errors import ConfigError, EdgeListParseError, ValidationError
-from .graph import Graph, _float_rows, _read_rows
+from .graph import Graph, _float_rows, _pair_tokens, _read_rows, row_indices
 
 __all__ = [
     "AGE_BUCKET_UPPER_BOUNDS",
@@ -194,6 +195,16 @@ class LabelState:
             raise ValidationError(f"class index out of range [0, {num_classes})")
         return cls.from_seed_values(node_count, indices,
                                     np.eye(num_classes)[cls_idx], num_classes)
+
+    @classmethod
+    def from_seeds(cls, node_count: int, indices, values,
+                   num_classes: int) -> "LabelState":
+        """The state of seeds as ``lp_features`` takes them: with one
+        channel each value is the node's own, else a class index made
+        one-hot over ``num_classes`` channels."""
+        if num_classes == 1:
+            return cls.from_seed_values(node_count, indices, values)
+        return cls.from_seed_classes(node_count, indices, values, num_classes)
 
 
 def _neighbor_means(g: Graph, values: np.ndarray, counts: np.ndarray,
@@ -394,26 +405,78 @@ def propagate_trace(g: Graph, seeds: LabelState, cfg: PropagationConfig,
 
 
 # ---------------------------------------------------------------------------
-# Text I/O: seed files and propagated-state files.
+# Text I/O: label files (truth labels and seeds) and propagated-state files.
 # ---------------------------------------------------------------------------
 
-def _label_rows(path, num_classes: int,
-                ages: bool = False) -> Iterator[tuple[int, str, float | int]]:
-    """``(line, name, label)`` for each ``<name><TAB><label>`` row: a real in
-    [0, 1] when ``num_classes`` is 1, else a ``class_label`` class index.
-    A bad label raises ``EdgeListParseError`` at ``path:line``."""
+def _label_value(raw: str, num_classes: int, ages: bool) -> float | int:
+    """One label: a real in [0, 1] when ``num_classes`` is 1, else a
+    ``class_label`` class index."""
+    if num_classes > 1:
+        return class_label(raw, num_classes, ages)
+    value = float(raw)
+    if not 0.0 <= value <= 1.0:  # False for nan too
+        raise ValidationError(f"binary label must lie in [0, 1], got {raw!r}")
+    return value
+
+
+def _read_label_file(path, num_classes: int,
+                     ages: bool = False) -> tuple[list[str], list]:
+    """The names and ``_label_value`` labels of a ``<name><TAB><label>``
+    file (truth labels or seeds), in file order.
+
+    A file that ``_pair_tokens`` takes is split by ``str.split``, and each
+    distinct label token is read once.  Any other file, or one with a bad
+    label, goes through ``_read_rows``, and its first bad line raises
+    ``EdgeListParseError`` at ``path:line``.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if _pair_tokens(np.frombuffer(data, np.uint8)) is not None:
+        tokens = data.decode("ascii").split()
+        names, raws = tokens[0::2], tokens[1::2]
+        try:
+            value = {raw: _label_value(raw, num_classes, ages)
+                     for raw in set(raws)}
+        except (ValueError, ValidationError):
+            pass  # the line reader names the first bad line
+        else:
+            return names, [value[raw] for raw in raws]
+    names, values = [], []
     for line_no, (name, raw) in _read_rows(path, 2):
         try:
-            if num_classes > 1:
-                value = class_label(raw, num_classes, ages)
-            else:
-                value = float(raw)
-                if not 0.0 <= value <= 1.0:  # False for nan too
-                    raise ValidationError(
-                        f"binary label must lie in [0, 1], got {raw!r}")
+            values.append(_label_value(raw, num_classes, ages))
         except (ValueError, ValidationError) as exc:
             raise EdgeListParseError(path, line_no, str(exc)) from None
-        yield line_no, name, value
+        names.append(name)
+    return names, values
+
+
+def _seed_rows(path, g: Graph, num_classes: int = 1, ages: bool = False):
+    """The seeds of a ``<name><TAB><label>`` file as ``lp_features`` takes
+    them, ``(indices, values, num_classes)``, in file order.
+
+    Names missing from the graph are skipped (their count is logged).  A
+    name that repeats in the graph raises ``duplicate seed`` at its second
+    line, once every label of the file has been checked.
+    """
+    names, values = _read_label_file(path, num_classes, ages)
+    rows = row_indices(g.names, names)
+    inside = rows >= 0
+    if not inside.all():
+        logger.info("skipped %d seed labels for nodes missing from the graph",
+                    len(rows) - np.count_nonzero(inside))
+    indices = rows[inside]
+    # A stable sort keeps a node's lines in file order, so ``again`` holds
+    # the position of every line but the first of each repeated node.
+    order = np.argsort(indices, kind="stable")
+    again = order[1:][np.diff(indices[order]) == 0]
+    if len(again):
+        at = int(np.flatnonzero(inside)[again.min()])
+        line_no, (name, _) = next(islice(_read_rows(path, 2), at, None))
+        raise EdgeListParseError(path, line_no, f"duplicate seed {name!r}")
+    if not len(indices):
+        raise ConfigError(f"{path}: no usable seed labels")
+    return indices, np.array(values)[inside], num_classes
 
 
 def read_seed_labels(path, g: Graph, num_classes: int = 1,
@@ -422,29 +485,11 @@ def read_seed_labels(path, g: Graph, num_classes: int = 1,
 
     Binary mode (``num_classes=1``) accepts reals in [0, 1]; class mode
     accepts integral bucket indices, or raw ages when ``ages`` is set.
-    Bad values and duplicate seeds raise errors naming ``path:line``; names
-    missing from the graph are skipped (their count is logged).
+    Bad values, then duplicate seeds, raise errors naming ``path:line``;
+    names missing from the graph are skipped (``_seed_rows``).
     """
-    seeds: dict[int, float | int] = {}
-    skipped = 0
-    for line_no, name, value in _label_rows(path, num_classes, ages):
-        if name not in g:
-            skipped += 1
-            continue
-        v = g.index_of(name)
-        if v in seeds:
-            raise EdgeListParseError(path, line_no, f"duplicate seed {name!r}")
-        seeds[v] = value
-    if skipped:
-        logger.info("skipped %d seed labels for nodes missing from the graph",
-                    skipped)
-    if not seeds:
-        raise ConfigError(f"{path}: no usable seed labels")
-    indices, values = list(seeds), list(seeds.values())
-    if num_classes == 1:
-        return LabelState.from_seed_values(g.node_count, indices, values)
-    return LabelState.from_seed_classes(g.node_count, indices, values,
-                                        num_classes=num_classes)
+    return LabelState.from_seeds(g.node_count,
+                                 *_seed_rows(path, g, num_classes, ages))
 
 
 def write_node_vectors(path, names, rows) -> None:

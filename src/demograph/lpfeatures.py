@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, ValidationError
 from .graph import Graph
-from .labelprop import LabelState, PropagationConfig, _HandedState, propagate
+from .labelprop import PropagationConfig, _HandedState, propagate
 from .model import FeatureMatrix
 
 __all__ = [
@@ -79,47 +79,26 @@ def make_partitions(labeled, n_partitions: int, rng_seed: int) -> PartitionPlan:
     return PartitionPlan(n_partitions, perm, rng_seed)
 
 
-def _partition_seeds(n: int, labels: LabelState | tuple):
-    """The seeded nodes of ``labels`` in increasing order, the channel
-    count, and a function that builds the seed state of a sorted part of
-    those nodes, handed to the part's run, so that only one part's
-    ``(n, C)`` state is built at a time.  ``labels`` is as
-    ``lp_features`` takes it."""
-    if isinstance(labels, LabelState):
-        def state(part):
-            return _HandedState.from_seed_values(
-                n, part, labels.values[part], labels.num_classes)
-        return np.flatnonzero(labels.is_seed), labels.num_classes, state
-    indices, classes, n_classes = labels
-    order = np.argsort(indices)
-    seeded, classes = np.asarray(indices)[order], np.asarray(classes)[order]
-
-    def state(part):
-        picked = classes[np.searchsorted(seeded, part)]
-        if n_classes == 1:
-            return _HandedState.from_seed_values(n, part,
-                                                 picked.astype(np.float64))
-        return _HandedState.from_seed_classes(n, part, picked, n_classes)
-    return seeded, n_classes, state
-
-
-def lp_features(g: Graph, labels: LabelState | tuple, plan: PartitionPlan,
+def lp_features(g: Graph, labels: tuple, plan: PartitionPlan,
                 cfg: PropagationConfig) -> FeatureMatrix:
     """Run one propagation per partition and return the feature table of
     every node of ``g`` (the module docstring gives its columns).
 
-    ``labels`` is the seed ``LabelState``, or the seeds as a triple
-    ``(indices, classes, num_classes)`` of node indices, their class
-    indices and the channel count: one-hot channels, or with one channel
-    the class itself as the value (the binary positive-class share).
-    ``plan`` must cover exactly the seeded nodes.  For node u labeled in
-    partition i, entry i is replaced by the mean of the other runs'
-    unmasked values at u; if every other run missed u the entry stays
-    masked (that is data sparsity, not an error).
+    ``labels`` is the seeds as a triple ``(indices, values, num_classes)``
+    of node indices, their values and the channel count, as
+    ``labelprop._seed_rows`` reads a seed file: with one channel
+    each value is the node's own (the binary positive-class share), else
+    a class index made one-hot (``LabelState.from_seeds``).  ``plan``
+    must cover exactly the seeded nodes.  For node u labeled in partition
+    i, entry i is replaced by the mean of the other runs' unmasked values
+    at u; if every other run missed u the entry stays masked (that is
+    data sparsity, not an error).
     """
     n, n_parts = g.node_count, plan.n_partitions
     parts = plan.partitions()
-    seeded, n_classes, seed_state = _partition_seeds(n, labels)
+    indices, values, n_classes = labels
+    order = np.argsort(indices)
+    seeded, values = np.asarray(indices)[order], np.asarray(values)[order]
     if not np.array_equal(np.sort(np.concatenate(parts)), seeded):
         raise ValidationError("partition plan must cover exactly the seed set")
     width = n_parts * n_classes
@@ -127,7 +106,10 @@ def lp_features(g: Graph, labels: LabelState | tuple, plan: PartitionPlan,
     present = np.empty((n, n_parts), dtype=bool)
     cols = [slice(i * n_classes, (i + 1) * n_classes) for i in range(n_parts)]
     for i, part in enumerate(parts):
-        run = propagate(g, seed_state(part), cfg)
+        # Each part's seed state is built only for its run, which computes
+        # in it, so only one part's (n, C) state is alive at a time.
+        run = propagate(g, _HandedState.from_seeds(
+            n, part, values[np.searchsorted(seeded, part)], n_classes), cfg)
         present[:, i] = run.is_active
         np.copyto(data[:, cols[i]], run.values, where=run.is_active[:, None])
         # Free this run before the next one builds its states.

@@ -19,10 +19,10 @@ import numpy as np
 
 from . import embed, lpfeatures
 from .errors import ConfigError, ValidationError
-from .graph import (Graph, _open_text, _pair_tokens, load_directed_edges,
-                    load_edge_list, row_indices)
-from .labelprop import (AGE_BUCKET_UPPER_BOUNDS, NUM_AGE_BUCKETS, LabelState,
-                        PropagationConfig, _label_rows, propagate_trace)
+from .graph import (Graph, _open_text, load_directed_edges, load_edge_list,
+                    row_indices)
+from .labelprop import (NUM_AGE_BUCKETS, LabelState, PropagationConfig,
+                        _read_label_file, propagate_trace)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, auc_rank,
                     balance_classes, check_hidden, evaluate, fnv1a64,
                     join_features, predict, split, train_logistic, train_mlp,
@@ -425,47 +425,15 @@ _KEYS = ({f.name for f in fields(PipelineConfig)} - _STAGES.keys()
          | {key for _, _, keys in _STAGES.values() for key in keys})
 
 
-def _array_labels(path, num_classes: int, ages: bool):
-    """``read_labels`` by array operations, or ``None`` to leave the file to
-    the line reader: a file the array edge parse declines (a byte other
-    than tab, space, newline and printable ASCII but ``#``, or a non-blank
-    line of other than two tokens), one without a row, a label other than
-    1 to 18 ASCII digits, a class out of range or a repeated name."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    data = np.frombuffer(raw, np.uint8)
-    tokens = _pair_tokens(data)
-    if tokens is None or not len(tokens[0]):
-        return None
-    begin, size = tokens[0][1::2], tokens[1][1::2]  # the label tokens
-    if size.max() > 18:
-        return None
-    values = np.zeros(len(begin), np.int64)
-    for j in range(size.max()):
-        at = np.flatnonzero(size > j)
-        digit = data[begin[at] + j] - ord("0")  # a byte below "0" wraps past 9
-        if (digit > 9).any():
-            return None
-        values[at] = values[at] * 10 + digit
-    if ages:  # the first bucket whose upper bound reaches the age
-        values = np.searchsorted(AGE_BUCKET_UPPER_BOUNDS, values)
-    if values.max() >= num_classes:
-        return None
-    names = raw.decode("ascii").split()[0::2]
-    labels = dict(zip(names, values.tolist()))
-    return labels if len(labels) == len(names) else None
-
-
 def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int]:
-    """Read ``<name><TAB><label>`` truth files as name -> class index.
-    Every line is checked; of two lines for one name the first wins.  A
-    file that ``_array_labels`` declines goes through the line reader."""
-    num_classes, ages = task_classes(task), ages and task != "gender"
-    labels = _array_labels(path, num_classes, ages)
-    if labels is None:
-        labels = {}
-        for _, name, value in _label_rows(path, num_classes, ages):
-            labels.setdefault(name, value)
+    """Read ``<name><TAB><label>`` truth files as name -> class index, by
+    ``labelprop._read_label_file``.  Every line is checked; of two lines
+    for one name the first wins."""
+    names, values = _read_label_file(path, task_classes(task),
+                                     ages and task != "gender")
+    labels = dict(zip(names, values))
+    if len(labels) < len(names):  # a repeated name takes its first label
+        labels.update(zip(reversed(names), reversed(values)))
     if not labels:
         raise ConfigError(f"{path}: no labels found")
     return labels

@@ -38,6 +38,18 @@ def random_binary_seeds(rng: np.random.Generator, n: int, n_seeds: int):
     return state, {int(v): np.array([values[i]]) for i, v in enumerate(idx)}
 
 
+def seed_triple(state: LabelState):
+    """A seed state as ``lp_features`` takes it, ``(indices, values,
+    num_classes)``: each seed's value with one channel, else the class
+    index of its one-hot row."""
+    idx = np.flatnonzero(state.is_seed)
+    if state.num_classes == 1:
+        return idx, state.values[idx, 0], 1
+    classes = state.values[idx].argmax(axis=1)
+    assert np.array_equal(np.eye(state.num_classes)[classes], state.values[idx])
+    return idx, classes, state.num_classes
+
+
 def lp_parts(table, n_partitions: int):
     """An ``lp_features`` table's ``(n, N*C)`` values, masked entries at
     0.5, and its ``(n, N)`` presence columns as booleans."""

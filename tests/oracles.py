@@ -17,6 +17,9 @@ the code they judge:
   counts and sums) into fresh arrays, renumbering by a sort of all arc
   ends, three ``(n, N, C)`` copies plus an imputed copy and a stack, joins
   and gathers by name lists, and a step that builds a one-hot target;
+- ``reference_read_seed_labels`` reads through the package's
+  ``graph._read_rows`` and ``labelprop.class_label``, and maps the seeds
+  line by line through a name dict;
 - ``reference_build_sentences`` keeps the package's earlier per-node
   ``rng.permutation`` of the node and its sorted neighbors, which fixes
   the RNG stream the bulk builder must keep; it gathers the neighbor sets
@@ -526,6 +529,44 @@ def reference_lp_features(g, labels, plan, cfg) -> ReferenceLPBlock:
         present[part, i] = count[:, 0] > 0
     return ReferenceLPBlock(values.reshape(n, plan.n_partitions * n_classes),
                             present, plan.n_partitions, n_classes)
+
+
+def reference_read_seed_labels(path, g, num_classes=1, ages=False):
+    """``labelprop.read_seed_labels`` as it read line by line, with every
+    label checked first: off-graph names are skipped, and a name that
+    repeats in the graph fails at its second line."""
+    from demograph.errors import (ConfigError, EdgeListParseError,
+                                  ValidationError)
+    from demograph.graph import _read_rows
+    from demograph.labelprop import LabelState, class_label
+    rows = []
+    for line_no, (name, raw) in _read_rows(path, 2):
+        try:
+            if num_classes > 1:
+                value = class_label(raw, num_classes, ages)
+            else:
+                value = float(raw)
+                if not 0.0 <= value <= 1.0:
+                    raise ValidationError(
+                        f"binary label must lie in [0, 1], got {raw!r}")
+        except (ValueError, ValidationError) as exc:
+            raise EdgeListParseError(path, line_no, str(exc)) from None
+        rows.append((line_no, name, value))
+    index = {name: i for i, name in enumerate(g.names)}
+    seeds = {}
+    for line_no, name, value in rows:
+        if name in index:
+            if index[name] in seeds:
+                raise EdgeListParseError(path, line_no,
+                                         f"duplicate seed {name!r}")
+            seeds[index[name]] = value
+    if not seeds:
+        raise ConfigError(f"{path}: no usable seed labels")
+    if num_classes == 1:
+        return LabelState.from_seed_values(g.node_count, list(seeds),
+                                           list(seeds.values()))
+    return LabelState.from_seed_classes(g.node_count, list(seeds),
+                                        list(seeds.values()), num_classes)
 
 
 def reference_join_features(blocks: dict):

@@ -37,7 +37,7 @@ from demograph.pipeline import (ExperimentGrid, PipelineConfig, read_labels,
                                 run_pipeline, run_sensitivity)
 from demograph.synth import PlantedGraphSpec, generate, write_outputs
 
-from conftest import lp_parts, random_binary_seeds, random_graph
+from conftest import lp_parts, random_binary_seeds, random_graph, seed_triple
 from oracles import (brute_force_auc, central_difference, dense_propagate,
                      relative_error)
 
@@ -199,10 +199,10 @@ def _pinned_run(root, reveal: float) -> PinnedRun:
     truth_map = read_labels(paths["truth"])
     truth = np.full(g.node_count, -1, dtype=np.int64)
     for name, value in truth_map.items():
-        if name in g:
+        if name in g.names:
             truth[g.index_of(name)] = value
     seeds_map = read_labels(paths["seeds"])
-    idx = [g.index_of(name) for name in seeds_map if name in g]
+    idx = [g.index_of(name) for name in seeds_map if name in g.names]
     seeds = LabelState.from_seed_values(
         g.node_count, idx, [float(seeds_map[g.names[i]]) for i in idx])
     grid = ExperimentGrid(strategies=["alpha", "beta", "gamma"],
@@ -316,13 +316,15 @@ def test_c07_leave_out_has_no_self_leakage():
                                rng_seed=int(rng.integers(0, 1000)))
         cfg = PropagationConfig(alpha=0.3, iterations=3)
         base = lp_features(
-            g, LabelState.from_seed_values(n, idx, values), plan, cfg)
+            g, seed_triple(LabelState.from_seed_values(n, idx, values)), plan,
+            cfg)
         pick = int(rng.integers(0, n_labeled))
         u = int(idx[pick])
         perturbed = values.copy()
         perturbed[pick] = rng.random()
         after = lp_features(
-            g, LabelState.from_seed_values(n, idx, perturbed), plan, cfg)
+            g, seed_triple(LabelState.from_seed_values(n, idx, perturbed)), plan,
+            cfg)
         i = plan.assignment[u]
         after_values, after_present = lp_parts(after, plan.n_partitions)
         base_values, base_present = lp_parts(base, plan.n_partitions)

@@ -83,7 +83,7 @@ class TestLoadEdgeList:
                 expected_edges.add(frozenset((u, v)))
 
         g = load_edge_list(p, min_degree=2)
-        assert "D" not in g
+        assert "D" not in g.names
         got = set()
         for u in range(g.node_count):
             for v in g.neighbors(u):
@@ -91,13 +91,13 @@ class TestLoadEdgeList:
         assert got == expected_edges
         # E appears only as a filtered-out source's target elsewhere but
         # follows two nodes itself, so it must survive.
-        assert "E" in g
+        assert "E" in g.names
 
     def test_filter_drops_pure_targets(self, tmp_path):
         # T never follows anyone: out-degree 0, removed by any filter.
         p = write_edges(tmp_path / "e.tsv", ["A\tT", "A\tB", "B\tA", "B\tT"])
         g = load_edge_list(p, min_degree=1)
-        assert "T" not in g
+        assert "T" not in g.names
         assert g.node_count == 2
 
     def test_malformed_line_names_line_number(self, tmp_path):
@@ -133,7 +133,7 @@ class TestLoadEdgeList:
     def test_target_only_nodes_are_interned(self, tmp_path):
         p = write_edges(tmp_path / "e.tsv", ["A\tB", "A\tC"])
         g = load_edge_list(p)
-        assert "C" in g and g.degrees[g.index_of("C")] == 1
+        assert "C" in g.names and g.degrees[g.index_of("C")] == 1
 
 
 class TestLoaderAgainstReference:

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from demograph import labelprop
 from demograph.errors import ConfigError, EdgeListParseError, ValidationError
 from demograph.graph import Graph
 from demograph.labelprop import (LabelState, PropagationConfig,
@@ -19,9 +23,10 @@ from demograph.labelprop import (LabelState, PropagationConfig,
                                  read_seed_labels, read_node_vectors,
                                  write_label_state)
 
-from conftest import random_binary_seeds, random_graph
+from conftest import random_binary_seeds, random_graph, spiced
 from oracles import (bfs_distances, dense_propagate, dense_propagate_gamma,
-                     reference_additive, reference_blended)
+                     reference_additive, reference_blended,
+                     reference_read_seed_labels)
 
 
 def path_graph(names):
@@ -639,6 +644,48 @@ class TestSuperstepLog:
         assert lines[0].args[1] == 0.0
 
 
+# Seed lines under graph names and off-graph names, which repeat now and
+# then, with labels that every mode, one mode or none takes; and raw lines
+# that send a file to the line reader (a comment, a non-ASCII name in or
+# out of the graph, CRLF, a short line) or add a bad label or a repeat.
+_seed_line = st.builds(
+    "{}{}{}".format, st.sampled_from(["a", "b", "c", "d", "x", "yy"]),
+    st.sampled_from(["\t", " "]),
+    st.sampled_from(["0", "1"] * 4 + ["0.25", "1.0", "3", "30", "65", "x",
+                                      "nan", "-1", "2.5"]))
+_SEED_SPICE = [b"# comment\n", "\u00e9\t1\n".encode(), "\u00fc\t0\n".encode(),
+               b"a\t1\r\n", b"c\t0.5\r\n", b"a\n", b"b\tinf\n", b"a\t1\n",
+               b"x\t1\n"]
+
+
+def _seed_outcome(read, path, g, num_classes, ages):
+    try:
+        state = read(path, g, num_classes, ages)
+    except ValidationError as exc:
+        return type(exc), str(exc)
+    return [a.tobytes() for a in (state.values, state.is_seed, state.is_active)]
+
+
+class TestSeedFiles:
+    """``read_seed_labels`` on the array path against the forced line
+    reader and the line-by-line reference."""
+
+    @given(st.builds(spiced, st.lists(_seed_line, max_size=8),
+                     st.sampled_from([b""] * 8 + _SEED_SPICE),
+                     st.integers(0, 8), st.booleans()),
+           st.sampled_from([(1, False), (7, False), (7, True)]))
+    @settings(max_examples=300, deadline=None)
+    def test_same_state_or_error_as_line_reader(self, tmp_path_factory, data,
+                                                mode):
+        g = path_graph(["a", "b", "c", "d", "\u00e9"])
+        path = tmp_path_factory.mktemp("s") / "seeds.tsv"
+        path.write_bytes(data)
+        fast = _seed_outcome(read_seed_labels, path, g, *mode)
+        with mock.patch.object(labelprop, "_pair_tokens", return_value=None):
+            assert fast == _seed_outcome(read_seed_labels, path, g, *mode)
+        assert fast == _seed_outcome(reference_read_seed_labels, path, g, *mode)
+
+
 class TestLabelIO:
     def test_binary_seed_round_trip(self, tmp_path):
         g = path_graph(["a", "b", "c"])
@@ -672,6 +719,9 @@ class TestLabelIO:
         # Off-graph names are skipped, but their values are still checked.
         ("missing\t-4\na\t3\n", True, 1, "-4"),
         ("a\t3\n# c\na\t4\n", False, 3, "duplicate seed 'a'"),
+        # Every label is checked before any repeat: a bad label on line 4
+        # is named, not the repeat on line 2.
+        ("a\t3\na\t4\nb\t1\nb\tx\n", False, 4, "'x'"),
     ])
     def test_class_seed_errors_name_path_and_line(self, tmp_path, text, ages,
                                                   line, message):

@@ -17,7 +17,8 @@ from demograph.labelprop import LabelState, PropagationConfig, propagate
 from demograph.lpfeatures import lp_features, make_partitions
 from demograph.model import FeatureMatrix
 
-from conftest import lp_parts, random_binary_seeds, random_graph
+from conftest import (lp_parts, random_binary_seeds, random_graph,
+                      seed_triple)
 from oracles import reference_lp_features
 
 
@@ -97,7 +98,7 @@ class TestLPFeatures:
         seeds, _ = random_binary_seeds(rng, 20, 9)
         plan = make_partitions(np.flatnonzero(seeds.is_seed), 3, rng_seed=2)
         cfg = PropagationConfig(alpha=0.3, iterations=3)
-        block = lp_features(g, seeds, plan, cfg)
+        block = lp_features(g, seed_triple(seeds), plan, cfg)
         values, present = masked_values(block, 3)
         runs = self.run_reference(g, seeds, plan, cfg)
         for u in range(20):
@@ -115,7 +116,7 @@ class TestLPFeatures:
         seeds, _ = random_binary_seeds(rng, 20, 9)
         plan = make_partitions(np.flatnonzero(seeds.is_seed), 3, rng_seed=2)
         cfg = PropagationConfig(alpha=0.3, iterations=3)
-        block = lp_features(g, seeds, plan, cfg)
+        block = lp_features(g, seed_triple(seeds), plan, cfg)
         values, present = masked_values(block, 3)
         runs = self.run_reference(g, seeds, plan, cfg)
         for u, i in plan.assignment.items():
@@ -134,7 +135,8 @@ class TestLPFeatures:
         labels = seeded_state(3, {0: 1.0, 2: 0.0})
         plan = make_partitions([0, 2], 2, rng_seed=0)
         cfg = PropagationConfig(alpha=0.5, iterations=2)
-        values, _ = masked_values(lp_features(g, labels, plan, cfg), 2)
+        values, _ = masked_values(
+            lp_features(g, seed_triple(labels), plan, cfg), 2)
         runs = self.run_reference(g, labels, plan, cfg)
         for u, i in plan.assignment.items():
             other = 1 - i
@@ -147,12 +149,12 @@ class TestLPFeatures:
         labels = LabelState.from_seed_values(24, idx, values)
         plan = make_partitions(idx, 3, rng_seed=5)
         cfg = PropagationConfig(alpha=0.3, iterations=3)
-        base = lp_features(g, labels, plan, cfg)
+        base = lp_features(g, seed_triple(labels), plan, cfg)
         u = int(idx[0])
         perturbed_values = values.copy()
         perturbed_values[0] = 1.0 - perturbed_values[0]
-        perturbed = lp_features(
-            g, LabelState.from_seed_values(24, idx, perturbed_values), plan, cfg)
+        perturbed = lp_features(g, seed_triple(LabelState.from_seed_values(
+            24, idx, perturbed_values)), plan, cfg)
         # Every entry of u's own row is independent of u's seed value: run
         # i never reads it for the substitution, and runs j != i never see
         # u as a seed at all.
@@ -166,7 +168,7 @@ class TestLPFeatures:
         seeds, _ = random_binary_seeds(rng, 18, 6)
         plan = make_partitions(np.flatnonzero(seeds.is_seed), 3, rng_seed=1)
         cfg = PropagationConfig(alpha=0.3, iterations=2)
-        block = lp_features(g, seeds, plan, cfg)
+        block = lp_features(g, seed_triple(seeds), plan, cfg)
         perm = [2, 0, 1]
         # Six seeds in three partitions of two: partition i's nodes move
         # to the order slots of partition perm[i].
@@ -176,7 +178,7 @@ class TestLPFeatures:
         permuted_plan = replace(plan, order=order)
         assert permuted_plan.assignment == {
             u: perm[i] for u, i in plan.assignment.items()}
-        permuted = lp_features(g, seeds, permuted_plan, cfg)
+        permuted = lp_features(g, seed_triple(seeds), permuted_plan, cfg)
         values, present = masked_values(block, 3)
         permuted_values, permuted_present = masked_values(permuted, 3)
         for old, new in enumerate(perm):
@@ -199,7 +201,7 @@ class TestLPFeatures:
         g = Graph.build(["a", "b", "x", "y"], [(0, 1), (2, 3)])
         labels = seeded_state(4, {0: 1.0, 1: 0.0})
         plan = make_partitions([0, 1], 2, rng_seed=0)
-        block = lp_features(g, labels, plan,
+        block = lp_features(g, seed_triple(labels), plan,
                             PropagationConfig(alpha=0.3, iterations=3))
         imputed, present = lp_parts(block, 2)
         assert not present[2].any()
@@ -211,7 +213,8 @@ class TestLPFeatures:
         seeds, _ = random_binary_seeds(rng, 10, 4)
         wrong = make_partitions(range(3), 2, rng_seed=0)
         with pytest.raises(ValidationError):
-            lp_features(g, seeds, wrong, PropagationConfig(iterations=1))
+            lp_features(g, seed_triple(seeds), wrong,
+                        PropagationConfig(iterations=1))
 
     def test_multiclass_block_shape_and_leave_out(self, rng):
         g, _ = random_graph(rng, 16, 0.3)
@@ -220,7 +223,7 @@ class TestLPFeatures:
         labels = LabelState.from_seed_classes(16, idx, classes)
         plan = make_partitions(idx, 3, rng_seed=4)
         cfg = PropagationConfig(alpha=0.3, iterations=2)
-        block = lp_features(g, labels, plan, cfg)
+        block = lp_features(g, seed_triple(labels), plan, cfg)
         values, _ = masked_values(block, 3)
         assert values.shape == (16, 3 * 7)
         assert block.columns == [f"lp_{i}_{c}" for i in range(3)
@@ -250,7 +253,7 @@ class TestSeedArrays:
         plan = make_partitions(idx, 3, rng_seed=6)
         cfg = PropagationConfig(strategy=strategy, alpha=0.3, gamma=0.8,
                                 iterations=3)
-        want = lp_features(g, state, plan, cfg)
+        want = reference_lp_features(g, state, plan, cfg).table(g.names, True)
         got = lp_features(g, (idx, classes, channels), plan, cfg)
         assert got.values.tobytes() == want.values.tobytes()
         assert got.nodes == want.nodes and got.columns == want.columns
@@ -280,7 +283,7 @@ class TestLPMemory:
         g.adjacency  # built once per graph, outside the trace
         idx = np.sort(rng.choice(n, size=n // 2, replace=False))
         classes = rng.integers(0, 7, size=len(idx))
-        labels = (LabelState.from_seed_classes(n, idx, classes, 7)
+        labels = (seed_triple(LabelState.from_seed_classes(n, idx, classes, 7))
                   if form == "state" else (idx, classes, 7))
         plan = make_partitions(idx, 3, rng_seed=1)
         tracemalloc.start()
@@ -330,7 +333,7 @@ class TestLeaveOutAgainstLoop:
                 76, idx, rng.integers(0, 7, size=len(idx)))
         plan = make_partitions(idx, n_partitions, rng_seed=n_partitions)
         cfg = PropagationConfig(alpha=0.3, iterations=2)
-        block = lp_features(g, labels, plan, cfg)
+        block = lp_features(g, seed_triple(labels), plan, cfg)
         runs = TestLPFeatures().run_reference(g, labels, plan, cfg)
         values, present = self.loop_reference(runs, plan)
         got_values, got_present = masked_values(block, n_partitions)
@@ -364,7 +367,7 @@ class TestTableAgainstReference:
                 36, idx, rng.integers(0, 7, size=len(idx)))
         plan = make_partitions(idx, n_partitions, rng_seed=seed)
         cfg = PropagationConfig(alpha=0.3, iterations=int(rng.integers(1, 4)))
-        block = lp_features(g, labels, plan, cfg)
+        block = lp_features(g, seed_triple(labels), plan, cfg)
         ref = reference_lp_features(g, labels, plan, cfg)
         values, present = masked_values(block, n_partitions)
         assert np.array_equal(values, ref.values)
@@ -398,7 +401,7 @@ class TestCSV:
         g, _ = random_graph(rng, 12, 0.3)
         seeds, _ = random_binary_seeds(rng, 12, 6)
         plan = make_partitions(np.flatnonzero(seeds.is_seed), 3, rng_seed=0)
-        block = lp_features(g, seeds, plan,
+        block = lp_features(g, seed_triple(seeds), plan,
                             PropagationConfig(alpha=0.3, iterations=3))
         out = tmp_path / "lp.csv"
         block.to_csv(out)
@@ -414,7 +417,7 @@ class TestCSV:
         g, _ = random_graph(rng, 10, 0.3)
         seeds, _ = random_binary_seeds(rng, 10, 4)
         plan = make_partitions(np.flatnonzero(seeds.is_seed), 2, rng_seed=0)
-        block = lp_features(g, seeds, plan,
+        block = lp_features(g, seed_triple(seeds), plan,
                             PropagationConfig(alpha=0.3, iterations=2))
         out = tmp_path / "lp.csv"
         without_presence(block, 2).to_csv(out)
@@ -438,7 +441,8 @@ class TestCSV:
         else:
             labels = LabelState.from_seed_classes(
                 44, idx, rng.integers(0, 7, size=len(idx)))
-        block = lp_features(g, labels, make_partitions(idx, 3, rng_seed=2),
+        block = lp_features(g, seed_triple(labels),
+                            make_partitions(idx, 3, rng_seed=2),
                             PropagationConfig(alpha=0.3, iterations=2))
         assert not lp_parts(block, 3)[1].all()
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"

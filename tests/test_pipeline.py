@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import weakref
 from dataclasses import fields, replace
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from demograph import labelprop as labelprop_module
 from demograph import lpfeatures as lpfeatures_module
 from demograph import pipeline as pipeline_module
 from demograph.embed import EmbeddingTable
@@ -41,10 +43,10 @@ def planted_fixture(tmp_path, per_class=600, p=0.012, q=0.0012, reveal=0.05,
     truth_map = read_labels(paths["truth"])
     truth = np.full(g.node_count, -1, dtype=np.int64)
     for name, value in truth_map.items():
-        if name in g:
+        if name in g.names:
             truth[g.index_of(name)] = value
     seeds_map = read_labels(paths["seeds"])
-    idx = [g.index_of(n) for n in seeds_map if n in g]
+    idx = [g.index_of(n) for n in seeds_map if n in g.names]
     seeds = LabelState.from_seed_values(
         g.node_count, idx, [float(seeds_map[g.names[i]]) for i in idx])
     return paths, g, truth, seeds
@@ -133,8 +135,17 @@ def _labels_outcome(path, task, ages):
         return type(exc), str(exc)
 
 
+def _line_reader_asked(path, num_classes, ages):
+    """Whether the label read of ``path`` opens the line reader."""
+    with mock.patch.object(labelprop_module, "_read_rows",
+                           wraps=labelprop_module._read_rows) as rows:
+        with contextlib.suppress(ValidationError):
+            labelprop_module._read_label_file(path, num_classes, ages)
+    return rows.called
+
+
 class TestArrayLabels:
-    """The array label parse against the line reader it stands in for."""
+    """The array label read against the line reader it stands in for."""
 
     @given(st.builds(spiced, st.lists(_label_line, max_size=10),
                      st.sampled_from([b""] * 16 + _LABEL_SPICE + _LABEL_DECLINED),
@@ -145,7 +156,7 @@ class TestArrayLabels:
         path = tmp_path_factory.mktemp("l") / "labels.tsv"
         path.write_bytes(data)
         fast = _labels_outcome(path, *task)
-        with mock.patch.object(pipeline_module, "_array_labels",
+        with mock.patch.object(labelprop_module, "_pair_tokens",
                                return_value=None):
             assert fast == _labels_outcome(path, *task)
 
@@ -154,21 +165,25 @@ class TestArrayLabels:
         ("a\t06\nb\t0\n", 7, False, True),
         ("a\t17\nb\t18\nc\t999999999999999999\n", 7, True, True),
         ("a\t2\n", 2, False, False),
-        ("a\t1.0\n", 2, False, False),
-        ("a\t1\na\t1\n", 2, False, False),
-        ("\n \n", 2, False, False)])
+        ("a\t1.0\n", 2, False, True),
+        ("a\t1\na\t1\n", 2, False, True),
+        ("\n \n", 2, False, True),
+        ("a\t0.25\nb\t1\n", 1, False, True),
+        ("a\t0.25\nb\t1\n", 2, False, False),
+        ("a\t1\nb\tnan\n", 1, False, False)])
     def test_which_files_the_array_parse_takes(self, tmp_path, text, classes,
                                                ages, taken):
         path = tmp_path / "labels.tsv"
         path.write_bytes(text.encode())
-        labels = pipeline_module._array_labels(path, classes, ages)
-        assert (labels is not None) == taken
+        assert _line_reader_asked(path, classes, ages) != taken
 
     @pytest.mark.parametrize("line", _LABEL_DECLINED)
     def test_declined_line_goes_to_line_reader(self, tmp_path, line):
         path = tmp_path / "labels.tsv"
         path.write_bytes(b"a\t1\n" + line + b"b\t0\n")
-        assert pipeline_module._array_labels(path, 2, False) is None
+        data = np.frombuffer(path.read_bytes(), np.uint8)
+        assert labelprop_module._pair_tokens(data) is None
+        assert _line_reader_asked(path, 2, False)
 
 
 class TestSensitivity:

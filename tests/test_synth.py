@@ -122,7 +122,7 @@ class TestOutputsOnDisk:
         g = load_edge_list(paths["edges"])
         truth = read_labels(paths["truth"])
         seeds = read_labels(paths["seeds"])
-        seed_idx = [g.index_of(n) for n in seeds if n in g]
+        seed_idx = [g.index_of(n) for n in seeds if n in g.names]
         state = LabelState.from_seed_values(
             g.node_count, seed_idx, [float(seeds[g.names[i]]) for i in seed_idx])
         out = propagate(g, state, PropagationConfig(alpha=0.3, iterations=3))
