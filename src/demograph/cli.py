@@ -14,15 +14,14 @@ import argparse
 import json
 import sys
 from dataclasses import MISSING, fields
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, embed, lpfeatures, synth
 from .errors import ConfigError, ValidationError
-from .graph import (load_directed_edges, load_edge_list, row_indices,
-                    write_edge_list, write_node_map)
+from .graph import (load_directed_edges, load_edge_list, name_array,
+                    row_indices, texts, write_edge_list, write_node_map)
 from .labelprop import (PropagationConfig, _seed_rows, propagate,
                         read_node_vectors, read_seed_labels,
                         write_label_state, write_node_vectors)
@@ -30,9 +29,9 @@ from .model import (FeatureMatrix, SplitSpec, TrainHyper, evaluate,
                     join_features, split)
 from .pipeline import (_PARSE, _RENAMED, _STAGES, ExperimentGrid,
                        PipelineConfig, _check_out_dir, _check_sensitivity,
-                       fit_and_score, format_metrics_table, format_pivot,
-                       read_labels, run_pipeline, run_sensitivity,
-                       task_classes, write_sensitivity_csv)
+                       _read_truth, _rows_and_labels, fit_and_score,
+                       format_metrics_table, format_pivot, run_pipeline,
+                       run_sensitivity, task_classes, write_sensitivity_csv)
 
 
 class _UsageError(ConfigError):
@@ -270,37 +269,36 @@ def _cmd_train(args):
                           f"{args.features!r}")
     blocks = {name: FeatureMatrix.from_csv(p) for name, p in zip(names, paths)}
     features = join_features(blocks) if len(blocks) > 1 else next(iter(blocks.values()))
-    labels = read_labels(args.labels, run.task, run.ages)
-    names = list(labels)
-    labeled = list(compress(names, row_indices(features.nodes, names) >= 0))
-    if not labeled:
+    names, labels = _read_truth(args.labels, run.task, run.ages)
+    labeled = row_indices(features.nodes, names) >= 0
+    if not labeled.any():
         raise ConfigError("no labeled node has features")
     # The random split depends on this list: only labeled nodes with features.
-    train_names, test_names = split(labeled, spec)
-    test_rows, probs, record = fit_and_score(
-        features, labels, train_names, test_names, task_classes(run.task),
-        run.model, run.hidden, hyper, run.balance)
+    names, labels = names[labeled], labels[labeled]
+    train, test = ((names[rows], labels[rows]) for rows in split(names, spec))
+    test_nodes, probs, record = fit_and_score(
+        features, train, test, task_classes(run.task), run.model, run.hidden,
+        hyper, run.balance)
     if args.predictions_out:
-        write_node_vectors(args.predictions_out, test_rows, probs)
+        write_node_vectors(args.predictions_out, test_nodes, probs)
     _emit_metrics(record, args.metrics_out)
 
 
 def _cmd_eval(args):
     run = _config(PipelineConfig, args)
     predictions = read_node_vectors(args.predictions)
-    labels = read_labels(args.labels, run.task, run.ages)
-    common = [n for n in labels if n in predictions]
-    if not common:
+    names, labels = _read_truth(args.labels, run.task, run.ages)
+    common = np.isin(names, name_array(list(predictions)))
+    if not common.any():
         raise ConfigError("no prediction matches a labeled node")
-    probs = np.stack([predictions[n] for n in common])
+    probs = np.stack([predictions[n] for n in texts(names[common])])
     classes = task_classes(run.task)
     if probs.shape[1] not in (1, classes):
         raise ValidationError(
             f"{args.predictions}: {probs.shape[1]} columns per prediction, "
             f"but task {run.task} takes 1 or {classes}")
-    truth = np.array([labels[n] for n in common])
-    _emit_metrics({**evaluate(probs, truth), "n_eval": len(common)},
-                  args.metrics_out)
+    _emit_metrics({**evaluate(probs, labels[common]),
+                   "n_eval": int(common.sum())}, args.metrics_out)
 
 
 def _emit_metrics(record: dict, out_path):
@@ -334,11 +332,10 @@ def _cmd_sensitivity(args):
     grid = _config(ExperimentGrid, args)
     _check_sensitivity(bool(args.seeds), args.reveal, args.workers)
     g = load_edge_list(args.edges, min_degree=args.min_degree)
-    truth_map = read_labels(args.truth, "gender", False)
-    rows = row_indices(g.names, list(truth_map))
-    inside = rows >= 0
+    rows, labels = _rows_and_labels(g.names, _read_truth(args.truth, "gender",
+                                                         False))
     truth = np.full(g.node_count, -1, dtype=np.int64)
-    truth[rows[inside]] = np.fromiter(truth_map.values(), np.int64)[inside]
+    truth[rows] = labels
     seeds = None
     if args.seeds:
         seeds = read_seed_labels(args.seeds, g, num_classes=1)

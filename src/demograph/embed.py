@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError, DivergenceError, ValidationError
 from .graph import (DirectedEdges, Graph, _arc_keys, _csr_from_keys,
-                    _float_rows, _open_text, row_indices)
+                    _float_rows, _open_text, row_indices, texts)
 
 __all__ = [
     "EmbeddingTable",
@@ -402,5 +402,5 @@ def fill_missing_embeddings(g: Graph, table: EmbeddingTable) -> EmbeddingTable:
                                      return_counts=True)
     sums = np.zeros((len(filled), table.dim))
     np.add.at(sums, slot, table.vectors[row[dst[wanted]]])
-    return EmbeddingTable(table.tokens + [g.names[v] for v in filled],
+    return EmbeddingTable(table.tokens + texts(g.names[filled]),
                           np.concatenate([table.vectors, sums / counts[:, None]]))

@@ -2,10 +2,12 @@
 
 Edges come from whitespace-separated text files (``<src><TAB><dst>`` per
 line, ``#`` comments allowed).  Node names are interned to dense indices in
-order of first appearance, self-loops and duplicate edges are dropped, and
-adjacency is stored in compressed sparse row form: an offset array plus one
-flat neighbor array sorted within each row.  A loaded graph is therefore
-fully determined by the input file.
+order of first appearance and kept as one fixed-width array of their UTF-8
+bytes (``name_array``); text is decoded only where a file is written.
+Self-loops and duplicate edges are dropped, and adjacency is stored in
+compressed sparse row form: an offset array plus one flat neighbor array
+sorted within each row.  A loaded graph is therefore fully determined by
+the input file.
 
 Every CSR is packed from one int64 buffer of ``src * n + dst`` arc keys,
 sorted in place, and no copy of the pair array is made.  A traced ingest
@@ -33,7 +35,9 @@ __all__ = [
     "Graph",
     "load_directed_edges",
     "load_edge_list",
+    "name_array",
     "row_indices",
+    "texts",
     "write_edge_list",
     "write_node_map",
 ]
@@ -71,42 +75,75 @@ def _csr_from_keys(n: int, keys: np.ndarray):
     return indptr.astype(dtype), keys.astype(dtype, copy=False)
 
 
-def row_indices(nodes: Sequence[str], names: Sequence[str]) -> np.ndarray:
+def name_array(names) -> np.ndarray:
+    """``names`` (text or bytes) as one fixed-width ``S`` array of their
+    UTF-8 bytes; an ``S`` array is taken as it is.  ``S`` drops trailing NUL
+    bytes, so a name that ends in one raises ``ValidationError``."""
+    if isinstance(names, np.ndarray) and names.dtype.kind == "S":
+        return names
+    encoded = [n.encode() if isinstance(n, str) else bytes(n) for n in names]
+    if any(b.endswith(b"\0") for b in encoded):
+        raise ValidationError("a name ends in a NUL byte")
+    return np.array(encoded, dtype=bytes)
+
+
+def texts(names) -> list[str]:
+    """``names`` as text, for writing: a ``name_array`` decoded from its
+    UTF-8 bytes, text as it is."""
+    if isinstance(names, np.ndarray) and names.dtype.kind == "S":
+        return [b.decode() for b in names.tolist()]
+    return list(names)
+
+
+def _first_repeat(values: np.ndarray) -> int:
+    """The first position in ``values`` whose value occurs at an earlier
+    one, or -1, by one stable sort."""
+    order = np.argsort(values, kind="stable")
+    again = order[1:][values[order[1:]] == values[order[:-1]]]
+    return int(again.min()) if len(again) else -1
+
+
+def row_indices(nodes, names) -> np.ndarray:
     """The position in ``nodes`` of each of ``names`` (the last one of a
-    repeated name), -1 where it has none.  The name -> position dict lives
-    only for this call."""
-    row_of = {name: i for i, name in enumerate(nodes)}
-    return np.fromiter((row_of.get(n, -1) for n in names), dtype=np.int64,
-                       count=len(names))
+    repeated name), -1 where it has none: one argsort of ``nodes`` and one
+    ``searchsorted``.  Both are ``name_array``s or taken as one."""
+    nodes, names = name_array(nodes), name_array(names)
+    if not len(nodes):
+        return np.full(len(names), -1, dtype=np.int64)
+    order = np.argsort(nodes, kind="stable")
+    at = order[np.searchsorted(nodes, names, side="right", sorter=order) - 1]
+    return np.where(nodes[at] == names, at, -1)
 
 
 @dataclass
 class Graph:
     """Undirected graph in CSR form.
 
-    ``names[i]`` is the external name of dense index ``i``; ``indices``
-    holds every directed arc (each undirected edge appears twice), grouped
-    by source via ``indptr`` and sorted within each group.  Both arrays are
-    int32 when the node count and the arc count are below 2**31, else
-    int64, and the ``adjacency`` operator holds these same arrays.
+    ``names[i]`` is the external name of dense index ``i`` (``names`` is a
+    ``name_array``); ``indices`` holds every directed arc (each undirected
+    edge appears twice), grouped by source via ``indptr`` and sorted within
+    each group.  Both arrays are int32 when the node count and the arc
+    count are below 2**31, else int64, and the ``adjacency`` operator holds
+    these same arrays.
     Instances are immutable after construction and safe to share across
     workers.
     """
 
-    names: list[str]
+    names: np.ndarray
     indptr: np.ndarray
     indices: np.ndarray
-    _index: dict[str, int] | None = field(default=None, init=False, repr=False)
+    _index: dict[bytes, int] | None = field(default=None, init=False, repr=False)
     _adjacency: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
+        self.names = name_array(self.names)
+        if _first_repeat(self.names) >= 0:
             raise ValidationError("duplicate node names in interning table")
         self.indptr.setflags(write=False)
         self.indices.setflags(write=False)
 
     @classmethod
-    def build(cls, names: Sequence[str],
+    def build(cls, names,
               pairs: Sequence[tuple[int, int]] | np.ndarray,
               mirror: bool = True) -> "Graph":
         """Build a graph from index pairs (a sequence or an ``(m, 2)`` array).
@@ -121,11 +158,10 @@ class Graph:
         return cls._from_keys(names, _arc_keys(len(names), arr, mirror), mirror)
 
     @classmethod
-    def _from_keys(cls, names: Sequence[str], keys: np.ndarray,
-                   mirror: bool) -> "Graph":
+    def _from_keys(cls, names, keys: np.ndarray, mirror: bool) -> "Graph":
         """``build`` from the ``_arc_keys`` of its pairs, sorted in place."""
         n = len(names)
-        g = cls(list(names), *_csr_from_keys(n, keys))
+        g = cls(names, *_csr_from_keys(n, keys))
         if not mirror:
             rev_ptr, rev_idx = _csr_from_keys(
                 n, g.indices * np.int64(n) + g.arc_sources)
@@ -179,19 +215,21 @@ class Graph:
             raise IndexError(f"node index {v} out of range [0, {self.node_count})")
         return self.indices[self.indptr[v]:self.indptr[v + 1]]
 
-    def index_of(self, name: str) -> int:
-        """The index of ``name``, from a name -> index dict built on the
-        first call and cached; a run that never asks holds no such dict."""
+    def index_of(self, name: str | bytes) -> int:
+        """The index of ``name`` (text or UTF-8 bytes), from a name -> index
+        dict built on the first call and cached; a run that never asks holds
+        no such dict."""
         if self._index is None:
-            self._index = {n: i for i, n in enumerate(self.names)}
-        return self._index[name]
+            self._index = {n: i for i, n in enumerate(self.names.tolist())}
+        return self._index[name.encode() if isinstance(name, str) else name]
 
 
 @dataclass
 class DirectedEdges:
     """Raw directed follow relation: ``arcs`` is the ``(m, 2)`` array of
     (follower, followed) index pairs in file order, self-loops dropped and
-    repeats kept, int32 when every node index fits, else int64."""
+    repeats kept, int32 when every node index fits, else int64.  ``names``
+    are text: the emb corpus keeps its tokens as ``str``."""
 
     names: list[str]
     arcs: np.ndarray
@@ -217,7 +255,8 @@ def _read_rows(path, width: int, sep: str | None = None):
     seeds, labels, node vectors) that is not blank or a ``#`` comment.
 
     Tokens are split on ``sep`` (any whitespace by default); a line with
-    other than ``width`` tokens raises ``EdgeListParseError`` (``path:line``).
+    other than ``width`` tokens, or a token that ends in a NUL byte (which a
+    ``name_array`` drops), raises ``EdgeListParseError`` (``path:line``).
     """
     with _open_text(path) as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -228,6 +267,8 @@ def _read_rows(path, width: int, sep: str | None = None):
             if len(tokens) != width:
                 raise EdgeListParseError(
                     path, line_no, f"expected {width} tokens, got {len(tokens)}")
+            if any(token.endswith("\0") for token in tokens):
+                raise EdgeListParseError(path, line_no, "a token ends in NUL")
             yield line_no, tokens
 
 
@@ -242,28 +283,30 @@ def _float_rows(names, values, sep: str, delim: str = ",", end: str = "\n"):
     """Yield the text of ``name + sep + values joined by delim + end`` for
     each row of the 2-D ``values``, ``_CHUNK`` rows at a time, each value
     written ``"%.17g"`` (equal to ``f"{x:.17g}"`` for every float, -0.0,
-    nan and inf included).  Rows past the end of ``names`` are dropped, as
+    nan and inf included).  ``names`` are text or a ``name_array``, decoded
+    a chunk at a time.  Rows past the end of ``names`` are dropped, as
     ``zip`` would drop them."""
     values = np.asarray(values)
     fmt = sep + delim.join(["%.17g"] * values.shape[1]) + end
     for start in range(0, len(values), _CHUNK):
         rows = values[start:start + _CHUNK].tolist()
         yield "".join([name + fmt % tuple(row) for name, row
-                       in zip(names[start:start + _CHUNK], rows)])
+                       in zip(texts(names[start:start + _CHUNK]), rows)])
 
 
 def _pair_rows(pairs: np.ndarray, left: np.ndarray, right: np.ndarray):
-    """Yield the text of ``left[u] + right[v]`` for each row ``(u, v)`` of
-    the int array ``pairs``, ``_CHUNK`` rows at a time; ``left`` and
-    ``right`` are object arrays of str."""
+    """Yield the UTF-8 bytes of ``left[u] + right[v]`` for each row
+    ``(u, v)`` of the int array ``pairs``, ``_CHUNK`` rows at a time;
+    ``left`` and ``right`` are object arrays of bytes."""
     for start in range(0, len(pairs), _CHUNK):
         block = pairs[start:start + _CHUNK]
-        yield "".join((left[block[:, 0]] + right[block[:, 1]]).tolist())
+        yield b"".join((left[block[:, 0]] + right[block[:, 1]]).tolist())
 
 
 def _suffixed(tokens, suffix: str) -> np.ndarray:
-    """``token + suffix`` for each token, as an object array."""
-    return np.array(tokens, dtype=object) + suffix
+    """The UTF-8 bytes of ``token + suffix`` for each text token, as an
+    object array."""
+    return np.array([(token + suffix).encode() for token in tokens], object)
 
 
 # Byte kinds of the array edge parse: 0 sends the file to the line reader,
@@ -312,6 +355,12 @@ def _token_words(block: np.ndarray):
         col[rows] = words[begin[rows] + j] & (_ONES << 8 * (8 - keep))
         cols.append(col)
     return cols
+
+
+def _word_names(cols) -> np.ndarray:
+    """The ``name_array`` of the tokens of ``_token_words`` columns."""
+    words = np.stack(cols, axis=1) if cols else np.zeros((0, 1), np.uint64)
+    return words.astype(">u8").view(f"S{8 * words.shape[1]}").ravel()
 
 
 def _line_blocks(data: bytes, start: int = 0):
@@ -381,7 +430,7 @@ def _array_arcs(path):
     starts = np.flatnonzero(np.r_[True, sorted_key[1:] != sorted_key[:-1]])
     first = np.minimum.reduceat(perm, starts)
     order = np.argsort(first)
-    packed = np.stack([col[first[order]] for col in cols], axis=1)
+    names = _word_names([col[first[order]] for col in cols])
     rank = np.empty(len(order), np.int64)
     rank[order] = np.arange(len(order))
     del cols, sorted_key
@@ -389,12 +438,16 @@ def _array_arcs(path):
     arcs = key.view(np.int64)
     arcs[perm] = group
     del perm, group
-    names = packed.astype(">u8").view(f"S{8 * packed.shape[1]}").ravel()
-    return names.astype(str).tolist(), arcs.reshape(-1, 2)
+    # Names rebuilt from their bytes now, not the array made among the
+    # parse's large ones, let glibc's freed heap shrink: after the sweep
+    # benchmark's set-up wrote its files, the parse left 96 MB resident
+    # with that array and 55 MB with this one (2-vCPU Linux VM).
+    return np.array(names.tolist()), arcs.reshape(-1, 2)
 
 
-def _read_arcs(path) -> tuple[list[str], np.ndarray]:
-    """Parse an edge-list file into names and an int64 ``(m, 2)`` arc array.
+def _read_arcs(path) -> tuple[np.ndarray, np.ndarray]:
+    """Parse an edge-list file into a ``name_array`` and an int64
+    ``(m, 2)`` arc array.
 
     Names are numbered in order of first appearance, source first.  A file
     that ``_array_arcs`` declines goes through the line reader.
@@ -408,10 +461,10 @@ def _read_arcs(path) -> tuple[list[str], np.ndarray]:
                       dtype=np.int64)
     if not index:
         raise EmptyGraphError(f"no edges found in {path}")
-    return list(index), ids.reshape(-1, 2)
+    return name_array(list(index)), ids.reshape(-1, 2)
 
 
-def _filter_min_degree(names: list[str], arcs: np.ndarray, min_degree: int):
+def _filter_min_degree(names: np.ndarray, arcs: np.ndarray, min_degree: int):
     """Keep the arcs between nodes with at least ``min_degree`` distinct
     non-self follow targets; the kept nodes are numbered again in order of
     first appearance in the kept arcs."""
@@ -427,7 +480,7 @@ def _filter_min_degree(names: list[str], arcs: np.ndarray, min_degree: int):
     order = nodes[np.argsort(first[nodes])]
     rank = np.empty(len(names), dtype=np.int64)
     rank[order] = np.arange(len(order))
-    return [names[i] for i in order], rank[arcs]
+    return names[order], rank[arcs]
 
 
 def load_edge_list(path, min_degree: int = 0, symmetrize: bool = True) -> Graph:
@@ -463,8 +516,8 @@ def load_directed_edges(path) -> DirectedEdges:
     """Load the raw directed follow relation from an edge-list file."""
     names, arcs = _read_arcs(path)
     arcs = arcs[arcs[:, 0] != arcs[:, 1]]
-    return DirectedEdges(names, arcs.astype(np.int32) if len(names) < 2**31
-                         else arcs)
+    return DirectedEdges(texts(names), arcs.astype(np.int32)
+                         if len(names) < 2**31 else arcs)
 
 
 def write_edge_list(g: Graph, path) -> None:
@@ -472,15 +525,16 @@ def write_edge_list(g: Graph, path) -> None:
     src = g.arc_sources
     upper = g.indices > src
     pairs = np.stack([src[upper], g.indices[upper]], axis=1)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(_pair_rows(pairs, _suffixed(g.names, "\t"),
-                                 _suffixed(g.names, "\n")))
+    with open(path, "wb") as fh:
+        names = texts(g.names)
+        fh.writelines(_pair_rows(pairs, _suffixed(names, "\t"),
+                                 _suffixed(names, "\n")))
 
 
 def write_node_map(g: Graph, path) -> None:
     """Write the interning table, one ``<dense-index><TAB><name>`` per line."""
     ids = np.arange(g.node_count)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         fh.writelines(_pair_rows(np.stack([ids, ids], axis=1),
                                  _suffixed(ids.astype(str), "\t"),
-                                 _suffixed(g.names, "\n")))
+                                 _suffixed(texts(g.names), "\n")))

@@ -36,7 +36,8 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import ConfigError, EdgeListParseError, ValidationError
-from .graph import Graph, _float_rows, _pair_tokens, _read_rows, row_indices
+from .graph import (Graph, _first_repeat, _float_rows, _read_rows,
+                    _token_words, _word_names, name_array, row_indices)
 
 __all__ = [
     "AGE_BUCKET_UPPER_BOUNDS",
@@ -225,20 +226,23 @@ def _neighbor_means(g: Graph, values: np.ndarray, counts: np.ndarray,
 
 
 def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,
-                           seeds: LabelState) -> LabelState:
-    """Normalize accumulator rows into distributions; seeds pass through."""
+                           is_seed: np.ndarray) -> LabelState:
+    """Normalize accumulator rows into distributions; the seed rows, which
+    hold the seeds' values, pass through."""
     out = np.zeros_like(acc)
     mass = acc.sum(axis=1)
     np.divide(acc, mass[:, None], out=out,
               where=(active & (mass > 0))[:, None])
-    np.copyto(out, seeds.values, where=seeds.is_seed[:, None])
-    return LabelState(out, seeds.is_seed.copy(), active.copy())
+    np.copyto(out, acc, where=is_seed[:, None])
+    return LabelState(out, is_seed.copy(), active.copy())
 
 
 class _HandedState(LabelState):
-    """A seed state handed over to the one run it seeds, which computes in
-    its values buffer instead of a copy: its inactive rows are zero, as
-    ``from_seed_values`` builds them, and no one reads it after the run."""
+    """A seed state handed over to the one run it seeds, which takes its
+    values buffer instead of a copy: its inactive rows are zero, as
+    ``from_seed_values`` builds them.  The run detaches the buffer and
+    leaves the state an empty array of the same width, so that the buffer
+    is freed once the first superstep no longer needs it."""
 
 
 def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
@@ -254,17 +258,20 @@ def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
 
     The active-neighbor counts change only when a node activates, so they
     are computed at the first superstep and again only after a superstep
-    that activated a node.  Each superstep writes its values into the
-    buffer of two supersteps back unless that state was yielded.  The
-    values of a ``_HandedState`` are the first buffer, and are overwritten
-    but in the seed rows, which never change.
+    that activated a node.  Each superstep computes the new values in the
+    buffer of its neighbor means, so a run holds two value buffers at a
+    time; alpha and beta scale the old values in place unless that state
+    was yielded.  The values of a ``_HandedState`` are the first buffer.
     """
-    values = (seeds.values if isinstance(seeds, _HandedState)
-              else np.where(seeds.is_active[:, None], seeds.values, 0.0))
     active = seeds.is_active.copy()
     is_seed = seeds.is_seed.copy()
+    if isinstance(seeds, _HandedState):
+        values, seeds.values = seeds.values, seeds.values[:0].copy()
+    else:
+        values = np.where(seeds.is_active[:, None], seeds.values, 0.0)
     gamma = cfg.strategy == "gamma"
-    counts, spare = None, None
+    debug = logger.isEnabledFor(logging.DEBUG)
+    counts = None
     for k in range(1, cfg.iterations + 1):
         if counts is None:
             # Counts of 0/1 entries are integers, exact in float64.
@@ -272,26 +279,27 @@ def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
             has = counts > 0
             grow = has & ~is_seed
             stay = np.flatnonzero(~grow)
-            first = np.flatnonzero(grow & ~active)
-        means = _neighbor_means(g, values, counts, has)
-        new = np.empty_like(values) if spare is None else spare
-        # Every row is computed whole-array; the rows that must not take
-        # the result (``stay``, and ``first`` under alpha and beta) are
-        # then set from index lists, which beats masked ufunc loops.
+            blend = (grow & active)[:, None]
+        new = _neighbor_means(g, values, counts, has)
+        # Every row is computed whole-array, and the rows that must not
+        # take the result (``stay``) are then set from an index list, which
+        # beats masked ufunc loops.
+        kept = values[stay]
         if gamma:
-            np.multiply(means, cfg.gamma, out=means)
-            np.add(values, means, out=new)
+            np.multiply(new, cfg.gamma, out=new)
+            np.add(values, new, out=new)
         else:
             w = 1.0 - cfg.alpha if cfg.strategy == "alpha" else cfg.beta ** k
-            taken = means[first]
-            np.multiply(values, 1.0 - w, out=new)
-            np.multiply(means, w, out=means)
-            np.add(new, means, out=new)
-            new[first] = taken
-        new[stay] = values[stay]
+            np.multiply(new, w, out=new, where=blend)
+            # A newly active node's old row is +0.0 and its mean is never
+            # -0.0, so adding its scaled old row leaves the plain mean.
+            np.add(new, np.multiply(values, 1.0 - w, out=None if debug
+                                    or k - 1 in keep else values), out=new)
+        new[stay] = kept
+        del kept
         new_active = active | (new.sum(axis=1) > 0 if gamma else has)
         fresh = int((new_active & ~active).sum())
-        if logger.isEnabledFor(logging.DEBUG):
+        if debug:
             moved = grow & active
             delta = np.abs(new - values)[moved].max() if moved.any() else 0.0
             logger.debug("superstep %d: max delta %.3e, %d newly active",
@@ -300,10 +308,9 @@ def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
             counts = None
         # A yielded state's arrays are never written again, so a caller may
         # keep them without a copy; gamma yields normalized copies.
-        spare = values if gamma or k - 1 not in keep else None
         values, active = new, new_active
         if k in keep:
-            yield k, (_finalize_accumulators(values, active, seeds) if gamma
+            yield k, (_finalize_accumulators(values, active, is_seed) if gamma
                       else LabelState(values, is_seed, active))
 
 
@@ -419,28 +426,32 @@ def _label_value(raw: str, num_classes: int, ages: bool) -> float | int:
     return value
 
 
-def _read_label_file(path, num_classes: int,
-                     ages: bool = False) -> tuple[list[str], list]:
-    """The names and ``_label_value`` labels of a ``<name><TAB><label>``
-    file (truth labels or seeds), in file order.
+def _read_label_file(path, num_classes: int, ages: bool = False
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The names (a ``name_array``) and ``_label_value`` labels (an array)
+    of a ``<name><TAB><label>`` file (truth labels or seeds), in file order.
 
-    A file that ``_pair_tokens`` takes is split by ``str.split``, and each
-    distinct label token is read once.  Any other file, or one with a bad
-    label, goes through ``_read_rows``, and its first bad line raises
-    ``EdgeListParseError`` at ``path:line``.
+    A file that ``_token_words`` takes gives the names as the bytes of its
+    tokens, and each distinct label token is read once.  Any other file,
+    or one with a bad label, goes through ``_read_rows``, and its first bad
+    line raises ``EdgeListParseError`` at ``path:line``.
     """
     with open(path, "rb") as fh:
-        data = fh.read()
-    if _pair_tokens(np.frombuffer(data, np.uint8)) is not None:
-        tokens = data.decode("ascii").split()
-        names, raws = tokens[0::2], tokens[1::2]
+        cols = _token_words(np.frombuffer(fh.read(), np.uint8))
+    if cols is not None:
+        names = _word_names([col[0::2] for col in cols])
+        raws = _word_names([col[1::2] for col in cols])
+        # Tokens of one word are told apart faster as integers.
+        first, label_of = np.unique(
+            raws.view(np.uint64) if raws.itemsize == 8 else raws,
+            return_index=True, return_inverse=True)[1:]
         try:
-            value = {raw: _label_value(raw, num_classes, ages)
-                     for raw in set(raws)}
+            value = np.array([_label_value(raw.decode(), num_classes, ages)
+                              for raw in raws[first].tolist()])
         except (ValueError, ValidationError):
             pass  # the line reader names the first bad line
         else:
-            return names, [value[raw] for raw in raws]
+            return names, value[label_of]
     names, values = [], []
     for line_no, (name, raw) in _read_rows(path, 2):
         try:
@@ -448,7 +459,7 @@ def _read_label_file(path, num_classes: int,
         except (ValueError, ValidationError) as exc:
             raise EdgeListParseError(path, line_no, str(exc)) from None
         names.append(name)
-    return names, values
+    return name_array(names), np.array(values)
 
 
 def _seed_rows(path, g: Graph, num_classes: int = 1, ages: bool = False):
@@ -466,17 +477,14 @@ def _seed_rows(path, g: Graph, num_classes: int = 1, ages: bool = False):
         logger.info("skipped %d seed labels for nodes missing from the graph",
                     len(rows) - np.count_nonzero(inside))
     indices = rows[inside]
-    # A stable sort keeps a node's lines in file order, so ``again`` holds
-    # the position of every line but the first of each repeated node.
-    order = np.argsort(indices, kind="stable")
-    again = order[1:][np.diff(indices[order]) == 0]
-    if len(again):
-        at = int(np.flatnonzero(inside)[again.min()])
+    again = _first_repeat(indices)
+    if again >= 0:
+        at = int(np.flatnonzero(inside)[again])
         line_no, (name, _) = next(islice(_read_rows(path, 2), at, None))
         raise EdgeListParseError(path, line_no, f"duplicate seed {name!r}")
     if not len(indices):
         raise ConfigError(f"{path}: no usable seed labels")
-    return indices, np.array(values)[inside], num_classes
+    return indices, values[inside], num_classes
 
 
 def read_seed_labels(path, g: Graph, num_classes: int = 1,
@@ -508,7 +516,7 @@ def write_label_state(path, g: Graph, state: LabelState,
     """
     keep = np.flatnonzero(state.is_active | emit_inactive)
     rows = np.where(state.is_active[:, None], state.values, np.nan)[keep]
-    write_node_vectors(path, [g.names[v] for v in keep], rows)
+    write_node_vectors(path, g.names[keep], rows)
 
 
 def read_node_vectors(path) -> dict[str, np.ndarray]:

@@ -97,9 +97,9 @@ def lp_features(g: Graph, labels: tuple, plan: PartitionPlan,
     n, n_parts = g.node_count, plan.n_partitions
     parts = plan.partitions()
     indices, values, n_classes = labels
+    indices, values = np.asarray(indices), np.asarray(values)
     order = np.argsort(indices)
-    seeded, values = np.asarray(indices)[order], np.asarray(values)[order]
-    if not np.array_equal(np.sort(np.concatenate(parts)), seeded):
+    if not np.array_equal(np.sort(np.concatenate(parts)), indices[order]):
         raise ValidationError("partition plan must cover exactly the seed set")
     width = n_parts * n_classes
     data = np.zeros((n, width + n_parts))
@@ -108,8 +108,8 @@ def lp_features(g: Graph, labels: tuple, plan: PartitionPlan,
     for i, part in enumerate(parts):
         # Each part's seed state is built only for its run, which computes
         # in it, so only one part's (n, C) state is alive at a time.
-        run = propagate(g, _HandedState.from_seeds(
-            n, part, values[np.searchsorted(seeded, part)], n_classes), cfg)
+        run = propagate(g, _HandedState.from_seeds(n, part, values[order[
+            np.searchsorted(indices, part, sorter=order)]], n_classes), cfg)
         present[:, i] = run.is_active
         np.copyto(data[:, cols[i]], run.values, where=run.is_active[:, None])
         # Free this run before the next one builds its states.
@@ -136,4 +136,4 @@ def lp_features(g: Graph, labels: tuple, plan: PartitionPlan,
     channels = [""] if n_classes == 1 else [f"_{c}" for c in range(n_classes)]
     columns = [f"{PREFIX}_{i}{c}" for i in range(n_parts) for c in channels]
     columns += [f"{PREFIX}_present_{i}" for i in range(n_parts)]
-    return FeatureMatrix(list(g.names), columns, data)
+    return FeatureMatrix(g.names, columns, data)

@@ -13,13 +13,13 @@ import csv
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import compress
 
 import numpy as np
 
 from .embed import sigmoid
 from .errors import ConfigError, DivergenceError, ValidationError
-from .graph import _CHUNK, _float_rows, _line_runs, _open_text, row_indices
+from .graph import (_CHUNK, _first_repeat, _float_rows, _line_runs,
+                    _open_text, name_array, row_indices, texts)
 
 __all__ = [
     "FeatureMatrix",
@@ -51,24 +51,25 @@ PROB_CLAMP = 1e-12
 class FeatureMatrix:
     """Row-aligned feature rows keyed by node name.
 
-    No name -> row dict is kept: ``graph.row_indices`` maps names to rows
-    through one that lives for the call.
+    ``nodes`` is a ``graph.name_array`` (a list of names is taken as one).
+    No name -> row dict is kept: ``graph.row_indices`` maps names to rows.
     """
 
-    nodes: list[str]
+    nodes: np.ndarray
     columns: list[str]
     values: np.ndarray
 
     def __post_init__(self):
+        self.nodes = name_array(self.nodes)
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.nodes), len(self.columns)):
             raise ValidationError(
                 f"feature matrix shape {self.values.shape} does not match "
                 f"{len(self.nodes)} nodes x {len(self.columns)} columns")
-        if len(set(self.nodes)) != len(self.nodes):
-            last = row_indices(self.nodes, self.nodes)
-            dup = self.nodes[np.flatnonzero(last != np.arange(len(last)))[0]]
-            raise ValidationError(f"feature matrix repeats node {dup!r}")
+        dup = _first_repeat(self.nodes)
+        if dup >= 0:
+            raise ValidationError(
+                f"feature matrix repeats node {self.nodes[dup].decode()!r}")
 
     def to_csv(self, path) -> None:
         """Write ``csv.writer``'s excel dialect: CRLF line ends, and a name
@@ -77,15 +78,15 @@ class FeatureMatrix:
         tables without columns, go through ``csv.writer`` row by row."""
         header = ["node"] + self.columns
         with open(path, "w", newline="", encoding="utf-8") as fh:
-            text = "".join([*self.nodes, *header])
-            if self.columns and not any(c in text for c in ',"\r\n'):
+            text = b"".join([*self.nodes.tolist(), *map(str.encode, header)])
+            if self.columns and not any(c in text for c in b',"\r\n'):
                 fh.write(",".join(header) + "\r\n")
                 fh.writelines(_float_rows(self.nodes, self.values, ",",
                                           end="\r\n"))
                 return
             writer = csv.writer(fh)
             writer.writerow(header)
-            for name, row in zip(self.nodes, self.values):
+            for name, row in zip(texts(self.nodes), self.values):
                 writer.writerow([name] + [f"{x:.17g}" for x in row])
 
     @classmethod
@@ -107,10 +108,10 @@ def _array_csv(path):
     byte that is not UTF-8, a row of other than the header's comma count,
     a value ``loadtxt`` rejects, a repeated node or a non-finite value.
     The file is read, checked and parsed one ``graph._line_runs`` run of
-    whole lines at a time, so that only the nodes and the values outlive
-    each run.  A run ends just past a newline, so it splits no UTF-8
-    character and no CRLF, and the byte checks of each run add up to
-    those of the whole file."""
+    whole lines at a time, so that only the nodes (as ``name_array``s) and
+    the values outlive each run.  A run ends just past a newline, so it
+    splits no UTF-8 character and no CRLF, and the byte checks of each run
+    add up to those of the whole file."""
     header, nodes, values = None, [], []
     with open(path, "rb") as fh:
         for run in _line_runs(fh):
@@ -140,9 +141,13 @@ def _array_csv(path):
                 return None
             if not np.isfinite(block).all():
                 return None
-            nodes += [line.partition(",")[0] for line in lines]
+            nodes.append(name_array([line.partition(",")[0]
+                                     for line in lines]))
             values.append(block)
-    if not nodes or len(set(nodes)) != len(nodes):
+    if not nodes:
+        return None
+    nodes = np.concatenate(nodes)
+    if _first_repeat(nodes) >= 0:
         return None
     return nodes, header[1:], np.concatenate(values)
 
@@ -163,6 +168,8 @@ def _read_csv_rows(path):
             if len(row) != len(header):
                 raise ValidationError(
                     f"{path}:{lineno}: expected {len(header)} fields")
+            if row[0].endswith("\0"):
+                raise ValidationError(f"{path}:{lineno}: node ends in NUL")
             if line_of.setdefault(row[0], lineno) != lineno:
                 raise ValidationError(f"{path}:{lineno}: repeated node")
             nodes.append(row[0])
@@ -193,8 +200,8 @@ def join_features(blocks: dict[str, FeatureMatrix]) -> FeatureMatrix:
     rows = [np.arange(len(first.nodes))] + [
         row_indices(blocks[b].nodes, first.nodes) for b in names[1:]]
     mask = np.min(rows, axis=0) >= 0
-    keep = list(compress(first.nodes, mask))
-    if not keep:
+    keep = first.nodes[mask]
+    if not len(keep):
         raise ValidationError(
             f"feature blocks {names} share no nodes; nothing to join")
     for b in names:
@@ -235,10 +242,12 @@ def fnv1a64(text: str) -> int:
     return h
 
 
-def _fnv1a64_all(names: list[str]) -> np.ndarray:
-    """``fnv1a64`` of every name as uint64, one byte column at a time over
-    the rows whose name is long enough."""
-    encoded = [name.encode("utf-8") for name in names]
+def _fnv1a64_all(names) -> np.ndarray:
+    """``fnv1a64`` of every name (text, or the bytes of a ``name_array``)
+    as uint64, one byte column at a time over the rows whose name is long
+    enough."""
+    encoded = (names.tolist() if isinstance(names, np.ndarray)
+               else [name.encode("utf-8") for name in names])
     sizes = np.array([len(b) for b in encoded], dtype=np.int64)
     data = np.frombuffer(b"".join(encoded), np.uint8)
     starts = np.cumsum(sizes) - sizes
@@ -278,21 +287,18 @@ class SplitSpec:
             raise ConfigError(f"rng_seed must be >= 0, got {self.rng_seed}")
 
 
-def split(nodes: list[str], spec: SplitSpec) -> tuple[list[str], list[str]]:
-    """Partition ``nodes`` into (train, test), preserving input order."""
-    if not nodes:
+def split(nodes, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``nodes`` (a ``name_array``, or text) of the
+    (train, test) sides, each in increasing order."""
+    if not len(nodes):
         raise ValidationError("cannot split an empty node list")
     fraction = spec.resolved_fraction()
     if spec.mode == "hash":
         is_train = (_fnv1a64_all(nodes) % 10000) / 10000.0 < fraction
-        train = [n for n, t in zip(nodes, is_train) if t]
-        test = [n for n, t in zip(nodes, is_train) if not t]
-        return train, test
+        return np.flatnonzero(is_train), np.flatnonzero(~is_train)
     perm = np.random.default_rng(spec.rng_seed).permutation(len(nodes))
     cut = int(fraction * len(nodes))
-    train_idx = np.sort(perm[:cut])
-    test_idx = np.sort(perm[cut:])
-    return [nodes[i] for i in train_idx], [nodes[i] for i in test_idx]
+    return np.sort(perm[:cut]), np.sort(perm[cut:])
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ import csv
 import json
 import logging
 from dataclasses import Field, dataclass, field, fields, replace
-from itertools import compress
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from . import embed, lpfeatures
 from .errors import ConfigError, ValidationError
 from .graph import (Graph, _open_text, load_directed_edges, load_edge_list,
-                    row_indices)
+                    name_array, row_indices)
 from .labelprop import (NUM_AGE_BUCKETS, LabelState, PropagationConfig,
                         _read_label_file, propagate_trace)
 from .model import (FeatureMatrix, SplitSpec, TrainHyper, auc_rank,
@@ -425,28 +424,49 @@ _KEYS = ({f.name for f in fields(PipelineConfig)} - _STAGES.keys()
          | {key for _, _, keys in _STAGES.values() for key in keys})
 
 
-def read_labels(path, task: str = "gender", ages: bool = False) -> dict[str, int]:
-    """Read ``<name><TAB><label>`` truth files as name -> class index, by
-    ``labelprop._read_label_file``.  Every line is checked; of two lines
-    for one name the first wins."""
+def _read_truth(path, task: str, ages: bool) -> tuple[np.ndarray, np.ndarray]:
+    """The truth labels of a ``<name><TAB><label>`` file as names (a
+    ``name_array``) and class indices, by ``labelprop._read_label_file``.
+    Every line is checked; of two lines for one name the first wins."""
     names, values = _read_label_file(path, task_classes(task),
                                      ages and task != "gender")
-    labels = dict(zip(names, values))
-    if len(labels) < len(names):  # a repeated name takes its first label
-        labels.update(zip(reversed(names), reversed(values)))
-    if not labels:
+    first = np.unique(names, return_index=True)[1]
+    if len(first) < len(names):
+        first.sort()
+        names, values = names[first], values[first]
+    if not len(names):
         raise ConfigError(f"{path}: no labels found")
-    return labels
+    return names, values
 
 
-def _lp_block(cfg: PipelineConfig, g: Graph, labels: dict[str, int],
-              train_names: list[str], n_classes: int,
+def read_labels(path, task: str = "gender", ages: bool = False
+                ) -> dict[bytes, int]:
+    """Read ``<name><TAB><label>`` truth files as name -> class index, the
+    names as UTF-8 bytes, the type of ``Graph.names``' elements."""
+    names, values = _read_truth(path, task, ages)
+    return dict(zip(names.tolist(), values.tolist()))
+
+
+# One side of a split: the names (a ``name_array``) and their labels.
+_Side = tuple[np.ndarray, np.ndarray]
+
+
+def _rows_and_labels(nodes: np.ndarray, side: _Side
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """The positions in ``nodes`` and the labels of those names of ``side``
+    that are in ``nodes``, in name order."""
+    rows = row_indices(nodes, side[0])
+    inside = rows >= 0
+    return rows[inside], side[1][inside]
+
+
+def _lp_block(cfg: PipelineConfig, g: Graph, train: _Side, n_classes: int,
               root: int) -> FeatureMatrix:
-    idx, classes = _rows_and_labels(g.names, labels, train_names)
+    idx, classes = _rows_and_labels(g.names, train)
     if not len(idx):
         raise ConfigError("no training labels fall inside the graph")
     logger.info("lp: %d of %d training labels fall outside the graph",
-                len(train_names) - len(idx), len(train_names))
+                len(train[0]) - len(idx), len(train[0]))
     plan = lpfeatures.make_partitions(idx, cfg.lp_splits,
                                       derive_seed(root, "lp-partitions"))
     # Binary labels propagate as one channel, the positive-class share.
@@ -461,19 +481,19 @@ def _emb_block(cfg: PipelineConfig, g: Graph, root: int) -> FeatureMatrix:
     table = embed.train_embeddings(edges.names, sentences, replace(
         cfg.emb, rng_seed=derive_seed(root, "embed")))
     table = embed.fill_missing_embeddings(g, table)
-    keep = np.flatnonzero(row_indices(g.names, table.tokens) >= 0)
+    tokens = name_array(table.tokens)
+    keep = np.flatnonzero(row_indices(g.names, tokens) >= 0)
     columns = [f"emb_{i}" for i in range(table.dim)]
-    return FeatureMatrix([table.tokens[i] for i in keep], columns,
-                         table.vectors[keep])
+    return FeatureMatrix(tokens[keep], columns, table.vectors[keep])
 
 
-def fit_and_score(features: FeatureMatrix, labels: dict[str, int],
-                  train_names: list[str], test_names: list[str],
+def fit_and_score(features: FeatureMatrix, train: _Side, test: _Side,
                   n_classes: int, model: str, hidden: tuple[int, ...],
                   hyper: TrainHyper, balance: bool = False
-                  ) -> tuple[list[str], np.ndarray, dict]:
-    """Train on the train names that have feature rows, score the test
-    names that do, and return (test rows, probabilities, record).
+                  ) -> tuple[np.ndarray, np.ndarray, dict]:
+    """Train on the ``train`` names that have feature rows, score the
+    ``test`` names that do, and return (test nodes, probabilities, record).
+    Each side is a pair of names (a ``name_array``) and class indices.
 
     ``model`` is ``"lr"`` (logistic regression for two classes, softmax
     otherwise) or ``"mlp"`` with ``hidden`` layer widths.  With
@@ -484,8 +504,8 @@ def fit_and_score(features: FeatureMatrix, labels: dict[str, int],
     for ``predict``, so a table that the caller passes and does not keep
     is freed before ``predict`` runs.
     """
-    train_rows, y = _rows_and_labels(features.nodes, labels, train_names)
-    test_rows, y_test = _rows_and_labels(features.nodes, labels, test_names)
+    train_rows, y = _rows_and_labels(features.nodes, train)
+    test_rows, y_test = _rows_and_labels(features.nodes, test)
     if not len(train_rows) or not len(test_rows):
         raise ConfigError("empty train or test side after joining features")
     rows = train_rows
@@ -506,24 +526,13 @@ def fit_and_score(features: FeatureMatrix, labels: dict[str, int],
         raise ConfigError(f"unknown model {model!r}")
     # Keep only the test rows, so that the table is freed before predict
     # allocates its activations when the caller holds no other reference.
-    test_nodes = [features.nodes[i] for i in test_rows.tolist()]
+    test_nodes = features.nodes[test_rows]
     x = x[test_rows]
     del features
     probs = predict(params, x)
     metrics = evaluate(probs, y_test)
     return (test_nodes, probs,
             {"n_train": len(train_rows), "n_test": len(test_rows), **metrics})
-
-
-def _rows_and_labels(nodes: list[str], labels: dict[str, int],
-                     names: list[str]) -> tuple[np.ndarray, np.ndarray]:
-    """The positions in ``nodes`` and the labels of those ``names`` that
-    are in ``nodes``, in name order."""
-    rows = row_indices(nodes, names)
-    inside = rows >= 0
-    y = np.fromiter((labels[n] for n in compress(names, inside)),
-                    dtype=np.int64, count=int(inside.sum()))
-    return rows[inside], y
 
 
 def _check_out_dir(path) -> None:
@@ -555,16 +564,16 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
 
     root, n_classes = cfg.root_seed, task_classes(cfg.task)
     g = load_edge_list(cfg.edges, min_degree=cfg.min_degree)
-    labels = read_labels(cfg.labels, cfg.task, cfg.ages)
-
-    train_names, test_names = split(list(labels), replace(
-        cfg.split_spec, rng_seed=derive_seed(root, "split")))
+    names, labels = _read_truth(cfg.labels, cfg.task, cfg.ages)
+    train, test = ((names[rows], labels[rows]) for rows in split(
+        names, replace(cfg.split_spec, rng_seed=derive_seed(root, "split"))))
+    del names, labels
 
     # The blocks that read the graph come first, so that the graph is
     # freed before the feature CSV is read.
     blocks: dict[str, FeatureMatrix] = {}
     if "lp" in needed:
-        blocks["lp"] = _lp_block(cfg, g, labels, train_names, n_classes, root)
+        blocks["lp"] = _lp_block(cfg, g, train, n_classes, root)
     if "emb" in needed:
         blocks["emb"] = _emb_block(cfg, g, root)
     del g  # no later stage reads the graph
@@ -585,7 +594,7 @@ def run_pipeline(cfg: PipelineConfig) -> list[dict]:
             _, _, scores = fit_and_score(
                 join_features({b: blocks[b] if b in later else blocks.pop(b)
                                for b in names}),
-                labels, train_names, test_names, n_classes,
+                train, test, n_classes,
                 cfg.model, cfg.hidden, replace(
                     cfg.hyper, rng_seed=derive_seed(root, f"train:{regime}")),
                 cfg.balance)

@@ -118,7 +118,7 @@ def write_outputs(data: SynthData, out_dir) -> dict[str, Path]:
             ("edges", data.edges, _suffixed(data.names, "\n")),
             ("truth", node_label, ends),
             ("seeds", node_label[data.seed_indices], ends)):
-        with open(paths[name], "w", encoding="utf-8") as fh:
+        with open(paths[name], "wb") as fh:
             fh.writelines(_pair_rows(pairs, tab, right))
     columns = [f"cumf_{c}" for c in range(data.features.shape[1])]
     FeatureMatrix(data.names, columns, data.features).to_csv(paths["cumf"])

@@ -487,7 +487,7 @@ class ReferenceLPBlock:
         out[~mask] = 0.5
         return out
 
-    def table(self, names: list[str], presence: bool = True):
+    def table(self, names, presence: bool = True):
         from demograph.model import FeatureMatrix
         n_parts, n_classes = self.n_partitions, self.n_classes
         columns = ([f"lp_{i}" for i in range(n_parts)] if n_classes == 1 else
@@ -497,7 +497,7 @@ class ReferenceLPBlock:
         if presence:
             columns += [f"lp_present_{i}" for i in range(n_parts)]
             values = np.hstack([values, self.present.astype(np.float64)])
-        return FeatureMatrix(list(names), columns, values)
+        return FeatureMatrix(names, columns, values)
 
 
 def reference_lp_features(g, labels, plan, cfg) -> ReferenceLPBlock:
@@ -552,7 +552,7 @@ def reference_read_seed_labels(path, g, num_classes=1, ages=False):
         except (ValueError, ValidationError) as exc:
             raise EdgeListParseError(path, line_no, str(exc)) from None
         rows.append((line_no, name, value))
-    index = {name: i for i, name in enumerate(g.names)}
+    index = {name.decode(): i for i, name in enumerate(g.names.tolist())}
     seeds = {}
     for line_no, name, value in rows:
         if name in index:
@@ -576,8 +576,9 @@ def reference_join_features(blocks: dict):
     if not blocks:
         raise ValueError("no feature blocks to join")
     names = list(blocks)
-    rows = {b: {n: i for i, n in enumerate(blocks[b].nodes)} for b in names}
-    keep = [n for n in blocks[names[0]].nodes
+    rows = {b: {n: i for i, n in enumerate(blocks[b].nodes.tolist())}
+            for b in names}
+    keep = [n for n in blocks[names[0]].nodes.tolist()
             if all(n in rows[b] for b in names[1:])]
     if not keep:
         raise ValueError(f"feature blocks {names} share no nodes")
@@ -641,8 +642,8 @@ def reference_to_csv(fm, path):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["node"] + fm.columns)
-        for name, row in zip(fm.nodes, fm.values):
-            writer.writerow([name] + [f"{x:.17g}" for x in row])
+        for name, row in zip(fm.nodes.tolist(), fm.values):
+            writer.writerow([name.decode()] + [f"{x:.17g}" for x in row])
 
 
 def reference_write_node_vectors(path, names, rows):
@@ -654,7 +655,8 @@ def reference_write_node_vectors(path, names, rows):
 def reference_write_label_state(path, g, state, emit_inactive=False):
     keep = np.flatnonzero(state.is_active | emit_inactive)
     rows = np.where(state.is_active[:, None], state.values, np.nan)[keep]
-    reference_write_node_vectors(path, [g.names[v] for v in keep], rows)
+    reference_write_node_vectors(path, [g.names[v].decode() for v in keep],
+                                 rows)
 
 
 def reference_embedding_save(table, path):
@@ -669,13 +671,13 @@ def reference_write_edge_list(g, path):
         for u in range(g.node_count):
             for v in g.neighbors(u):
                 if v > u:
-                    fh.write(f"{g.names[u]}\t{g.names[v]}\n")
+                    fh.write(f"{g.names[u].decode()}\t{g.names[v].decode()}\n")
 
 
 def reference_write_node_map(g, path):
     with open(path, "w", encoding="utf-8") as fh:
-        for i, name in enumerate(g.names):
-            fh.write(f"{i}\t{name}\n")
+        for i, name in enumerate(g.names.tolist()):
+            fh.write(f"{i}\t{name.decode()}\n")
 
 
 def reference_write_outputs(data, out_dir):

@@ -25,7 +25,7 @@ import pytest
 
 from demograph import cli, embed
 from demograph.graph import (Graph, load_directed_edges, load_edge_list,
-                             row_indices)
+                             name_array, row_indices)
 from demograph.labelprop import (LabelState, PropagationConfig, propagate,
                                  propagate_beta, propagate_gamma,
                                  propagate_multiclass)
@@ -392,10 +392,10 @@ def test_c08_embedding_quality(tmp_path):
                           rng_seed=2))
     table = embed.fill_missing_embeddings(g, table)
     truth = read_labels(paths["truth"])
-    nodes = [name for name, row in zip(truth, row_indices(
-        table.tokens, list(truth))) if row >= 0]
-    train_names, test_names = split(nodes, SplitSpec(mode="hash",
-                                                     train_fraction=0.7))
+    names = name_array(list(truth))
+    nodes = names[row_indices(table.tokens, names) >= 0]
+    train_names, test_names = (nodes[rows] for rows in split(
+        nodes, SplitSpec(mode="hash", train_fraction=0.7)))
     x_train = table.vectors[row_indices(table.tokens, train_names)]
     y_train = np.array([truth[n] for n in train_names])
     x_test = table.vectors[row_indices(table.tokens, test_names)]
@@ -473,13 +473,13 @@ def test_c10_hash_split_determinism():
     train1, test1 = split(ids, spec)
     train2, _ = split(ids, spec)
     share = len(train1) / len(ids)
-    assert train1 == train2
+    assert np.array_equal(train1, train2)
     assert abs(share - 0.75) <= 0.01
     grown = ids + [f"extra{i:06d}" for i in range(20_000)]
     train3, test3 = split(grown, spec)
-    train3_set = set(train3)
-    assert set(train1) == train3_set & set(ids)
-    assert set(test1) == set(test3) & set(ids)
+    train3_set = {grown[i] for i in train3}
+    assert {ids[i] for i in train1} == train3_set & set(ids)
+    assert {ids[i] for i in test1} == {grown[i] for i in test3} & set(ids)
     report(10, True, f"train share {share:.4f} (target 0.75 +/- 0.01), "
                      "rerun identical, stable under 20% id growth")
 

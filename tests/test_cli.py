@@ -15,7 +15,7 @@ import pytest
 import demograph
 
 from demograph.cli import main
-from demograph.graph import load_edge_list, row_indices
+from demograph.graph import load_edge_list, name_array, row_indices, texts
 from demograph.labelprop import (PropagationConfig, propagate_multiclass,
                                  read_node_vectors)
 from demograph.model import (FeatureMatrix, SplitSpec, TrainHyper,
@@ -183,7 +183,7 @@ class TestPropagateAndEval:
         want = propagate_multiclass(g, classes, PropagationConfig(
             strategy="gamma", gamma=0.9, iterations=2), num_classes=7)
         got = read_node_vectors(preds)
-        assert sorted(got) == sorted(np.array(g.names)[want.is_active])
+        assert sorted(got) == sorted(texts(g.names[want.is_active]))
         for name, row in got.items():
             assert np.array_equal(row, want.values[g.index_of(name)])
 
@@ -312,6 +312,28 @@ class TestNonUtf8Input:
         assert "bad.txt:2: not UTF-8 text" in capsys.readouterr().err
 
 
+class TestNulEndedName:
+    """A name that ends in a NUL byte exits 1 with ``path:line``: names are
+    held as fixed-width bytes, which drop trailing NULs and would merge
+    ``a`` with ``a\\0``."""
+
+    @pytest.mark.parametrize("reader", ["edges", "truth", "seeds", "csv"])
+    def test_exits_1_naming_the_line(self, dataset, tmp_path, capsys, reader):
+        bad = tmp_path / "bad"
+        bad.write_bytes(b"node,x\r\nn0,1\r\na\0,2\r\n" if reader == "csv"
+                        else b"u000001\t1\na\0\t0\n")
+        edges, truth = str(dataset / "edges.tsv"), str(dataset / "truth.tsv")
+        argv = {"edges": ["ingest", "--edges", str(bad)],
+                "truth": ["train", "--features", str(dataset / "cumf.csv"),
+                          "--labels", str(bad)],
+                "seeds": ["propagate", "--graph", edges, "--seeds", str(bad),
+                          "--out", str(tmp_path / "o.tsv")],
+                "csv": ["train", "--features", str(bad), "--labels", truth]}
+        assert run(argv[reader]) == 1
+        line = 3 if reader == "csv" else 2
+        assert f"bad:{line}:" in capsys.readouterr().err
+
+
 class TestFeatureCommands:
     def test_lp_features_csv(self, dataset, tmp_path):
         out = tmp_path / "lp.csv"
@@ -335,7 +357,8 @@ class TestFeatureCommands:
             tables.append(FeatureMatrix.from_csv(out))
         full, bare = tables
         assert full.columns[-3:] == [f"lp_present_{i}" for i in range(3)]
-        assert bare.nodes == full.nodes and bare.columns == full.columns[:-3]
+        assert np.array_equal(bare.nodes, full.nodes)
+        assert bare.columns == full.columns[:-3]
         assert bare.values.tobytes() == full.values[:, :-3].tobytes()
 
     @pytest.mark.parametrize("raw", ["0.7", "inf"])
@@ -487,21 +510,22 @@ class TestTrain:
         # The same rows, balanced and trained by hand.
         features = FeatureMatrix.from_csv(dataset / "cumf.csv")
         labels = read_labels(dataset / "truth.tsv")
-        rows = row_indices(features.nodes, list(labels))
-        train, test = split([n for n, r in zip(labels, rows) if r >= 0],
-                            SplitSpec(train_fraction=0.6, rng_seed=9))
+        names = name_array(list(labels))
+        labeled = names[row_indices(features.nodes, names) >= 0]
+        train, test = (labeled[side] for side in split(
+            labeled, SplitSpec(train_fraction=0.6, rng_seed=9)))
         y_train = np.array([labels[n] for n in train])
         # Balancing drops rows here, so the flag is really exercised.
         keep = balance_classes(y_train, np.random.default_rng(
             derive_seed(9, "balance")))
         assert len(keep) < len(train)
         hyper = TrainHyper(rate=0.2, epochs=5, minibatch=32, rng_seed=9)
-        row = {name: i for i, name in enumerate(features.nodes)}
+        row = {name: i for i, name in enumerate(features.nodes.tolist())}
         params = train_mlp(features.values[[row[n] for n in train]][keep],
                            y_train[keep], [6], n_classes=2, hyper=hyper)
         probs = predict(params, features.values[[row[n] for n in test]])
         expected = "".join(
-            name + "\t" + ",".join(f"{x:.17g}" for x in row) + "\n"
+            name.decode() + "\t" + ",".join(f"{x:.17g}" for x in row) + "\n"
             for name, row in zip(test, probs))
         assert preds.read_text() == expected
 

@@ -22,7 +22,7 @@ from demograph.embed import (EmbeddingTable, TrainConfig, build_sentences,
                              pair_objective, read_corpus, sigmoid,
                              train_embeddings, write_corpus)
 from demograph.errors import ConfigError, DivergenceError, ValidationError
-from demograph.graph import Graph, load_directed_edges, row_indices
+from demograph.graph import Graph, load_directed_edges, row_indices, texts
 from demograph.pipeline import PipelineConfig, derive_seed
 
 from oracles import (central_difference, reference_build_sentences,
@@ -556,13 +556,14 @@ def coldstart_reference(g: Graph, table: EmbeddingTable) -> EmbeddingTable:
     neighbors' vectors, in neighbor order, or none when it has none."""
     tokens, rows = list(table.tokens), [table.vectors]
     row = {token: i for i, token in enumerate(table.tokens)}
+    names = [name.decode() for name in g.names.tolist()]
     for v in range(g.node_count):
-        if g.names[v] in row:
+        if names[v] in row:
             continue
-        found = [table.vectors[row[g.names[u]]] for u in g.neighbors(v)
-                 if g.names[u] in row]
+        found = [table.vectors[row[names[u]]] for u in g.neighbors(v)
+                 if names[u] in row]
         if found:
-            tokens.append(g.names[v])
+            tokens.append(names[v])
             rows.append(np.mean(found, axis=0)[None, :])
     return EmbeddingTable(tokens, np.concatenate(rows, axis=0))
 
@@ -600,7 +601,7 @@ class TestColdStart:
         n = 60
         pairs = rng.integers(0, n, size=(150, 2))
         g = Graph.build([f"v{i}" for i in range(n)], pairs)
-        embedded = [name for name in g.names if rng.random() < coverage]
+        embedded = [name for name in texts(g.names) if rng.random() < coverage]
         # Off-graph tokens stay in the table and feed no fill.
         tokens = embedded + ["off0", "off1"]
         table = EmbeddingTable(tokens, rng.normal(size=(len(tokens), 4)))

@@ -15,7 +15,8 @@ from demograph.errors import (EdgeListParseError, EmptyGraphError,
 from demograph import graph, synth
 from demograph.embed import build_sentences
 from demograph.graph import (Graph, load_directed_edges, load_edge_list,
-                             row_indices, write_edge_list, write_node_map)
+                             name_array, row_indices, texts, write_edge_list,
+                             write_node_map)
 
 from conftest import random_graph, spiced
 from oracles import (reference_directed_edges, reference_edge_list,
@@ -83,21 +84,22 @@ class TestLoadEdgeList:
                 expected_edges.add(frozenset((u, v)))
 
         g = load_edge_list(p, min_degree=2)
-        assert "D" not in g.names
+        assert b"D" not in g.names
+        names = texts(g.names)
         got = set()
         for u in range(g.node_count):
             for v in g.neighbors(u):
-                got.add(frozenset((g.names[u], g.names[v])))
+                got.add(frozenset((names[u], names[v])))
         assert got == expected_edges
         # E appears only as a filtered-out source's target elsewhere but
         # follows two nodes itself, so it must survive.
-        assert "E" in g.names
+        assert b"E" in g.names
 
     def test_filter_drops_pure_targets(self, tmp_path):
         # T never follows anyone: out-degree 0, removed by any filter.
         p = write_edges(tmp_path / "e.tsv", ["A\tT", "A\tB", "B\tA", "B\tT"])
         g = load_edge_list(p, min_degree=1)
-        assert "T" not in g.names
+        assert b"T" not in g.names
         assert g.node_count == 2
 
     def test_malformed_line_names_line_number(self, tmp_path):
@@ -133,7 +135,7 @@ class TestLoadEdgeList:
     def test_target_only_nodes_are_interned(self, tmp_path):
         p = write_edges(tmp_path / "e.tsv", ["A\tB", "A\tC"])
         g = load_edge_list(p)
-        assert "C" in g.names and g.degrees[g.index_of("C")] == 1
+        assert b"C" in g.names and g.degrees[g.index_of("C")] == 1
 
 
 class TestLoaderAgainstReference:
@@ -149,7 +151,7 @@ class TestLoaderAgainstReference:
         g = load_edge_list(path, min_degree=min_degree, symmetrize=symmetrize)
         names, neighbors = expected
         indptr, indices = csr_of(neighbors)
-        assert g.names == names
+        assert texts(g.names) == names
         assert np.array_equal(g.indptr, indptr)
         assert np.array_equal(g.indices, indices)
 
@@ -201,9 +203,11 @@ class TestFilterMinDegree:
     def check(k, pairs, min_degree):
         names = [f"v{i}" for i in range(k)]
         arcs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        got_names, got_arcs = graph._filter_min_degree(names, arcs, min_degree)
+        got_names, got_arcs = graph._filter_min_degree(name_array(names), arcs,
+                                                       min_degree)
         want_names, want_arcs = reference_filter_min_degree(names, arcs,
                                                             min_degree)
+        got_names = texts(got_names)
         assert got_names == want_names
         assert got_arcs.dtype == want_arcs.dtype
         assert np.array_equal(got_arcs, want_arcs)
@@ -228,7 +232,7 @@ class TestFilterMinDegree:
                          "D\tD"])
         with caplog.at_level("INFO", logger="demograph.graph"):
             g = load_edge_list(p, min_degree=2)
-        assert g.names == ["A", "B", "C"]
+        assert texts(g.names) == ["A", "B", "C"]
         assert "min_degree=2 drops 1 of 4 nodes and 2 of 7 arcs" in caplog.text
 
 
@@ -252,7 +256,7 @@ class TestBuildAgainstReference:
         g = Graph.build(names, pairs, mirror=mirror)
         indptr, indices = csr_of([sorted(v for u, v in arcs if u == w)
                                   for w in range(k)])
-        assert g.names == names
+        assert texts(g.names) == names
         assert np.array_equal(g.indptr, indptr)
         assert np.array_equal(g.indices, indices)
 
@@ -338,7 +342,8 @@ class TestInvariants:
         p = write_edges(tmp_path / "e.tsv", ["x\ty", "z\tx", "w\tz"])
         g = load_edge_list(p)
         for name in ("x", "y", "z", "w"):
-            assert g.names[g.index_of(name)] == name
+            assert g.names[g.index_of(name)] == name.encode()
+            assert g.index_of(name.encode()) == g.index_of(name)
         assert sorted(g._index.values()) == list(range(g.node_count))
 
     def test_row_indices(self):
@@ -353,14 +358,14 @@ class TestInvariants:
         out = tmp_path / "round.tsv"
         write_edge_list(g, out)
         g2 = load_edge_list(out)
-        assert set(g2.names) == set(g.names)
+        assert set(g2.names.tolist()) == set(g.names.tolist())
         by_name = {g.names[u]: {g.names[v] for v in g.neighbors(u)}
                    for u in range(g.node_count)}
         for u in range(g2.node_count):
             assert {g2.names[v] for v in g2.neighbors(u)} == by_name[g2.names[u]]
         # Reloading the same file is deterministic down to the arrays.
         g2b = load_edge_list(out)
-        assert g2b.names == g2.names
+        assert np.array_equal(g2b.names, g2.names)
         assert np.array_equal(g2b.indptr, g2.indptr)
         assert np.array_equal(g2b.indices, g2.indices)
 
@@ -453,7 +458,7 @@ def _arcs_outcome(path):
     except ValidationError as exc:
         return type(exc), str(exc)
     assert arcs.dtype == np.int64
-    return names, arcs.tolist()
+    return names.tolist(), arcs.tolist()
 
 
 class TestArrayParse:
@@ -487,7 +492,8 @@ class TestArrayParse:
         assert fast is not None
         with mock.patch.object(graph, "_array_arcs", return_value=None):
             names, arcs = graph._read_arcs(path)
-        assert fast[0] == names and np.array_equal(fast[1], arcs)
+        assert fast[0].tolist() == names.tolist()
+        assert np.array_equal(fast[1], arcs)
 
     @pytest.mark.parametrize("text,taken", [
         ("a\tb\n  \nc d", True),
@@ -505,6 +511,6 @@ class TestArrayParse:
                  "abcdefghabcdefgh\tabcdefghA"]
         path = write_edges(tmp_path / "e.tsv", lines)
         names, arcs = graph._array_arcs(path)
-        assert names == ["abcdefghA", "abcdefghB", "abcdefghabcdefghC",
-                         "abcdefgh", "abcdefghabcdefgh"]
+        assert texts(names) == ["abcdefghA", "abcdefghB", "abcdefghabcdefghC",
+                                "abcdefgh", "abcdefghabcdefgh"]
         assert arcs.tolist() == [[0, 1], [2, 3], [4, 0]]

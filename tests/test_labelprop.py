@@ -580,9 +580,9 @@ class TestSuperstepBuffers:
     @pytest.mark.parametrize("strategy", ["alpha", "beta", "gamma"])
     @pytest.mark.parametrize("channels", [1, 2, 7])
     def test_handed_seeds_give_the_same_run(self, rng, strategy, channels):
-        # A run handed its seed state computes in the state's buffer and
-        # gives the bits of one that copies it first; the scalar gamma run
-        # hands its own two-channel state to the loop.
+        # A run handed its seed state takes the state's buffer and gives
+        # the bits of one that copies it first; the scalar gamma run hands
+        # its own two-channel state to the loop.
         g, _ = random_graph(rng, 60, 0.05)
         idx = rng.choice(60, size=6, replace=False)
         if channels == 1:
@@ -594,14 +594,16 @@ class TestSuperstepBuffers:
         cfg = PropagationConfig(strategy=strategy, alpha=0.4, beta=0.7,
                                 gamma=0.8, iterations=6)
         want = propagate(g, seeds, cfg)
-        handed = _HandedState(seeds.values.copy(), seeds.is_seed,
-                              seeds.is_active)
+        buffer = seeds.values.copy()
+        handed = _HandedState(buffer, seeds.is_seed, seeds.is_active)
         got = propagate(g, handed, cfg)
         assert got.values.tobytes() == want.values.tobytes()
         assert np.array_equal(got.is_active, want.is_active)
         if strategy != "gamma" or channels > 1:
-            # The handed buffer served as a superstep buffer.
-            assert not np.array_equal(handed.values, seeds.values)
+            # The run detached the handed buffer, leaving an empty array of
+            # its width, and alpha and beta scaled it in place.
+            assert handed.values.shape == (0, channels)
+            assert (strategy == "gamma") == np.array_equal(buffer, seeds.values)
 
     class CountingOperator:
         """Delegates ``@`` to the graph's adjacency and counts the calls."""
@@ -681,7 +683,7 @@ class TestSeedFiles:
         path = tmp_path_factory.mktemp("s") / "seeds.tsv"
         path.write_bytes(data)
         fast = _seed_outcome(read_seed_labels, path, g, *mode)
-        with mock.patch.object(labelprop, "_pair_tokens", return_value=None):
+        with mock.patch.object(labelprop, "_token_words", return_value=None):
             assert fast == _seed_outcome(read_seed_labels, path, g, *mode)
         assert fast == _seed_outcome(reference_read_seed_labels, path, g, *mode)
 
@@ -826,4 +828,4 @@ def reference_label_state(path, g, state, emit_inactive):
                 row = ",".join(["nan"] * state.num_classes)
             else:
                 continue
-            fh.write(f"{g.names[v]}\t{row}\n")
+            fh.write(f"{g.names[v].decode()}\t{row}\n")

@@ -256,7 +256,8 @@ class TestSeedArrays:
         want = reference_lp_features(g, state, plan, cfg).table(g.names, True)
         got = lp_features(g, (idx, classes, channels), plan, cfg)
         assert got.values.tobytes() == want.values.tobytes()
-        assert got.nodes == want.nodes and got.columns == want.columns
+        assert np.array_equal(got.nodes, want.nodes)
+        assert got.columns == want.columns
         assert len(got.columns) == 3 * channels + 3
 
     def test_seeds_outside_the_plan_rejected(self, rng):
@@ -270,9 +271,11 @@ class TestSeedArrays:
 
 class TestLPMemory:
     # Traced peak of lp_features per node and channel: the (n, N*C + N)
-    # table (27.4 here) and the run's buffers.  A run that copies its
-    # seed state, and a full seed state beside the runs, read 77.1.
-    BYTES_PER_NODE_CHANNEL = 73
+    # table (27.4 here) and the run's two value buffers, 49.9 in all.  A
+    # run that also keeps a spare buffer and its seed buffer read 69.7; one
+    # that copies its seed state, and a full seed state beside the runs,
+    # read 77.1.
+    BYTES_PER_NODE_CHANNEL = 52
 
     @pytest.mark.parametrize("form", ["state", "arrays"])
     def test_peak_per_node_channel(self, form):
@@ -375,7 +378,8 @@ class TestTableAgainstReference:
         assert not present[35].any()
         got = block if presence else without_presence(block, n_partitions)
         want = ref.table(g.names, presence)
-        assert got.nodes == want.nodes and got.columns == want.columns
+        assert np.array_equal(got.nodes, want.nodes)
+        assert got.columns == want.columns
         assert got.values.tobytes() == want.values.tobytes()
 
 
@@ -390,7 +394,7 @@ def reference_lp_csv(block, n_partitions, g, path, include_presence=True):
         writer = csv.writer(fh)
         writer.writerow(header)
         for v in range(len(block.nodes)):
-            row = [g.names[v]] + [f"{x:.17g}" for x in values[v]]
+            row = [g.names[v].decode()] + [f"{x:.17g}" for x in values[v]]
             if include_presence:
                 row += [str(int(x)) for x in present[v]]
             writer.writerow(row)
@@ -408,7 +412,7 @@ class TestCSV:
         fm = FeatureMatrix.from_csv(out)
         assert fm.columns == ["lp_0", "lp_1", "lp_2",
                               "lp_present_0", "lp_present_1", "lp_present_2"]
-        assert fm.nodes == g.names
+        assert np.array_equal(fm.nodes, g.names)
         values, present = lp_parts(block, 3)
         assert np.array_equal(fm.values[:, :3], values)
         assert np.array_equal(fm.values[:, 3:], present.astype(float))

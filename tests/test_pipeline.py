@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import json
+import tracemalloc
 import weakref
 from dataclasses import fields, replace
 from operator import attrgetter
@@ -19,7 +20,7 @@ from demograph import lpfeatures as lpfeatures_module
 from demograph import pipeline as pipeline_module
 from demograph.embed import EmbeddingTable
 from demograph.errors import ConfigError, ValidationError
-from demograph.graph import Graph, load_edge_list
+from demograph.graph import Graph, load_edge_list, name_array, texts
 from demograph.labelprop import (LabelState, PropagationConfig, propagate,
                                   propagate_trace)
 from demograph.model import (FeatureMatrix, TrainHyper, auc_rank,
@@ -29,9 +30,16 @@ from demograph.pipeline import (ExperimentGrid, PipelineConfig, derive_seed,
                                 format_metrics_table, format_pivot,
                                 read_labels, run_pipeline, run_sensitivity,
                                 write_sensitivity_csv)
-from demograph.synth import PlantedGraphSpec, generate, write_outputs
+from demograph.synth import (PlantedGraphSpec, SynthData, generate,
+                             write_outputs)
 
 from conftest import spiced
+
+
+def side(labels, names):
+    """One side of a split as ``fit_and_score`` takes it: the names as a
+    ``name_array`` and their labels."""
+    return name_array(names), np.array([labels[n] for n in names])
 
 
 def planted_fixture(tmp_path, per_class=600, p=0.012, q=0.0012, reveal=0.05,
@@ -60,14 +68,41 @@ class TestDeriveSeed:
         assert 0 <= derive_seed(7, "embed") < 2 ** 63
 
 
+class TestNameMemory:
+    def test_inputs_hold_names_as_bytes_arrays(self, tmp_path, rng):
+        # The graph, the truth labels and the feature CSV of a run hold
+        # each name once per input, as its fixed-width bytes: a name list
+        # or dict adds about 60 bytes per node and name.
+        n = 20_000
+        data = SynthData([f"u{i:06d}" for i in range(n)],
+                         rng.integers(0, 7, n), np.arange(0, n, 10),
+                         rng.integers(0, n, size=(100_000, 2)),
+                         rng.normal(size=(n, 7)))
+        paths = write_outputs(data, tmp_path)
+        tracemalloc.start()
+        try:
+            g = load_edge_list(paths["edges"])
+            names, labels = pipeline_module._read_truth(paths["truth"],
+                                                        "age", False)
+            fm = FeatureMatrix.from_csv(paths["cumf"])
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        arrays = (g.indptr.nbytes + g.indices.nbytes + labels.nbytes
+                  + fm.values.nbytes)
+        assert g.node_count == len(names) == len(fm.nodes) == n
+        assert held - arrays - g.names.nbytes - names.nbytes \
+            - fm.nodes.nbytes <= 2 * n
+
+
 class TestReadLabels:
     def test_gender_and_age_parsing(self, tmp_path):
         p = tmp_path / "labels.tsv"
         p.write_text("a\t1\nb\t0\na\t0\n")  # duplicate keeps first value
         labels = read_labels(p)
-        assert labels == {"a": 1, "b": 0}
+        assert labels == {b"a": 1, b"b": 0}
         p.write_text("a\t30\nb\t65\n")
-        assert read_labels(p, task="age", ages=True) == {"a": 2, "b": 6}
+        assert read_labels(p, task="age", ages=True) == {b"a": 2, b"b": 6}
 
     def test_bad_gender_value(self, tmp_path):
         p = tmp_path / "labels.tsv"
@@ -78,9 +113,9 @@ class TestReadLabels:
     def test_integral_floats_accepted(self, tmp_path):
         p = tmp_path / "labels.tsv"
         p.write_text("a\t1.0\nb\t0.0\n")
-        assert read_labels(p) == {"a": 1, "b": 0}
+        assert read_labels(p) == {b"a": 1, b"b": 0}
         p.write_text("a\t30.0\n")
-        assert read_labels(p, task="age", ages=True) == {"a": 2}
+        assert read_labels(p, task="age", ages=True) == {b"a": 2}
 
     @pytest.mark.parametrize("raw", ["0.7", "1.5", "inf", "-inf", "nan",
                                      "1e400", "x"])
@@ -156,7 +191,7 @@ class TestArrayLabels:
         path = tmp_path_factory.mktemp("l") / "labels.tsv"
         path.write_bytes(data)
         fast = _labels_outcome(path, *task)
-        with mock.patch.object(labelprop_module, "_pair_tokens",
+        with mock.patch.object(labelprop_module, "_token_words",
                                return_value=None):
             assert fast == _labels_outcome(path, *task)
 
@@ -182,7 +217,7 @@ class TestArrayLabels:
         path = tmp_path / "labels.tsv"
         path.write_bytes(b"a\t1\n" + line + b"b\t0\n")
         data = np.frombuffer(path.read_bytes(), np.uint8)
-        assert labelprop_module._pair_tokens(data) is None
+        assert labelprop_module._token_words(data) is None
         assert _line_reader_asked(path, 2, False)
 
 
@@ -573,14 +608,15 @@ class TestRunPipeline:
         g = load_edge_list(cfg.edges)
         labels = read_labels(cfg.labels)
         train = list(labels)[:40]
-        ghosts = {"ghost0": 1, "ghost1": 0}
+        ghosts = {b"ghost0": 1, b"ghost1": 0}
         with caplog.at_level("INFO", logger="demograph.pipeline"):
             table = pipeline_module._lp_block(
-                cfg, g, {**labels, **ghosts}, train[:20] + list(ghosts)
-                + train[20:], 2, 7)
+                cfg, g, side({**labels, **ghosts}, train[:20] + list(ghosts)
+                             + train[20:]), 2, 7)
         assert "lp: 2 of 42 training labels fall outside the graph" in caplog.text
-        want = pipeline_module._lp_block(cfg, g, labels, train, 2, 7)
-        assert table.nodes == want.nodes == g.names
+        want = pipeline_module._lp_block(cfg, g, side(labels, train), 2, 7)
+        assert np.array_equal(table.nodes, want.nodes)
+        assert np.array_equal(want.nodes, g.names)
         assert table.values.tobytes() == want.values.tobytes()
 
     def run_watched(self, monkeypatch, cfg):
@@ -695,8 +731,9 @@ class TestRunPipeline:
         monkeypatch.setattr(pipeline_module, trainer, lambda *a, **k: (
             fitted.append(fit(*a, **k)) or fitted[-1]))
         test_rows, probs, record = pipeline_module.fit_and_score(
-            features, labels, train_names, test_names, n_classes, model,
-            (8, 8), hyper, balance)
+            features, side(labels, train_names), side(labels, test_names),
+            n_classes, model, (8, 8), hyper, balance)
+        test_rows = texts(test_rows)
         # The fit as it was: a copy of the train rows, then balanced.
         rows = [names.index(n) for n in train_names if n in names]
         x, y = features.values[rows], np.array([labels[names[r]] for r in rows])

@@ -16,6 +16,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
+
+from demograph.graph import load_edge_list
+from demograph.labelprop import read_seed_labels
+from demograph.pipeline import read_labels
+from demograph.synth import SynthData, write_outputs
+
 ROOT = Path(__file__).resolve().parents[1]
 
 SCRIPT = """
@@ -52,3 +59,28 @@ def test_sweep_and_emb_set_ups_run_and_repeat(tmp_path):
     first, second = out["pipeline-emb"]
     assert 0.5 < first["auc"] <= 1.0
     assert first["digest"] == second["digest"]
+
+
+def test_benchmark_calls_on_tiny_inputs(tmp_path):
+    # The calls of the sweep set-up in perfbench/worker.py and of
+    # perfbench/test_perfbench_sampler.py, on files of the sampler's form:
+    # the keys of read_labels and the elements of Graph.names are one type,
+    # Graph.index_of takes both them and text, and a name's digits parse.
+    names = [f"u{i:06d}" for i in range(6)]
+    data = SynthData(names, np.array([0, 1, 0, 1, 1, 0]), np.array([1, 4]),
+                     np.array([[0, 1], [1, 2], [2, 3], [3, 4], [4, 5]]),
+                     np.eye(2)[[0, 1, 0, 1, 1, 0]])
+    paths = write_outputs(data, tmp_path)
+    g = load_edge_list(paths["edges"])
+    truth = np.full(g.node_count, -1, dtype=np.int64)
+    for name, value in read_labels(paths["truth"]).items():
+        truth[g.index_of(name)] = value
+    assert truth.tolist() == data.truth.tolist()
+    seeds = read_seed_labels(paths["seeds"], g)
+    assert np.flatnonzero(seeds.is_seed).tolist() == [1, 4]
+    labels = read_labels(paths["truth"])
+    assert [labels[name] for name in g.names] == data.truth.tolist()
+    assert [int(name[1:]) for name in g.names] == list(range(6))
+    index = g._index
+    assert g.index_of("u000003") == g.index_of(b"u000003") == 3
+    assert g._index is index and len(index) == 6

@@ -10,7 +10,8 @@ import pytest
 
 from demograph import graph, labelprop, model
 from demograph.embed import EmbeddingTable
-from demograph.graph import Graph, load_edge_list, write_edge_list, write_node_map
+from demograph.graph import (Graph, load_edge_list, texts, write_edge_list,
+                             write_node_map)
 from demograph.labelprop import (LabelState, read_seed_labels,
                                  write_label_state, write_node_vectors)
 from demograph.model import FeatureMatrix
@@ -124,6 +125,13 @@ class TestEmbeddingSave:
                    tmp_path)
 
 
+    def test_token_ending_in_nul(self, tmp_path, rng):
+        # Embedding tokens stay text, so a trailing NUL is written as is.
+        table = EmbeddingTable(["a\x00", "a", "\x00"], rng.normal(size=(3, 2)))
+        same_bytes(table.save, lambda p: reference_embedding_save(table, p),
+                   tmp_path)
+
+
 class TestGraphWriters:
     @pytest.mark.parametrize("edges", ROW_COUNTS[1:])
     def test_path_graph_near_chunk(self, tmp_path, edges):
@@ -191,20 +199,22 @@ class TestSynthOutputs:
         assert model._array_csv(paths["cumf"]) is not None
 
         g = load_edge_list(paths["edges"])
-        edges = {frozenset((g.names[u], g.names[v]))
+        names = texts(g.names)
+        edges = {frozenset((names[u], names[v]))
                  for u in range(g.node_count) for v in g.neighbors(u)}
         assert edges == {frozenset((data.names[u], data.names[v]))
                          for u, v in data.edges}
-        truth = dict(zip(data.names, data.truth.tolist()))
+        encoded = [name.encode() for name in data.names]
+        truth = dict(zip(encoded, data.truth.tolist()))
         # The truth and seed files take the array path of the label read:
         # the line reader is never opened.
         with mock.patch.object(labelprop, "_read_rows",
                                side_effect=AssertionError("line reader")):
             assert read_labels(paths["truth"], task) == truth
             assert read_labels(paths["seeds"], task) == {
-                data.names[i]: truth[data.names[i]] for i in data.seed_indices}
+                encoded[i]: truth[encoded[i]] for i in data.seed_indices}
             seeds = read_seed_labels(paths["seeds"], g, num_classes=width)
-        inside = [i for i in data.seed_indices if data.names[i] in g.names]
+        inside = [i for i in data.seed_indices if encoded[i] in g.names]
         idx = [g.index_of(data.names[i]) for i in inside]
         assert np.flatnonzero(seeds.is_seed).tolist() == sorted(idx)
         if classes == 2:
@@ -213,5 +223,5 @@ class TestSynthOutputs:
             assert seeds.values[idx].argmax(axis=1).tolist() == \
                 data.truth[inside].tolist()
         cumf = FeatureMatrix.from_csv(paths["cumf"])
-        assert cumf.nodes == data.names
+        assert texts(cumf.nodes) == data.names
         assert np.array_equal(cumf.values, data.features)
