@@ -16,10 +16,10 @@ corpus left with no training pair raises ``ValidationError``.
 Training is single-threaded and fully seeded: a fixed seed gives a
 bit-identical table.  It updates the weights once per ``BATCH`` examples,
 whose examples share one draw of ``negatives`` noise tokens (Ji et al.,
-"Parallelizing Word2Vec in Shared and Distributed Memory", 2016), so the
-step is two small matrix products.  It prepares the examples, rates and
-negatives of ``BLOCK`` batches at a time; ``BLOCK`` changes no vector,
-and ``BATCH = 1`` is per-example SGD.
+"Parallelizing Word2Vec in Shared and Distributed Memory", 2016); each
+step is ``pair_gradients`` of its batch's objective ``pair_objective``.
+It prepares the examples, rates and negatives of ``BLOCK`` batches at a
+time; ``BLOCK`` changes no vector, and ``BATCH = 1`` is per-example SGD.
 """
 
 from __future__ import annotations
@@ -131,9 +131,9 @@ class EmbeddingTable:
     @classmethod
     def load(cls, path) -> "EmbeddingTable":
         """Reads ``save``'s format; a ``0 <dim>`` header is an empty table.
-        A bad header or row, an empty or repeated token, a non-finite
-        component or a byte that is not UTF-8 raises ``ValidationError``
-        naming ``path:line``."""
+        A bad header or row, an empty, repeated or NUL-ended token (as in
+        the tab and CSV readers), a non-finite component or a byte that is
+        not UTF-8 raises ``ValidationError`` naming ``path:line``."""
         with _open_text(path) as fh:
             header = fh.readline().split()
             try:
@@ -151,6 +151,8 @@ class EmbeddingTable:
                     raise ValidationError(f"{where} expected {dim} components")
                 if not token:
                     raise ValidationError(f"{where} empty token")
+                if token.endswith("\0"):
+                    raise ValidationError(f"{where} token ends in NUL")
                 if token in rows:
                     raise ValidationError(f"{where} repeated token")
                 try:
@@ -212,30 +214,30 @@ def sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def pair_objective(center: np.ndarray, outputs: np.ndarray,
-                   labels: np.ndarray) -> float:
-    """Negative-sampling log likelihood of one training pair.
+def pair_objective(h, u_pos, u_neg, keep, weights) -> float:
+    """Weighted negative-sampling log likelihood of a batch of examples.
 
-    ``outputs`` stacks the positive target and the negative samples as
-    rows; ``labels`` is 1 for the positive row, 0 for negatives.  The
-    value is ``log s(c.u_pos) + sum log s(-c.u_neg)``, where
-    ``log s(x) = -log(1 + exp(-x))``.
-    """
-    scores = outputs @ center
-    signs = np.where(labels > 0, 1.0, -1.0)
-    return float(-np.logaddexp(0.0, -signs * scores).sum())
+    Example ``e`` has hidden vector ``h[e]`` and target row ``u_pos[e]``
+    and keeps the batch's ``K`` shared negative rows ``u_neg`` where
+    ``keep[e]`` is true (Mikolov et al., 2013).  The value is ``sum_e
+    weights[e] * (log s(h_e.u_pos_e) + sum_k keep[e, k] log s(-h_e.u_neg_k))``
+    with ``log s(x) = -log(1 + exp(-x))``."""
+    pos = np.logaddexp(0.0, -np.einsum("ij,ij->i", h, u_pos))
+    neg = np.where(keep, np.logaddexp(0.0, h @ u_neg.T), 0.0).sum(axis=1)
+    return float(-weights @ (pos + neg))
 
 
-def pair_gradients(center: np.ndarray, outputs: np.ndarray,
-                   labels: np.ndarray):
-    """Ascent gradients of ``pair_objective`` w.r.t. center and outputs,
-    for one pair or a stack of them (``(..., d)`` and ``(..., k, d)``; each
-    stacked product equals the unstacked one bit for bit)."""
-    scores = (outputs @ center[..., None])[..., 0]
-    coef = labels - sigmoid(scores)
-    grad_center = (coef[..., None, :] @ outputs)[..., 0, :]
-    grad_outputs = coef[..., None] * center[..., None, :]
-    return grad_center, grad_outputs
+def pair_gradients(h, u_pos, u_neg, keep, weights):
+    """Ascent gradients of ``pair_objective`` w.r.t. ``h``, ``u_pos`` and
+    ``u_neg``: ``(B, dim)``, ``(B, dim)`` and ``(K, dim)``.  A negative's
+    row sums the terms of every example that keeps it."""
+    sig = sigmoid(np.column_stack([np.einsum("ij,ij->i", h, u_pos),
+                                   h @ u_neg.T]))
+    coef_pos = 1.0 - sig[:, :1]
+    coef_neg = np.where(keep, -sig[:, 1:], 0.0)
+    step = weights[:, None] * h
+    return (weights[:, None] * (coef_pos * u_pos + coef_neg @ u_neg),
+            coef_pos * step, coef_neg.T @ step)
 
 
 def _vocabulary(names: list[str], sentences: list[np.ndarray], min_count: int):
@@ -275,28 +277,22 @@ def _flat_rows(rows: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _update(w_in, w_out, in_flat, counts, targets, rates, negs):
-    """One SGD step over a batch of examples (see ``train_embeddings``).
+    """One SGD step over a batch of examples (see ``train_embeddings``):
+    ``pair_gradients`` of the batch at ``rates``, added to the weights.
     Example ``e`` averages the next ``counts[e]`` input rows, whose
     elements sit at ``in_flat`` in the flattened ``w_in``, and scores its
-    target and the batch's shared negatives ``negs``; a negative equal to
-    its target gets coefficient 0.  The negatives' scores and gradients
-    are ``(B, dim) x (dim, K)`` products."""
+    target and the batch's shared negatives ``negs``, keeping those that
+    differ from its target."""
     dim = w_in.shape[1]
     h = w_in.reshape(-1)[in_flat].reshape(-1, dim)
     several = len(h) > len(targets)  # some example averages several rows
     if several:
         h = np.add.reduceat(h, np.cumsum(counts) - counts) / counts[:, None]
-    u_pos, u_neg = w_out[targets], w_out[negs]
-    sig = sigmoid(np.column_stack([np.einsum("ij,ij->i", h, u_pos),
-                                   h @ u_neg.T]))
-    coef_pos = 1.0 - sig[:, :1]
-    coef_neg = np.where(targets[:, None] == negs, 0.0, -sig[:, 1:])
-    grad_h = coef_pos * u_pos + coef_neg @ u_neg
-    step = rates[:, None] * h
+    grad_in, grad_pos, grad_neg = pair_gradients(
+        h, w_out[targets], w_out[negs], targets[:, None] != negs, rates)
     # np.add.at adds the terms of a repeated position one after another.
     np.add.at(w_out.reshape(-1), _flat_rows(np.append(targets, negs), dim),
-              np.concatenate([coef_pos * step, coef_neg.T @ step]).ravel())
-    grad_in = rates[:, None] * grad_h
+              np.concatenate([grad_pos, grad_neg]).ravel())
     if several:
         grad_in = np.repeat(grad_in / counts[:, None], counts, axis=0)
     np.add.at(w_in.reshape(-1), in_flat, grad_in.ravel())

@@ -602,8 +602,8 @@ def evaluate(predictions, truth) -> dict:
             f"{bad} of {len(y)} prediction rows are not finite")
     accuracy = float((probs.argmax(axis=1) == y).mean())
     clamped = np.clip(probs[np.arange(len(y)), y], PROB_CLAMP, None)
-    # fsum makes the mean exactly invariant to row order.
-    cross_entropy = -math.fsum(np.log(clamped)) / len(y)
+    # fsum: exactly invariant to row order; "0.0 -" turns -0.0 into +0.0.
+    cross_entropy = 0.0 - math.fsum(np.log(clamped)) / len(y)
     auc = None
     if probs.shape[1] == 2 and len(np.unique(y)) == 2:
         auc = auc_rank(probs[:, 1], y == 1)

@@ -341,21 +341,26 @@ def test_c07_leave_out_has_no_self_leakage():
 def test_c08_embedding_quality(tmp_path):
     started = time.perf_counter()
     rng = np.random.default_rng(808)
-    # Gradient check on random negative-sampling instances.
+    # Gradient check of the trainer's step, on random batches shaped as
+    # embed._update builds them: shared negatives, one of them some
+    # example's target, and a learning rate per example.
     worst = 0.0
     for _ in range(10):
-        k, d = int(rng.integers(1, 7)), int(rng.integers(2, 12))
-        center = rng.normal(size=d)
-        outputs = rng.normal(size=(k, d))
-        labels = np.zeros(k)
-        labels[0] = 1.0
-        grad_center, grad_out = embed.pair_gradients(center, outputs, labels)
-        num_center = central_difference(
-            lambda c: embed.pair_objective(c, outputs, labels), center.copy())
-        num_out = central_difference(
-            lambda o: embed.pair_objective(center, o, labels), outputs.copy())
-        worst = max(worst, relative_error(grad_center, num_center),
-                    relative_error(grad_out, num_out))
+        b, k = int(rng.integers(2, 9)), int(rng.integers(1, 7))
+        d, size = int(rng.integers(2, 12)), int(rng.integers(3, 12))
+        w_out = rng.normal(size=(size, d))
+        targets, negs = rng.integers(0, size, b), rng.integers(0, size, k)
+        negs[rng.integers(k)] = targets[rng.integers(b)]
+        keep = targets[:, None] != negs
+        weights = rng.uniform(0.1, 2.0, b)
+        rows = [rng.normal(size=(b, d)), w_out[targets], w_out[negs]]
+        grads = embed.pair_gradients(*rows, keep, weights)
+        for i, grad in enumerate(grads):
+            def objective(x, i=i):
+                return embed.pair_objective(*rows[:i], x, *rows[i + 1:],
+                                            keep, weights)
+            worst = max(worst, relative_error(
+                grad, central_difference(objective, rows[i].copy())))
     assert worst <= 1e-6
 
     # Two-clique corpus: intra-cosine beats inter-cosine by >= 0.2.

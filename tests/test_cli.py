@@ -384,8 +384,10 @@ class TestFeatureCommands:
     @pytest.mark.parametrize("text,where", [
         ("1 0\nn0\n", "emb.txt:1:"),
         ("2 2\nn0 1 2\nn0 3 4\n", "emb.txt:3: 'n0': repeated token"),
-        ("1 2\nn0 nan 1\n", "emb.txt:2: 'n0': non-finite component")],
-        ids=["zero-dim", "repeated-token", "nan"])
+        ("1 2\nn0 nan 1\n", "emb.txt:2: 'n0': non-finite component"),
+        ("2 2\nn0 1 2\nn1\0 3 4\n",
+         "emb.txt:3: 'n1\\x00': token ends in NUL")],
+        ids=["zero-dim", "repeated-token", "nan", "nul-ended-token"])
     def test_coldstart_rejects_bad_table(self, dataset, tmp_path, capsys,
                                          text, where):
         emb = tmp_path / "emb.txt"

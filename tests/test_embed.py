@@ -333,19 +333,25 @@ class TestVocabulary:
 
 class TestGradients:
     def test_analytic_matches_central_differences(self, rng):
+        """The batch form ``_update`` calls: shared negatives, one of them
+        some example's target (so ``keep`` has a false entry), and a
+        weight per example."""
         for _ in range(10):
-            k, d = int(rng.integers(1, 6)), int(rng.integers(2, 9))
-            center = rng.normal(size=d)
-            outputs = rng.normal(size=(k, d))
-            labels = np.zeros(k)
-            labels[0] = 1.0
-            grad_center, grad_out = pair_gradients(center, outputs, labels)
-            num_center = central_difference(
-                lambda c: pair_objective(c, outputs, labels), center.copy())
-            num_out = central_difference(
-                lambda o: pair_objective(center, o, labels), outputs.copy())
-            assert relative_error(grad_center, num_center) <= 1e-6
-            assert relative_error(grad_out, num_out) <= 1e-6
+            b, k = int(rng.integers(2, 7)), int(rng.integers(1, 5))
+            d, size = int(rng.integers(2, 9)), int(rng.integers(3, 9))
+            w_out = rng.normal(size=(size, d))
+            targets, negs = rng.integers(0, size, b), rng.integers(0, size, k)
+            negs[rng.integers(k)] = targets[rng.integers(b)]
+            keep = targets[:, None] != negs
+            weights = rng.uniform(0.1, 2.0, b)
+            rows = [rng.normal(size=(b, d)), w_out[targets], w_out[negs]]
+            grads = pair_gradients(*rows, keep, weights)
+            for i, grad in enumerate(grads):
+                def objective(x, i=i):
+                    return pair_objective(*rows[:i], x, *rows[i + 1:],
+                                          keep, weights)
+                num = central_difference(objective, rows[i].copy())
+                assert relative_error(grad, num) <= 1e-6
 
     def test_single_update_matches_hand_trace(self, monkeypatch):
         """Replicates the documented RNG protocol and checks each SGD
@@ -421,7 +427,7 @@ class TestGradients:
     @pytest.mark.parametrize("mode", ["skipgram", "cbow"])
     def test_shared_negative_step_matches_pair_gradients(self, rng, mode):
         """Each example's step, and the batch's summed output-row steps,
-        equal ``pair_gradients`` of its target and its unmasked negatives.
+        equal ``pair_gradients`` of that example alone (``B = 1``).
         The draw repeats id 3, and 3 and 5 are some examples' targets."""
         size, dim, batch = 40, 4, 9
         negs = np.array([3, 7, 3, 5])
@@ -440,14 +446,13 @@ class TestGradients:
                       targets, rates, negs)
         want_out = np.zeros_like(w_out)
         for e in range(batch):
-            ids = np.concatenate([[targets[e]], negs[negs != targets[e]]])
-            grad_h, grad_out = pair_gradients(w_in[owned[e]].mean(axis=0),
-                                              w_out[ids],
-                                              np.arange(len(ids)) == 0)
+            grad_h, grad_pos, grad_neg = pair_gradients(
+                w_in[owned[e]].mean(axis=0)[None], w_out[targets[e:e + 1]],
+                w_out[negs], targets[e:e + 1, None] != negs, rates[e:e + 1])
             step = new_in[owned[e]] - w_in[owned[e]]
-            assert np.abs(step - rates[e] * grad_h / counts[e]).max() \
-                <= TOLERANCE
-            np.add.at(want_out, ids, rates[e] * grad_out)
+            assert np.abs(step - grad_h / counts[e]).max() <= TOLERANCE
+            np.add.at(want_out, np.append(targets[e], negs),
+                      np.concatenate([grad_pos, grad_neg]))
         assert np.abs(new_out - w_out - want_out).max() <= TOLERANCE
         touched = (new_out != w_out).any(axis=1)
         assert touched.sum() == len(set(targets) | set(negs))
@@ -685,6 +690,15 @@ class TestTableIO:
         path.write_text("1 2\n 1 2\n")
         with pytest.raises(ValidationError,
                            match=r"emb\.txt:2: '': empty token"):
+            EmbeddingTable.load(path)
+
+    def test_nul_ended_token_names_path_and_line(self, tmp_path):
+        # save writes such a token as it is (test_writers.py), but names are
+        # held as bytes arrays, which would merge "a\0" with "a".
+        path = tmp_path / "emb.txt"
+        path.write_text("2 2\na 1 2\na\0 3 4\n")
+        with pytest.raises(ValidationError,
+                           match=r"emb\.txt:3: 'a\\x00': token ends in NUL"):
             EmbeddingTable.load(path)
 
     def test_non_utf8_names_path_and_line(self, tmp_path):

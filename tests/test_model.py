@@ -604,6 +604,10 @@ class TestMetrics:
         assert math.isfinite(metrics["cross_entropy"])
         assert metrics["cross_entropy"] == pytest.approx(-math.log(1e-12))
 
+    def test_cross_entropy_of_certain_predictions_is_plus_zero(self):
+        metrics = evaluate(np.array([[0.0, 1.0], [1.0, 0.0]]), np.array([1, 0]))
+        assert math.copysign(1.0, metrics["cross_entropy"]) == 1.0
+
     def test_scalar_predictions_expand(self):
         metrics = evaluate(np.array([0.9, 0.2]), np.array([1, 0]))
         assert metrics["accuracy"] == 1.0

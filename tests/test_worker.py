@@ -5,7 +5,8 @@ functions (``read_labels``, ``Graph.index_of``, ``read_seed_labels``, the
 CLI), so a change to one of them breaks the benchmark before any figure is
 taken.  The worker is imported in a fresh interpreter, as the benchmark
 starts it, and ``sweep`` runs on a smaller graph; ``pipeline-age`` is
-covered by ``test_probe.py``.
+covered by ``test_probe.py``.  The full-size seed-1 ``pipeline-emb`` digest
+is pinned, so a bit change to the word2vec trainer fails here.
 """
 
 from __future__ import annotations
@@ -24,6 +25,10 @@ from demograph.pipeline import read_labels
 from demograph.synth import SynthData, write_outputs
 
 ROOT = Path(__file__).resolve().parents[1]
+# The seed-1 pipeline-emb digest (full size) with one BLAS thread, as
+# perfbench/run.py runs it: any bit change to the trainer moves it.
+EMB_SEED_1_DIGEST = (
+    "f8b48a89615b15ec00579e6128cfb8e24ed199d543cdfce7569e7ff6978395be")
 
 SCRIPT = """
 import json, sys
@@ -46,7 +51,9 @@ print(json.dumps(out))
 
 def test_sweep_and_emb_set_ups_run_and_repeat(tmp_path):
     paths = [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths),
+           **dict.fromkeys(("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                            "MKL_NUM_THREADS"), "1")}
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=ROOT / "perfbench",
         env=env, capture_output=True, text=True, timeout=120)
@@ -59,6 +66,7 @@ def test_sweep_and_emb_set_ups_run_and_repeat(tmp_path):
     first, second = out["pipeline-emb"]
     assert 0.5 < first["auc"] <= 1.0
     assert first["digest"] == second["digest"]
+    assert first["digest"] == EMB_SEED_1_DIGEST
 
 
 def test_benchmark_calls_on_tiny_inputs(tmp_path):
