@@ -22,7 +22,8 @@ Three blending strategies are supported:
   grows by ``g*mean`` every superstep with no damping of the node's own
   value, and the channels are normalized into a distribution once, after
   the final superstep.  Scalar binary gender seeds run as two channels
-  (male, female) and the scalar output is the female share.
+  (male, female), and only the female channel is normalized: the scalar
+  output is ``female / (male + female)``.
 """
 
 from __future__ import annotations
@@ -225,15 +226,32 @@ def _neighbor_means(g: Graph, values: np.ndarray, counts: np.ndarray,
     return means
 
 
+def _channel_sum(values: np.ndarray) -> np.ndarray:
+    """``values.sum(axis=1)``, bit for bit.  Below 8 channels numpy adds a
+    row's channels one at a time onto +0.0, and adding whole columns in
+    channel order gives the same sums without a reduction over the short
+    axis, which costs far more per row.  From 8 channels numpy adds a row
+    pairwise, so the reduction stays."""
+    if values.shape[1] >= 8:
+        return values.sum(axis=1)
+    total = values[:, 0] + 0.0
+    for c in range(1, values.shape[1]):
+        total += values[:, c]
+    return total
+
+
 def _finalize_accumulators(acc: np.ndarray, active: np.ndarray,
-                           is_seed: np.ndarray) -> LabelState:
-    """Normalize accumulator rows into distributions; the seed rows, which
-    hold the seeds' values, pass through."""
-    out = np.zeros_like(acc)
-    mass = acc.sum(axis=1)
-    np.divide(acc, mass[:, None], out=out,
+                           is_seed: np.ndarray,
+                           share: slice = slice(None)) -> LabelState:
+    """Normalize accumulator rows into distributions and keep the channels
+    ``share`` of them; the seed rows, which hold the seeds' values, pass
+    through."""
+    kept = acc[:, share]
+    out = np.zeros(kept.shape)
+    mass = _channel_sum(acc)
+    np.divide(kept, mass[:, None], out=out,
               where=(active & (mass > 0))[:, None])
-    np.copyto(out, acc, where=is_seed[:, None])
+    np.copyto(out, kept, where=is_seed[:, None])
     return LabelState(out, is_seed.copy(), active.copy())
 
 
@@ -246,7 +264,8 @@ class _HandedState(LabelState):
 
 
 def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
-         keep: set[int]) -> Iterator[tuple[int, LabelState]]:
+         keep: set[int], share: slice = slice(None)
+         ) -> Iterator[tuple[int, LabelState]]:
     """The superstep loop of every strategy at any channel count.
 
     Each superstep updates the non-seed nodes with an active neighbor
@@ -254,7 +273,8 @@ def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
     neighbor mean at weight ``w`` and give a newly active node the plain
     mean; gamma adds ``gamma * mean`` to every channel and activates a node
     once it holds mass.  After each superstep ``k`` in ``keep`` it yields
-    ``(k, state)``: the raw state, or for gamma the normalized accumulators.
+    ``(k, state)``: the raw state, or for gamma the channels ``share`` of
+    the normalized accumulators.
 
     The active-neighbor counts change only when a node activates, so they
     are computed at the first superstep and again only after a superstep
@@ -297,7 +317,7 @@ def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
                                     or k - 1 in keep else values), out=new)
         new[stay] = kept
         del kept
-        new_active = active | (new.sum(axis=1) > 0 if gamma else has)
+        new_active = active | (_channel_sum(new) > 0 if gamma else has)
         fresh = int((new_active & ~active).sum())
         if debug:
             moved = grow & active
@@ -310,25 +330,15 @@ def _run(g: Graph, seeds: LabelState, cfg: PropagationConfig,
         # keep them without a copy; gamma yields normalized copies.
         values, active = new, new_active
         if k in keep:
-            yield k, (_finalize_accumulators(values, active, is_seed) if gamma
-                      else LabelState(values, is_seed, active))
-
-
-def _female_share(states: Iterator[tuple[int, LabelState]]
-                  ) -> Iterator[tuple[int, LabelState]]:
-    """The scalar output of two-channel gamma states: the female channel.
-    Rebinding ``state`` frees each two-channel state before the next
-    superstep runs."""
-    for k, state in states:
-        state = LabelState(state.values[:, 1:2].copy(), state.is_seed,
-                           state.is_active)
-        yield k, state
+            yield k, (_finalize_accumulators(values, active, is_seed, share)
+                      if gamma else LabelState(values, is_seed, active))
 
 
 def _states(g: Graph, seeds: LabelState, cfg: PropagationConfig,
             keep: set[int]) -> Iterator[tuple[int, LabelState]]:
     """Check one run's inputs, then yield its states at the supersteps in
-    ``keep``.  Scalar gamma seeds run as (male, female) accumulators."""
+    ``keep``.  Scalar gamma seeds run as (male, female) accumulators, and
+    their states hold the female share alone."""
     if seeds.node_count != g.node_count:
         raise ValidationError(
             f"seed state covers {seeds.node_count} nodes, graph has {g.node_count}")
@@ -343,7 +353,7 @@ def _states(g: Graph, seeds: LabelState, cfg: PropagationConfig,
         np.stack([np.where(seeds.is_active, 1.0 - female, 0.0),
                   np.where(seeds.is_active, female, 0.0)], axis=1),
         seeds.is_seed, seeds.is_active)
-    return _female_share(_run(g, two_channel, cfg, keep))
+    return _run(g, two_channel, cfg, keep, share=slice(1, 2))
 
 
 def propagate(g: Graph, seeds: LabelState, cfg: PropagationConfig) -> LabelState:

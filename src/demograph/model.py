@@ -544,34 +544,63 @@ def predict(params: ModelParams, features) -> np.ndarray:
 # Metrics
 # ---------------------------------------------------------------------------
 
+def _twice_rank_sum(ordered: np.ndarray, offset: int) -> int:
+    """Twice the rank sum of the positives among ``ordered``: ``auc_rank``
+    keys in ascending score order, which hold the 1-based ranks
+    ``offset + 1 ..``.  The keys are shifted down to their scores in place.
+    A tie group spans sorted positions [start, end), and each of its
+    positives ranks ``offset + (start + 1 + end) / 2``."""
+    if not len(ordered):
+        return 0
+    positive = ordered & 1
+    ordered >>= 1
+    bounds = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1], True])
+    twice = bounds[:-1] + bounds[1:]
+    twice += 1 + 2 * offset
+    twice *= np.add.reduceat(positive, bounds[:-1]).view(np.int64)
+    return int(twice.sum())
+
+
 def auc_rank(scores, labels) -> float:
     """AUC via the rank statistic; tied scores contribute half.
 
     Equals the fraction of (positive, negative) pairs ranked correctly,
     exactly, because tied groups get the average of their rank range.
     NaN scores have no rank and raise ``ValidationError``.
+
+    The statistic needs only the order of the (score, label) pairs.  Each
+    pair is one uint64 key: the bits of ``|score|`` shifted left one, with
+    the label in the freed low bit.  The bit patterns of non-negative
+    floats order as their values do, so one ``np.sort`` per sign side
+    orders the keys; the negative side, reversed, comes first in ascending
+    score.  ``scores + 0.0`` turns -0.0 into +0.0 first, so that the two
+    zeros tie.  Twice a rank sum is an integer, and the AUC is the exact
+    integer count of half pairs divided once, with correct rounding, by
+    ``2 * n_pos * n_neg``.
     """
     scores = np.asarray(scores, dtype=np.float64)
-    nan = int(np.isnan(scores).sum())
+    nan = np.count_nonzero(np.isnan(scores))
     if nan:
         raise ValidationError(f"{nan} AUC scores are NaN")
     labels = np.asarray(labels).astype(bool)
-    n_pos = int(labels.sum())
+    n_pos = int(np.count_nonzero(labels))
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValidationError("AUC is undefined when only one class is present")
-    # A tie group's members all get the same rank, so the order within a
-    # tie, which the default sort leaves open, does not matter.
-    order = np.argsort(scores)
-    sorted_scores = scores[order]
-    # Tie group g spans sorted positions [starts[g], ends[g]); each member
-    # gets the mean of the 1-based ranks starts[g]+1 .. ends[g].
-    starts = np.flatnonzero(np.r_[True, sorted_scores[1:] != sorted_scores[:-1]])
-    ends = np.r_[starts[1:], len(scores)]
-    ranks = np.empty(len(scores))
-    ranks[order] = np.repeat((starts + 1 + ends) / 2.0, ends - starts)
-    pos_rank_sum = ranks[labels].sum()
-    return float((pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    keys = scores + 0.0
+    negative = np.signbit(keys)
+    # Shifting left drops the sign bit and frees the low bit.
+    keys = keys.view(np.uint64)
+    keys <<= 1
+    keys |= labels
+    if negative.any():
+        below = np.sort(keys[negative])[::-1]
+        twice = (_twice_rank_sum(below, 0)
+                 + _twice_rank_sum(np.sort(keys[~negative]), len(below)))
+    else:
+        keys.sort()
+        twice = _twice_rank_sum(keys, 0)
+    return (twice - n_pos * (n_pos + 1)) / (2 * n_pos * n_neg)
 
 
 def evaluate(predictions, truth) -> dict:

@@ -147,15 +147,18 @@ def _run_cell(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
     except Exception as exc:  # record and continue with the rest of the grid
         return [{**base, "iterations": k, "auc": None, "coverage": None,
                  "error": str(exc)} for k in sorted(grid.ks)]
-    hidden_pool = (truth >= 0) & ~rep_seeds.is_seed
+    # The withheld labeled rows and their labels serve every K.
+    hidden = np.flatnonzero((truth >= 0) & ~rep_seeds.is_seed)
+    positive = truth[hidden] == 1
     rows = []
     for k in sorted(grid.ks):
         state = snapshots[k]
         row = {**base, "iterations": k, "auc": None,
                "coverage": state.coverage, "error": ""}
         try:
-            scores = np.where(state.is_active, state.values[:, 0], 0.5)
-            row["auc"] = auc_rank(scores[hidden_pool], truth[hidden_pool] == 1)
+            scores = np.where(state.is_active[hidden],
+                              state.values[hidden, 0], 0.5)
+            row["auc"] = auc_rank(scores, positive)
         except Exception as exc:
             row["error"] = str(exc)
         rows.append(row)
@@ -203,6 +206,13 @@ def run_sensitivity(g: Graph, truth: np.ndarray, grid: ExperimentGrid,
     return [row for cell_rows in results for row in cell_rows]
 
 
+def _param_text(param: float) -> str:
+    """A grid parameter as text that reads back as the same float: the
+    ``:g`` form when its 6 digits hold the value, else ``repr``."""
+    text = f"{param:g}"
+    return text if float(text) == param else repr(float(param))
+
+
 def write_sensitivity_csv(rows: list[dict], path) -> None:
     """One CSV line per grid row; an error message with a comma is quoted."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -212,8 +222,8 @@ def write_sensitivity_csv(rows: list[dict], path) -> None:
         for r in rows:
             auc = "" if r["auc"] is None else f"{r['auc']:.17g}"
             cov = "" if r["coverage"] is None else f"{r['coverage']:.17g}"
-            writer.writerow([r["strategy"], f"{r['param']:g}", r["iterations"],
-                             r["rep"], auc, cov, r["error"]])
+            writer.writerow([r["strategy"], _param_text(r["param"]),
+                             r["iterations"], r["rep"], auc, cov, r["error"]])
 
 
 def format_pivot(rows: list[dict]) -> str:
@@ -234,7 +244,8 @@ def format_pivot(rows: list[dict]) -> str:
         for k in ks:
             vals = groups[(strategy, param)].get(k)
             cells.append(f"{np.mean(vals):7.4f}" if vals else f"{'-':>7}")
-        lines.append(f"{strategy:<10}{param:>8g} | " + " ".join(cells))
+        lines.append(f"{strategy:<10}{_param_text(param):>8} | "
+                     + " ".join(cells))
     return "\n".join(lines)
 
 

@@ -449,6 +449,25 @@ class TestNeighborMeans:
                 assert not has.any() and not means.any()
 
 
+class TestChannelSum:
+    @pytest.mark.parametrize("channels", range(1, 13))
+    @pytest.mark.parametrize("nodes", [1, 3, 1000])
+    def test_matches_row_sum_bit_for_bit(self, rng, channels, nodes):
+        # Spread magnitudes so that summation order shows in the bits, and
+        # put in zeros of both signs and whole rows of -0.0.
+        values = rng.random((nodes, channels)) * 10.0 ** rng.integers(
+            -8, 9, size=(nodes, channels))
+        values[rng.random((nodes, channels)) < 0.1] = 0.0
+        values[rng.random((nodes, channels)) < 0.1] = -0.0
+        values[rng.random(nodes) < 0.1] = -0.0
+        want = values.sum(axis=1)
+        got = labelprop._channel_sum(values)
+        assert got.tobytes() == want.tobytes()
+        # A column view, as the engine's buffers may be, sums the same.
+        wide = np.hstack([values, values])[:, :channels]
+        assert labelprop._channel_sum(wide).tobytes() == want.tobytes()
+
+
 class TestEngineAgainstReference:
     """The one superstep loop against the two masked-assignment engines it
     replaced (``tests/oracles.py``), byte for byte, at every snapshot."""
@@ -501,7 +520,9 @@ class TestEngineAgainstReference:
         assert np.array_equal(state.is_active, active)
 
     @pytest.mark.parametrize("strategy", ["alpha", "beta", "gamma"])
-    @pytest.mark.parametrize("channels", [1, 2, 7])
+    # From 8 channels numpy sums a row pairwise, and the engine's
+    # channel sums must follow it.
+    @pytest.mark.parametrize("channels", [1, 2, 7, 9])
     def test_every_entry_point_matches(self, rng, strategy, channels):
         for _ in range(8):
             g, seeds = self.case(rng, channels)

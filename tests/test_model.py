@@ -534,7 +534,30 @@ class TestSoftmaxAndMLP:
         assert (y[keep] == 0).sum() == 3 and (y[keep] == 1).sum() == 3
 
 
+# Scores that reach every branch of auc_rank's sign split: both zeros,
+# which must tie, the infinities, subnormals on either side of zero, and
+# a few values that repeat so that ties form across the two sides.
+_AUC_SCORES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, 5e-324, -5e-324,
+                     2.2250738585072014e-308, -1.0, 1.0, -0.5, 0.5]),
+    st.floats(allow_nan=False))
+
+
 class TestMetrics:
+    @given(st.lists(st.tuples(_AUC_SCORES, st.booleans()), min_size=2,
+                    max_size=60),
+           st.sampled_from([bool, int, np.int8, np.int64]), st.booleans())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_brute_force_on_any_scores(self, pairs, label_type, tied):
+        scores = np.array([score for score, _ in pairs])
+        if tied:
+            scores[:] = scores[0]
+        labels = [True, False] + [label for _, label in pairs[2:]]
+        labels = np.array(labels).astype(label_type)
+        assert auc_rank(scores, labels) == brute_force_auc(scores, labels)
+        assert auc_rank(scores.tolist(), labels.tolist()) == \
+            brute_force_auc(scores, labels)
+
     def test_perfect_ranking(self):
         assert auc_rank([0.9, 0.8, 0.2, 0.1], [1, 1, 0, 0]) == 1.0
 

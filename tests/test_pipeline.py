@@ -241,13 +241,17 @@ class TestSensitivity:
     def test_matches_direct_propagation(self, tmp_path):
         _, g, truth, seeds = planted_fixture(tmp_path, per_class=80, p=0.08,
                                              q=0.01, reveal=0.2)
-        grid = ExperimentGrid(strategies=["alpha"], alphas=[0.3], ks=[2])
-        row = run_sensitivity(g, truth, grid, seeds=seeds)[0]
-        state = propagate(g, seeds, PropagationConfig(alpha=0.3, iterations=2))
         hidden = (truth >= 0) & ~seeds.is_seed
-        scores = np.where(state.is_active, state.values[:, 0], 0.5)
-        assert row["auc"] == auc_rank(scores[hidden], truth[hidden] == 1)
-        assert row["coverage"] == state.coverage
+        for strategy in ("alpha", "beta", "gamma"):
+            grid = ExperimentGrid(strategies=[strategy], alphas=[0.3],
+                                  betas=[0.8], gammas=[0.9], ks=[2])
+            row = run_sensitivity(g, truth, grid, seeds=seeds)[0]
+            assert row["error"] == ""
+            state = propagate(g, seeds, PropagationConfig(
+                strategy, alpha=0.3, beta=0.8, gamma=0.9, iterations=2))
+            scores = np.where(state.is_active, state.values[:, 0], 0.5)
+            assert row["auc"] == auc_rank(scores[hidden], truth[hidden] == 1)
+            assert row["coverage"] == state.coverage
 
     def test_workers_do_not_change_results(self, tmp_path):
         _, g, truth, seeds = planted_fixture(tmp_path, per_class=60, p=0.1,
@@ -386,6 +390,24 @@ class TestSensitivity:
         assert len(lines) == 3
         pivot = format_pivot(rows)
         assert "alpha" in pivot and "K=1" in pivot and "K=2" in pivot
+
+    def test_params_print_as_values_that_read_back(self, tmp_path):
+        # Six significant digits made these two parameters one text.
+        _, g, truth, seeds = planted_fixture(tmp_path, per_class=50, p=0.1,
+                                             q=0.01, reveal=0.2)
+        grid = ExperimentGrid(strategies=["alpha", "beta"],
+                              alphas=[0.1234561, 0.1234562, 0.2, 1.0],
+                              betas=[0.8], ks=[1])
+        rows = run_sensitivity(g, truth, grid, seeds=seeds)
+        out = tmp_path / "sens.csv"
+        write_sensitivity_csv(rows, out)
+        params = [line.split(",")[1]
+                  for line in out.read_text().splitlines()[1:]]
+        assert params == ["0.1234561", "0.1234562", "0.2", "1", "0.8"]
+        assert [float(p) for p in params] == [r["param"] for r in rows]
+        pivot = format_pivot(rows).splitlines()[2:]
+        assert [line.split()[1] for line in pivot] == [
+            "0.1234561", "0.1234562", "0.2", "1", "0.8"]
 
 
 class TestPipelineConfig:

@@ -6,7 +6,9 @@ CLI), so a change to one of them breaks the benchmark before any figure is
 taken.  The worker is imported in a fresh interpreter, as the benchmark
 starts it, and ``sweep`` runs on a smaller graph; ``pipeline-age`` is
 covered by ``test_probe.py``.  The full-size seed-1 ``pipeline-emb`` digest
-is pinned, so a bit change to the word2vec trainer fails here.
+is pinned, so a bit change to the word2vec trainer fails here, and so is
+the seed-1 digest of the small sweep, so a bit change to the propagation
+engine or to the AUC fails here too.
 """
 
 from __future__ import annotations
@@ -29,6 +31,9 @@ ROOT = Path(__file__).resolve().parents[1]
 # perfbench/run.py runs it: any bit change to the trainer moves it.
 EMB_SEED_1_DIGEST = (
     "f8b48a89615b15ec00579e6128cfb8e24ed199d543cdfce7569e7ff6978395be")
+# The seed-1 sweep digest at per_class=300, the graph SCRIPT runs.
+SWEEP_SEED_1_DIGEST = (
+    "d591e1f11dea3d2c6591d41cfdb0479d88d473a299836e5c65d460b99083852d")
 
 SCRIPT = """
 import json, sys
@@ -63,6 +68,7 @@ def test_sweep_and_emb_set_ups_run_and_repeat(tmp_path):
     assert first["rows"] == 50 and first["row_errors"] == 0
     assert 0.5 < first["auc"] <= 1.0
     assert first["digest"] == second["digest"]
+    assert first["digest"] == SWEEP_SEED_1_DIGEST
     first, second = out["pipeline-emb"]
     assert 0.5 < first["auc"] <= 1.0
     assert first["digest"] == second["digest"]
