@@ -22,8 +22,12 @@ one CSR view it reads from those arcs.
 from __future__ import annotations
 
 import logging
+import os
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from importlib.machinery import PathFinder
+from importlib.util import module_from_spec
 from typing import Sequence
 
 import numpy as np
@@ -115,6 +119,45 @@ def row_indices(nodes, names) -> np.ndarray:
     return np.where(nodes[at] == names, at, -1)
 
 
+def _csr_kernels():
+    """scipy's compiled kernels, ``scipy.sparse._sparsetools``, loaded from
+    scipy's ``sparse`` directory with no package ``__init__`` run and kept in
+    ``sys.modules``, where a later ``import scipy.sparse`` finds them; of two
+    threads that load them at once, the first to register them wins."""
+    name = "scipy.sparse._sparsetools"
+    if name not in sys.modules:
+        scipy = PathFinder.find_spec("scipy").submodule_search_locations
+        spec = PathFinder.find_spec(name, [os.path.join(scipy[0], "sparse")])
+        module = module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules.setdefault(name, module)
+    return sys.modules[name]
+
+
+class _Adjacency:
+    """The 0/1 adjacency matrix as an ``@`` operator on float64 ``(n,)`` and
+    ``(n, C)`` arrays over a graph's own CSR arrays.  Like a ``csr_array``
+    it sums each row in CSR order onto +0.0 with ``csr_matvec`` for one
+    vector (faster there) and ``csr_matvecs`` for more, bit for bit."""
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray):
+        self.indptr, self.indices = indptr, indices
+        self.data = np.ones(len(indices))
+        self.kernels = _csr_kernels()
+
+    def __matmul__(self, x) -> np.ndarray:
+        x = np.ascontiguousarray(x, dtype=np.float64)
+        n = len(self.indptr) - 1
+        if x.ndim not in (1, 2) or x.shape[0] != n:
+            raise ValueError(f"adjacency of {n} nodes @ shape {x.shape}")
+        out = np.zeros(x.shape)
+        vecs = () if x.ndim == 1 or x.shape[1] == 1 else (x.shape[1],)
+        (self.kernels.csr_matvecs if vecs else self.kernels.csr_matvec)(
+            n, n, *vecs, self.indptr, self.indices, self.data, x.ravel(),
+            out.ravel())
+        return out
+
+
 @dataclass
 class Graph:
     """Undirected graph in CSR form.
@@ -192,21 +235,13 @@ class Graph:
                          self.degrees)
 
     @property
-    def adjacency(self):
-        """The 0/1 adjacency matrix as a ``scipy.sparse.csr_array``.
-
-        Built on first use over this graph's CSR arrays and cached.  scipy
-        is imported here, not at module level, so that runs which never
-        propagate do not pay for loading it.  Threads that ask for it at
-        the same time may each build it; the operators are equal, and the
-        one kept last serves every later call.
-        """
+    def adjacency(self) -> _Adjacency:
+        """The 0/1 adjacency matrix as an ``_Adjacency`` operator, built on
+        first use and cached; it loads scipy's compiled kernels alone, so no
+        run imports ``scipy.sparse``.  Threads that ask for it at once may
+        each build one; they are equal, and the last one kept stays."""
         if self._adjacency is None:
-            from scipy.sparse import csr_array
-            n = self.node_count
-            self._adjacency = csr_array(
-                (np.ones(len(self.indices)), self.indices, self.indptr),
-                shape=(n, n))
+            self._adjacency = _Adjacency(self.indptr, self.indices)
         return self._adjacency
 
     def neighbors(self, v: int) -> np.ndarray:

@@ -109,8 +109,9 @@ class PropagationConfig:
     def __post_init__(self) -> None:
         if self.strategy not in ("alpha", "beta", "gamma"):
             raise ConfigError(f"unknown strategy {self.strategy!r}")
-        if self.iterations < 1:
-            raise ConfigError(f"iterations must be >= 1, got {self.iterations}")
+        if not isinstance(self.iterations, (int, np.integer)) or self.iterations < 1:
+            raise ConfigError(
+                f"iterations must be >= 1 and whole, got {self.iterations!r}")
         if self.strategy == "alpha" and not 0.0 <= self.alpha <= 1.0:
             raise ConfigError(f"alpha must lie in [0, 1], got {self.alpha}")
         if self.strategy == "beta" and not 0.0 <= self.beta <= 1.0:
@@ -136,8 +137,9 @@ class LabelState:
         self.is_seed = np.asarray(self.is_seed, dtype=bool)
         self.is_active = np.asarray(self.is_active, dtype=bool)
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise ValidationError("label state values must be (nodes, channels)")
+        if self.values.ndim != 2 or not self.values.shape[1]:
+            raise ValidationError(
+                "label state values must be (nodes, channels >= 1)")
         n = self.values.shape[0]
         if self.is_seed.shape != (n,) or self.is_active.shape != (n,):
             raise ValidationError("label state arrays disagree on node count")
@@ -175,6 +177,8 @@ class LabelState:
             raise ValidationError(
                 f"seed index out of range [0, {node_count})")
         given = np.asarray(values, dtype=np.float64)
+        if not np.isfinite(given).all():
+            raise ValidationError("seed values must be finite")
         if given.size != len(idx) * num_classes:
             raise ValidationError(f"{given.size} seed values for {len(idx)} "
                                   f"nodes x {num_classes} channels")
@@ -415,9 +419,10 @@ def propagate_trace(g: Graph, seeds: LabelState, cfg: PropagationConfig,
     (the update rule depends only on the superstep index), so
     ``trace[k]`` equals ``propagate`` with ``iterations=k`` exactly.
     """
-    wanted = set(int(k) for k in checkpoints)
-    if not wanted or min(wanted) < 1:
-        raise ConfigError("checkpoints must be positive superstep counts")
+    wanted = set(checkpoints)
+    if not wanted or not all(isinstance(k, (int, np.integer)) and k >= 1
+                             for k in wanted):
+        raise ConfigError("checkpoints must be whole superstep counts >= 1")
     return dict(_states(g, seeds, replace(cfg, iterations=max(wanted)), wanted))
 
 

@@ -13,10 +13,11 @@ the code they judge:
   ``reference_filter_min_degree``, ``reference_lp_features`` (with
   ``ReferenceLPBlock.table``), ``reference_join_features`` and
   ``reference_loss_and_gradients`` are the package's earlier
-  implementations: two sparse products per superstep (active-neighbor
-  counts and sums) into fresh arrays, renumbering by a sort of all arc
-  ends, three ``(n, N, C)`` copies plus an imputed copy and a stack, joins
-  and gathers by name lists, and a step that builds a one-hot target;
+  implementations: two ``scipy.sparse.csr_array`` products per superstep
+  (active-neighbor counts and sums) into fresh arrays, renumbering by a
+  sort of all arc ends, three ``(n, N, C)`` copies plus an imputed copy
+  and a stack, joins and gathers by name lists, and a step that builds a
+  one-hot target;
 - ``reference_read_seed_labels`` reads through the package's
   ``graph._read_rows`` and ``labelprop.class_label``, and maps the seeds
   line by line through a name dict;
@@ -37,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse import csr_array
 
 
 def dense_propagate(adj: list[set[int]], seed_values: dict[int, np.ndarray],
@@ -129,12 +131,16 @@ def reference_neighbor_means(g, values: np.ndarray, active: np.ndarray):
     exactly 0.0, so multiplying by the full adjacency matrix adds only
     +0.0 for inactive neighbors, and the sums equal those over active
     neighbors alone.  Each row is summed in CSR order, so the result is
-    bit-identical across runs.
+    bit-identical across runs.  The products are a ``csr_array``'s, over
+    the graph's arrays, not the graph's own ``adjacency`` operator.
     """
-    counts = g.adjacency @ active.astype(np.float64)
+    n = g.node_count
+    adjacency = csr_array((np.ones(len(g.indices)), g.indices, g.indptr),
+                          shape=(n, n))
+    counts = adjacency @ active.astype(np.float64)
     has = counts > 0
     means = np.zeros_like(values)
-    np.divide(g.adjacency @ values, counts[:, None], out=means,
+    np.divide(adjacency @ values, counts[:, None], out=means,
               where=has[:, None])
     return means, has
 

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_array
 
 from demograph.errors import (EdgeListParseError, EmptyGraphError,
                               ValidationError)
@@ -384,13 +389,12 @@ class TestInvariants:
         g, adj = random_graph(rng, 30, 0.1)
         a = g.adjacency
         assert g.adjacency is a
-        assert a.shape == (30, 30)
         assert np.array_equal(a.indptr, g.indptr)
         assert np.array_equal(a.indices, g.indices)
         dense = np.zeros((30, 30))
         for u, nbrs in enumerate(adj):
             dense[u, sorted(nbrs)] = 1.0
-        assert np.array_equal(a.toarray(), dense)
+        assert np.array_equal(a @ np.eye(30), dense)
 
     def test_csr_arrays_are_int32_and_shared(self, tmp_path):
         path = write_edges(tmp_path / "e.tsv",
@@ -407,6 +411,105 @@ class TestInvariants:
         assert empty.indptr.dtype == empty.indices.dtype
         assert np.array_equal(empty.indptr, [0, 0, 0])
         assert len(empty.indices) == 0
+
+
+class TestAdjacencyOperator:
+    """``Graph.adjacency`` against a ``scipy.sparse.csr_array`` over the
+    graph's arrays, the operator it replaced, bit for bit."""
+
+    @staticmethod
+    def csr_array_of(g):
+        n = g.node_count
+        return csr_array((np.ones(len(g.indices)), g.indices, g.indptr),
+                         shape=(n, n))
+
+    @staticmethod
+    def spread(rng, shape):
+        # Magnitudes spread so that summation order shows in the bits,
+        # with zeros of both signs.
+        x = rng.standard_normal(shape) * 10.0 ** rng.integers(-12, 13, shape)
+        x[rng.random(shape) < 0.1] = 0.0
+        x[rng.random(shape) < 0.1] = -0.0
+        return x
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    @pytest.mark.parametrize("shape", [(), (1,), (2,), (7,), (9,)])
+    def test_products_match_csr_array(self, rng, dtype, shape):
+        built, _ = random_graph(rng, 300, 0.03)
+        g = Graph(built.names, built.indptr.astype(dtype),
+                  built.indices.astype(dtype))
+        assert g.indices.dtype == dtype
+        want = self.csr_array_of(g)
+        for _ in range(3):
+            x = self.spread(rng, (300, *shape))
+            got = g.adjacency @ x
+            assert got.shape == x.shape and got.dtype == np.float64
+            assert got.tobytes() == (want @ x).tobytes()
+
+    def test_strided_column_view(self, rng):
+        g, _ = random_graph(rng, 200, 0.05)
+        wide = self.spread(rng, (200, 6))
+        for view in (wide[:, 1], wide[:, 2:3], wide[:, ::2]):
+            assert not view.flags.c_contiguous
+            got = g.adjacency @ view
+            assert got.tobytes() == (self.csr_array_of(g) @ view).tobytes()
+
+    def test_edgeless_graph(self, rng):
+        g = Graph.build(["a", "b", "c"], [])
+        for shape in [(3,), (3, 1), (3, 4)]:
+            x = self.spread(rng, shape)
+            got = g.adjacency @ x
+            assert got.tobytes() == (self.csr_array_of(g) @ x).tobytes()
+            assert got.tobytes() == np.zeros(shape).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (3, 2, 2), ()])
+    def test_wrong_shape_raises(self, shape):
+        g = Graph.build(["a", "b", "c"], [(0, 1), (1, 2)])
+        with pytest.raises(ValueError):
+            g.adjacency @ np.zeros(shape)
+
+    def test_kernels_load_alone_and_are_shared(self):
+        # A fresh interpreter: the kernels load without scipy.sparse, and
+        # a later import of scipy.sparse takes the same module; one that
+        # imported scipy.sparse first reuses its module.  Threads that load
+        # them at once, more than there are cores and switching often, each
+        # get a working operator.
+        script = """
+import sys, threading
+import numpy as np
+from demograph.graph import Graph
+if sys.argv[1] == "after":
+    import scipy.sparse
+x = np.array([1.0, 2.0, 4.0])
+barrier = threading.Barrier(8)
+products = []
+def build():
+    g = Graph.build(["a", "b", "c"], [(0, 1), (1, 2)])
+    barrier.wait()
+    products.append((g.adjacency @ x).tolist())
+sys.setswitchinterval(1e-6)
+threads = [threading.Thread(target=build) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join(timeout=60)
+print(not any(t.is_alive() for t in threads))
+print(products == [[2.0, 5.0, 2.0]] * 8)
+print("scipy.sparse" in sys.modules)
+import scipy.sparse
+g = Graph.build(["a", "b", "c"], [(0, 1), (1, 2)])
+print(g.adjacency.kernels is sys.modules["scipy.sparse._sparsetools"])
+a = scipy.sparse.csr_array((np.ones(4), g.indices, g.indptr), shape=(3, 3))
+print((a @ x).tolist() == (g.adjacency @ x).tolist())
+"""
+        src = str(Path(graph.__file__).resolve().parents[1])
+        for order, loaded in (("before", "False"), ("after", "True")):
+            done = subprocess.run(
+                [sys.executable, "-c", script, order], capture_output=True,
+                text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+            assert done.returncode == 0, done.stderr
+            assert done.stdout.split() == ["True", "True", loaded, "True",
+                                           "True"]
 
 
 class TestDirectedEdges:

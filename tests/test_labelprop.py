@@ -122,6 +122,34 @@ class TestPropagateExamples:
             propagate(g, binary_seeds(2, {0: 1.0}),
                       PropagationConfig(iterations=0))
 
+    @pytest.mark.parametrize("iterations", [2.5, 2.0, "3", None])
+    def test_non_integer_iterations_rejected_at_construction(self, iterations):
+        with pytest.raises(ConfigError, match="iterations must be"):
+            PropagationConfig(iterations=iterations)
+
+    @pytest.mark.parametrize("iterations", [np.int64(2), np.int32(2)])
+    def test_numpy_integer_iterations_run(self, iterations):
+        g = path_graph(["a", "b", "c"])
+        seeds = binary_seeds(3, {0: 1.0})
+        got = propagate(g, seeds, PropagationConfig(iterations=iterations))
+        want = propagate(g, seeds, PropagationConfig(iterations=2))
+        assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("checkpoints", [[2.5], [1, 2.5], [2.0], [0],
+                                             ["2"], []])
+    def test_checkpoints_must_be_whole_counts(self, checkpoints):
+        g = path_graph(["a", "b", "c"])
+        with pytest.raises(ConfigError, match="checkpoints"):
+            propagate_trace(g, binary_seeds(3, {0: 1.0}), PropagationConfig(),
+                            checkpoints)
+
+    def test_numpy_checkpoints_give_int_keys(self):
+        g = path_graph(["a", "b", "c"])
+        trace = propagate_trace(g, binary_seeds(3, {0: 1.0}),
+                                PropagationConfig(), np.arange(1, 3))
+        assert [type(k) for k in trace] == [int, int]
+        assert sorted(trace) == [1, 2]
+
     def test_bad_alpha_rejected(self):
         g = path_graph(["a", "b"])
         with pytest.raises(ConfigError):
@@ -329,6 +357,21 @@ class TestSeedState:
         g = Graph.build(["a", "b", "c"], [(0, 1), (1, 2)])
         with pytest.raises(ConfigError, match="at least one seed"):
             propagate(g, state, PropagationConfig(iterations=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_seed_values_rejected(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            LabelState.from_seed_values(4, [0], [bad])
+        with pytest.raises(ValidationError, match="finite"):
+            LabelState.from_seed_values(4, [0, 2], [[0.2, 0.8], [bad, 0.0]],
+                                        num_classes=2)
+
+    def test_zero_channels_rejected(self):
+        with pytest.raises(ValidationError, match="channels"):
+            LabelState.from_seed_values(4, [0], [], num_classes=0)
+        seed = np.array([True, False, False, False])
+        with pytest.raises(ValidationError, match="channels"):
+            LabelState(np.zeros((4, 0)), seed, seed)
 
     @pytest.mark.parametrize("indices,values,num_classes", [
         ([0, 2], [0.5], 1), ([0, 2], [0.5, 1.0, 0.0], 1),

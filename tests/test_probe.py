@@ -2,18 +2,25 @@
 
 The probe installs the benchmark's span recorder, which rebinds the
 package's functions for the rest of the process, so it runs in a fresh
-interpreter.
+interpreter.  The seed-1 digest of the small age probe is pinned, so a
+change on the 7-channel propagation path (or elsewhere in the age
+pipeline) that reaches its records fails here.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+# The seed-1 records digest of the age-1x probe at per_class=300 with one
+# BLAS thread.
+AGE_SEED_1_DIGEST = (
+    "75965d4ff2e77e3a90385af47ce92164d47b9066255eb76843db41bff9164a5d")
 
 SCRIPT = """
 import json, sys
@@ -28,9 +35,11 @@ print(json.dumps({"result": result, "ladder": ladder}))
 
 
 def test_probe_reports_stages_and_digest(tmp_path):
+    env = {**os.environ, **dict.fromkeys(
+        ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"), "1")}
     done = subprocess.run(
         [sys.executable, "-c", SCRIPT, str(tmp_path)], cwd=ROOT / "scripts",
-        capture_output=True, text=True, timeout=120)
+        env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     assert out["ladder"] == {"age-1x": 14_286, "age-5x": 71_430,
@@ -57,3 +66,4 @@ def test_probe_reports_stages_and_digest(tmp_path):
     records = (tmp_path / "metrics.jsonl").read_bytes()
     assert records.count(b"\n") == 2
     assert result["digest"] == hashlib.sha256(records).hexdigest()
+    assert result["digest"] == AGE_SEED_1_DIGEST
